@@ -23,7 +23,7 @@ from . import textnorm
 from . import violence as violence_mod
 from .explain import dump_explanation, explain as explain_text
 from .features import FeatureConfig
-from .linear import load_model, predict_texts, save_model, train_model
+from .linear import load_model, predict_texts, save_model, target_value, train_model
 from .manifest import RunManifest
 from .util import atomic_write_text
 
@@ -388,9 +388,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         man.add_input(args.split)
         keep = corpus_mod.load_split(args.split).part(args.part)
         preds = {d: v for d, v in preds.items() if d in keep}
-    from .linear import _target_value
-
-    gold = {d: _target_value(r, args.target) for d, r in labels.items()}
+    gold = {d: target_value(r, args.target) for d, r in labels.items()}
     report = metrics_mod.evaluate_predictions(gold, preds)
     _emit(metrics_mod.dump_report(report), args.out)
     if args.out:

@@ -269,10 +269,11 @@ def stratified_split(
 ) -> DatasetSplit:
     """Split doc ids train/dev/test, stratified on the offensive label.
 
-    Within each class: dev and test sizes are round(ratio * n_class), the
-    remainder goes to train. Deterministic in (label set, ratios, seed);
-    input iteration order does not matter. A class with fewer than 3
-    members is left whole in train (with a warning).
+    Within each class: dev and test sizes are round_half_up(ratio * n_class)
+    (0.5 rounds up, unlike Python's round), the remainder goes to train.
+    Deterministic in (label set, ratios, seed); input iteration order does
+    not matter. A class with fewer than 3 members is left whole in train
+    (with a warning).
     """
     if isinstance(labels, Mapping):
         records = list(labels.values())

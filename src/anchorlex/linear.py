@@ -3,7 +3,9 @@
 Objective: (1/2)||w||^2 + C * sum_i hinge(y_i (w.x_i + b)), bias
 unregularized. The dual (box-constrained QP with one equality
 constraint, from the free bias) is solved SMO-style on maximal
-violating pairs, which converges to the exact optimum; the primal
+violating pairs. It stops when the largest KKT violation falls below
+a tolerance, when a pair update stalls, or when the primal objective
+changes by less than a relative tolerance over an epoch. The primal
 objective is tracked per epoch on the best feasible iterate, so the
 reported trace is non-increasing by construction.
 """
@@ -28,54 +30,6 @@ TARGETS = ("offensive", "hate", "vulgar", "violence")
 _EPS = 1e-12
 
 
-class _Csr:
-    """Minimal CSR + per-column index, enough for SMO bookkeeping."""
-
-    def __init__(self, vectors: Sequence[Mapping[int, float]], n_features: int):
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for vec in vectors:
-            for k in sorted(vec):
-                if k < 0 or k >= n_features:
-                    raise ValueError(f"feature index {k} out of range [0, {n_features})")
-                indices.append(k)
-                data.append(vec[k])
-            indptr.append(len(indices))
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
-        cols: dict[int, tuple[list[int], list[float]]] = {}
-        for row in range(len(vectors)):
-            for p in range(self.indptr[row], self.indptr[row + 1]):
-                rows, vals = cols.setdefault(int(self.indices[p]), ([], []))
-                rows.append(row)
-                vals.append(float(self.data[p]))
-        self.columns = {
-            k: (np.asarray(r, dtype=np.int64), np.asarray(v, dtype=np.float64))
-            for k, (r, v) in cols.items()
-        }
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        a, b = self.indptr[i], self.indptr[i + 1]
-        return self.indices[a:b], self.data[a:b]
-
-    def dot_rows(self, i: int, j: int) -> float:
-        ki, vi = self.row(i)
-        kj, vj = self.row(j)
-        out, a, b = 0.0, 0, 0
-        while a < len(ki) and b < len(kj):
-            if ki[a] == kj[b]:
-                out += vi[a] * vj[b]
-                a += 1
-                b += 1
-            elif ki[a] < kj[b]:
-                a += 1
-            else:
-                b += 1
-        return out
-
-
 @dataclass(frozen=True)
 class FitResult:
     weights: np.ndarray
@@ -96,17 +50,14 @@ def fit_svm(
     y: Sequence[int],
     n_features: int,
     C: float = 1.0,
-    seed: int = 0,
     max_epochs: int = 1000,
     rel_tol: float = 1e-6,
     kkt_tol: float = 1e-9,
 ) -> FitResult:
     """Train on sparse vectors with labels in {0, 1} or {-1, +1}.
 
-    The algorithm is deterministic (ties in pair selection break by
-    index); seed is accepted for interface parity and recorded upstream.
+    The algorithm is deterministic: ties in pair selection break by index.
     """
-    del seed  # deterministic regardless; kept in the signature on purpose
     n = len(vectors)
     if n == 0:
         raise ValueError("no training vectors")
@@ -118,11 +69,20 @@ def fit_svm(
     if C <= 0:
         raise ValueError("C must be positive")
 
-    X = _Csr(vectors, n_features)
+    # X as CSR: row i holds cols[indptr[i]:indptr[i+1]], ascending, and vals
+    indptr = np.cumsum([0] + [len(vec) for vec in vectors])
+    cols = np.fromiter((k for vec in vectors for k in sorted(vec)), np.int64, indptr[-1])
+    vals = np.fromiter((vec[k] for vec in vectors for k in sorted(vec)), np.float64, indptr[-1])
+    bad = (cols < 0) | (cols >= n_features)
+    if bad.any():
+        raise ValueError(f"feature index {cols[bad][0]} out of range [0, {n_features})")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+
     alpha = np.zeros(n)
     w = np.zeros(n_features)
     f = np.zeros(n)  # f_i = w . x_i
-    k_diag = np.array([X.dot_rows(i, i) for i in range(n)])
+    k_diag = np.bincount(rows, weights=vals**2, minlength=n)
+    dense = np.zeros(n_features)  # scratch for x_i . x_j
 
     def bias_estimate() -> float:
         v = yv - f
@@ -164,7 +124,12 @@ def fit_svm(
             else:
                 L = max(0.0, alpha[i] + alpha[j] - C)
                 H = min(C, alpha[i] + alpha[j])
-            eta = k_diag[i] + k_diag[j] - 2.0 * X.dot_rows(i, j)
+            ri = slice(indptr[i], indptr[i + 1])
+            rj = slice(indptr[j], indptr[j + 1])
+            dense[cols[ri]] = vals[ri]
+            k_ij = float(dense[cols[rj]] @ vals[rj])
+            dense[cols[ri]] = 0.0
+            eta = k_diag[i] + k_diag[j] - 2.0 * k_ij
             if eta < _EPS:
                 eta = _EPS
             e_i = f[i] - yv[i]
@@ -177,16 +142,9 @@ def fit_svm(
             d_ai = -s * d_aj
             alpha[i] += d_ai
             alpha[j] += d_aj
-            for coef, row in ((yv[i] * d_ai, i), (yv[j] * d_aj, j)):
-                if coef == 0.0:
-                    continue
-                ks, vs = X.row(row)
-                for p in range(len(ks)):
-                    feat = int(ks[p])
-                    delta = coef * vs[p]
-                    w[feat] += delta
-                    rows, vals = X.columns[feat]
-                    f[rows] += delta * vals
+            w[cols[ri]] += yv[i] * d_ai * vals[ri]
+            w[cols[rj]] += yv[j] * d_aj * vals[rj]
+            f = np.bincount(rows, weights=vals * w[cols], minlength=n)
         b = bias_estimate()
         p = _primal(w, b, f, yv, C)
         if p < best_p:
@@ -229,7 +187,7 @@ class LinearModel:
         return self.objective_trace[-1] if self.objective_trace else float("nan")
 
 
-def _target_value(rec: LabelRecord, target: str) -> int:
+def target_value(rec: LabelRecord, target: str) -> int:
     if target == "offensive":
         return int(rec.offensive)
     if target == "hate":
@@ -265,10 +223,10 @@ def train_model(
         normalize(d.text, norm_config) if normalize_text else d.text
         for d in train_docs
     ]
-    yv = [_target_value(labels[d.id], target) for d in train_docs]
+    yv = [target_value(labels[d.id], target) for d in train_docs]
     space = fit_features(texts, feature_config)
     vectors = vectorize_all(texts, space)
-    fit = fit_svm(vectors, yv, space.n_features, C=C, seed=seed)
+    fit = fit_svm(vectors, yv, space.n_features, C=C)
     return LinearModel(
         space=space,
         weights=fit.weights,

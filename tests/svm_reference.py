@@ -1,0 +1,190 @@
+"""The previous SMO solver, kept verbatim as a differential oracle.
+
+`fit_svm` below is the solver `anchorlex.linear` shipped before it moved
+to flat CSR arrays: a row CSR plus a dict of per-column arrays, with `f`
+updated incrementally column by column. tests/test_linear.py checks the
+current solver against it.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from anchorlex.linear import FitResult
+
+_EPS = 1e-12
+
+
+class _Csr:
+    """Minimal CSR + per-column index, enough for SMO bookkeeping."""
+
+    def __init__(self, vectors: Sequence[Mapping[int, float]], n_features: int):
+        indptr = [0]
+        indices: list[int] = []
+        data: list[float] = []
+        for vec in vectors:
+            for k in sorted(vec):
+                if k < 0 or k >= n_features:
+                    raise ValueError(f"feature index {k} out of range [0, {n_features})")
+                indices.append(k)
+                data.append(vec[k])
+            indptr.append(len(indices))
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.float64)
+        cols: dict[int, tuple[list[int], list[float]]] = {}
+        for row in range(len(vectors)):
+            for p in range(self.indptr[row], self.indptr[row + 1]):
+                rows, vals = cols.setdefault(int(self.indices[p]), ([], []))
+                rows.append(row)
+                vals.append(float(self.data[p]))
+        self.columns = {
+            k: (np.asarray(r, dtype=np.int64), np.asarray(v, dtype=np.float64))
+            for k, (r, v) in cols.items()
+        }
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return self.indices[a:b], self.data[a:b]
+
+    def dot_rows(self, i: int, j: int) -> float:
+        ki, vi = self.row(i)
+        kj, vj = self.row(j)
+        out, a, b = 0.0, 0, 0
+        while a < len(ki) and b < len(kj):
+            if ki[a] == kj[b]:
+                out += vi[a] * vj[b]
+                a += 1
+                b += 1
+            elif ki[a] < kj[b]:
+                a += 1
+            else:
+                b += 1
+        return out
+
+
+def _primal(w: np.ndarray, b: float, f: np.ndarray, y: np.ndarray, C: float) -> float:
+    margins = y * (f + b)
+    return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
+
+
+def fit_svm(
+    vectors: Sequence[Mapping[int, float]],
+    y: Sequence[int],
+    n_features: int,
+    C: float = 1.0,
+    seed: int = 0,
+    max_epochs: int = 1000,
+    rel_tol: float = 1e-6,
+    kkt_tol: float = 1e-9,
+) -> FitResult:
+    """Train on sparse vectors with labels in {0, 1} or {-1, +1}.
+
+    The algorithm is deterministic (ties in pair selection break by
+    index); seed is accepted for interface parity and recorded upstream.
+    """
+    del seed  # deterministic regardless; kept in the signature on purpose
+    n = len(vectors)
+    if n == 0:
+        raise ValueError("no training vectors")
+    if len(y) != n:
+        raise ValueError("labels and vectors disagree in length")
+    yv = np.asarray([1.0 if v in (1, 1.0, True) else -1.0 for v in y])
+    if not (np.any(yv > 0) and np.any(yv < 0)):
+        raise ValueError("training data must contain both classes")
+    if C <= 0:
+        raise ValueError("C must be positive")
+
+    X = _Csr(vectors, n_features)
+    alpha = np.zeros(n)
+    w = np.zeros(n_features)
+    f = np.zeros(n)  # f_i = w . x_i
+    k_diag = np.array([X.dot_rows(i, i) for i in range(n)])
+
+    def bias_estimate() -> float:
+        v = yv - f
+        up = ((yv > 0) & (alpha < C - _EPS)) | ((yv < 0) & (alpha > _EPS))
+        low = ((yv < 0) & (alpha < C - _EPS)) | ((yv > 0) & (alpha > _EPS))
+        hi = v[up].max() if up.any() else 0.0
+        lo = v[low].min() if low.any() else 0.0
+        return float((hi + lo) / 2.0)
+
+    best_w = w.copy()
+    best_b = bias_estimate()
+    best_p = _primal(w, best_b, f, yv, C)
+    trace: list[float] = []
+    prev_p = best_p
+    converged = False
+    stalled = False
+    epochs_run = 0
+
+    for _ in range(max_epochs):
+        epochs_run += 1
+        for _ in range(n):
+            v = yv - f
+            up = ((yv > 0) & (alpha < C - _EPS)) | ((yv < 0) & (alpha > _EPS))
+            low = ((yv < 0) & (alpha < C - _EPS)) | ((yv > 0) & (alpha > _EPS))
+            if not up.any() or not low.any():
+                converged = True
+                break
+            m = np.where(up, v, -np.inf)
+            mm = np.where(low, v, np.inf)
+            i = int(np.argmax(m))
+            j = int(np.argmin(mm))
+            if m[i] - mm[j] < kkt_tol:
+                converged = True
+                break
+            s = yv[i] * yv[j]
+            if s < 0:
+                L = max(0.0, alpha[j] - alpha[i])
+                H = min(C, C + alpha[j] - alpha[i])
+            else:
+                L = max(0.0, alpha[i] + alpha[j] - C)
+                H = min(C, alpha[i] + alpha[j])
+            eta = k_diag[i] + k_diag[j] - 2.0 * X.dot_rows(i, j)
+            if eta < _EPS:
+                eta = _EPS
+            e_i = f[i] - yv[i]
+            e_j = f[j] - yv[j]
+            aj_new = min(H, max(L, alpha[j] + yv[j] * (e_i - e_j) / eta))
+            d_aj = aj_new - alpha[j]
+            if abs(d_aj) < 1e-16:
+                stalled = True
+                break
+            d_ai = -s * d_aj
+            alpha[i] += d_ai
+            alpha[j] += d_aj
+            for coef, row in ((yv[i] * d_ai, i), (yv[j] * d_aj, j)):
+                if coef == 0.0:
+                    continue
+                ks, vs = X.row(row)
+                for p in range(len(ks)):
+                    feat = int(ks[p])
+                    delta = coef * vs[p]
+                    w[feat] += delta
+                    rows, vals = X.columns[feat]
+                    f[rows] += delta * vals
+        b = bias_estimate()
+        p = _primal(w, b, f, yv, C)
+        if p < best_p:
+            best_p = p
+            best_w = w.copy()
+            best_b = b
+        trace.append(best_p)
+        if converged or stalled:
+            break
+        if abs(prev_p - p) / max(1.0, abs(prev_p)) < rel_tol:
+            break
+        prev_p = p
+
+    return FitResult(
+        weights=best_w,
+        bias=best_b,
+        objective=best_p,
+        objective_trace=tuple(trace),
+        n_epochs=epochs_run,
+        converged=converged,
+    )
+

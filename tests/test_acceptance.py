@@ -3,8 +3,8 @@
 Each test prints a `criterion NN: PASS/FAIL (detail)` line before
 asserting, so a full run reads as a checklist. Oracles are independent
 of the code under test: exact rational arithmetic for the valence
-miner, a convex-optimization stack for the SVM objective, hand-worked
-numbers elsewhere.
+miner, a convex-optimization stack for the SVM objective (cvxpy, or
+scipy's SLSQP where cvxpy is missing), hand-worked numbers elsewhere.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from anchorlex.corpus import Document, load_corpus, stratified_split, write_corp
 from anchorlex.emoji import default_inventory, extract_emojis, filter_by_seeds
 from anchorlex.features import FeatureConfig
 from anchorlex.lexicon import TermCounts, mine_lexicon, valence
-from anchorlex.linear import fit_svm, predict_texts, train_model
+from anchorlex.linear import fit_svm, predict_texts, target_value, train_model
 from anchorlex.metrics import evaluate_predictions
 from anchorlex.synth import make_anchored_corpus, make_label_set, make_separable_corpus
 from anchorlex.violence import match_violence_text
@@ -292,7 +292,10 @@ def test_criterion_06_collection_enriches_offensive_rate(tmp_path):
 
 
 def test_criterion_07_classifier_f1_and_objective_oracle():
-    from test_linear import _random_problem, cvxpy_objective
+    from test_linear import _random_problem, cvxpy_objective, scipy_objective
+
+    have_cvxpy = importlib.util.find_spec("cvxpy") is not None
+    oracle_objective = cvxpy_objective if have_cvxpy else scipy_objective
 
     docs, labels = make_separable_corpus(n_docs=200, seed=0)
     split = stratified_split(labels, seed=0)
@@ -305,7 +308,7 @@ def test_criterion_07_classifier_f1_and_objective_oracle():
     rng = random.Random(7)
     vectors, y = _random_problem(rng, n=20, m=10)
     fit = fit_svm(vectors, y, 10, C=1.0)
-    oracle = cvxpy_objective(vectors, y, 10, C=1.0)
+    oracle = oracle_objective(vectors, y, 10, C=1.0)
     rel = abs(fit.objective - oracle) / max(abs(oracle), 1e-12)
 
     def non_increasing(trace):
@@ -320,7 +323,8 @@ def test_criterion_07_classifier_f1_and_objective_oracle():
     _report(
         7,
         ok,
-        f"macro-F1 {report.macro_f1:.4f}, objective rel err {rel:.2e}, "
+        f"macro-F1 {report.macro_f1:.4f}, objective rel err {rel:.2e} "
+        f"vs {'cvxpy' if have_cvxpy else 'scipy'}, "
         f"trace non-increasing={non_increasing(fit.objective_trace)}",
     )
 
@@ -411,9 +415,7 @@ def test_criterion_10_released_data_reproduction():
     def macro_f1(target: str, config: FeatureConfig) -> float:
         model = train_model(docs, labels, split, feature_config=config, target=target, seed=0)
         preds = predict_texts(model, [d.text for d in test_docs])
-        from anchorlex.linear import _target_value
-
-        gold = {d.id: _target_value(labels[d.id], target) for d in test_docs}
+        gold = {d.id: target_value(labels[d.id], target) for d in test_docs}
         rep = evaluate_predictions(gold, {d.id: p for d, (p, _) in zip(test_docs, preds)})
         return 100.0 * rep.macro_f1
 

@@ -21,6 +21,9 @@ from anchorlex.linear import (
 )
 from anchorlex.metrics import evaluate
 from anchorlex.synth import make_separable_corpus
+from anchorlex.textnorm import normalize
+
+import svm_reference
 
 
 def cvxpy_objective(vectors, y, n_features, C):
@@ -38,6 +41,37 @@ def cvxpy_objective(vectors, y, n_features, C):
     prob = cp.Problem(cp.Minimize(obj))
     prob.solve(solver=cp.CLARABEL)
     return float(prob.value)
+
+
+def scipy_objective(vectors, y, n_features, C):
+    """Independent solve of the primal QP over (w, b, xi) with SLSQP."""
+    pytest.importorskip("scipy")
+    from scipy.optimize import minimize
+
+    n, m = len(vectors), n_features
+    X = np.zeros((n, m))
+    for i, v in enumerate(vectors):
+        for j, val in v.items():
+            X[i, j] = val
+    yv = np.asarray(y, dtype=float)
+    # z = (w, b, xi): minimize |w|^2/2 + C sum(xi) s.t. y_i (w.x_i + b) >= 1 - xi_i
+    A = np.hstack([yv[:, None] * X, yv[:, None], np.eye(n)])
+    res = minimize(
+        lambda z: 0.5 * float(z[:m] @ z[:m]) + C * float(z[m + 1 :].sum()),
+        np.concatenate([np.zeros(m + 1), np.ones(n)]),
+        jac=lambda z: np.concatenate([z[:m], [0.0], np.full(n, C)]),
+        method="SLSQP",
+        bounds=[(None, None)] * (m + 1) + [(0.0, None)] * n,
+        constraints=[{"type": "ineq", "fun": lambda z: A @ z - 1.0, "jac": lambda z: A}],
+        options={"ftol": 1e-10, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+ORACLES = pytest.mark.parametrize(
+    "oracle", [cvxpy_objective, scipy_objective], ids=lambda f: f.__name__
+)
 
 
 def _random_problem(rng, n=20, m=10, density=0.4):
@@ -65,20 +99,22 @@ def test_two_point_analytic_solution():
     assert res.converged
 
 
-def test_objective_matches_cvxpy_on_random_instances():
+@ORACLES
+def test_objective_matches_cvxpy_on_random_instances(oracle):
     rng = random.Random(0)
     for trial in range(5):
         vectors, y = _random_problem(rng)
-        res = fit_svm(vectors, y, n_features=10, C=1.0, seed=trial)
-        ref = cvxpy_objective(vectors, y, n_features=10, C=1.0)
+        res = fit_svm(vectors, y, n_features=10, C=1.0)
+        ref = oracle(vectors, y, n_features=10, C=1.0)
         assert res.objective == pytest.approx(ref, rel=1e-3), f"trial {trial}"
 
 
-def test_objective_matches_cvxpy_large_c():
+@ORACLES
+def test_objective_matches_cvxpy_large_c(oracle):
     rng = random.Random(9)
     vectors, y = _random_problem(rng, n=15, m=6)
     res = fit_svm(vectors, y, n_features=6, C=10.0)
-    ref = cvxpy_objective(vectors, y, n_features=6, C=10.0)
+    ref = oracle(vectors, y, n_features=6, C=10.0)
     assert res.objective == pytest.approx(ref, rel=1e-3)
 
 
@@ -95,8 +131,8 @@ def test_objective_trace_non_increasing():
 def test_fit_deterministic():
     rng = random.Random(4)
     vectors, y = _random_problem(rng)
-    a = fit_svm(vectors, y, n_features=10, C=1.0, seed=0)
-    b = fit_svm(vectors, y, n_features=10, C=1.0, seed=0)
+    a = fit_svm(vectors, y, n_features=10, C=1.0)
+    b = fit_svm(vectors, y, n_features=10, C=1.0)
     assert list(a.weights) == list(b.weights) and a.bias == b.bias
     assert a.objective_trace == b.objective_trace
 
@@ -127,6 +163,50 @@ def test_fit_accepts_01_labels():
     res01 = fit_svm([{0: 2.0}, {0: 0.0}], [1, 0], n_features=1)
     res_pm = fit_svm([{0: 2.0}, {0: 0.0}], [1, -1], n_features=1)
     assert res01.weights == res_pm.weights and res01.bias == res_pm.bias
+
+
+# --- differential check against the previous solver (tests/svm_reference.py) ---
+
+
+def _scores(fit, vectors):
+    dots = [sum(fit.weights[k] * v for k, v in vec.items()) for vec in vectors]
+    return np.array(dots) + fit.bias
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_reference_solver_on_separable_corpus(seed):
+    docs, labels = make_separable_corpus(n_docs=200, seed=seed)
+    split = stratified_split(labels, seed=seed)
+    train = [normalize(d.text) for d in docs if d.id in split.train]
+    test = [normalize(d.text) for d in docs if d.id in split.test]
+    y = [int(labels[d.id].offensive) for d in docs if d.id in split.train]
+    space = fit_features(train, FeatureConfig())
+    vectors = vectorize_all(train, space)
+    new = fit_svm(vectors, y, space.n_features)
+    old = svm_reference.fit_svm(vectors, y, space.n_features)
+    assert new.n_epochs == old.n_epochs
+    test_vectors = vectorize_all(test, space)
+    s_new, s_old = _scores(new, test_vectors), _scores(old, test_vectors)
+    assert list(s_new > 0) == list(s_old > 0)
+    assert np.abs(s_new - s_old).max() <= 1e-9
+
+
+def test_fit_matches_reference_solver_where_both_converge():
+    # A solver that stops on rel_tol returns an objective that depends on
+    # rounding (up to 2e-4 relative), so only converged pairs are compared.
+    both = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, m, C = rng.choice([12, 20, 30]), rng.choice([5, 10]), rng.choice([0.1, 1.0, 10.0])
+        vectors, y = _random_problem(rng, n=n, m=m)
+        new = fit_svm(vectors, y, n_features=m, C=C)
+        old = svm_reference.fit_svm(vectors, y, n_features=m, C=C)
+        if not (new.converged and old.converged):
+            continue
+        both += 1
+        assert new.objective == pytest.approx(old.objective, rel=1e-8), f"seed {seed}"
+        assert np.abs(new.weights - old.weights).max() <= 1e-6, f"seed {seed}"
+    assert both >= 20
 
 
 # --- end-to-end training ----------------------------------------------------
