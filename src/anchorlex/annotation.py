@@ -109,10 +109,15 @@ class GateResult:
 def gate_annotator(
     judgments: Iterable[Judgment], annotator_id: str, gate: QCGate
 ) -> GateResult:
-    """Accuracy of one annotator on the hidden test items; pass is >= threshold."""
+    """Accuracy of one annotator's offensive-job judgments on the hidden test
+    items; pass is >= threshold. Gate answers are offensive-job answers."""
     n_test = n_correct = 0
     for j in judgments:
-        if j.annotator_id != annotator_id or j.doc_id not in gate.test_answers:
+        if (
+            j.annotator_id != annotator_id
+            or j.job != "offensive"
+            or j.doc_id not in gate.test_answers
+        ):
             continue
         n_test += 1
         if j.label == gate.test_answers[j.doc_id]:
@@ -124,9 +129,13 @@ def gate_annotator(
 
 
 def gate_all(judgments: Sequence[Judgment], gate: QCGate) -> list[GateResult]:
-    """Gate every annotator who touched at least one test item."""
+    """Gate every annotator with an offensive-job judgment on a test item."""
     ids = sorted(
-        {j.annotator_id for j in judgments if j.doc_id in gate.test_answers}
+        {
+            j.annotator_id
+            for j in judgments
+            if j.job == "offensive" and j.doc_id in gate.test_answers
+        }
     )
     return [gate_annotator(judgments, a, gate) for a in ids]
 

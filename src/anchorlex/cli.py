@@ -335,7 +335,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     _finish(man, args, args.out)
     print(
         f"train: {model.space.n_features} features, "
-        f"objective {model.objective:.6f} after {len(model.objective_trace)} epochs"
+        f"objective {model.objective:.6f} after {len(model.objective_trace)} epochs, "
+        f"duality gap {model.duality_gap:.3g}"
     )
     return 0
 

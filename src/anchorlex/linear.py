@@ -8,6 +8,17 @@ a tolerance, when a pair update stalls, or when the primal objective
 changes by less than a relative tolerance over an epoch. The primal
 objective is tracked per epoch on the best feasible iterate, so the
 reported trace is non-increasing by construction.
+
+A pair step on (i, j) needs the kernel rows K_i = X.x_i and K_j: they
+give eta from K_i[j] and move f = X.w by f += y_i da_i K_i + y_j da_j K_j,
+so the step costs O(n) once the rows are known. A row is gathered from
+a column-sorted copy of X, touching only the nonzeros that share a
+column with x_i. Rows are kept in one n-wide block while they fit in
+KERNEL_CACHE_BYTES (every row up to about 2,900 training vectors); a
+row past the budget is recomputed each time it is needed. f is updated
+incrementally, so it can differ from X.w in the last bits; the fit
+reports a duality gap, best primal minus the dual at the final alpha,
+which bounds the distance of the returned iterate from the optimum.
 """
 
 from __future__ import annotations
@@ -29,6 +40,9 @@ TARGETS = ("offensive", "hate", "vulgar", "violence")
 
 _EPS = 1e-12
 
+# Byte budget of the kernel-row block in fit_svm
+KERNEL_CACHE_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -38,6 +52,8 @@ class FitResult:
     objective_trace: tuple[float, ...]
     n_epochs: int
     converged: bool
+    alpha: np.ndarray  # dual variables at the last step
+    duality_gap: float  # objective minus the dual objective at alpha
 
 
 def _primal(w: np.ndarray, b: float, f: np.ndarray, y: np.ndarray, C: float) -> float:
@@ -76,13 +92,42 @@ def fit_svm(
     bad = (cols < 0) | (cols >= n_features)
     if bad.any():
         raise ValueError(f"feature index {cols[bad][0]} out of range [0, {n_features})")
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    cols = cols.astype(np.int32)
+    # X by column: column k holds rows c_rows[c_ptr[k]:c_ptr[k+1]], ascending
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    k_diag = np.bincount(rows, weights=vals**2, minlength=n)
+    order = np.argsort(cols, kind="stable")
+    c_rows, c_vals = rows[order], vals[order]
+    del rows, order
+    c_ptr = np.zeros(n_features + 1, np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_features), out=c_ptr[1:])
+
+    # Kept rows fill `block` in the order they are first needed; slot[i] is
+    # the block row holding K_i, or -1. Untouched pages of the zero-filled
+    # block are never made resident.
+    block = np.zeros((min(n, KERNEL_CACHE_BYTES // (8 * n)), n))
+    slot = np.full(n, -1)
+    n_kept = 0
+
+    def kernel_row(i: int) -> np.ndarray:
+        nonlocal n_kept
+        if slot[i] >= 0:
+            return block[slot[i]]
+        ri = slice(indptr[i], indptr[i + 1])
+        starts = c_ptr[cols[ri]]
+        lens = c_ptr[cols[ri] + 1] - starts
+        # positions in the column copy of every nonzero in x_i's columns
+        at = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        row = np.bincount(c_rows[at], weights=c_vals[at] * np.repeat(vals[ri], lens), minlength=n)
+        if n_kept < len(block):
+            block[n_kept] = row
+            slot[i] = n_kept
+            n_kept += 1
+        return row
 
     alpha = np.zeros(n)
     w = np.zeros(n_features)
     f = np.zeros(n)  # f_i = w . x_i
-    k_diag = np.bincount(rows, weights=vals**2, minlength=n)
-    dense = np.zeros(n_features)  # scratch for x_i . x_j
 
     def bias_estimate() -> float:
         v = yv - f
@@ -124,12 +169,9 @@ def fit_svm(
             else:
                 L = max(0.0, alpha[i] + alpha[j] - C)
                 H = min(C, alpha[i] + alpha[j])
-            ri = slice(indptr[i], indptr[i + 1])
-            rj = slice(indptr[j], indptr[j + 1])
-            dense[cols[ri]] = vals[ri]
-            k_ij = float(dense[cols[rj]] @ vals[rj])
-            dense[cols[ri]] = 0.0
-            eta = k_diag[i] + k_diag[j] - 2.0 * k_ij
+            k_i = kernel_row(i)
+            k_j = kernel_row(j)
+            eta = k_diag[i] + k_diag[j] - 2.0 * k_i[j]
             if eta < _EPS:
                 eta = _EPS
             e_i = f[i] - yv[i]
@@ -142,9 +184,11 @@ def fit_svm(
             d_ai = -s * d_aj
             alpha[i] += d_ai
             alpha[j] += d_aj
+            ri = slice(indptr[i], indptr[i + 1])
+            rj = slice(indptr[j], indptr[j + 1])
             w[cols[ri]] += yv[i] * d_ai * vals[ri]
             w[cols[rj]] += yv[j] * d_aj * vals[rj]
-            f = np.bincount(rows, weights=vals * w[cols], minlength=n)
+            f += (yv[i] * d_ai) * k_i + (yv[j] * d_aj) * k_j
         b = bias_estimate()
         p = _primal(w, b, f, yv, C)
         if p < best_p:
@@ -158,6 +202,9 @@ def fit_svm(
             break
         prev_p = p
 
+    # a step moves alpha_i by the clipped move of alpha_j, which can round a
+    # bound of the box by an ulp
+    np.clip(alpha, 0.0, C, out=alpha)
     return FitResult(
         weights=best_w,
         bias=best_b,
@@ -165,6 +212,8 @@ def fit_svm(
         objective_trace=tuple(trace),
         n_epochs=epochs_run,
         converged=converged,
+        alpha=alpha,
+        duality_gap=best_p - (float(alpha.sum()) - 0.5 * float(w @ w)),
     )
 
 
@@ -181,6 +230,8 @@ class LinearModel:
     target: str
     normalized: bool
     objective_trace: tuple[float, ...]
+    # not in model format v1, so nan after load_model
+    duality_gap: float = float("nan")
 
     @property
     def objective(self) -> float:
@@ -236,6 +287,7 @@ def train_model(
         target=target,
         normalized=normalize_text,
         objective_trace=fit.objective_trace,
+        duality_gap=fit.duality_gap,
     )
 
 

@@ -3,18 +3,28 @@
 `fit_svm` below is the solver `anchorlex.linear` shipped before it moved
 to flat CSR arrays: a row CSR plus a dict of per-column arrays, with `f`
 updated incrementally column by column. tests/test_linear.py checks the
-current solver against it.
+current solver against it. `FitResult` is that solver's result type, which
+had no dual variables and no duality gap.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from anchorlex.linear import FitResult
-
 _EPS = 1e-12
+
+
+@dataclass(frozen=True)
+class FitResult:
+    weights: np.ndarray
+    bias: float
+    objective: float
+    objective_trace: tuple[float, ...]
+    n_epochs: int
+    converged: bool
 
 
 class _Csr:

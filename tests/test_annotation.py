@@ -207,6 +207,23 @@ def test_gate_threshold_boundary():
     assert not gate_annotator(js_bad, "bad", gate).passed
 
 
+def test_gate_counts_only_offensive_judgments():
+    answers = {"t0": "1", "t1": "0", "t2": "1"}
+    gate = QCGate(test_answers=answers)
+    js = [J(doc, "perfect", lab=lab) for doc, lab in answers.items()]
+    js += [
+        J("t0", "perfect", job="hate", lab="religion"),
+        J("t1", "perfect", job="hate", lab="none"),
+        J("t0", "perfect", job="vulgar", lab="0"),
+        J("t2", "perfect", job="vulgar", lab="1"),
+        J("t1", "hate_only", job="hate", lab="0"),
+    ]
+    res = gate_annotator(js, "perfect", gate)
+    assert (res.n_test, res.n_correct, res.accuracy, res.passed) == (3, 3, 1.0, True)
+    # an annotator with no offensive judgment on a test item is not gated
+    assert [r.annotator_id for r in gate_all(js, gate)] == ["perfect"]
+
+
 def test_gate_no_test_items_errors():
     gate = QCGate(test_answers={"t0": "1"})
     with pytest.raises(ValueError):

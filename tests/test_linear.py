@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from anchorlex import linear
 from anchorlex.corpus import stratified_split
 from anchorlex.features import FeatureConfig, fit_features, vectorize_all
 from anchorlex.linear import (
@@ -173,22 +174,49 @@ def _scores(fit, vectors):
     return np.array(dots) + fit.bias
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fit_matches_reference_solver_on_separable_corpus(seed):
+def _separable_problem(seed):
+    """Train vectors, labels, dimension and test vectors of a separable corpus."""
     docs, labels = make_separable_corpus(n_docs=200, seed=seed)
     split = stratified_split(labels, seed=seed)
     train = [normalize(d.text) for d in docs if d.id in split.train]
     test = [normalize(d.text) for d in docs if d.id in split.test]
     y = [int(labels[d.id].offensive) for d in docs if d.id in split.train]
     space = fit_features(train, FeatureConfig())
-    vectors = vectorize_all(train, space)
-    new = fit_svm(vectors, y, space.n_features)
-    old = svm_reference.fit_svm(vectors, y, space.n_features)
+    return vectorize_all(train, space), y, space.n_features, vectorize_all(test, space)
+
+
+def _assert_matches_reference(vectors, y, n_features, scored):
+    """Same epochs as the reference solver, and scores on `scored` within 1e-9."""
+    new = fit_svm(vectors, y, n_features)
+    old = svm_reference.fit_svm(vectors, y, n_features)
     assert new.n_epochs == old.n_epochs
-    test_vectors = vectorize_all(test, space)
-    s_new, s_old = _scores(new, test_vectors), _scores(old, test_vectors)
+    s_new, s_old = _scores(new, scored), _scores(old, scored)
     assert list(s_new > 0) == list(s_old > 0)
     assert np.abs(s_new - s_old).max() <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_reference_solver_on_separable_corpus(seed):
+    _assert_matches_reference(*_separable_problem(seed))
+
+
+EDGE_PROBLEMS = {
+    # an all-zero row: its kernel row is zero and it shares no column
+    "empty_vector": ([{0: 1.0, 1: 0.5}, {}, {1: -1.0}, {0: -0.5, 1: 0.25}], [1, -1, -1, 1], 2),
+    # x_i == x_j with opposite labels: eta is 0 and is clamped
+    "identical_opposite": ([{0: 1.0, 2: 2.0}, {0: 1.0, 2: 2.0}], [1, -1], 3),
+    "one_feature": (
+        [{0: x} for x in (-2.0, -1.5, -0.5, 0.25, 0.5, 1.0, 1.5, 3.0)],
+        [-1, -1, 1, -1, 1, 1, -1, 1],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PROBLEMS))
+def test_fit_matches_reference_solver_on_edge_cases(name):
+    vectors, y, n_features = EDGE_PROBLEMS[name]
+    _assert_matches_reference(vectors, y, n_features, vectors)
 
 
 def test_fit_matches_reference_solver_where_both_converge():
@@ -207,6 +235,76 @@ def test_fit_matches_reference_solver_where_both_converge():
         assert new.objective == pytest.approx(old.objective, rel=1e-8), f"seed {seed}"
         assert np.abs(new.weights - old.weights).max() <= 1e-6, f"seed {seed}"
     assert both >= 20
+
+
+def _assert_same_fit(a, b):
+    assert a.weights.tobytes() == b.weights.tobytes() and a.alpha.tobytes() == b.alpha.tobytes()
+    assert (a.bias, a.objective, a.objective_trace) == (b.bias, b.objective, b.objective_trace)
+    assert (a.n_epochs, a.converged, a.duality_gap) == (b.n_epochs, b.converged, b.duality_gap)
+
+
+@pytest.mark.parametrize("budget", [0, 2000])
+def test_kernel_rows_past_the_budget_give_the_same_fit(monkeypatch, budget):
+    # Budget 0 keeps no kernel row; 2000 bytes keeps 1 of the corpus
+    # problem's 140 rows and 8 of 30 or 12 of 20 rows of a random one. A
+    # row not kept is recomputed by the same code, so the fit must not
+    # change by a bit.
+    problems = [_separable_problem(0)[:3]]
+    for seed in range(10):
+        rng = random.Random(100 + seed)
+        n, m = rng.choice([12, 20, 30]), rng.choice([5, 10])
+        problems.append((*_random_problem(rng, n=n, m=m), m))
+    kept = [fit_svm(v, y, m) for v, y, m in problems]
+    monkeypatch.setattr(linear, "KERNEL_CACHE_BYTES", budget)
+    for (v, y, m), ref in zip(problems, kept):
+        _assert_same_fit(fit_svm(v, y, m), ref)
+
+
+# --- optimality certificate, checked without solver code ---------------------
+
+
+def _certificate(vectors, y, n_features, C):
+    """Fit, then recompute primal and dual from a dense X: (fit, P, D)."""
+    res = fit_svm(vectors, y, n_features, C=C)
+    X = np.zeros((len(vectors), n_features))
+    for i, vec in enumerate(vectors):
+        for k, val in vec.items():
+            X[i, k] = val
+    yv = np.where(np.asarray(y) > 0, 1.0, -1.0)
+    hinge = np.maximum(0.0, 1.0 - yv * (X @ res.weights + res.bias))
+    P = 0.5 * float(res.weights @ res.weights) + C * float(hinge.sum())
+    u = X.T @ (yv * res.alpha)
+    D = float(res.alpha.sum()) - 0.5 * float(u @ u)
+    assert np.all(res.alpha >= 0.0) and np.all(res.alpha <= C)
+    assert abs(float(yv @ res.alpha)) <= 1e-12
+    # the objective kept from the incrementally updated f is the primal of
+    # the returned weights and bias
+    assert res.objective == pytest.approx(P, rel=1e-12)
+    assert res.duality_gap == pytest.approx(P - D, rel=1e-9, abs=1e-9 * P)
+    assert P - D >= -1e-9 * P  # weak duality
+    return res, P, D
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_duality_gap_certifies_separable_corpus_fit(seed):
+    vectors, y, n_features, _ = _separable_problem(seed)
+    res, P, D = _certificate(vectors, y, n_features, C=1.0)
+    assert P - D <= 1e-6 * P
+
+
+def test_duality_gap_on_random_instances():
+    # A fit that stops on rel_tol can be far from optimal (gaps up to 1e-4
+    # relative), so the gap is bounded only where the KKT stop fired.
+    converged = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, m, C = rng.choice([12, 20, 30]), rng.choice([5, 10]), rng.choice([0.1, 1.0, 10.0])
+        vectors, y = _random_problem(rng, n=n, m=m)
+        res, P, D = _certificate(vectors, y, m, C)
+        if res.converged:
+            converged += 1
+            assert P - D <= 1e-6 * P, f"seed {seed}"
+    assert converged >= 20
 
 
 # --- end-to-end training ----------------------------------------------------
