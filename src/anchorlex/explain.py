@@ -10,11 +10,12 @@ coefficients. Deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .emoji import alias_for, base_form, cluster_spans
-from .linear import LinearModel, score_text
+from .linear import LinearModel, score_texts
 from .textnorm import NormalizationConfig, normalize, tokenize
 
 
@@ -69,10 +70,11 @@ def explain(
 
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 2, size=(n_samples, m)).astype(np.float64)  # 1 = kept
-    scores = np.empty(n_samples)
-    for s in range(n_samples):
-        kept = [tokens[t] for t in range(m) if masks[s, t] > 0]
-        scores[s] = score_text(model, " ".join(kept), pre_normalized=preprocess)
+    samples = [" ".join(compress(tokens, keep)) for keep in (masks > 0).tolist()]
+    *sample_scores, score_full, score_empty = score_texts(
+        model, samples + [" ".join(tokens), ""], pre_normalized=preprocess
+    )
+    scores = np.asarray(sample_scores)
     d = 1.0 - masks.mean(axis=1)
     weights = np.exp(-(d**2) / (kernel_width**2))
 
@@ -102,8 +104,8 @@ def explain(
         intercept=intercept,
         r2=r2,
         top=top,
-        score_full=score_text(model, " ".join(tokens), pre_normalized=preprocess),
-        score_empty=score_text(model, "", pre_normalized=preprocess),
+        score_full=score_full,
+        score_empty=score_empty,
     )
 
 

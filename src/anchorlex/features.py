@@ -30,11 +30,9 @@ def _grams(text: str, cfg: FeatureConfig) -> Mapping[str, int]:
     """Raw gram counts of one text, namespaced c:/w: so modes can mix."""
     out: dict[str, int] = {}
     if cfg.mode in ("char", "char+word"):
-        for g, c in char_ngrams(text, *cfg.char_range).items():
-            out["c:" + g] = c
+        out = {"c:" + g: c for g, c in char_ngrams(text, *cfg.char_range).items()}
     if cfg.mode in ("word", "char+word"):
-        for g, c in word_ngrams(tokenize(text), *cfg.word_range).items():
-            out["w:" + g] = c
+        out.update({"w:" + g: c for g, c in word_ngrams(tokenize(text), *cfg.word_range).items()})
     return out
 
 

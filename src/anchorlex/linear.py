@@ -19,18 +19,33 @@ row past the budget is recomputed each time it is needed. f is updated
 incrementally, so it can differ from X.w in the last bits; the fit
 reports a duality gap, best primal minus the dual at the final alpha,
 which bounds the distance of the returned iterate from the optimum.
+
+score_texts is the one read-path scorer: predict_texts, score_text and
+explain all go through it. It reads idf and weights into Python lists
+once per call and scores each distinct text once, since a score is a
+pure function of the text. Summation-order rule: tf * idf, the squared
+L2 norm and w.x are computed in Python floats, adding left to right in
+the order the grams first appear in the text. Built-in sum over numpy
+scalars, which vectorize and decision_score use, adds in that same
+order, so score_texts(model, [t]) equals
+decision_score(model, vectorize(t, model.space)) bit for bit and the
+vectors the trainer sees and the scores predict writes agree. Built-in
+sum over Python floats (compensated from Python 3.12), math.fsum, np.dot
+and np.add.reduce (pairwise) round differently, so none of them may
+replace the loops.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import DatasetSplit, Document, LabelRecord
-from .features import FeatureConfig, FeatureSpace, fit_features, vectorize, vectorize_all
+from .features import FeatureConfig, FeatureSpace, _grams, fit_features, vectorize_all
 from .textnorm import NormalizationConfig, normalize
 from .util import atomic_write_text
 
@@ -299,24 +314,49 @@ def decision_score(model: LinearModel, vec: Mapping[int, float]) -> float:
     return float(sum(model.weights[k] * v for k, v in vec.items()) + model.bias)
 
 
-def predict_vec(model: LinearModel, vec: Mapping[int, float]) -> tuple[int, float]:
-    """Label and score; the zero score decides negative (bias-only input too)."""
-    score = decision_score(model, vec)
-    return (1 if score > 0 else 0), score
+def score_texts(
+    model: LinearModel, texts: Sequence[str], pre_normalized: bool = False
+) -> list[float]:
+    """Decision scores w.x + b, one per text, each distinct text scored once.
+
+    x is vectorize's L2-normalized tf-idf vector, computed here in Python
+    floats by the summation-order rule in the module docstring.
+    """
+    space = model.space
+    vocab, cfg = space.vocabulary, space.config
+    idf, weights, bias = space.idf.tolist(), model.weights.tolist(), model.bias
+    normalize_first = model.normalized and not pre_normalized
+    scores: dict[str, float] = {}
+    for text in texts:
+        if text in scores:
+            continue
+        cols: list[int] = []
+        tfidf: list[float] = []
+        for g, tf in _grams(normalize(text) if normalize_first else text, cfg).items():
+            col = vocab.get(g)
+            if col is not None:
+                cols.append(col)
+                tfidf.append(tf * idf[col])
+        sq = 0.0
+        for x in tfidf:
+            sq += x * x
+        norm = math.sqrt(sq)
+        if norm > 0:
+            tfidf = [x / norm for x in tfidf]
+        dot = 0.0
+        for col, x in zip(cols, tfidf):
+            dot += weights[col] * x
+        scores[text] = float(dot + bias)
+    return [scores[t] for t in texts]
 
 
 def score_text(model: LinearModel, text: str, pre_normalized: bool = False) -> float:
-    if model.normalized and not pre_normalized:
-        text = normalize(text)
-    return decision_score(model, vectorize(text, model.space))
+    return score_texts(model, [text], pre_normalized)[0]
 
 
 def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[tuple[int, float]]:
-    out = []
-    for t in texts:
-        s = score_text(model, t)
-        out.append((1 if s > 0 else 0, s))
-    return out
+    """Label and score per text; the zero score decides negative (bias-only input too)."""
+    return [(1 if s > 0 else 0, s) for s in score_texts(model, texts)]
 
 
 def save_model(path: str, model: LinearModel) -> None:
@@ -342,29 +382,47 @@ def save_model(path: str, model: LinearModel) -> None:
 
 def load_model(path: str) -> LinearModel:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not a JSON model file: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON model file: no top-level object")
     version = obj.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}")
-    config = FeatureConfig(
-        mode=obj["mode"],
-        char_range=tuple(obj["char_range"]),
-        word_range=tuple(obj["word_range"]),
-    )
-    vocab = {g: i for i, g in enumerate(obj["vocabulary"])}
-    space = FeatureSpace(
-        config=config,
-        vocabulary=vocab,
-        idf=np.asarray(obj["idf"], dtype=np.float64),
-        n_docs=int(obj["n_train_docs"]),
-    )
-    return LinearModel(
-        space=space,
-        weights=np.asarray(obj["weights"], dtype=np.float64),
-        bias=float(obj["bias"]),
-        C=float(obj["C"]),
-        seed=int(obj["seed"]),
-        target=str(obj["target"]),
-        normalized=bool(obj["normalized"]),
-        objective_trace=tuple(float(x) for x in obj["objective_trace"]),
-    )
+    try:
+        config = FeatureConfig(
+            mode=obj["mode"],
+            char_range=tuple(obj["char_range"]),
+            word_range=tuple(obj["word_range"]),
+        )
+        vocab = {g: i for i, g in enumerate(obj["vocabulary"])}
+        space = FeatureSpace(
+            config=config,
+            vocabulary=vocab,
+            idf=np.asarray(obj["idf"], dtype=np.float64),
+            n_docs=int(obj["n_train_docs"]),
+        )
+        model = LinearModel(
+            space=space,
+            weights=np.asarray(obj["weights"], dtype=np.float64),
+            bias=float(obj["bias"]),
+            C=float(obj["C"]),
+            seed=int(obj["seed"]),
+            target=str(obj["target"]),
+            normalized=bool(obj["normalized"]),
+            objective_trace=tuple(float(x) for x in obj["objective_trace"]),
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: model file lacks {e.args[0]}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad model file: {e}") from None
+    # a repeated gram leaves fewer columns than grams
+    n_grams = len(obj["vocabulary"])
+    if not (len(vocab) == n_grams and space.idf.shape == model.weights.shape == (n_grams,)):
+        raise ValueError(
+            f"{path}: vocabulary, idf and weights disagree in length ({n_grams} grams, "
+            f"{len(vocab)} distinct, {space.idf.size} idf values, {model.weights.size} weights)"
+        )
+    return model

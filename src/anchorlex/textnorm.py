@@ -103,22 +103,22 @@ def word_ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> Counter:
     """Multiset of contiguous word n-grams, joined with single spaces."""
     if not (1 <= n_min <= n_max):
         raise ValueError(f"bad n-gram range ({n_min}, {n_max})")
-    grams: Counter = Counter()
-    for n in range(n_min, n_max + 1):
-        for i in range(len(tokens) - n + 1):
-            grams[" ".join(tokens[i : i + n])] += 1
-    return grams
+    return Counter(
+        [
+            " ".join(tokens[i : i + n])
+            for n in range(n_min, n_max + 1)
+            for i in range(len(tokens) - n + 1)
+        ]
+    )
 
 
 def char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
     """Multiset of contiguous character n-grams over the string, spaces included."""
     if not (1 <= n_min <= n_max):
         raise ValueError(f"bad n-gram range ({n_min}, {n_max})")
-    grams: Counter = Counter()
-    for n in range(n_min, n_max + 1):
-        for i in range(len(text) - n + 1):
-            grams[text[i : i + n]] += 1
-    return grams
+    return Counter(
+        [text[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(text) - n + 1)]
+    )
 
 
 # --- deduplication ------------------------------------------------------

@@ -380,6 +380,36 @@ def test_explain_command_doc_id(ws, tmp_path, capsys):
     assert "error:" in err
 
 
+def _edited_model(ws, tmp_path, edit) -> str:
+    blob = json.loads(open(ws.model, encoding="utf-8").read())
+    edit(blob)
+    path = str(tmp_path / "edited.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh, ensure_ascii=False)
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b.pop("idf"), "model file lacks idf"),
+        (
+            lambda b: b.update(weights=b["weights"][:-50]),
+            "vocabulary, idf and weights disagree in length",
+        ),
+    ],
+    ids=["no_idf", "weights_cut_by_50"],
+)
+def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, message):
+    model = _edited_model(ws, tmp_path, edit)
+    preds = str(tmp_path / "preds.tsv")
+    assert cli.main(["predict", "--model", model, "--in", ws.corpus, "--out", preds]) == 2
+    assert f"{model}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "preds.tsv").exists()
+    assert cli.main(["explain", "--model", model, "--text", "غبي", "--samples", "20"]) == 2
+    assert f"{model}: {message}" in capsys.readouterr().err
+
+
 def test_report_command(ws, tmp_path, capsys):
     lex = str(tmp_path / "lex.tsv")
     assert cli.main(["mine-lexicon", "--in", ws.corpus, "--labels", ws.labels, "--out", lex]) == 0

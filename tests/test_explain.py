@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -13,8 +14,13 @@ from anchorlex.explain import (
     replace_emoji_with_aliases,
 )
 from anchorlex.features import FeatureConfig, FeatureSpace
-from anchorlex.linear import LinearModel, score_text, train_model
+from anchorlex.linear import LinearModel, score_text, score_texts, train_model
 from anchorlex.synth import make_separable_corpus
+
+import score_reference
+
+# the package re-exports the function explain under the module's name
+explain_mod = importlib.import_module("anchorlex.explain")
 
 
 def _model(seed=0):
@@ -100,6 +106,31 @@ def test_explain_single_token_closed_form():
     assert ex.attributions[0] == pytest.approx(beta1, abs=1e-9)
     assert ex.intercept == pytest.approx(beta0, abs=1e-9)
     assert ex.score_full == pytest.approx(s1) and ex.score_empty == pytest.approx(s0)
+
+
+@pytest.mark.parametrize(
+    "text, preprocess",
+    [("يا غبي يا حقير جدا \U0001F437", True), ("سلام غبي ورد غبي", False), ("غبي", True)],
+)
+def test_explain_scores_its_samples_in_one_batch_like_the_reference(monkeypatch, text, preprocess):
+    model = _model()
+    calls = []
+
+    def recording(model, texts, pre_normalized=False):
+        scores = score_texts(model, texts, pre_normalized)
+        calls.append((list(texts), pre_normalized, scores))
+        return scores
+
+    monkeypatch.setattr(explain_mod, "score_texts", recording)
+    n, seed = 300, 4
+    ex = explain(text, model, n_samples=n, seed=seed, preprocess=preprocess)
+    [(texts, pre_normalized, scores)] = calls
+    masks = np.random.default_rng(seed).integers(0, 2, size=(n, len(ex.tokens)))
+    samples = [" ".join(t for t, keep in zip(ex.tokens, row) if keep) for row in masks]
+    assert texts == samples + [" ".join(ex.tokens), ""]
+    assert pre_normalized == preprocess
+    assert scores == [score_reference.score_text(model, t, preprocess) for t in texts]
+    assert (ex.score_full, ex.score_empty) == (scores[-2], scores[-1])
 
 
 def test_explain_ranks_marker_tokens_first():

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorlex.features import FeatureConfig, fit_features, vectorize, vectorize_all
+from anchorlex.features import FeatureConfig, _grams, fit_features, vectorize, vectorize_all
+from anchorlex.textnorm import char_ngrams, tokenize, word_ngrams
+
+import score_reference
 
 
 def test_config_validation():
@@ -109,3 +112,27 @@ def test_vectors_are_unit_norm_or_empty(corpus, query):
     if vec:
         norm = math.sqrt(sum(v * v for v in vec.values()))
         assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+GRAM_TEXT = st.text(
+    alphabet=st.sampled_from(list("ابغي حقير") + ["\U0001F437", "\U0001F3FF", "\u200d", "!", "@"])
+    | st.characters(),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=GRAM_TEXT,
+    mode=st.sampled_from(["char", "word", "char+word"]),
+    lo=st.integers(1, 3),
+    width=st.integers(0, 3),
+)
+def test_grams_match_loop_counters_items_and_order(text, mode, lo, width):
+    cfg = FeatureConfig(mode=mode, char_range=(lo, lo + width), word_range=(lo, lo + width))
+    assert list(_grams(text, cfg).items()) == list(score_reference._grams(text, cfg).items())
+    want = score_reference.char_ngrams(text, lo, lo + width)
+    assert list(char_ngrams(text, lo, lo + width).items()) == list(want.items())
+    tokens = tokenize(text)
+    want = score_reference.word_ngrams(tokens, lo, lo + width)
+    assert list(word_ngrams(tokens, lo, lo + width).items()) == list(want.items())

@@ -3,13 +3,16 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlex import linear
 from anchorlex.corpus import stratified_split
-from anchorlex.features import FeatureConfig, fit_features, vectorize_all
+from anchorlex.features import FeatureConfig, fit_features, vectorize, vectorize_all
 from anchorlex.linear import (
     LinearModel,
     decision_score,
@@ -18,12 +21,14 @@ from anchorlex.linear import (
     predict_texts,
     save_model,
     score_text,
+    score_texts,
     train_model,
 )
 from anchorlex.metrics import evaluate
 from anchorlex.synth import make_separable_corpus
 from anchorlex.textnorm import normalize
 
+import score_reference
 import svm_reference
 
 
@@ -358,13 +363,62 @@ def test_decision_scores_and_prediction_rule():
         ["يا غبي يا حقير", "سلام محبة ورد"],
     )
     assert (lab_pos, lab_neg) == (1, 0)
-    assert s_pos == pytest.approx(pos_score) and s_neg == pytest.approx(neg_score)
+    assert s_pos == pos_score and s_neg == neg_score
 
 
 def test_decision_score_rejects_mismatched_vector():
     _, _, _, model = _trained()
     with pytest.raises(ValueError):
         decision_score(model, {len(model.weights) + 5: 1.0})
+
+
+# --- the read-path scorer against the previous one (tests/score_reference.py) ---
+
+OOV_TEXT = "qzxjv vjxzq"
+EDGE_TEXTS = ["", "   ", OOV_TEXT, "\U0001F437", "@user http://x.co", "يا غبي يا حقير"]
+
+
+@pytest.mark.parametrize("mode", ["char", "word", "char+word"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_score_texts_matches_reference_scorer(seed, mode):
+    docs, labels = make_separable_corpus(n_docs=120, seed=seed)
+    split = stratified_split(labels, seed=seed)
+    model = train_model(docs, labels, split, FeatureConfig(mode=mode), seed=seed)
+    texts = [d.text for d in docs] + EDGE_TEXTS
+    texts += texts[::7]  # every 7th text again
+    for pre_normalized in (False, True):
+        want = [score_reference.score_text(model, t, pre_normalized) for t in texts]
+        assert score_texts(model, texts, pre_normalized) == want
+        assert [score_text(model, t, pre_normalized) for t in texts] == want
+    # the train path's vectors give the same scores
+    assert score_texts(model, texts, pre_normalized=True) == [
+        decision_score(model, vectorize(t, model.space)) for t in texts
+    ]
+    assert predict_texts(model, texts) == [
+        (1 if s > 0 else 0, s) for s in (score_reference.score_text(model, t) for t in texts)
+    ]
+    assert score_texts(model, [OOV_TEXT]) == [model.bias]
+    assert score_texts(model, []) == [] and predict_texts(model, []) == []
+
+
+@pytest.fixture(scope="module")
+def fuzz_model():
+    return _trained(seed=1)[3]
+
+
+_WORDS = sorted({w for d in make_separable_corpus(n_docs=120, seed=1)[0] for w in d.text.split()})
+FUZZ_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_WORDS) | st.text(max_size=4), max_size=8).map(" ".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(FUZZ_TEXT, max_size=6), pre_normalized=st.booleans())
+def test_score_texts_matches_reference_on_fuzzed_texts(fuzz_model, texts, pre_normalized):
+    texts = texts + texts[:2]
+    want = [score_reference.score_text(fuzz_model, t, pre_normalized) for t in texts]
+    assert score_texts(fuzz_model, texts, pre_normalized) == want
 
 
 # --- persistence -------------------------------------------------------------
@@ -393,6 +447,45 @@ def test_model_format_version_checked(tmp_path):
     blob["format_version"] = 99
     p.write_text(json.dumps(blob), encoding="utf-8")
     with pytest.raises(ValueError, match="format_version"):
+        load_model(str(p))
+
+
+LENGTHS = "vocabulary, idf and weights disagree in length"
+
+
+def _dup_first_gram(blob):
+    blob["vocabulary"][1] = blob["vocabulary"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b.pop("idf"), "model file lacks idf"),
+        (lambda b: b.pop("bias"), "model file lacks bias"),
+        (lambda b: b.update(weights=b["weights"][:-50]), LENGTHS),
+        (lambda b: b.update(idf=b["idf"][:-1]), LENGTHS),
+        (_dup_first_gram, LENGTHS),
+        (lambda b: b.update(char_range=5), "bad model file"),
+        (lambda b: b.update(mode="bytes"), "bad model file"),
+    ],
+    ids=["no_idf", "no_bias", "weights_cut", "idf_cut", "repeated_gram", "range", "mode"],
+)
+def test_load_model_rejects_malformed_file(tmp_path, edit, message):
+    *_, model = _trained(seed=5)
+    p = tmp_path / "model.json"
+    save_model(str(p), model)
+    blob = json.loads(p.read_text(encoding="utf-8"))
+    edit(blob)
+    p.write_text(json.dumps(blob), encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}: {message}")):
+        load_model(str(p))
+
+
+@pytest.mark.parametrize("text", ["{", "[1, 2]"], ids=["truncated", "list"])
+def test_load_model_rejects_non_object_json(tmp_path, text):
+    p = tmp_path / "model.json"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}: not a JSON model file")):
         load_model(str(p))
 
 
