@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Time the text layer per document on seeded synthetic corpora.
+
+Each size is a raw stream from `synth.make_anchored_corpus` (5% of docs
+carry an emoji). The script prints, per size, the median over the
+repeats of the microseconds per doc spent in `normalize`,
+`cluster_spans` and `doc_bases` on the raw texts, and in `tokenize` on
+the normalized texts (as `dedup` calls it), after a line naming nproc
+and the Python and numpy versions.
+
+    PYTHONPATH=src python3 scripts/bench_text.py [--sizes 10000,100000] [--repeats 5]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import statistics
+import sys
+import time
+from typing import Callable
+
+import numpy as np
+
+from anchorlex.emoji import cluster_spans, doc_bases
+from anchorlex.synth import make_anchored_corpus
+from anchorlex.textnorm import normalize, tokenize
+
+
+def us_per_doc(fn: Callable[[str], object], texts: list[str], repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for t in texts:
+            fn(t)
+        times.append(time.perf_counter() - t0)
+    return 1e6 * statistics.median(times) / len(texts)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--sizes", default="10000,100000", help="comma-separated corpus sizes")
+    ap.add_argument("--repeats", type=int, default=5, help="passes per function; the median is printed")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if args.repeats < 1 or not sizes or min(sizes) < 1:
+        ap.error("need --repeats >= 1 and sizes >= 1")
+
+    print(
+        f"nproc {os.cpu_count()}  python {platform.python_version()}  numpy {np.__version__}"
+        f"  seed {args.seed}  repeats {args.repeats}"
+    )
+    print("n_docs\tnormalize_us\tcluster_spans_us\ttokenize_us\tdoc_bases_us")
+    for size in sizes:
+        docs, _ = make_anchored_corpus(n_docs=size, seed=args.seed)
+        raw = [d.text for d in docs]
+        norm = [normalize(t) for t in raw]
+        cols = [
+            us_per_doc(normalize, raw, args.repeats),
+            us_per_doc(cluster_spans, raw, args.repeats),
+            us_per_doc(tokenize, norm, args.repeats),
+            us_per_doc(doc_bases, raw, args.repeats),
+        ]
+        print(f"{size}\t" + "\t".join(f"{c:.2f}" for c in cols), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,21 @@
 """Emoji cluster segmentation, seed inventories, and per-emoji corpus stats.
 
-A cluster is one user-perceived emoji: a pictographic scalar plus any
-variation selectors, skin-tone modifiers and tag characters, chained
-through ZWJ; a regional-indicator pair (flag); or a keycap sequence.
+A cluster is one user-perceived emoji, an emoji sequence in the sense
+of UTS #51. `cluster_spans` finds them with one compiled pattern that,
+at each position, tries in this order:
+
+    flag    := RI RI?
+    keycap  := [0-9#*] VS16? U+20E3
+    emoji   := (P | T) X* (ZWJ P X*)*
+
+RI is a regional indicator (a lone one is a cluster of its own), P an
+Extended_Pictographic scalar, T a skin-tone modifier, X an extender
+(VS15, VS16, a skin tone or a tag character) and ZWJ U+200D. A
+character that starts none of these is skipped. The alternatives never
+compete for one character because P is disjoint from RI, T, X, ZWJ and
+the keycap bases. A ZWJ not followed by a pictograph ends the cluster
+before it.
+
 The *base form* is the cluster with skin tones and variation selectors
 stripped, so all tone/presentation variants of one emoji collapse to a
 single key.
@@ -11,8 +24,9 @@ single key.
 from __future__ import annotations
 
 import random
+import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -35,67 +49,37 @@ SEED_CATEGORIES = frozenset(
 # --- segmentation -------------------------------------------------------
 
 
-def _absorb_extensions(text: str, j: int) -> int:
-    """Consume variation selectors, skin tones, and tag characters."""
-    n = len(text)
-    while j < n:
-        cp = ord(text[j])
-        if er.is_variation_selector(cp) or er.is_skin_tone(cp) or er.is_tag(cp):
-            j += 1
-        else:
-            break
-    return j
+def _cp(c: int) -> str:
+    return f"\\U{c:08x}"
+
+
+def _cls(*ranges: tuple[int, int]) -> str:
+    """A regex character class over inclusive code point ranges."""
+    return "[" + "".join(f"{_cp(lo)}-{_cp(hi)}" for lo, hi in ranges) + "]"
+
+
+_TONE = (er.SKIN_TONE_LO, er.SKIN_TONE_HI)
+_PICT = _cls(*er.EXTENDED_PICTOGRAPHIC)
+_EXT = _cls((er.VS15, er.VS16), _TONE, (er.TAG_LO, er.TAG_HI))
+_CLUSTER_RE = re.compile(
+    f"{_cls((er.RI_LO, er.RI_HI))}{{1,2}}"
+    f"|{_cls(*((c, c) for c in sorted(er.KEYCAP_BASES)))}{_cp(er.VS16)}?{_cp(er.KEYCAP_MARK)}"
+    f"|{_cls(*er.EXTENDED_PICTOGRAPHIC, _TONE)}{_EXT}*(?:{_cp(er.ZWJ)}{_PICT}{_EXT}*)*"
+)
+
+# skin tones and variation selectors, deleted by str.translate
+_STRIP = dict.fromkeys((er.VS15, er.VS16, *range(er.SKIN_TONE_LO, er.SKIN_TONE_HI + 1)))
 
 
 def cluster_spans(text: str) -> list[tuple[int, int]]:
     """(start, end) character spans of every emoji cluster, left to right."""
-    spans: list[tuple[int, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        cp = ord(text[i])
-        if er.is_regional_indicator(cp):
-            if i + 1 < n and er.is_regional_indicator(ord(text[i + 1])):
-                spans.append((i, i + 2))
-                i += 2
-            else:
-                spans.append((i, i + 1))
-                i += 1
-            continue
-        if cp in er.KEYCAP_BASES:
-            j = i + 1
-            if j < n and ord(text[j]) == er.VS16:
-                j += 1
-            if j < n and ord(text[j]) == er.KEYCAP_MARK:
-                spans.append((i, j + 1))
-                i = j + 1
-                continue
-            i += 1
-            continue
-        if er.is_pictographic(cp) or er.is_skin_tone(cp):
-            j = _absorb_extensions(text, i + 1)
-            # ZWJ joins further pictographic elements into the same cluster
-            while (
-                j + 1 < n
-                and ord(text[j]) == er.ZWJ
-                and er.is_pictographic(ord(text[j + 1]))
-            ):
-                j = _absorb_extensions(text, j + 2)
-            spans.append((i, j))
-            i = j
-            continue
-        i += 1
-    return spans
+    return [m.span() for m in _CLUSTER_RE.finditer(text)]
 
 
 def base_form(display: str) -> str:
     """Strip skin tones and variation selectors; keep ZWJ, tags, keycaps."""
-    stripped = "".join(
-        c
-        for c in display
-        if not (er.is_skin_tone(ord(c)) or er.is_variation_selector(ord(c)))
-    )
     # a lone tone modifier would strip to nothing; keep it addressable
-    return stripped or display
+    return display.translate(_STRIP) or display
 
 
 @dataclass(frozen=True)
@@ -114,7 +98,7 @@ def extract_emojis(text: str) -> list[EmojiCluster]:
 
 
 def doc_bases(text: str) -> set[str]:
-    return {c.base for c in extract_emojis(text)}
+    return {base_form(text[a:b]) for a, b in cluster_spans(text)}
 
 
 def alias_for(base: str) -> str:
@@ -122,7 +106,7 @@ def alias_for(base: str) -> str:
     parts: list[str] = []
     for c in base:
         cp = ord(c)
-        if cp == er.ZWJ or cp == er.KEYCAP_MARK or er.is_tag(cp):
+        if cp == er.ZWJ or cp == er.KEYCAP_MARK or er.TAG_LO <= cp <= er.TAG_HI:
             continue
         try:
             name = unicodedata.name(c)
@@ -149,23 +133,20 @@ class SeedEntry:
 @dataclass(frozen=True)
 class SeedInventory:
     entries: tuple[SeedEntry, ...]
+    bases: frozenset[str] = field(init=False, repr=False, compare=False)
+    _category: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        category: dict[str, str] = {}
         for e in self.entries:
-            if e.base in seen:
+            if e.base in category:
                 raise ValueError(f"duplicate seed base {codepoints_hex(e.base)}")
-            seen.add(e.base)
-
-    @property
-    def bases(self) -> frozenset[str]:
-        return frozenset(e.base for e in self.entries)
+            category[e.base] = e.category
+        object.__setattr__(self, "_category", category)
+        object.__setattr__(self, "bases", frozenset(category))
 
     def category_of(self, base: str) -> str | None:
-        for e in self.entries:
-            if e.base == base:
-                return e.category
-        return None
+        return self._category.get(base)
 
     def __len__(self) -> int:
         return len(self.entries)

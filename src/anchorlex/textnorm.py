@@ -2,27 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import Document
 from .emoji import cluster_spans
 from .util import atomic_write_text
 
-# alef variants, taa marbuta, alef maksura
-_CHAR_MAP = {
-    "آ": "ا",  # آ -> ا
-    "أ": "ا",  # أ -> ا
-    "إ": "ا",  # إ -> ا
-    "ة": "ه",  # ة -> ه
-    "ى": "ي",  # ى -> ي
-}
-_ALEF_TAA_YAA = str.maketrans(_CHAR_MAP)
-
-# tashkeel + superscript alef + tatweel
-_DIACRITICS_RE = re.compile("[ً-ْٰـ]")
+# letter maps, switched per NormalizationConfig flag
+_ALEF = {"آ": "ا", "أ": "ا", "إ": "ا"}  # آ أ إ -> ا
+_TAA_MARBUTA = {"ة": "ه"}  # ة -> ه
+_ALEF_MAKSURA = {"ى": "ي"}  # ى -> ي
+# tashkeel + superscript alef + tatweel, deleted
+_DIACRITICS = dict.fromkeys(map(chr, [*range(0x064B, 0x0653), 0x0670, 0x0640]), "")
 
 _URL_RE = re.compile(r"(?:https?://\S+|\bwww\.\S+)")
 _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
@@ -48,25 +43,47 @@ class NormalizationConfig:
 _DEFAULT = NormalizationConfig()
 
 
-def _normalize_once(s: str, cfg: NormalizationConfig) -> str:
-    if cfg.newline_to_space:
-        s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-    s = _URL_RE.sub(cfg.replace_urls_with, s)
-    s = _MENTION_RE.sub(cfg.replace_mentions_with, s)
-    table = {}
-    if cfg.map_alef:
-        table.update({k: v for k, v in _CHAR_MAP.items() if v == "ا"})
-    if cfg.map_taa_marbuta:
-        table["ة"] = "ه"
-    if cfg.map_alef_maksura:
-        table["ى"] = "ي"
-    if table:
-        s = s.translate(str.maketrans(table))
-    if cfg.strip_diacritics:
-        s = _DIACRITICS_RE.sub("", s)
+@functools.lru_cache(maxsize=32)
+def _pass_for(cfg: NormalizationConfig) -> Callable[[str], str]:
+    """One rewrite pass under cfg; its letter table and squash pattern are built here once."""
+    table: dict[str, str] = {}
+    for on, part in (
+        (cfg.map_alef, _ALEF),
+        (cfg.map_taa_marbuta, _TAA_MARBUTA),
+        (cfg.map_alef_maksura, _ALEF_MAKSURA),
+        (cfg.strip_diacritics, _DIACRITICS),
+    ):
+        if on:
+            table.update(part)
+    # one class over the table's keys: str.translate would look up every character
+    mapped = re.compile("[%s]" % "".join(table)) if table else None
     k = cfg.squash_repeats_over
-    s = re.sub(r"(.)\1{%d,}" % k, lambda m: m.group(1) * k, s, flags=re.DOTALL)
-    return s
+    squash = re.compile(r"(.)\1{%d,}" % k, re.DOTALL)
+
+    def letter(m: re.Match) -> str:
+        return table[m.group()]
+
+    def squashed(m: re.Match) -> str:
+        return m.group(1) * k
+
+    # a bad replacement template fails on every text, not only on the
+    # texts that the substring guards below let through
+    _URL_RE.sub(cfg.replace_urls_with, "")
+    _MENTION_RE.sub(cfg.replace_mentions_with, "")
+
+    def once(s: str) -> str:
+        if cfg.newline_to_space:
+            s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
+        # each pattern needs its substring to match
+        if "http" in s or "www." in s:
+            s = _URL_RE.sub(cfg.replace_urls_with, s)
+        if "@" in s:
+            s = _MENTION_RE.sub(cfg.replace_mentions_with, s)
+        if mapped:
+            s = mapped.sub(letter, s)
+        return squash.sub(squashed, s)
+
+    return once
 
 
 def normalize(text: str, cfg: NormalizationConfig = _DEFAULT) -> str:
@@ -78,9 +95,10 @@ def normalize(text: str, cfg: NormalizationConfig = _DEFAULT) -> str:
     projection. Real text stabilizes in one or two rounds; the bound
     only guards against adversarial input.
     """
+    once = _pass_for(cfg)
     s = text
     for _ in range(8):
-        nxt = _normalize_once(s, cfg)
+        nxt = once(s)
         if nxt == s:
             return s
         s = nxt

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emoji_reference
+from anchorlex import emoji_ranges as er
 from anchorlex.corpus import Document, LabelRecord
 from anchorlex.emoji import (
     EmojiCluster,
@@ -11,6 +13,7 @@ from anchorlex.emoji import (
     SeedInventory,
     alias_for,
     base_form,
+    cluster_spans,
     codepoints_hex,
     default_inventory,
     doc_bases,
@@ -149,6 +152,65 @@ def test_base_form_direct():
     assert base_form("❤️") == "❤"
     assert base_form("\U0001F3FD") == "\U0001F3FD"  # fallback, never empty
     assert base_form("\U0001F469\U0001F3FD‍\U0001F680") == "\U0001F469‍\U0001F680"
+
+
+# Code points on either side of every range the segmenter tells apart:
+# the regional indicators, the skin tones, the end of the pictographic
+# table, the tag block, the selectors and joiners, keycap bases, BMP
+# pictographs (U+2139 is also a word character), a lone surrogate, and
+# ordinary Arabic text.
+BOUNDARY = (
+    [0x1F1E5, 0x1F1E6, 0x1F1FF]
+    + [0x1F3FA, 0x1F3FB, 0x1F3FF, 0x1F400]
+    + [0x1FFFD, 0x1FFFE]
+    + [0xE0020, 0xE007F]
+    + [0xFE0E, 0xFE0F, 0x20E3, 0x200D]
+    + [ord(c) for c in "0123456789#*"]
+    + [0x00A9, 0x2139, 0xD800]
+    + [ord(c) for c in "كلب يا "]
+)
+# whole sequences of those code points, which uniform draws rarely line up
+SEQUENCES = [
+    "1" + VS16 + "⃣",
+    "#⃣",
+    ZWJ + "\U0001F400",
+    "\U0001F3FA\U000E0020\U0001F3FB",
+    "\U0001F1E6" * 3,
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from([*map(chr, BOUNDARY), *SEQUENCES]), max_size=12).map("".join))
+def test_segmenter_matches_character_loop_reference(text):
+    spans = cluster_spans(text)
+    assert spans == emoji_reference.cluster_spans(text)
+    for a, b in spans:
+        assert base_form(text[a:b]) == emoji_reference.base_form(text[a:b])
+    assert base_form(text) == emoji_reference.base_form(text)
+
+
+def test_pictographic_table_is_sorted_disjoint_and_consolidated():
+    table = er.EXTENDED_PICTOGRAPHIC
+    assert all(lo <= hi for lo, hi in table)
+    # each range starts past the end of the previous one plus a gap
+    assert all(prev_hi + 1 < lo for (_, prev_hi), (lo, _) in zip(table, table[1:]))
+
+
+def test_pictographic_table_avoids_every_other_class():
+    # the segmenter's alternatives are tried in order; this keeps them
+    # from competing for the same code point
+    others = {
+        *range(er.RI_LO, er.RI_HI + 1),
+        *range(er.SKIN_TONE_LO, er.SKIN_TONE_HI + 1),
+        er.VS15,
+        er.VS16,
+        er.ZWJ,
+        er.KEYCAP_MARK,
+        *range(er.TAG_LO, er.TAG_HI + 1),
+        *er.KEYCAP_BASES,
+    }
+    for lo, hi in er.EXTENDED_PICTOGRAPHIC:
+        assert not any(lo <= cp <= hi for cp in others), (hex(lo), hex(hi))
 
 
 def test_doc_bases_dedupes():
@@ -321,14 +383,37 @@ def test_sample_per_emoji_deterministic_and_capped():
     inv = default_inventory()
     a = sample_per_emoji(docs, inv, k=5, seed=1)
     b = sample_per_emoji(docs, inv, k=5, seed=1)
-    c = sample_per_emoji(docs, inv, k=5, seed=2)
     assert {k_: [d.id for d in v] for k_, v in a.items()} == {
         k_: [d.id for d in v] for k_, v in b.items()
     }
-    assert a != c or True  # different seed may coincide on tiny pools; no assert
     assert len(a["\U0001F437"]) == 5
     assert len(a["\U0001F52A"]) == 2  # capped at population
     assert all("\U0001F437" in d.text for d in a["\U0001F437"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(0, 6), split=st.integers(1, 20))
+def test_sample_per_emoji_growing_inventory_keeps_existing_draws(seed, k, split):
+    # each base draws from its own RNG, so adding entries to the
+    # inventory leaves the draws of the bases already in it alone
+    full = default_inventory()
+    small = SeedInventory(entries=full.entries[:split])
+    docs = [doc(i, f"t{i} " + e.base * (1 + i % 2)) for i, e in enumerate(full.entries * 4)]
+    pairs = zip(full.entries, full.entries[3:])
+    docs += [doc(500 + i, f"mix {e.base} {f.base}") for i, (e, f) in enumerate(pairs)]
+    before = sample_per_emoji(docs, small, k=k, seed=seed)
+    after = sample_per_emoji(docs, full, k=k, seed=seed)
+    assert set(before) == small.bases
+    assert {b: [d.id for d in v] for b, v in before.items()} == {
+        b: [d.id for d in after[b]] for b in before
+    }
+
+
+def test_inventory_lookups_match_entries():
+    inv = default_inventory()
+    assert inv.bases == frozenset(e.base for e in inv.entries)
+    assert all(inv.category_of(e.base) == e.category for e in inv.entries)
+    assert inv.category_of("x") is None
 
 
 def test_sample_per_emoji_rejects_negative_k():

@@ -17,6 +17,7 @@ from anchorlex.textnorm import (
     word_ngrams,
 )
 
+import emoji_reference
 from conftest import doc
 
 AR = "ابتثجكلبيو "  # small Arabic alphabet
@@ -79,6 +80,37 @@ def test_normalize_idempotent(s):
 
 
 # --- tokenization ----------------------------------------------------------
+
+
+# tokens may hold the characters the rewrite steps act on, so a
+# replacement can feed the next round of the fixpoint loop
+TOKENS = st.text(alphabet="@URLhwtp.:/_x ـًأةى\\g<0>1", max_size=6)
+CONFIGS = st.builds(
+    NormalizationConfig,
+    map_alef=st.booleans(),
+    map_taa_marbuta=st.booleans(),
+    map_alef_maksura=st.booleans(),
+    strip_diacritics=st.booleans(),
+    squash_repeats_over=st.integers(1, 4),
+    replace_mentions_with=st.one_of(st.just("@USER"), TOKENS),
+    replace_urls_with=st.one_of(st.just("URL"), TOKENS),
+    newline_to_space=st.booleans(),
+)
+# characters and whole URL and mention prefixes, which uniform draws rarely spell
+NOISY = [*MIXED, *"آإٰٓ\r\t:/", "http://", "https://", "www.", "@ab", "\r\n"]
+
+
+def _outcome(f, s, cfg):
+    try:
+        return f(s, cfg)
+    except Exception as e:  # a bad replacement template fails both the same way
+        return type(e)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(s=st.lists(st.sampled_from(NOISY), max_size=20).map("".join), cfg=CONFIGS)
+def test_normalize_matches_per_call_reference(s, cfg):
+    assert _outcome(normalize, s, cfg) == _outcome(emoji_reference.normalize, s, cfg)
 
 
 def test_tokenize_words_and_emoji():
