@@ -45,7 +45,7 @@ _DEFAULT = NormalizationConfig()
 
 @functools.lru_cache(maxsize=32)
 def _pass_for(cfg: NormalizationConfig) -> Callable[[str], str]:
-    """One rewrite pass under cfg; its letter table and squash pattern are built here once."""
+    """One rewrite pass under cfg; its translate table and squash pattern are built here once."""
     table: dict[str, str] = {}
     for on, part in (
         (cfg.map_alef, _ALEF),
@@ -55,33 +55,19 @@ def _pass_for(cfg: NormalizationConfig) -> Callable[[str], str]:
     ):
         if on:
             table.update(part)
-    # one class over the table's keys: str.translate would look up every character
-    mapped = re.compile("[%s]" % "".join(table)) if table else None
+    trans = str.maketrans(table)
     k = cfg.squash_repeats_over
     squash = re.compile(r"(.)\1{%d,}" % k, re.DOTALL)
-
-    def letter(m: re.Match) -> str:
-        return table[m.group()]
 
     def squashed(m: re.Match) -> str:
         return m.group(1) * k
 
-    # a bad replacement template fails on every text, not only on the
-    # texts that the substring guards below let through
-    _URL_RE.sub(cfg.replace_urls_with, "")
-    _MENTION_RE.sub(cfg.replace_mentions_with, "")
-
     def once(s: str) -> str:
         if cfg.newline_to_space:
             s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-        # each pattern needs its substring to match
-        if "http" in s or "www." in s:
-            s = _URL_RE.sub(cfg.replace_urls_with, s)
-        if "@" in s:
-            s = _MENTION_RE.sub(cfg.replace_mentions_with, s)
-        if mapped:
-            s = mapped.sub(letter, s)
-        return squash.sub(squashed, s)
+        s = _URL_RE.sub(cfg.replace_urls_with, s)
+        s = _MENTION_RE.sub(cfg.replace_mentions_with, s)
+        return squash.sub(squashed, s.translate(trans))
 
     return once
 

@@ -260,6 +260,8 @@ def test_default_inventory_loads():
     assert "\U0001F437" in inv.bases
     assert inv.category_of("\U0001F437") == "animal_dehumanization"
     assert inv.category_of("\U0001F52A") == "violence_symbol"
+    assert inv.bases == frozenset(e.base for e in inv.entries)
+    assert inv.category_of("x") is None
     # bundled bases are already base forms (no tones, no VS)
     for b in inv.bases:
         assert base_form(b) == b
@@ -407,13 +409,6 @@ def test_sample_per_emoji_growing_inventory_keeps_existing_draws(seed, k, split)
     assert {b: [d.id for d in v] for b, v in before.items()} == {
         b: [d.id for d in after[b]] for b in before
     }
-
-
-def test_inventory_lookups_match_entries():
-    inv = default_inventory()
-    assert inv.bases == frozenset(e.base for e in inv.entries)
-    assert all(inv.category_of(e.base) == e.category for e in inv.entries)
-    assert inv.category_of("x") is None
 
 
 def test_sample_per_emoji_rejects_negative_k():
