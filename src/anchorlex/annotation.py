@@ -14,6 +14,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import HATE_TARGETS, LabelRecord, format_timestamp, parse_timestamp
@@ -41,7 +42,10 @@ _JUDGMENT_HEADER = ["doc_id", "annotator_id", "job", "label", "timestamp"]
 
 
 def load_judgments(path: str) -> list[Judgment]:
+    """Parse each distinct timestamp once; a repeated (doc, annotator, job) is an error."""
     out: list[Judgment] = []
+    stamps: dict[str, datetime | None] = {"": None}
+    first_line: dict[tuple[str, str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
@@ -55,18 +59,19 @@ def load_judgments(path: str) -> list[Judgment]:
                 continue
             if len(row) != 5:
                 raise ValueError(f"{path}: line {lineno}: expected 5 columns")
+            doc_id, annotator_id, job, label, ts = row
             try:
-                out.append(
-                    Judgment(
-                        doc_id=row[0],
-                        annotator_id=row[1],
-                        job=row[2],
-                        label=row[3],
-                        timestamp=parse_timestamp(row[4]) if row[4] else None,
-                    )
-                )
+                if ts not in stamps:
+                    stamps[ts] = parse_timestamp(ts)
+                out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
+            key = (doc_id, annotator_id, job)
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate judgment for {key!r},"
+                    f" first on line {first_line[key]}"
+                )
     return out
 
 
@@ -111,33 +116,25 @@ def gate_annotator(
 ) -> GateResult:
     """Accuracy of one annotator's offensive-job judgments on the hidden test
     items; pass is >= threshold. Gate answers are offensive-job answers."""
-    n_test = n_correct = 0
-    for j in judgments:
-        if (
-            j.annotator_id != annotator_id
-            or j.job != "offensive"
-            or j.doc_id not in gate.test_answers
-        ):
-            continue
-        n_test += 1
-        if j.label == gate.test_answers[j.doc_id]:
-            n_correct += 1
-    if n_test == 0:
+    results = gate_all([j for j in judgments if j.annotator_id == annotator_id], gate)
+    if not results:
         raise ValueError(f"annotator {annotator_id!r} judged no test items")
-    acc = n_correct / n_test
-    return GateResult(annotator_id, n_test, n_correct, acc, acc >= gate.pass_threshold)
+    return results[0]
 
 
 def gate_all(judgments: Sequence[Judgment], gate: QCGate) -> list[GateResult]:
-    """Gate every annotator with an offensive-job judgment on a test item."""
-    ids = sorted(
-        {
-            j.annotator_id
-            for j in judgments
-            if j.job == "offensive" and j.doc_id in gate.test_answers
-        }
-    )
-    return [gate_annotator(judgments, a, gate) for a in ids]
+    """Gate every annotator with an offensive-job judgment on a test item, in one scan."""
+    answers = gate.test_answers
+    tally: dict[str, list[int]] = {}  # annotator -> [n_test, n_correct]
+    for j in judgments:
+        if j.job == "offensive" and j.doc_id in answers:
+            t = tally.setdefault(j.annotator_id, [0, 0])
+            t[0] += 1
+            t[1] += j.label == answers[j.doc_id]
+    return [
+        GateResult(a, n, k, k / n, k / n >= gate.pass_threshold)
+        for a, (n, k) in sorted(tally.items())
+    ]
 
 
 def load_gate_answers(path: str) -> dict[str, str]:
@@ -190,35 +187,21 @@ def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
     "tie" when several labels share the top count (the lexicographically
     smallest of them is reported so output stays deterministic).
     """
-    order: list[tuple[str, str]] = []
     votes: dict[tuple[str, str], list[str]] = {}
     for j in judgments:
-        key = (j.doc_id, j.job)
-        if key not in votes:
-            votes[key] = []
-            order.append(key)
-        votes[key].append(j.label)
+        votes.setdefault((j.doc_id, j.job), []).append(j.label)
     out: list[AggregatedLabel] = []
-    for key in order:
-        labels = votes[key]
-        counts = Counter(labels)
-        top = max(counts.values())
-        modes = sorted(lbl for lbl, c in counts.items() if c == top)
-        if len(modes) > 1:
-            agreement = "tie"
-        elif top == len(labels):
+    for (doc_id, job), labels in votes.items():
+        label = labels[0]
+        if labels.count(label) == len(labels):
             agreement = "full"
         else:
-            agreement = "majority"
-        out.append(
-            AggregatedLabel(
-                doc_id=key[0],
-                job=key[1],
-                label=modes[0],
-                n_judgments=len(labels),
-                agreement=agreement,
-            )
-        )
+            counts = Counter(labels)
+            top = max(counts.values())
+            modes = sorted(lbl for lbl, c in counts.items() if c == top)
+            label = modes[0]
+            agreement = "tie" if len(modes) > 1 else "majority"
+        out.append(AggregatedLabel(doc_id, job, label, len(labels), agreement))
     return out
 
 
@@ -255,14 +238,18 @@ def load_overrides(path: str) -> list[tuple[str, str, str]]:
     return out
 
 
-def aggregate_to_labels(aggregated: Sequence[AggregatedLabel]) -> dict[str, LabelRecord]:
+def aggregate_to_labels(
+    aggregated: Sequence[AggregatedLabel], dropped: list[str] | None = None
+) -> dict[str, LabelRecord]:
     """Fold per-job majorities into LabelRecords.
 
     Subsidiary labels (hate/vulgar/violence) only stick when the doc's
     offensive majority is positive; contradicting votes on clean docs
-    are dropped with a warning so the invariant (subsidiary => offensive)
-    holds by construction.
+    are dropped so the invariant (subsidiary => offensive) holds by
+    construction. One warning per call counts them; their doc ids are
+    appended to `dropped` when it is given.
     """
+    skipped: list[str] = []
     per_doc: dict[str, dict[str, AggregatedLabel]] = {}
     for a in aggregated:
         if a.job not in JOBS:
@@ -285,18 +272,17 @@ def aggregate_to_labels(aggregated: Sequence[AggregatedLabel]) -> dict[str, Labe
         if "violence" in jobs:
             violence = jobs["violence"].label == "1"
         if not offensive and (targets or vulgar or violence):
-            warnings.warn(
-                f"{doc_id}: dropping hate/vulgar/violence votes on a non-offensive doc",
-                stacklevel=2,
-            )
+            skipped.append(doc_id)
             targets, vulgar, violence = frozenset(), False, False
-        out[doc_id] = LabelRecord(
-            doc_id=doc_id,
-            offensive=offensive,
-            hate_targets=targets,
-            vulgar=vulgar,
-            violence=violence,
+        out[doc_id] = LabelRecord(doc_id, offensive, targets, vulgar, violence)
+    if skipped:
+        warnings.warn(
+            f"dropped hate/vulgar/violence votes on {len(skipped)} non-offensive docs,"
+            f" first {skipped[0]}",
+            stacklevel=2,
         )
+        if dropped is not None:
+            dropped.extend(skipped)
     return out
 
 
@@ -349,20 +335,34 @@ def apply_overrides(
 # --- agreement -----------------------------------------------------------
 
 
+def _kappa(confusion: Mapping[tuple, int]) -> float | None:
+    """Kappa from (label_a, label_b) -> count; None when undefined (p_e = 1).
+    Chance agreement sums over sorted categories, so no hash-seed dependence."""
+    n = sum(confusion.values())
+    ca: Counter = Counter()
+    cb: Counter = Counter()
+    agree = 0
+    for (x, y), c in confusion.items():
+        ca[x] += c
+        cb[y] += c
+        if x == y:
+            agree += c
+    p_e = sum((ca[c] / n) * (cb[c] / n) for c in sorted(ca.keys() | cb.keys()))
+    if p_e >= 1.0:
+        return None
+    return (agree / n - p_e) / (1.0 - p_e)
+
+
 def cohen_kappa(a: Sequence, b: Sequence) -> float:
     """Chance-corrected agreement between two aligned label sequences."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if n == 0:
+    if len(a) == 0:
         raise ValueError("empty sequences")
-    p_o = sum(1 for x, y in zip(a, b) if x == y) / n
-    cats = set(a) | set(b)
-    ca, cb = Counter(a), Counter(b)
-    p_e = sum((ca[c] / n) * (cb[c] / n) for c in cats)
-    if p_e >= 1.0:
+    k = _kappa(Counter(zip(a, b)))
+    if k is None:
         raise ValueError("kappa undefined: both annotators constant on one category")
-    return (p_o - p_e) / (1.0 - p_e)
+    return k
 
 
 @dataclass(frozen=True)
@@ -388,27 +388,29 @@ def avg_pairwise_kappa(
 
     Items are (doc, job) pairs; only pairs sharing >= min_shared items
     count. Pairs with undefined kappa (both constant, same category) are
-    skipped. No qualifying pair at all is an error.
+    skipped. No qualifying pair at all is an error. One walk over each
+    item's annotators counts (label_a, label_b) per co-occurring pair, so
+    the cost follows the items, not the number of annotator pairs.
     """
-    by_annotator: dict[str, dict[tuple[str, str], str]] = {}
+    items: dict[tuple[str, str], dict[str, str]] = {}
     for j in judgments:
-        if job is not None and j.job != job:
-            continue
-        by_annotator.setdefault(j.annotator_id, {})[(j.doc_id, j.job)] = j.label
-    names = sorted(by_annotator)
+        if job is None or j.job == job:
+            items.setdefault((j.doc_id, j.job), {})[j.annotator_id] = j.label
+    # (a, b, label_a, label_b) -> count over the items both judged, a < b
+    counts = Counter(
+        (a, b, x, y)
+        for votes in items.values()
+        for (a, x), (b, y) in combinations(sorted(votes.items()), 2)
+    )
+    confusion: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
+    for (a, b, x, y), c in counts.items():
+        confusion.setdefault((a, b), {})[x, y] = c
     pairs: list[PairKappa] = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            shared = sorted(set(by_annotator[a]) & set(by_annotator[b]))
-            if len(shared) < min_shared:
-                continue
-            seq_a = [by_annotator[a][k] for k in shared]
-            seq_b = [by_annotator[b][k] for k in shared]
-            try:
-                k = cohen_kappa(seq_a, seq_b)
-            except ValueError:
-                continue
-            pairs.append(PairKappa(a, b, len(shared), k))
+    for (a, b), conf in sorted(confusion.items()):
+        n_shared = sum(conf.values())
+        k = _kappa(conf) if n_shared >= min_shared else None
+        if k is not None:
+            pairs.append(PairKappa(a, b, n_shared, k))
     if not pairs:
         raise ValueError(
             f"no annotator pair shares >= {min_shared} items with defined kappa"
@@ -425,7 +427,3 @@ def dump_kappa_report(report: KappaReport) -> str:
         for p in report.pairs
     )
     return "\n".join(lines) + "\n"
-
-
-def write_text(path: str, text: str) -> None:
-    atomic_write_text(path, text)

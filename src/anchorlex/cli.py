@@ -255,18 +255,22 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     man.add_input(args.judgments)
     judgments = anno.load_judgments(args.judgments)
     aggregated = anno.majority_vote(judgments)
-    labels = anno.aggregate_to_labels(aggregated)
+    dropped: list[str] = []
+    labels = anno.aggregate_to_labels(aggregated, dropped)
     if args.overrides:
         man.add_input(args.overrides)
         labels = anno.apply_overrides(labels, anno.load_overrides(args.overrides))
     corpus_mod.write_labels(args.out, labels.values())
     man.add_output(args.out)
     if args.queue:
-        anno.write_text(args.queue, anno.dump_adjudication(anno.adjudication_queue(aggregated)))
+        atomic_write_text(args.queue, anno.dump_adjudication(anno.adjudication_queue(aggregated)))
         man.add_output(args.queue)
     _finish(man, args, args.out)
     queue_n = sum(1 for a in aggregated if a.agreement != "full")
-    print(f"aggregate: {len(labels)} docs labeled, {queue_n} queue items")
+    print(
+        f"aggregate: {len(labels)} docs labeled, {queue_n} queue items,"
+        f" {len(dropped)} docs with hate/vulgar/violence votes dropped"
+    )
     return 0
 
 

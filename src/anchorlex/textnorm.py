@@ -59,14 +59,18 @@ def _pass_for(cfg: NormalizationConfig) -> Callable[[str], str]:
     k = cfg.squash_repeats_over
     squash = re.compile(r"(.)\1{%d,}" % k, re.DOTALL)
 
+    # the tokens are literal text, not templates: escape their backslashes once
+    url = cfg.replace_urls_with.replace("\\", "\\\\")
+    mention = cfg.replace_mentions_with.replace("\\", "\\\\")
+
     def squashed(m: re.Match) -> str:
         return m.group(1) * k
 
     def once(s: str) -> str:
         if cfg.newline_to_space:
             s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-        s = _URL_RE.sub(cfg.replace_urls_with, s)
-        s = _MENTION_RE.sub(cfg.replace_mentions_with, s)
+        s = _URL_RE.sub(url, s)
+        s = _MENTION_RE.sub(mention, s)
         return squash.sub(squashed, s.translate(trans))
 
     return once

@@ -130,8 +130,10 @@ _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
 def _normalize_once(s: str, cfg: NormalizationConfig) -> str:
     if cfg.newline_to_space:
         s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-    s = _URL_RE.sub(cfg.replace_urls_with, s)
-    s = _MENTION_RE.sub(cfg.replace_mentions_with, s)
+    # the tokens are literal text (a spec change from the shipped pass, which
+    # read them as `re.sub` templates)
+    s = _URL_RE.sub(cfg.replace_urls_with.replace("\\", "\\\\"), s)
+    s = _MENTION_RE.sub(cfg.replace_mentions_with.replace("\\", "\\\\"), s)
     table = {}
     if cfg.map_alef:
         table.update({k: v for k, v in _CHAR_MAP.items() if v == "ا"})

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anchorlex
 from anchorlex.annotation import (
     AggregatedLabel,
     Judgment,
@@ -28,6 +33,7 @@ from anchorlex.annotation import (
 )
 from anchorlex.corpus import LabelRecord
 
+import annotation_reference
 from conftest import TS
 
 
@@ -99,6 +105,8 @@ def test_kappa_symmetric(pairs):
         return  # undefined; symmetric by construction
     assert k_ab == pytest.approx(cohen_kappa(b, a), abs=1e-12)
     assert -1.0 - 1e-12 <= k_ab <= 1.0 + 1e-12
+    # kappa from the pair counts is the sequence formula, bit for bit
+    assert k_ab == annotation_reference.cohen_kappa(a, b)
 
 
 # --- majority vote and adjudication ----------------------------------------
@@ -165,6 +173,16 @@ def test_aggregate_subsidiary_on_clean_doc_dropped_with_warning():
     with pytest.warns(UserWarning):
         labels = aggregate_to_labels(majority_vote(js))
     assert not labels["d1"].offensive and not labels["d1"].violence
+    # two such docs: one warning for the call, with the count and the first doc
+    js += _votes("d2", "offensive", ["0", "0"]) + _votes("d2", "hate", ["race", "race"])
+    dropped = ["kept"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = aggregate_to_labels(majority_vote(js), dropped)
+    assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
+    assert "on 2 non-offensive docs, first d1" in str(caught[0].message)
+    assert dropped == ["kept", "d1", "d2"]
+    assert not labels["d2"].offensive and not labels["d2"].hate_targets
 
 
 def test_aggregate_requires_offensive_job():
@@ -325,3 +343,178 @@ def test_gate_answers_and_overrides_files(tmp_path):
     )
     # blank override column means "no change" and is skipped
     assert load_overrides(str(op)) == [("d1", "offensive", "0")]
+
+
+def test_load_judgments_parses_each_timestamp_once_and_shares_it(tmp_path):
+    p = tmp_path / "j.tsv"
+    p.write_text(
+        "doc_id\tannotator_id\tjob\tlabel\ttimestamp\n"
+        "d1\ta1\toffensive\t1\t2021-05-01T12:00:00Z\n"
+        "d1\ta2\toffensive\t0\t2021-05-01 14:00:00+02:00\n"
+        "d2\ta1\toffensive\t1\t2021-05-01T12:00:00Z\n"
+        "d2\ta2\toffensive\t1\t\n",
+        encoding="utf-8",
+    )
+    js = load_judgments(str(p))
+    # fromisoformat formats other than the writer's still load
+    assert [j.timestamp for j in js] == [TS, TS, TS, None]
+    assert js[0].timestamp is js[2].timestamp
+
+
+def test_load_judgments_bad_timestamp_names_its_first_line(tmp_path):
+    p = tmp_path / "j.tsv"
+    p.write_text(
+        "doc_id\tannotator_id\tjob\tlabel\ttimestamp\n"
+        "d1\ta1\toffensive\t1\t2021-05-01T12:00:00Z\n"
+        "d1\ta2\toffensive\t1\tyesterday\n"
+        "d2\ta1\toffensive\t1\t2021-05-01T12:00:00Z\n"
+        "d2\ta2\toffensive\t1\tyesterday\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"j\.tsv: line 3: bad timestamp 'yesterday'"):
+        load_judgments(str(p))
+
+
+def test_load_judgments_rejects_duplicate_judgment(tmp_path):
+    p = tmp_path / "j.tsv"
+    p.write_text(
+        "doc_id\tannotator_id\tjob\tlabel\ttimestamp\n"
+        "d1\ta1\toffensive\t1\t\n"
+        "d1\ta1\thate\trace\t\n"
+        "d1\ta2\toffensive\t0\t\n"
+        "d1\ta1\toffensive\t0\t\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"line 5: duplicate judgment for \('d1', 'a1', 'offensive'\), first on line 2",
+    ):
+        load_judgments(str(p))
+
+
+def test_kappa_does_not_depend_on_hash_seed():
+    # four categories, so the chance-agreement sum has an order to lose
+    code = """
+import random
+from anchorlex.annotation import Judgment, avg_pairwise_kappa
+rng = random.Random(0)
+labels = ["none", "religion", "gender", "race"]
+js = [
+    Judgment(f"d{d}", f"a{a}", "hate", rng.choices(labels, weights=[5, 2, 2, 1])[0])
+    for d in range(200)
+    for a in rng.sample(range(8), 3)
+]
+for p in avg_pairwise_kappa(js, min_shared=5).pairs:
+    print(p.annotator_a, p.annotator_b, repr(p.kappa))
+"""
+    src = os.path.dirname(os.path.dirname(anchorlex.__file__))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert len(outs[0].splitlines()) == 28
+    assert outs[0] == outs[1]
+
+
+# --- one-pass stages against the previous code --------------------------------
+
+ANNOTATORS = [f"a{i}" for i in range(5)]
+DOCS = [f"d{i}" for i in range(8)]
+JOB_NAMES = ["offensive", "hate", "sarcasm"]  # sarcasm: a custom job
+
+
+@st.composite
+def judgment_sets(draw):
+    """Up to 6 distinct labels over a few docs, annotators and jobs; in-memory
+    sets may repeat a (doc, annotator, job), as only the file loader rejects it."""
+    labels = draw(st.lists(st.sampled_from("0123456"), min_size=1, max_size=6, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(DOCS),
+                st.sampled_from(ANNOTATORS),
+                st.sampled_from(JOB_NAMES),
+                st.sampled_from(labels),
+            ),
+            max_size=80,
+        )
+    )
+    return [Judgment(d, a, job, lab) for d, a, job, lab in rows]
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(js=judgment_sets())
+def test_majority_vote_matches_reference(js):
+    assert majority_vote(js) == annotation_reference.majority_vote(js)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    js=judgment_sets(),
+    min_shared=st.integers(0, 8),
+    job=st.one_of(st.none(), st.sampled_from([*JOB_NAMES, "vulgar"])),
+)
+def test_avg_pairwise_kappa_matches_reference(js, min_shared, job):
+    got = _outcome(avg_pairwise_kappa, js, min_shared=min_shared, job=job)
+    assert got == _outcome(
+        annotation_reference.avg_pairwise_kappa, js, min_shared=min_shared, job=job
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    js=judgment_sets(),
+    answers=st.dictionaries(st.sampled_from(DOCS), st.sampled_from("012"), min_size=1),
+    threshold=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+    annotator=st.sampled_from(ANNOTATORS),
+)
+def test_gate_matches_reference(js, answers, threshold, annotator):
+    gate = QCGate(answers, threshold)
+    assert gate_all(js, gate) == annotation_reference.gate_all(js, gate)
+    # an annotator with no test items is an error in both
+    assert _outcome(gate_annotator, js, annotator, gate) == _outcome(
+        annotation_reference.gate_annotator, js, annotator, gate
+    )
+
+
+@pytest.mark.parametrize("min_shared", [4, 5, 6])
+def test_avg_pairwise_kappa_min_shared_edges_match_reference(min_shared):
+    # every pair shares the same 5 items; a3 and a4 are constant on one
+    # category, so their pair has undefined kappa and is skipped
+    js = []
+    for i, (x, y) in enumerate(["00", "01", "11", "22", "20"]):
+        js += [J(f"d{i}", "a1", lab=x), J(f"d{i}", "a2", lab=y)]
+        js += [J(f"d{i}", "a3", lab="0"), J(f"d{i}", "a4", lab="0")]
+    got = _outcome(avg_pairwise_kappa, js, min_shared=min_shared)
+    assert got == _outcome(annotation_reference.avg_pairwise_kappa, js, min_shared=min_shared)
+    if min_shared <= 5:
+        assert [(p.annotator_a, p.annotator_b, p.n_shared) for p in got.pairs] == [
+            ("a1", "a2", 5),
+            ("a1", "a3", 5),
+            ("a1", "a4", 5),
+            ("a2", "a3", 5),
+            ("a2", "a4", 5),
+        ]
+    else:
+        assert got == "no annotator pair shares >= 6 items with defined kappa"
+
+
+def test_avg_pairwise_kappa_constant_annotators_match_reference():
+    # every annotator constant on the same label: kappa undefined for all pairs
+    js = [J(f"d{i}", a, lab="1") for i in range(25) for a in ("a1", "a2", "a3")]
+    msg = "no annotator pair shares >= 20 items with defined kappa"
+    assert _outcome(avg_pairwise_kappa, js) == msg
+    assert _outcome(annotation_reference.avg_pairwise_kappa, js) == msg

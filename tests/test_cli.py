@@ -152,6 +152,15 @@ def test_normalize_rewrites_text(tmp_path):
     assert "َ" in load_corpus(out2)[0].text
 
 
+def test_normalize_tokens_are_literal_text(tmp_path):
+    docs = [Document(id="d1", text="see http://x.co now @someone", created_at=TS)]
+    inp, out = str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")
+    write_corpus(inp, docs)
+    argv = ["normalize", "--in", inp, "--out", out, "--url-token", "\\1"]
+    assert cli.main([*argv, "--mention-token", "A\\nB"]) == 0
+    assert load_corpus(out)[0].text == "see \\1 now A\\nB"
+
+
 def test_split_command_writes_parts(ws):
     split = load_split(ws.split)
     assert len(split.train) == 84 and len(split.dev) == 12 and len(split.test) == 24
@@ -256,7 +265,7 @@ def test_aggregate_kappa_gate_commands(tmp_path, capsys):
     qlines = open(queue_out, encoding="utf-8").read().splitlines()
     assert qlines[0] == "doc_id\tjob\tlabel\tagreement\toverride"
     assert len(qlines) == 4  # disagreements only (a3 flipped on 3 docs)
-    capsys.readouterr()
+    assert "24 docs labeled, 3 queue items, 0 docs with" in capsys.readouterr().out
 
     assert cli.main(["kappa", "--judgments", jpath, "--min-shared", "10"]) == 0
     kout = capsys.readouterr().out
@@ -279,6 +288,26 @@ def test_aggregate_kappa_gate_commands(tmp_path, capsys):
     assert cli.main(["kappa", "--judgments", jpath, "--out", kfile]) == 0
     assert open(kfile, encoding="utf-8").read().startswith("mean_kappa\t")
     assert json.loads(open(kfile + ".manifest.json", encoding="utf-8").read())["command"] == "kappa"
+
+
+def test_duplicate_judgment_exits_2(tmp_path, capsys):
+    jpath = str(tmp_path / "judgments.tsv")
+    _judgment_file(jpath)
+    with open(jpath, "a", encoding="utf-8") as fh:
+        fh.write("d005\ta2\toffensive\t0\t\n")  # a2 already judged d005 on line 18
+    answers = str(tmp_path / "answers.tsv")
+    with open(answers, "w", encoding="utf-8") as fh:
+        fh.write("doc_id\tlabel\nd000\t0\n")
+    out = str(tmp_path / "out.tsv")
+    for argv in (
+        ["aggregate", "--judgments", jpath, "--out", out],
+        ["kappa", "--judgments", jpath, "--out", out],
+        ["gate", "--judgments", jpath, "--answers", answers, "--out", out],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 74: duplicate judgment for ('d005', 'a2', 'offensive'), first on line 18" in err
+    assert not (tmp_path / "out.tsv").exists()
 
 
 def test_aggregate_with_overrides(tmp_path):

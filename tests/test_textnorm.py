@@ -100,17 +100,11 @@ CONFIGS = st.builds(
 NOISY = [*MIXED, *"آإٰٓ\r\t:/", "http://", "https://", "www.", "@ab", "\r\n"]
 
 
-def _outcome(f, s, cfg):
-    try:
-        return f(s, cfg)
-    except Exception as e:  # a bad replacement template fails both the same way
-        return type(e)
-
-
 @settings(max_examples=1500, deadline=None)
 @given(s=st.lists(st.sampled_from(NOISY), max_size=20).map("".join), cfg=CONFIGS)
 def test_normalize_matches_per_call_reference(s, cfg):
-    assert _outcome(normalize, s, cfg) == _outcome(emoji_reference.normalize, s, cfg)
+    # tokens are literal text, so no drawn token can fail as a template
+    assert normalize(s, cfg) == emoji_reference.normalize(s, cfg)
 
 
 def test_tokenize_words_and_emoji():
