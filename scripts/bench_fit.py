@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time linear.fit_svm on anchored synthetic train sets of several sizes.
+"""Time features.fit_transform and linear.fit_svm on anchored synthetic train sets.
 
 Each size is a train split of `synth.make_anchored_corpus` (every doc
 carries a seed emoji, 70/10/20 stratified split), featurized with the
-CLI's default char+word tf-idf features. The script prints, per size,
-the median of the fit times, the epochs, the duality gap, and how much
-the process's peak RSS (`resource.getrusage`) grew while fitting,
-after a line naming nproc and the Python and numpy versions.
+CLI's default char+word tf-idf features by `fit_transform`, the one
+gram pass `train` runs. The script prints, per size, the median of the
+featurization times (`features_s`) and of the fit times (`fit_s`), the
+epochs, the duality gap, and how much the process's peak RSS
+(`resource.getrusage`) grew while fitting, after a line naming nproc
+and the Python and numpy versions.
 
     PYTHONPATH=src python3 scripts/bench_fit.py [--sizes 700,1400] [--repeats 5]
 
@@ -23,25 +25,33 @@ import resource
 import statistics
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from anchorlex.corpus import stratified_split
-from anchorlex.features import FeatureConfig, fit_features, vectorize_all
+from anchorlex.features import FeatureConfig, fit_transform
 from anchorlex.linear import fit_svm
 from anchorlex.synth import make_anchored_corpus
 from anchorlex.textnorm import normalize
 
 
-def train_problem(n_train: int, seed: int) -> tuple[list, list[int], int]:
-    """Vectors, labels and dimension of a train split of about n_train docs."""
+def train_texts(n_train: int, seed: int) -> tuple[list[str], list[int]]:
+    """Normalized texts and labels of a train split of about n_train docs."""
     docs, labels = make_anchored_corpus(n_docs=round(n_train / 0.7), seed=seed, emoji_rate=1.0)
     split = stratified_split(labels, seed=seed)
     train = [d for d in docs if d.id in split.train]
-    texts = [normalize(d.text) for d in train]
-    space = fit_features(texts, FeatureConfig())
-    y = [int(labels[d.id].offensive) for d in train]
-    return vectorize_all(texts, space), y, space.n_features
+    return [normalize(d.text) for d in train], [int(labels[d.id].offensive) for d in train]
+
+
+def median_time(fn, repeats: int):
+    """fn's result and the median of `repeats` timed calls."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return out, statistics.median(times)
 
 
 def peak_rss_mb() -> float:
@@ -51,7 +61,7 @@ def peak_rss_mb() -> float:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", default="700,1400,2800,4000", help="comma-separated train-set sizes")
-    ap.add_argument("--repeats", type=int, default=5, help="fits per size; the median is printed")
+    ap.add_argument("--repeats", type=int, default=5, help="timed calls per size and step; the medians are printed")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
@@ -62,19 +72,18 @@ def main(argv: list[str] | None = None) -> int:
         f"nproc {os.cpu_count()}  python {platform.python_version()}  numpy {np.__version__}"
         f"  seed {args.seed}  repeats {args.repeats}"
     )
-    print("n_train\tn_features\tnnz\tfit_s\tepochs\tconverged\tobjective\tduality_gap\trss_growth_mb")
+    print(
+        "n_train\tn_features\tnnz\tfeatures_s\tfit_s\tepochs\tconverged\tobjective"
+        "\tduality_gap\trss_growth_mb"
+    )
     for size in sizes:
-        vectors, y, n_features = train_problem(size, args.seed)
+        texts, y = train_texts(size, args.seed)
+        (space, X), features_s = median_time(partial(fit_transform, texts, FeatureConfig()), args.repeats)
         rss0 = peak_rss_mb()
-        times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            res = fit_svm(vectors, y, n_features)
-            times.append(time.perf_counter() - t0)
-        nnz = sum(len(v) for v in vectors)
+        res, fit_s = median_time(partial(fit_svm, X, y, space.n_features), args.repeats)
         print(
-            f"{len(vectors)}\t{n_features}\t{nnz}\t{statistics.median(times):.3f}\t{res.n_epochs}"
-            f"\t{int(res.converged)}\t{res.objective:.12g}\t{res.duality_gap:.3g}"
+            f"{len(texts)}\t{space.n_features}\t{len(X[2])}\t{features_s:.3f}\t{fit_s:.3f}"
+            f"\t{res.n_epochs}\t{int(res.converged)}\t{res.objective:.12g}\t{res.duality_gap:.3g}"
             f"\t{peak_rss_mb() - rss0:.1f}",
             flush=True,
         )

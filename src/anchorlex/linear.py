@@ -20,18 +20,25 @@ incrementally, so it can differ from X.w in the last bits; the fit
 reports a duality gap, best primal minus the dual at the final alpha,
 which bounds the distance of the returned iterate from the optimum.
 
+The pair indices come from the two KKT index sets of Keerthi et al.
+("Improvements to Platt's SMO", Neural Computation 2001): I_up holds
+the i with y_i = +1 and alpha_i < C or y_i = -1 and alpha_i > 0, I_low
+the mirror. A step changes only alpha_i and alpha_j, so the sets are
+kept as boolean arrays with counts and updated at i and j alone.
+
 score_texts is the one read-path scorer: predict_texts, score_text and
 explain all go through it. It reads idf and weights into Python lists
 once per call and scores each distinct text once, since a score is a
 pure function of the text. Summation-order rule: tf * idf, the squared
 L2 norm and w.x are computed in Python floats, adding left to right in
-the order the grams first appear in the text. Built-in sum over numpy
-scalars, which vectorize and decision_score use, adds in that same
-order, so score_texts(model, [t]) equals
-decision_score(model, vectorize(t, model.space)) bit for bit and the
-vectors the trainer sees and the scores predict writes agree. Built-in
-sum over Python floats (compensated from Python 3.12), math.fsum, np.dot
-and np.add.reduce (pairwise) round differently, so none of them may
+the order the grams first appear in the text. tf * idf and the norm
+are computed by one helper, `features.tfidf_l2`, which the training
+rows (`features.fit_transform`), `vectorize` and score_texts all call,
+so the vectors the trainer sees and the scores predict writes agree
+bit for bit. w.x in score_texts adds in the same order as
+decision_score's built-in sum over numpy scalars. Built-in sum over
+Python floats (compensated from Python 3.12), math.fsum, np.dot and
+np.add.reduce (pairwise) round differently, so none of them may
 replace the loops.
 """
 
@@ -45,7 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import DatasetSplit, Document, LabelRecord
-from .features import FeatureConfig, FeatureSpace, _grams, fit_features, vectorize_all
+from .features import FeatureConfig, FeatureSpace, _grams, fit_transform, tfidf_l2
 from .textnorm import NormalizationConfig, normalize
 from .util import atomic_write_text
 
@@ -77,7 +84,7 @@ def _primal(w: np.ndarray, b: float, f: np.ndarray, y: np.ndarray, C: float) -> 
 
 
 def fit_svm(
-    vectors: Sequence[Mapping[int, float]],
+    X: tuple[np.ndarray, np.ndarray, np.ndarray],
     y: Sequence[int],
     n_features: int,
     C: float = 1.0,
@@ -85,25 +92,28 @@ def fit_svm(
     rel_tol: float = 1e-6,
     kkt_tol: float = 1e-9,
 ) -> FitResult:
-    """Train on sparse vectors with labels in {0, 1} or {-1, +1}.
+    """Train on CSR rows X = (indptr, cols, vals) with labels in {0, 1} or {-1, +1}.
 
-    The algorithm is deterministic: ties in pair selection break by index.
+    Row i holds cols[indptr[i]:indptr[i + 1]], ascending, and their vals,
+    as `features.fit_transform` returns them. I_up and I_low are kept
+    across steps, not rebuilt (module docstring). The algorithm is
+    deterministic: ties in pair selection break by index.
     """
-    n = len(vectors)
-    if n == 0:
+    indptr = np.asarray(X[0], np.int64)
+    n = len(indptr) - 1
+    if n <= 0:
         raise ValueError("no training vectors")
     if len(y) != n:
         raise ValueError("labels and vectors disagree in length")
+    cols, vals = np.asarray(X[1], np.int64), np.asarray(X[2], np.float64)
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0) or not indptr[-1] == len(cols) == len(vals):
+        raise ValueError("indptr does not describe rows of cols and vals")
     yv = np.asarray([1.0 if v in (1, 1.0, True) else -1.0 for v in y])
     if not (np.any(yv > 0) and np.any(yv < 0)):
         raise ValueError("training data must contain both classes")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be positive and finite, got {C!r}")
 
-    # X as CSR: row i holds cols[indptr[i]:indptr[i+1]], ascending, and vals
-    indptr = np.cumsum([0] + [len(vec) for vec in vectors])
-    cols = np.fromiter((k for vec in vectors for k in sorted(vec)), np.int64, indptr[-1])
-    vals = np.fromiter((vec[k] for vec in vectors for k in sorted(vec)), np.float64, indptr[-1])
     bad = (cols < 0) | (cols >= n_features)
     if bad.any():
         raise ValueError(f"feature index {cols[bad][0]} out of range [0, {n_features})")
@@ -143,13 +153,17 @@ def fit_svm(
     alpha = np.zeros(n)
     w = np.zeros(n_features)
     f = np.zeros(n)  # f_i = w . x_i
+    # I_up, I_low and their sizes; a step updates them at i and j only
+    pos = yv > 0
+    c_hi = C - _EPS
+    up = (pos & (alpha < c_hi)) | (~pos & (alpha > _EPS))
+    low = (~pos & (alpha < c_hi)) | (pos & (alpha > _EPS))
+    n_up, n_low = int(up.sum()), int(low.sum())
 
     def bias_estimate() -> float:
         v = yv - f
-        up = ((yv > 0) & (alpha < C - _EPS)) | ((yv < 0) & (alpha > _EPS))
-        low = ((yv < 0) & (alpha < C - _EPS)) | ((yv > 0) & (alpha > _EPS))
-        hi = v[up].max() if up.any() else 0.0
-        lo = v[low].min() if low.any() else 0.0
+        hi = v[up].max() if n_up else 0.0
+        lo = v[low].min() if n_low else 0.0
         return float((hi + lo) / 2.0)
 
     best_w = w.copy()
@@ -164,12 +178,10 @@ def fit_svm(
     for _ in range(max_epochs):
         epochs_run += 1
         for _ in range(n):
-            v = yv - f
-            up = ((yv > 0) & (alpha < C - _EPS)) | ((yv < 0) & (alpha > _EPS))
-            low = ((yv < 0) & (alpha < C - _EPS)) | ((yv > 0) & (alpha > _EPS))
-            if not up.any() or not low.any():
+            if not n_up or not n_low:
                 converged = True
                 break
+            v = yv - f
             m = np.where(up, v, -np.inf)
             mm = np.where(low, v, np.inf)
             i = int(np.argmax(m))
@@ -199,6 +211,12 @@ def fit_svm(
             d_ai = -s * d_aj
             alpha[i] += d_ai
             alpha[j] += d_aj
+            for k in (i, j):
+                below, above = bool(alpha[k] < c_hi), bool(alpha[k] > _EPS)
+                in_up, in_low = (below, above) if pos[k] else (above, below)
+                n_up += in_up - bool(up[k])
+                n_low += in_low - bool(low[k])
+                up[k], low[k] = in_up, in_low
             ri = slice(indptr[i], indptr[i + 1])
             rj = slice(indptr[j], indptr[j + 1])
             w[cols[ri]] += yv[i] * d_ai * vals[ri]
@@ -290,9 +308,8 @@ def train_model(
         for d in train_docs
     ]
     yv = [target_value(labels[d.id], target) for d in train_docs]
-    space = fit_features(texts, feature_config)
-    vectors = vectorize_all(texts, space)
-    fit = fit_svm(vectors, yv, space.n_features, C=C)
+    space, X = fit_transform(texts, feature_config)
+    fit = fit_svm(X, yv, space.n_features, C=C)
     return LinearModel(
         space=space,
         weights=fit.weights,
@@ -319,32 +336,20 @@ def score_texts(
 ) -> list[float]:
     """Decision scores w.x + b, one per text, each distinct text scored once.
 
-    x is vectorize's L2-normalized tf-idf vector, computed here in Python
+    x is the text's tf-idf vector from `features.tfidf_l2`, in Python
     floats by the summation-order rule in the module docstring.
     """
     space = model.space
-    vocab, cfg = space.vocabulary, space.config
+    column, cfg = space.vocabulary.get, space.config
     idf, weights, bias = space.idf.tolist(), model.weights.tolist(), model.bias
     normalize_first = model.normalized and not pre_normalized
     scores: dict[str, float] = {}
     for text in texts:
         if text in scores:
             continue
-        cols: list[int] = []
-        tfidf: list[float] = []
-        for g, tf in _grams(normalize(text) if normalize_first else text, cfg).items():
-            col = vocab.get(g)
-            if col is not None:
-                cols.append(col)
-                tfidf.append(tf * idf[col])
-        sq = 0.0
-        for x in tfidf:
-            sq += x * x
-        norm = math.sqrt(sq)
-        if norm > 0:
-            tfidf = [x / norm for x in tfidf]
+        grams = _grams(normalize(text) if normalize_first else text, cfg).items()
         dot = 0.0
-        for col, x in zip(cols, tfidf):
+        for col, x in zip(*tfidf_l2(grams, column, idf)):
             dot += weights[col] * x
         scores[text] = float(dot + bias)
     return [scores[t] for t in texts]

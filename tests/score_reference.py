@@ -1,21 +1,29 @@
-"""The read-path scorer before score_texts, kept verbatim as a differential oracle.
+"""The read-path scorer before score_texts, and the two-pass trainer, kept verbatim as oracles.
 
-It counted n-grams with one `Counter` increment per gram, built each
-text's tf-idf vector as a dict of numpy scalars and summed it with the
-built-in `sum`. `linear.score_texts` must give the same float, bit for
-bit, on every text.
+The scorer counted n-grams with one `Counter` increment per gram, built
+each text's tf-idf vector as a dict of numpy scalars and summed it with
+the built-in `sum`. `linear.score_texts` must give the same float, bit
+for bit, on every text.
+
+The trainer grammed every training text twice: once in `fit_features`
+for df, once more in `vectorize_all` for a dict row per text, which the
+solver (`svm_reference.fit_svm_flat`) turned into CSR. `train_model`
+here is that path; `linear.train_model` must save the same model bytes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from anchorlex.corpus import DatasetSplit, Document, LabelRecord
 from anchorlex.features import FeatureConfig, FeatureSpace
-from anchorlex.linear import LinearModel
-from anchorlex.textnorm import normalize, tokenize
+from anchorlex.linear import TARGETS, LinearModel, target_value
+from anchorlex.textnorm import NormalizationConfig, normalize, tokenize
+
+import svm_reference
 
 
 def word_ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> Counter:
@@ -77,3 +85,68 @@ def score_text(model: LinearModel, text: str, pre_normalized: bool = False) -> f
     if model.normalized and not pre_normalized:
         text = normalize(text)
     return decision_score(model, vectorize(text, model.space))
+
+
+def fit_features(texts: Sequence[str], config: FeatureConfig = FeatureConfig()) -> FeatureSpace:
+    """Vocabulary + smoothed idf from training texts only.
+
+    idf = ln((1 + N) / (1 + df)) + 1; columns sorted lexicographically
+    so the space is a pure function of the text multiset.
+    """
+    if not texts:
+        raise ValueError("cannot fit features on an empty text list")
+    df: dict[str, int] = {}
+    for t in texts:
+        for g in _grams(t, config):
+            df[g] = df.get(g, 0) + 1
+    vocab = {g: i for i, g in enumerate(sorted(df))}
+    n = len(texts)
+    idf = np.empty(len(vocab))
+    for g, i in vocab.items():
+        idf[i] = np.log((1.0 + n) / (1.0 + df[g])) + 1.0
+    return FeatureSpace(config=config, vocabulary=vocab, idf=idf, n_docs=n)
+
+
+def vectorize_all(texts: Iterable[str], space: FeatureSpace) -> list[dict[int, float]]:
+    return [vectorize(t, space) for t in texts]
+
+
+def train_model(
+    docs: Sequence[Document],
+    labels: Mapping[str, LabelRecord],
+    split: DatasetSplit,
+    feature_config: FeatureConfig = FeatureConfig(),
+    C: float = 1.0,
+    seed: int = 0,
+    target: str = "offensive",
+    normalize_text: bool = True,
+    norm_config: NormalizationConfig = NormalizationConfig(),
+) -> LinearModel:
+    """Fit features on the train split only, then train the SVM on it."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    train_docs = [d for d in docs if d.id in split.train]
+    if not train_docs:
+        raise ValueError("train split matches no documents")
+    missing = [d.id for d in train_docs if d.id not in labels]
+    if missing:
+        raise ValueError(f"unlabeled train documents, e.g. {missing[0]!r}")
+    texts = [
+        normalize(d.text, norm_config) if normalize_text else d.text
+        for d in train_docs
+    ]
+    yv = [target_value(labels[d.id], target) for d in train_docs]
+    space = fit_features(texts, feature_config)
+    vectors = vectorize_all(texts, space)
+    fit = svm_reference.fit_svm_flat(vectors, yv, space.n_features, C=C)
+    return LinearModel(
+        space=space,
+        weights=fit.weights,
+        bias=fit.bias,
+        C=C,
+        seed=seed,
+        target=target,
+        normalized=normalize_text,
+        objective_trace=fit.objective_trace,
+        duality_gap=fit.duality_gap,
+    )

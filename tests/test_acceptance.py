@@ -293,6 +293,7 @@ def test_criterion_06_collection_enriches_offensive_rate(tmp_path):
 
 def test_criterion_07_classifier_f1_and_objective_oracle():
     from test_linear import _random_problem, cvxpy_objective, scipy_objective
+    from svm_reference import csr
 
     have_cvxpy = importlib.util.find_spec("cvxpy") is not None
     oracle_objective = cvxpy_objective if have_cvxpy else scipy_objective
@@ -307,7 +308,7 @@ def test_criterion_07_classifier_f1_and_objective_oracle():
 
     rng = random.Random(7)
     vectors, y = _random_problem(rng, n=20, m=10)
-    fit = fit_svm(vectors, y, 10, C=1.0)
+    fit = fit_svm(csr(vectors), y, 10, C=1.0)
     oracle = oracle_objective(vectors, y, 10, C=1.0)
     rel = abs(fit.objective - oracle) / max(abs(oracle), 1e-12)
 

@@ -336,6 +336,15 @@ def test_train_writes_loadable_model(ws):
     assert set(man["inputs"]) == {ws.corpus, ws.labels, ws.split}
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0"])
+def test_train_rejects_bad_C_and_leaves_no_model(ws, tmp_path, capsys, c):
+    out = tmp_path / "model.json"
+    argv = ["train", "--in", ws.corpus, "--labels", ws.labels, "--split", ws.split]
+    assert cli.main(argv + ["--out", str(out), f"--C={c}"]) == 2
+    assert "C must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predict_output_format(ws):
     lines = open(ws.preds, encoding="utf-8").read().splitlines()
     assert lines[0] == "doc_id\tlabel\tscore"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorlex.features import FeatureConfig, _grams, fit_features, vectorize, vectorize_all
+from anchorlex.features import MODES, FeatureConfig, _grams, fit_features, fit_transform, vectorize
 from anchorlex.textnorm import char_ngrams, tokenize, word_ngrams
 
 import score_reference
@@ -91,11 +91,39 @@ def test_modes_restrict_namespaces():
     assert all(g.startswith("w:") for g in word_only.vocabulary)
 
 
-def test_vectorize_all_aligns():
-    space = fit_features(["a b", "b c"], FeatureConfig(mode="word", word_range=(1, 1)))
-    vecs = vectorize_all(["a", "c"], space)
-    assert len(vecs) == 2
-    assert set(vecs[0]) == {space.vocabulary["w:a"]}
+def test_fit_transform_rows_align_with_texts():
+    cfg = FeatureConfig(mode="word", word_range=(1, 1))
+    space, (indptr, cols, vals) = fit_transform(["b a", "a"], cfg)
+    a, b = space.vocabulary["w:a"], space.vocabulary["w:b"]
+    assert (indptr.tolist(), cols.tolist()) == ([0, 2, 3], [a, b, a])
+    assert vals[2] == 1.0
+
+
+def _rows(X):
+    indptr, cols, vals = X
+    return [
+        dict(zip(cols[a:b].tolist(), vals[a:b].tolist()))
+        for a, b in zip(indptr[:-1], indptr[1:])
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(st.text(alphabet="abc كل\u0640!\U0001F437", max_size=12), min_size=1, max_size=8),
+    mode=st.sampled_from(MODES),
+)
+def test_fit_transform_equals_two_pass_fit_and_vectorize(texts, mode):
+    # The one gram pass gives the old two-pass space, and rows equal to
+    # vectorize's (and the old vectorize's) to the bit, columns ascending.
+    cfg = FeatureConfig(mode=mode, char_range=(1, 3), word_range=(1, 2))
+    space, X = fit_transform(texts, cfg)
+    old = score_reference.fit_features(texts, cfg)
+    assert space.vocabulary == old.vocabulary and space.n_docs == old.n_docs
+    assert space.idf.tobytes() == old.idf.tobytes()
+    assert fit_features(texts, cfg).idf.tobytes() == old.idf.tobytes()
+    indptr, cols, _ = X
+    assert all(list(cols[a:b]) == sorted(cols[a:b]) for a, b in zip(indptr[:-1], indptr[1:]))
+    assert _rows(X) == [vectorize(t, space) for t in texts] == score_reference.vectorize_all(texts, old)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorlex import linear
-from anchorlex.corpus import stratified_split
-from anchorlex.features import FeatureConfig, fit_features, vectorize, vectorize_all
+from anchorlex.corpus import DatasetSplit, Document, LabelRecord, stratified_split
+from anchorlex.features import MODES, FeatureConfig, fit_features, vectorize
 from anchorlex.linear import (
     LinearModel,
     decision_score,
@@ -30,6 +31,7 @@ from anchorlex.textnorm import normalize
 
 import score_reference
 import svm_reference
+from svm_reference import csr
 
 
 def cvxpy_objective(vectors, y, n_features, C):
@@ -98,7 +100,7 @@ def _random_problem(rng, n=20, m=10, density=0.4):
 def test_two_point_analytic_solution():
     # +1 at x=2, -1 at x=0: max margin at w=1, b=-1, objective 0.5
     vectors = [{0: 2.0}, {0: 0.0}]
-    res = fit_svm(vectors, [1, -1], n_features=1, C=1.0)
+    res = fit_svm(csr(vectors), [1, -1], n_features=1, C=1.0)
     assert res.weights[0] == pytest.approx(1.0, abs=1e-6)
     assert res.bias == pytest.approx(-1.0, abs=1e-6)
     assert res.objective == pytest.approx(0.5, abs=1e-9)
@@ -110,7 +112,7 @@ def test_objective_matches_cvxpy_on_random_instances(oracle):
     rng = random.Random(0)
     for trial in range(5):
         vectors, y = _random_problem(rng)
-        res = fit_svm(vectors, y, n_features=10, C=1.0)
+        res = fit_svm(csr(vectors), y, n_features=10, C=1.0)
         ref = oracle(vectors, y, n_features=10, C=1.0)
         assert res.objective == pytest.approx(ref, rel=1e-3), f"trial {trial}"
 
@@ -119,7 +121,7 @@ def test_objective_matches_cvxpy_on_random_instances(oracle):
 def test_objective_matches_cvxpy_large_c(oracle):
     rng = random.Random(9)
     vectors, y = _random_problem(rng, n=15, m=6)
-    res = fit_svm(vectors, y, n_features=6, C=10.0)
+    res = fit_svm(csr(vectors), y, n_features=6, C=10.0)
     ref = oracle(vectors, y, n_features=6, C=10.0)
     assert res.objective == pytest.approx(ref, rel=1e-3)
 
@@ -127,7 +129,7 @@ def test_objective_matches_cvxpy_large_c(oracle):
 def test_objective_trace_non_increasing():
     rng = random.Random(2)
     vectors, y = _random_problem(rng, n=30, m=8)
-    res = fit_svm(vectors, y, n_features=8, C=1.0)
+    res = fit_svm(csr(vectors), y, n_features=8, C=1.0)
     trace = res.objective_trace
     assert len(trace) >= 1
     for earlier, later in zip(trace, trace[1:]):
@@ -137,8 +139,8 @@ def test_objective_trace_non_increasing():
 def test_fit_deterministic():
     rng = random.Random(4)
     vectors, y = _random_problem(rng)
-    a = fit_svm(vectors, y, n_features=10, C=1.0)
-    b = fit_svm(vectors, y, n_features=10, C=1.0)
+    a = fit_svm(csr(vectors), y, n_features=10, C=1.0)
+    b = fit_svm(csr(vectors), y, n_features=10, C=1.0)
     assert list(a.weights) == list(b.weights) and a.bias == b.bias
     assert a.objective_trace == b.objective_trace
 
@@ -146,8 +148,8 @@ def test_fit_deterministic():
 def test_label_flip_negates_solution():
     rng = random.Random(6)
     vectors, y = _random_problem(rng, n=12, m=5)
-    a = fit_svm(vectors, y, n_features=5, C=1.0)
-    b = fit_svm(vectors, [-v for v in y], n_features=5, C=1.0)
+    a = fit_svm(csr(vectors), y, n_features=5, C=1.0)
+    b = fit_svm(csr(vectors), [-v for v in y], n_features=5, C=1.0)
     assert a.objective == pytest.approx(b.objective, rel=1e-6)
     for wa, wb in zip(a.weights, b.weights):
         assert wa == pytest.approx(-wb, abs=1e-6)
@@ -156,18 +158,32 @@ def test_label_flip_negates_solution():
 
 def test_fit_input_validation():
     with pytest.raises(ValueError):
-        fit_svm([{0: 1.0}], [1], n_features=1)  # single class
+        fit_svm(csr([{0: 1.0}]), [1], n_features=1)  # single class
     with pytest.raises(ValueError):
-        fit_svm([{0: 1.0}, {0: -1.0}], [1, -1], n_features=1, C=0.0)
+        fit_svm(csr([{0: 1.0}, {0: -1.0}]), [1, -1], n_features=1, C=0.0)
     with pytest.raises(ValueError):
-        fit_svm([{5: 1.0}, {0: -1.0}], [1, -1], n_features=2)  # feature out of range
+        fit_svm(csr([{5: 1.0}, {0: -1.0}]), [1, -1], n_features=2)  # feature out of range
     with pytest.raises(ValueError):
-        fit_svm([], [], n_features=1)
+        fit_svm(csr([]), [], n_features=1)
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_non_finite_C(C):
+    with pytest.raises(ValueError, match="C must be positive and finite"):
+        fit_svm(csr([{0: 2.0}, {0: 0.0}]), [1, -1], n_features=1, C=C)
+
+
+def test_fit_rejects_rows_that_disagree_with_indptr():
+    indptr, cols, vals = csr([{0: 2.0}, {0: 1.0, 1: 1.0}])
+    with pytest.raises(ValueError, match="indptr"):
+        fit_svm((indptr, cols, vals[:-1]), [1, -1], n_features=2)
+    with pytest.raises(ValueError, match="indptr"):
+        fit_svm((indptr[::-1], cols, vals), [1, -1], n_features=2)
 
 
 def test_fit_accepts_01_labels():
-    res01 = fit_svm([{0: 2.0}, {0: 0.0}], [1, 0], n_features=1)
-    res_pm = fit_svm([{0: 2.0}, {0: 0.0}], [1, -1], n_features=1)
+    res01 = fit_svm(csr([{0: 2.0}, {0: 0.0}]), [1, 0], n_features=1)
+    res_pm = fit_svm(csr([{0: 2.0}, {0: 0.0}]), [1, -1], n_features=1)
     assert res01.weights == res_pm.weights and res01.bias == res_pm.bias
 
 
@@ -187,12 +203,17 @@ def _separable_problem(seed):
     test = [normalize(d.text) for d in docs if d.id in split.test]
     y = [int(labels[d.id].offensive) for d in docs if d.id in split.train]
     space = fit_features(train, FeatureConfig())
-    return vectorize_all(train, space), y, space.n_features, vectorize_all(test, space)
+    return (
+        [vectorize(t, space) for t in train],
+        y,
+        space.n_features,
+        [vectorize(t, space) for t in test],
+    )
 
 
 def _assert_matches_reference(vectors, y, n_features, scored):
     """Same epochs as the reference solver, and scores on `scored` within 1e-9."""
-    new = fit_svm(vectors, y, n_features)
+    new = fit_svm(csr(vectors), y, n_features)
     old = svm_reference.fit_svm(vectors, y, n_features)
     assert new.n_epochs == old.n_epochs
     s_new, s_old = _scores(new, scored), _scores(old, scored)
@@ -232,7 +253,7 @@ def test_fit_matches_reference_solver_where_both_converge():
         rng = random.Random(seed)
         n, m, C = rng.choice([12, 20, 30]), rng.choice([5, 10]), rng.choice([0.1, 1.0, 10.0])
         vectors, y = _random_problem(rng, n=n, m=m)
-        new = fit_svm(vectors, y, n_features=m, C=C)
+        new = fit_svm(csr(vectors), y, n_features=m, C=C)
         old = svm_reference.fit_svm(vectors, y, n_features=m, C=C)
         if not (new.converged and old.converged):
             continue
@@ -259,10 +280,41 @@ def test_kernel_rows_past_the_budget_give_the_same_fit(monkeypatch, budget):
         rng = random.Random(100 + seed)
         n, m = rng.choice([12, 20, 30]), rng.choice([5, 10])
         problems.append((*_random_problem(rng, n=n, m=m), m))
-    kept = [fit_svm(v, y, m) for v, y, m in problems]
+    kept = [fit_svm(csr(v), y, m) for v, y, m in problems]
     monkeypatch.setattr(linear, "KERNEL_CACHE_BYTES", budget)
     for (v, y, m), ref in zip(problems, kept):
-        _assert_same_fit(fit_svm(v, y, m), ref)
+        _assert_same_fit(fit_svm(csr(v), y, m), ref)
+
+
+# --- bit-for-bit check against the flat-CSR solver (svm_reference.fit_svm_flat) ---
+
+
+def _flat_problems():
+    """(vectors, y, n_features, C): separable corpora, random problems, edge cases."""
+    problems = [(*_separable_problem(seed)[:3], 1.0) for seed in range(3)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, m = rng.choice([12, 20, 30]), rng.choice([5, 10])
+        vectors, y = _random_problem(rng, n=n, m=m)
+        problems += [(vectors, y, m, C) for C in (0.01, 1.0, 100.0)]
+    for name in sorted(EDGE_PROBLEMS):
+        problems += [(*EDGE_PROBLEMS[name], C) for C in (0.01, 1.0, 100.0)]
+    return problems
+
+
+@pytest.fixture(scope="module")
+def flat_fits():
+    return [(p, svm_reference.fit_svm_flat(*p[:3], C=p[3])) for p in _flat_problems()]
+
+
+@pytest.mark.parametrize("budget", [linear.KERNEL_CACHE_BYTES, 0, 2000])
+def test_fit_equals_flat_reference_bit_for_bit(monkeypatch, flat_fits, budget):
+    # Kept index sets must pick the same pairs as sets rebuilt every step,
+    # so every field of the result is the same to the bit, whether all,
+    # one or none of the kernel rows fit the budget.
+    monkeypatch.setattr(linear, "KERNEL_CACHE_BYTES", budget)
+    for (v, y, m, C), ref in flat_fits:
+        _assert_same_fit(fit_svm(csr(v), y, m, C=C), ref)
 
 
 # --- optimality certificate, checked without solver code ---------------------
@@ -270,7 +322,7 @@ def test_kernel_rows_past_the_budget_give_the_same_fit(monkeypatch, budget):
 
 def _certificate(vectors, y, n_features, C):
     """Fit, then recompute primal and dual from a dense X: (fit, P, D)."""
-    res = fit_svm(vectors, y, n_features, C=C)
+    res = fit_svm(csr(vectors), y, n_features, C=C)
     X = np.zeros((len(vectors), n_features))
     for i, vec in enumerate(vectors):
         for k, val in vec.items():
@@ -370,6 +422,60 @@ def test_decision_score_rejects_mismatched_vector():
     _, _, _, model = _trained()
     with pytest.raises(ValueError):
         decision_score(model, {len(model.weights) + 5: 1.0})
+
+
+# --- the one-pass trainer against the two-pass one (tests/score_reference.py) ---
+
+
+def _labeled(texts, offensive, base=None):
+    """`base` (docs, labels, split) with `texts` added to the train part."""
+    docs, labels, split = base or ([], {}, DatasetSplit(frozenset(), frozenset(), frozenset()))
+    ts = datetime(2021, 5, 1, tzinfo=timezone.utc)
+    new = [Document(f"extra{i}", t, ts) for i, t in enumerate(texts)]
+    labels = {**labels, **{d.id: LabelRecord(d.id, bool(o)) for d, o in zip(new, offensive)}}
+    split = DatasetSplit(split.train | {d.id for d in new}, split.dev, split.test)
+    return [*docs, *new], labels, split
+
+
+def _assert_same_model_bytes(tmp_path, data, **kw):
+    new, old = train_model(*data, **kw), score_reference.train_model(*data, **kw)
+    save_model(str(tmp_path / "new.json"), new)
+    save_model(str(tmp_path / "old.json"), old)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    assert new.duality_gap == old.duality_gap
+
+
+# one-letter texts have no char grams; each text also comes twice
+ONE_LETTER_AND_REPEATED = (["ب", "x", "ب", "يا غبي", "يا غبي", "ورد"], [1, 0, 1, 1, 1, 0])
+
+
+@pytest.mark.parametrize("normalize_text", [True, False], ids=["normalized", "raw"])
+@pytest.mark.parametrize("mode", MODES)
+def test_train_model_saves_the_two_pass_model(tmp_path, mode, normalize_text):
+    docs, labels = make_separable_corpus(n_docs=120, seed=2)
+    data = _labeled(*ONE_LETTER_AND_REPEATED, (docs, labels, stratified_split(labels, seed=2)))
+    kw = dict(feature_config=FeatureConfig(mode=mode), normalize_text=normalize_text, seed=2)
+    _assert_same_model_bytes(tmp_path, data, **kw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.text(alphabet="abc كلم\u0640\U0001F437", max_size=10), st.booleans()),
+        min_size=2,
+        max_size=12,
+    ),
+    mode=st.sampled_from(MODES),
+    normalize_text=st.booleans(),
+    C=st.sampled_from([0.01, 1.0, 100.0]),
+)
+def test_train_model_saves_the_two_pass_model_on_fuzzed_texts(
+    tmp_path_factory, rows, mode, normalize_text, C
+):
+    rows[0], rows[1] = (rows[0][0], True), (rows[1][0], False)
+    data = _labeled([t for t, _ in rows], [o for _, o in rows])
+    kw = dict(feature_config=FeatureConfig(mode=mode), normalize_text=normalize_text, C=C)
+    _assert_same_model_bytes(tmp_path_factory.mktemp("fuzz"), data, **kw)
 
 
 # --- the read-path scorer against the previous one (tests/score_reference.py) ---
