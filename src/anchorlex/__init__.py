@@ -6,83 +6,4 @@ lexicon, match violence verb patterns, train a sparse linear classifier,
 and explain its scores token by token.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-from .annotation import (
-    Judgment,
-    QCGate,
-    aggregate_to_labels,
-    avg_pairwise_kappa,
-    cohen_kappa,
-    majority_vote,
-)
-from .corpus import (
-    DatasetSplit,
-    Document,
-    LabelRecord,
-    load_corpus,
-    load_labels,
-    stratified_split,
-)
-from .emoji import (
-    EmojiCluster,
-    SeedInventory,
-    base_form,
-    default_inventory,
-    emoji_stats,
-    extract_emojis,
-    filter_by_seeds,
-)
-from .explain import Explanation, explain
-from .features import FeatureConfig, FeatureSpace, fit_features, vectorize
-from .lexicon import TermCounts, mine_lexicon, valence
-from .linear import LinearModel, load_model, save_model, train_model
-from .metrics import EvalReport, evaluate
-from .textnorm import NormalizationConfig, dedup, normalize, tokenize
-from .violence import match_violence, match_violence_text
-
-__all__ = [
-    "__version__",
-    "Judgment",
-    "QCGate",
-    "aggregate_to_labels",
-    "avg_pairwise_kappa",
-    "cohen_kappa",
-    "majority_vote",
-    "DatasetSplit",
-    "Document",
-    "LabelRecord",
-    "load_corpus",
-    "load_labels",
-    "stratified_split",
-    "EmojiCluster",
-    "SeedInventory",
-    "base_form",
-    "default_inventory",
-    "emoji_stats",
-    "extract_emojis",
-    "filter_by_seeds",
-    "Explanation",
-    "explain",
-    "FeatureConfig",
-    "FeatureSpace",
-    "fit_features",
-    "vectorize",
-    "TermCounts",
-    "mine_lexicon",
-    "valence",
-    "LinearModel",
-    "load_model",
-    "save_model",
-    "train_model",
-    "EvalReport",
-    "evaluate",
-    "NormalizationConfig",
-    "dedup",
-    "normalize",
-    "tokenize",
-    "match_violence",
-    "match_violence_text",
-]

@@ -1,9 +1,11 @@
 """Command-line front end: one binary, subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 usage error, 2 data/IO error. Every file write
-is atomic (temp + rename) and every command emits a run manifest next
-to its primary output (or at --manifest). No environment variables are
-consulted; behavior is flags + config only.
+is atomic (temp + rename). `main` is the one stage runner: it hashes the
+files a stage declares as inputs, runs the stage, hashes its outputs and
+writes the run manifest next to the primary output (or at --manifest);
+a failed stage writes none. No environment variables are consulted;
+behavior is flags + config only.
 """
 
 from __future__ import annotations
@@ -56,23 +58,6 @@ def _norm_config(args: argparse.Namespace) -> textnorm.NormalizationConfig:
     )
 
 
-def _manifest(args: argparse.Namespace, command: str, seed: int | None = None) -> RunManifest:
-    cfg = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "manifest") and not k.startswith("_")
-    }
-    return RunManifest(command=command, config=cfg, seed=seed, version=__version__)
-
-
-def _finish(man: RunManifest, args: argparse.Namespace, primary_out: str | None) -> None:
-    path = getattr(args, "manifest", None)
-    if path is None and primary_out is not None:
-        path = primary_out + ".manifest.json"
-    if path is not None:
-        man.write(path)
-
-
 def _load_inventory(args: argparse.Namespace) -> emoji_mod.SeedInventory:
     if getattr(args, "seeds", None):
         return emoji_mod.load_seed_inventory(args.seeds)
@@ -89,24 +74,14 @@ def _emit(text: str, out: str | None) -> None:
 # --- commands ------------------------------------------------------------
 
 
-def cmd_collect(args: argparse.Namespace) -> int:
-    man = _manifest(args, "collect")
-    man.add_input(args.infile)
+def cmd_collect(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile, args.format)
-    inv = _load_inventory(args)
-    if args.seeds:
-        man.add_input(args.seeds)
-    kept = emoji_mod.filter_by_seeds(docs, inv)
+    kept = emoji_mod.filter_by_seeds(docs, _load_inventory(args))
     corpus_mod.write_corpus(args.out, kept, args.format)
-    man.add_output(args.out)
-    _finish(man, args, args.out)
     print(f"collect: kept {len(kept)}/{len(docs)} docs with seed emoji")
-    return 0
 
 
-def cmd_dedup(args: argparse.Namespace) -> int:
-    man = _manifest(args, "dedup")
-    man.add_input(args.infile)
+def cmd_dedup(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     policy = textnorm.NearDupPolicy(
         shingle_size=args.shingle_size,
@@ -115,18 +90,13 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     )
     kept, dropped = textnorm.dedup(docs, policy, _norm_config(args))
     corpus_mod.write_corpus(args.out, kept)
-    man.add_output(args.out)
-    dropped_path = args.dropped or args.out + ".dropped.tsv"
-    textnorm.write_drops(dropped_path, dropped)
-    man.add_output(dropped_path)
-    _finish(man, args, args.out)
+    # resolved after the runner took the config, which keeps the flag as given
+    args.dropped = args.dropped or args.out + ".dropped.tsv"
+    atomic_write_text(args.dropped, textnorm.dump_drops(dropped))
     print(f"dedup: kept {len(kept)}, dropped {len(dropped)}")
-    return 0
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
-    man = _manifest(args, "normalize")
-    man.add_input(args.infile)
+def cmd_normalize(args: argparse.Namespace) -> None:
     cfg = _norm_config(args)
     docs = corpus_mod.load_corpus(args.infile)
     out_docs = [
@@ -139,15 +109,10 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         for d in docs
     ]
     corpus_mod.write_corpus(args.out, out_docs)
-    man.add_output(args.out)
-    _finish(man, args, args.out)
     print(f"normalize: wrote {len(out_docs)} docs")
-    return 0
 
 
-def cmd_split(args: argparse.Namespace) -> int:
-    man = _manifest(args, "split", seed=args.seed)
-    man.add_input(args.labels)
+def cmd_split(args: argparse.Namespace) -> None:
     labels = corpus_mod.load_labels(args.labels)
     try:
         ratios = tuple(float(x) for x in args.ratios.split(","))
@@ -157,18 +122,12 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise ValueError(f"bad --ratios {args.ratios!r}, expected three floats")
     split = corpus_mod.stratified_split(labels, ratios, args.seed)
     corpus_mod.write_split(args.out, split)
-    man.add_output(args.out)
-    _finish(man, args, args.out)
     print(
         f"split: train={len(split.train)} dev={len(split.dev)} test={len(split.test)}"
     )
-    return 0
 
 
-def cmd_mine_lexicon(args: argparse.Namespace) -> int:
-    man = _manifest(args, "mine-lexicon")
-    man.add_input(args.infile)
-    man.add_input(args.labels)
+def cmd_mine_lexicon(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
     entries = lexicon_mod.mine_class_lexicon(
@@ -179,128 +138,81 @@ def cmd_mine_lexicon(args: argparse.Namespace) -> int:
         min_valence=args.min_valence,
         min_freq=args.min_freq,
     )
-    lexicon_mod.write_lexicon(args.out, entries)
-    man.add_output(args.out)
-    _finish(man, args, args.out)
+    atomic_write_text(args.out, lexicon_mod.dump_lexicon(entries))
     print(f"mine-lexicon: {len(entries)} terms at valence >= {args.min_valence}")
-    return 0
 
 
-def cmd_emoji_stats(args: argparse.Namespace) -> int:
-    man = _manifest(args, "emoji-stats")
-    man.add_input(args.infile)
-    man.add_input(args.labels)
+def cmd_emoji_stats(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
     inv = None
     if args.seeds:
         inv = emoji_mod.load_seed_inventory(args.seeds)
-        man.add_input(args.seeds)
     elif not args.all_bases:
         inv = emoji_mod.default_inventory()
     stats = emoji_mod.emoji_stats(docs, labels, inv)
     if not args.all_bases and inv is not None:
         stats = [s for s in stats if s.base in inv.bases]
-    emoji_mod.write_emoji_stats(args.out, stats)
-    man.add_output(args.out)
-    _finish(man, args, args.out)
+    atomic_write_text(args.out, emoji_mod.dump_emoji_stats(stats))
     print(f"emoji-stats: {len(stats)} base forms")
-    return 0
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    man = _manifest(args, "sample", seed=args.seed)
-    man.add_input(args.infile)
+def cmd_sample(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
-    inv = _load_inventory(args)
-    if args.seeds:
-        man.add_input(args.seeds)
-    sampled = emoji_mod.sample_per_emoji(docs, inv, args.k, args.seed)
+    sampled = emoji_mod.sample_per_emoji(docs, _load_inventory(args), args.k, args.seed)
     lines = ["base\tdoc_id\ttext"]
     for base in sorted(sampled):
         for d in sampled[base]:
             text = d.text.replace("\t", " ").replace("\n", " ")
             lines.append(f"{emoji_mod.codepoints_hex(base)}\t{d.id}\t{text}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    man.add_output(args.out)
-    _finish(man, args, args.out)
     print(f"sample: wrote draws for {len(sampled)} bases")
-    return 0
 
 
-def cmd_match_violence(args: argparse.Namespace) -> int:
-    man = _manifest(args, "match-violence")
-    man.add_input(args.infile)
+def cmd_match_violence(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     classes = violence_mod.load_classes(args.classes) if args.classes else None
     rules = violence_mod.load_rules(args.rules) if args.rules else None
-    for p in (args.classes, args.rules):
-        if p:
-            man.add_input(p)
     compiled = violence_mod.compile_rules(rules, classes)
     rows = []
     cfg = _norm_config(args)
     for d in docs:
         for m in violence_mod.match_violence_text(d.text, compiled, cfg):
             rows.append((d.id, m))
-    violence_mod.write_matches(args.out, rows)
-    man.add_output(args.out)
-    _finish(man, args, args.out)
+    atomic_write_text(args.out, violence_mod.dump_matches(rows))
     print(f"match-violence: {len(rows)} matches in {len(docs)} docs")
-    return 0
 
 
-def cmd_aggregate(args: argparse.Namespace) -> int:
-    man = _manifest(args, "aggregate")
-    man.add_input(args.judgments)
+def cmd_aggregate(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     aggregated = anno.majority_vote(judgments)
     dropped: list[str] = []
     labels = anno.aggregate_to_labels(aggregated, dropped)
     if args.overrides:
-        man.add_input(args.overrides)
         labels = anno.apply_overrides(labels, anno.load_overrides(args.overrides))
     corpus_mod.write_labels(args.out, labels.values())
-    man.add_output(args.out)
     if args.queue:
         atomic_write_text(args.queue, anno.dump_adjudication(anno.adjudication_queue(aggregated)))
-        man.add_output(args.queue)
-    _finish(man, args, args.out)
     queue_n = sum(1 for a in aggregated if a.agreement != "full")
     print(
         f"aggregate: {len(labels)} docs labeled, {queue_n} queue items,"
         f" {len(dropped)} docs with hate/vulgar/violence votes dropped"
     )
-    return 0
 
 
-def cmd_kappa(args: argparse.Namespace) -> int:
-    man = _manifest(args, "kappa")
-    man.add_input(args.judgments)
+def cmd_kappa(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     report = anno.avg_pairwise_kappa(judgments, min_shared=args.min_shared, job=args.job)
-    text = anno.dump_kappa_report(report)
-    _emit(text, args.out)
-    if args.out:
-        man.add_output(args.out)
-    _finish(man, args, args.out)
-    return 0
+    _emit(anno.dump_kappa_report(report), args.out)
 
 
-def cmd_gate(args: argparse.Namespace) -> int:
-    man = _manifest(args, "gate")
-    man.add_input(args.judgments)
-    man.add_input(args.answers)
+def cmd_gate(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     gate = anno.QCGate(anno.load_gate_answers(args.answers), args.threshold)
     results = anno.gate_all(judgments, gate)
     _emit(anno.dump_gate_results(results), args.out)
-    if args.out:
-        man.add_output(args.out)
-    _finish(man, args, args.out)
     n_pass = sum(1 for r in results if r.passed)
     print(f"gate: {n_pass}/{len(results)} annotators pass", file=sys.stderr)
-    return 0
 
 
 def _feature_config(args: argparse.Namespace) -> FeatureConfig:
@@ -317,10 +229,7 @@ def _feature_config(args: argparse.Namespace) -> FeatureConfig:
     )
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    man = _manifest(args, "train", seed=args.seed)
-    for p in (args.infile, args.labels, args.split):
-        man.add_input(p)
+def cmd_train(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
     split = corpus_mod.load_split(args.split)
@@ -335,20 +244,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         normalize_text=not args.no_normalize,
     )
     save_model(args.out, model)
-    man.add_output(args.out)
-    _finish(man, args, args.out)
     print(
         f"train: {model.space.n_features} features, "
         f"objective {model.objective:.6f} after {len(model.objective_trace)} epochs, "
         f"duality gap {model.duality_gap:.3g}"
     )
-    return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    man = _manifest(args, "predict")
-    man.add_input(args.model)
-    man.add_input(args.infile)
+def cmd_predict(args: argparse.Namespace) -> None:
     model = load_model(args.model)
     docs = corpus_mod.load_corpus(args.infile)
     results = predict_texts(model, [d.text for d in docs])
@@ -357,10 +260,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         f"{d.id}\t{label}\t{score:.10f}" for d, (label, score) in zip(docs, results)
     )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    man.add_output(args.out)
-    _finish(man, args, args.out)
     print(f"predict: scored {len(docs)} docs")
-    return 0
 
 
 def load_predictions(path: str) -> dict[str, int]:
@@ -383,35 +283,24 @@ def load_predictions(path: str) -> dict[str, int]:
     return out
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    man = _manifest(args, "evaluate")
-    man.add_input(args.gold)
-    man.add_input(args.pred)
+def cmd_evaluate(args: argparse.Namespace) -> None:
     labels = corpus_mod.load_labels(args.gold)
     preds = load_predictions(args.pred)
     if args.split:
-        man.add_input(args.split)
         keep = corpus_mod.load_split(args.split).part(args.part)
         preds = {d: v for d, v in preds.items() if d in keep}
     gold = {d: target_value(r, args.target) for d, r in labels.items()}
     report = metrics_mod.evaluate_predictions(gold, preds)
     _emit(metrics_mod.dump_report(report), args.out)
-    if args.out:
-        man.add_output(args.out)
-    _finish(man, args, args.out)
-    return 0
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
-    man = _manifest(args, "explain", seed=args.seed)
-    man.add_input(args.model)
+def cmd_explain(args: argparse.Namespace) -> None:
     model = load_model(args.model)
     if args.text is not None:
         text = args.text
     else:
         if not args.infile or not args.doc_id:
             raise ValueError("explain needs --text, or --in with --doc-id")
-        man.add_input(args.infile)
         docs = {d.id: d for d in corpus_mod.load_corpus(args.infile)}
         if args.doc_id not in docs:
             raise ValueError(f"doc {args.doc_id!r} not in {args.infile}")
@@ -426,16 +315,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         preprocess=not args.no_preprocess,
     )
     _emit(dump_explanation(ex), args.out)
-    if args.out:
-        man.add_output(args.out)
-    _finish(man, args, args.out)
-    return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    man = _manifest(args, "report")
-    man.add_input(args.corpus)
-    man.add_input(args.labels)
+def cmd_report(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.corpus)
     labels = corpus_mod.load_labels(args.labels)
     n = len(docs)
@@ -467,7 +349,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     for name, path in (("emoji-stats", args.stats), ("lexicon", args.lexicon), ("eval", args.eval)):
         if not path:
             continue
-        man.add_input(path)
         lines.append("")
         # basename, not the full path: report bytes must not depend on
         # where the run directory happens to live
@@ -477,10 +358,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         head = content.splitlines()[: args.head + 1]  # header + N rows
         lines.extend(head)
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    man.add_output(args.out)
-    _finish(man, args, args.out)
     print(f"report: wrote {args.out}")
-    return 0
 
 
 # --- parser wiring --------------------------------------------------------
@@ -491,19 +369,22 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"anchorlex {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name: str, fn: Callable, help_: str) -> argparse.ArgumentParser:
+    def add(
+        name: str, fn: Callable, help_: str, inputs: tuple[str, ...], outputs: tuple[str, ...] = ("out",)
+    ) -> argparse.ArgumentParser:
+        """A stage whose input and output files are the args named by these dests."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, _inputs=inputs, _outputs=outputs)
         p.add_argument("--manifest", help="run manifest path (default: <out>.manifest.json)")
         return p
 
-    p = add("collect", cmd_collect, "keep docs whose emoji hit the seed inventory")
+    p = add("collect", cmd_collect, "keep docs whose emoji hit the seed inventory", ("infile", "seeds"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
 
-    p = add("dedup", cmd_dedup, "drop short/exact/near duplicate docs")
+    p = add("dedup", cmd_dedup, "drop short/exact/near duplicate docs", ("infile",), ("out", "dropped"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dropped", help="drop log TSV (default: <out>.dropped.tsv)")
@@ -512,18 +393,18 @@ def build_parser() -> _Parser:
     p.add_argument("--shingle-size", type=int, default=2)
     _norm_flags(p)
 
-    p = add("normalize", cmd_normalize, "canonicalize text")
+    p = add("normalize", cmd_normalize, "canonicalize text", ("infile",))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     _norm_flags(p)
 
-    p = add("split", cmd_split, "stratified train/dev/test split")
+    p = add("split", cmd_split, "stratified train/dev/test split", ("labels",))
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratios", default="0.7,0.1,0.2")
 
-    p = add("mine-lexicon", cmd_mine_lexicon, "high-valence term lexicon")
+    p = add("mine-lexicon", cmd_mine_lexicon, "high-valence term lexicon", ("infile", "labels"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
@@ -537,46 +418,52 @@ def build_parser() -> _Parser:
     )
     _norm_flags(p)
 
-    p = add("emoji-stats", cmd_emoji_stats, "per-emoji offensive/hate rates")
+    p = add("emoji-stats", cmd_emoji_stats, "per-emoji offensive/hate rates", ("infile", "labels", "seeds"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
     p.add_argument("--all-bases", action="store_true", help="stats for every base, not just seeds")
 
-    p = add("sample", cmd_sample, "seeded doc samples per inventory emoji")
+    p = add("sample", cmd_sample, "seeded doc samples per inventory emoji", ("infile", "seeds"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("match-violence", cmd_match_violence, "violence pattern matches")
+    p = add("match-violence", cmd_match_violence, "violence pattern matches", ("infile", "classes", "rules"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", help="lexical classes TSV (default: bundled)")
     p.add_argument("--rules", help="pattern rules TSV (default: bundled)")
     _norm_flags(p)
 
-    p = add("aggregate", cmd_aggregate, "majority-vote judgments into labels")
+    p = add(
+        "aggregate",
+        cmd_aggregate,
+        "majority-vote judgments into labels",
+        ("judgments", "overrides"),
+        ("out", "queue"),
+    )
     p.add_argument("--judgments", required=True)
     p.add_argument("--out", required=True, help="labels TSV")
     p.add_argument("--queue", help="adjudication queue TSV")
     p.add_argument("--overrides", help="adjudication TSV with filled override column")
 
-    p = add("kappa", cmd_kappa, "average pairwise Cohen's kappa")
+    p = add("kappa", cmd_kappa, "average pairwise Cohen's kappa", ("judgments",))
     p.add_argument("--judgments", required=True)
     p.add_argument("--min-shared", type=int, default=20)
     p.add_argument("--job", help="restrict to one job")
     p.add_argument("--out", help="write report here instead of stdout")
 
-    p = add("gate", cmd_gate, "gate annotators on hidden test items")
+    p = add("gate", cmd_gate, "gate annotators on hidden test items", ("judgments", "answers"))
     p.add_argument("--judgments", required=True)
     p.add_argument("--answers", required=True, help="doc_id<TAB>label TSV")
     p.add_argument("--threshold", type=float, default=0.8)
     p.add_argument("--out", help="write results here instead of stdout")
 
-    p = add("train", cmd_train, "train the tf-idf linear classifier")
+    p = add("train", cmd_train, "train the tf-idf linear classifier", ("infile", "labels", "split"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--split", required=True)
@@ -593,12 +480,12 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--no-normalize", action="store_true", help="train on raw text")
 
-    p = add("predict", cmd_predict, "score docs with a trained model")
+    p = add("predict", cmd_predict, "score docs with a trained model", ("model", "infile"))
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("evaluate", cmd_evaluate, "accuracy and macro P/R/F1")
+    p = add("evaluate", cmd_evaluate, "accuracy and macro P/R/F1", ("gold", "pred", "split"))
     p.add_argument("--gold", required=True, help="labels TSV")
     p.add_argument("--pred", required=True, help="predictions TSV")
     p.add_argument("--split", help="restrict to one split part")
@@ -610,10 +497,11 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--out", help="write report here instead of stdout")
 
-    p = add("explain", cmd_explain, "per-token attribution for one doc")
+    p = add("explain", cmd_explain, "per-token attribution for one doc", ("model", "infile"))
     p.add_argument("--model", required=True)
-    p.add_argument("--text", help="explain this text directly")
-    p.add_argument("--in", dest="infile", help="corpus holding --doc-id")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--text", help="explain this text directly")
+    source.add_argument("--in", dest="infile", help="corpus holding --doc-id")
     p.add_argument("--doc-id")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--kernel-width", type=float, default=0.25)
@@ -622,7 +510,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--out", help="write explanation here instead of stdout")
 
-    p = add("report", cmd_report, "one-page corpus summary")
+    p = add("report", cmd_report, "one-page corpus summary", ("corpus", "labels", "stats", "lexicon", "eval"))
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
@@ -640,11 +528,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    config = {
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in ("func", "manifest") and not k.startswith("_")
+    }
+    man = RunManifest(
+        command=args.command, config=config, seed=getattr(args, "seed", None), version=__version__
+    )
     try:
-        return args.func(args)
+        # inputs before the stage runs: it may overwrite one (--in f --out f)
+        for dest in args._inputs:
+            if path := getattr(args, dest):
+                man.add_input(path)
+        args.func(args)
+        for dest in args._outputs:
+            if path := getattr(args, dest):
+                man.add_output(path)
+        manifest_path = args.manifest or (args.out and args.out + ".manifest.json")
+        if manifest_path:
+            man.write(manifest_path)
     except (ValueError, OSError) as e:
         print(f"anchorlex {args.command}: error: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

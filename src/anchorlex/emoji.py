@@ -32,7 +32,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import emoji_ranges as er
 from .corpus import Document, LabelRecord
-from .util import atomic_write_text
 
 SEED_CATEGORIES = frozenset(
     {
@@ -278,10 +277,6 @@ def dump_emoji_stats(stats: Iterable[EmojiStat]) -> str:
             f"\t{s.offensive_pct:.2f}\t{s.n_hate}\t{s.hate_pct:.2f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_emoji_stats(path: str, stats: Iterable[EmojiStat]) -> None:
-    atomic_write_text(path, dump_emoji_stats(stats))
 
 
 def sample_per_emoji(

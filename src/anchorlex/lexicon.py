@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Mapping
 
 from .corpus import Document, LabelRecord
 from .textnorm import NormalizationConfig, normalize, tokenize
-from .util import atomic_write_text
 
 _DEFAULT = NormalizationConfig()
 
@@ -169,10 +168,6 @@ def dump_lexicon(entries: Iterable[LexiconEntry]) -> str:
         f"{e.term}\t{e.n_off}\t{e.n_cln}\t{e.valence:.6f}" for e in entries
     )
     return "\n".join(lines) + "\n"
-
-
-def write_lexicon(path: str, entries: Iterable[LexiconEntry]) -> None:
-    atomic_write_text(path, dump_lexicon(entries))
 
 
 # --- gazetteers and target distribution ---------------------------------

@@ -10,7 +10,6 @@ from typing import Callable, Iterable, Sequence
 
 from .corpus import Document
 from .emoji import cluster_spans
-from .util import atomic_write_text
 
 # letter maps, switched per NormalizationConfig flag
 _ALEF = {"آ": "ا", "أ": "ا", "إ": "ا"}  # آ أ إ -> ا
@@ -234,7 +233,3 @@ def dump_drops(drops: Iterable[DropRecord]) -> str:
         f"{d.doc_id}\t{d.reason}\t{d.duplicate_of or ''}" for d in drops
     )
     return "\n".join(lines) + "\n"
-
-
-def write_drops(path: str, drops: Iterable[DropRecord]) -> None:
-    atomic_write_text(path, dump_drops(drops))

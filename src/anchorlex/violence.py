@@ -15,7 +15,6 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .textnorm import NormalizationConfig, normalize, tokenize
-from .util import atomic_write_text
 
 CLASS_NAMES = ("head", "body", "human", "verb_kill", "verb_hit", "verb_cut", "hit_noun")
 _VERB_CLASSES = frozenset({"verb_kill", "verb_hit", "verb_cut"})
@@ -332,7 +331,3 @@ def dump_matches(rows: Iterable[tuple[str, PatternMatch]]) -> str:
     for doc_id, m in rows:
         lines.append(f"{doc_id}\t{m.rule}\t{m.start}\t{m.end}\t{' '.join(m.tokens)}")
     return "\n".join(lines) + "\n"
-
-
-def write_matches(path: str, rows: Iterable[tuple[str, PatternMatch]]) -> None:
-    atomic_write_text(path, dump_matches(rows))

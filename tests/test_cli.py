@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +13,7 @@ from anchorlex.annotation import Judgment, write_judgments
 from anchorlex.corpus import Document, load_corpus, load_labels, load_split, write_corpus, write_labels
 from anchorlex.linear import load_model
 from anchorlex.synth import make_separable_corpus
+from anchorlex.util import sha256_file
 
 TS = datetime(2021, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -418,6 +421,16 @@ def test_explain_command_doc_id(ws, tmp_path, capsys):
     assert "error:" in err
 
 
+def test_explain_text_and_in_exclude_each_other(ws, tmp_path, capsys):
+    out = str(tmp_path / "ex.txt")
+    argv = ["explain", "--model", ws.model, "--text", "غبي", "--in", ws.corpus, "--out", out]
+    assert usage_error(argv) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(["explain", "--model", ws.model, "--doc-id", "d000001", "--out", out]) == 2
+    assert "explain needs --text, or --in with --doc-id" in capsys.readouterr().err
+
+
 def _edited_model(ws, tmp_path, edit) -> str:
     blob = json.loads(open(ws.model, encoding="utf-8").read())
     edit(blob)
@@ -474,3 +487,144 @@ def test_manifest_flag_overrides_default_path(tmp_path):
     assert cli.main(["normalize", "--in", inp, "--out", out, "--manifest", man_path]) == 0
     assert json.loads(open(man_path, encoding="utf-8").read())["command"] == "normalize"
     assert not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
+# --- run manifests -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(ws, tmp_path_factory):
+    """ws's files plus one of every other kind a stage reads."""
+    root = tmp_path_factory.mktemp("stagein")
+    data = str(Path(cli.__file__).parent / "data")
+    f = {k: getattr(ws, k) for k in ("corpus", "labels", "split", "model", "preds")}
+    f.update(
+        seeds=f"{data}/seed_emojis.tsv",
+        classes=f"{data}/violence_classes.tsv",
+        rules=f"{data}/violence_rules.tsv",
+        judgments=str(root / "judgments.tsv"),
+        answers=str(root / "answers.tsv"),
+        overrides=str(root / "overrides.tsv"),
+        excerpt=str(root / "excerpt.tsv"),
+    )
+    _judgment_file(f["judgments"])
+    Path(f["answers"]).write_text("doc_id\tlabel\nd000\t0\nd001\t1\n", encoding="utf-8")
+    Path(f["overrides"]).write_text(
+        "doc_id\tjob\tlabel\tagreement\toverride\nd000\toffensive\t0\tmajority\t1\n", encoding="utf-8"
+    )
+    Path(f["excerpt"]).write_text("col\tn\nx\t1\n", encoding="utf-8")
+    return f
+
+
+# argv, seed, input paths, output paths; {o}, {q} and {m} are fresh paths
+MANIFEST_CONTRACT = [
+    ("collect --in {corpus} --out {o}", None, ["{corpus}"], ["{o}"]),
+    ("collect --in {corpus} --out {o} --seeds {seeds}", None, ["{corpus}", "{seeds}"], ["{o}"]),
+    ("dedup --in {corpus} --out {o}", None, ["{corpus}"], ["{o}", "{o}.dropped.tsv"]),
+    ("dedup --in {corpus} --out {o} --dropped {q}", None, ["{corpus}"], ["{o}", "{q}"]),
+    ("normalize --in {corpus} --out {o}", None, ["{corpus}"], ["{o}"]),
+    ("split --labels {labels} --out {o} --seed 4", 4, ["{labels}"], ["{o}"]),
+    ("mine-lexicon --in {corpus} --labels {labels} --out {o}", None, ["{corpus}", "{labels}"], ["{o}"]),
+    ("emoji-stats --in {corpus} --labels {labels} --out {o}", None, ["{corpus}", "{labels}"], ["{o}"]),
+    (
+        "emoji-stats --in {corpus} --labels {labels} --out {o} --seeds {seeds}",
+        None,
+        ["{corpus}", "{labels}", "{seeds}"],
+        ["{o}"],
+    ),
+    ("sample --in {corpus} --out {o}", 0, ["{corpus}"], ["{o}"]),
+    ("sample --in {corpus} --out {o} --seeds {seeds} --seed 9", 9, ["{corpus}", "{seeds}"], ["{o}"]),
+    ("match-violence --in {corpus} --out {o}", None, ["{corpus}"], ["{o}"]),
+    ("match-violence --in {corpus} --out {o} --classes {classes}", None, ["{corpus}", "{classes}"], ["{o}"]),
+    (
+        "match-violence --in {corpus} --out {o} --classes {classes} --rules {rules}",
+        None,
+        ["{corpus}", "{classes}", "{rules}"],
+        ["{o}"],
+    ),
+    ("aggregate --judgments {judgments} --out {o}", None, ["{judgments}"], ["{o}"]),
+    (
+        "aggregate --judgments {judgments} --out {o} --queue {q} --overrides {overrides}",
+        None,
+        ["{judgments}", "{overrides}"],
+        ["{o}", "{q}"],
+    ),
+    ("kappa --judgments {judgments} --manifest {m}", None, ["{judgments}"], []),
+    ("kappa --judgments {judgments} --out {o}", None, ["{judgments}"], ["{o}"]),
+    ("gate --judgments {judgments} --answers {answers} --manifest {m}", None, ["{judgments}", "{answers}"], []),
+    (
+        "gate --judgments {judgments} --answers {answers} --out {o} --manifest {m}",
+        None,
+        ["{judgments}", "{answers}"],
+        ["{o}"],
+    ),
+    (
+        "train --in {corpus} --labels {labels} --split {split} --out {o} --mode word --seed 2",
+        2,
+        ["{corpus}", "{labels}", "{split}"],
+        ["{o}"],
+    ),
+    ("predict --model {model} --in {corpus} --out {o}", None, ["{model}", "{corpus}"], ["{o}"]),
+    ("evaluate --gold {labels} --pred {preds} --manifest {m}", None, ["{labels}", "{preds}"], []),
+    (
+        "evaluate --gold {labels} --pred {preds} --split {split} --out {o}",
+        None,
+        ["{labels}", "{preds}", "{split}"],
+        ["{o}"],
+    ),
+    ("explain --model {model} --text غبي --samples 20 --manifest {m}", 0, ["{model}"], []),
+    (
+        "explain --model {model} --in {corpus} --doc-id d000001 --samples 20 --seed 5 --out {o}",
+        5,
+        ["{model}", "{corpus}"],
+        ["{o}"],
+    ),
+    ("report --corpus {corpus} --labels {labels} --out {o}", None, ["{corpus}", "{labels}"], ["{o}"]),
+    (
+        "report --corpus {corpus} --labels {labels} --out {o} --stats {excerpt} --lexicon {seeds} --eval {rules}",
+        None,
+        ["{corpus}", "{labels}", "{excerpt}", "{seeds}", "{rules}"],
+        ["{o}"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, seed, inputs, outputs",
+    MANIFEST_CONTRACT,
+    ids=[f"{c[0].split()[0]}-{i}" for i, c in enumerate(MANIFEST_CONTRACT)],
+)
+def test_manifest_contract(stage_inputs, tmp_path, capsys, argv, seed, inputs, outputs):
+    f = dict(stage_inputs, o=str(tmp_path / "out"), q=str(tmp_path / "second"), m=str(tmp_path / "run.json"))
+    before = {p.format(**f): sha256_file(p.format(**f)) for p in inputs}
+    assert cli.main([t.format(**f) for t in argv.split()]) == 0
+    man_path = f["m"] if "--manifest" in argv else f["o"] + ".manifest.json"
+    man = json.loads(open(man_path, encoding="utf-8").read())
+    assert man["command"] == argv.split()[0]
+    assert man["seed"] == seed
+    assert man["inputs"] == before
+    assert man["outputs"] == {p.format(**f): sha256_file(p.format(**f)) for p in outputs}
+    assert "manifest" not in man["config"] and "func" not in man["config"]
+    written = {p.name for p in tmp_path.iterdir()}
+    assert written == {os.path.basename(p.format(**f)) for p in outputs} | {os.path.basename(man_path)}
+
+
+def test_manifest_records_input_digest_from_before_the_run(tmp_path):
+    path = str(tmp_path / "docs.jsonl")
+    write_corpus(path, [Document(id="d1", text="يَا أخي @someone", created_at=TS)])
+    before = sha256_file(path)
+    assert cli.main(["normalize", "--in", path, "--out", path]) == 0
+    after = sha256_file(path)
+    assert after != before
+    man = json.loads(open(path + ".manifest.json", encoding="utf-8").read())
+    assert man["inputs"] == {path: before}
+    assert man["outputs"] == {path: after}
+
+
+def test_failed_stdout_command_writes_no_manifest(tmp_path, capsys):
+    jpath = tmp_path / "judgments.tsv"
+    jpath.write_text("doc_id\tannotator_id\n", encoding="utf-8")
+    man = tmp_path / "run.manifest.json"
+    assert cli.main(["kappa", "--judgments", str(jpath), "--manifest", str(man)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not man.exists()
