@@ -9,7 +9,6 @@ annotator pairs with enough shared items.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import HATE_TARGETS, LabelRecord, format_timestamp, parse_timestamp
-from .util import atomic_write_text
+from .util import atomic_write_text, read_tsv
 
 JOBS = ("offensive", "hate", "vulgar", "violence")
 
@@ -46,32 +45,19 @@ def load_judgments(path: str) -> list[Judgment]:
     out: list[Judgment] = []
     stamps: dict[str, datetime | None] = {"": None}
     first_line: dict[tuple[str, str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+    for lineno, (doc_id, annotator_id, job, label, ts) in read_tsv(path, _JUDGMENT_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if header != _JUDGMENT_HEADER:
-            raise ValueError(f"{path}: bad header {header!r}, expected {_JUDGMENT_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 columns")
-            doc_id, annotator_id, job, label, ts = row
-            try:
-                if ts not in stamps:
-                    stamps[ts] = parse_timestamp(ts)
-                out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-            key = (doc_id, annotator_id, job)
-            if first_line.setdefault(key, lineno) != lineno:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate judgment for {key!r},"
-                    f" first on line {first_line[key]}"
-                )
+            if ts not in stamps:
+                stamps[ts] = parse_timestamp(ts)
+            out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        key = (doc_id, annotator_id, job)
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate judgment for {key!r},"
+                f" first on line {first_line[key]}"
+            )
     return out
 
 
@@ -139,22 +125,12 @@ def gate_all(judgments: Sequence[Judgment], gate: QCGate) -> list[GateResult]:
 
 def load_gate_answers(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if header != ["doc_id", "label"]:
-            raise ValueError(f"{path}: bad header {header!r}, expected ['doc_id', 'label']")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns")
-            if row[0] in out:
-                raise ValueError(f"{path}: line {lineno}: duplicate doc_id {row[0]!r}")
-            out[row[0]] = row[1]
+    for lineno, (doc_id, label) in read_tsv(path, ["doc_id", "label"]):
+        if doc_id in out:
+            raise ValueError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
+        out[doc_id] = label
+    if not out:
+        raise ValueError(f"{path}: gate needs at least one test answer")
     return out
 
 
@@ -210,32 +186,22 @@ def adjudication_queue(aggregated: Iterable[AggregatedLabel]) -> list[Aggregated
     return [a for a in aggregated if a.agreement != "full"]
 
 
+_ADJUDICATION_HEADER = ["doc_id", "job", "label", "agreement", "override"]
+
+
 def dump_adjudication(queue: Iterable[AggregatedLabel]) -> str:
-    lines = ["doc_id\tjob\tlabel\tagreement\toverride"]
+    lines = ["\t".join(_ADJUDICATION_HEADER)]
     lines.extend(f"{a.doc_id}\t{a.job}\t{a.label}\t{a.agreement}\t" for a in queue)
     return "\n".join(lines) + "\n"
 
 
 def load_overrides(path: str) -> list[tuple[str, str, str]]:
     """Rows of an adjudication file whose override column was filled in."""
-    out: list[tuple[str, str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if header[:2] != ["doc_id", "job"] or "override" not in header:
-            raise ValueError(f"{path}: bad adjudication header {header!r}")
-        oi = header.index("override")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) <= oi:
-                raise ValueError(f"{path}: line {lineno}: missing override column")
-            if row[oi]:
-                out.append((row[0], row[1], row[oi]))
-    return out
+    return [
+        (doc_id, job, override)
+        for _, (doc_id, job, _label, _agreement, override) in read_tsv(path, _ADJUDICATION_HEADER)
+        if override
+    ]
 
 
 def aggregate_to_labels(

@@ -27,7 +27,7 @@ from .explain import dump_explanation, explain as explain_text
 from .features import FeatureConfig
 from .linear import load_model, predict_texts, save_model, target_value, train_model
 from .manifest import RunManifest
-from .util import atomic_write_text
+from .util import atomic_write_text, read_tsv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,7 +189,11 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
     dropped: list[str] = []
     labels = anno.aggregate_to_labels(aggregated, dropped)
     if args.overrides:
-        labels = anno.apply_overrides(labels, anno.load_overrides(args.overrides))
+        overrides = anno.load_overrides(args.overrides)
+        try:
+            labels = anno.apply_overrides(labels, overrides)
+        except ValueError as e:
+            raise ValueError(f"{args.overrides}: {e}") from None
     corpus_mod.write_labels(args.out, labels.values())
     if args.queue:
         atomic_write_text(args.queue, anno.dump_adjudication(anno.adjudication_queue(aggregated)))
@@ -251,11 +255,14 @@ def cmd_train(args: argparse.Namespace) -> None:
     )
 
 
+_PREDICTIONS_HEADER = ["doc_id", "label", "score"]
+
+
 def cmd_predict(args: argparse.Namespace) -> None:
     model = load_model(args.model)
     docs = corpus_mod.load_corpus(args.infile)
     results = predict_texts(model, [d.text for d in docs])
-    lines = ["doc_id\tlabel\tscore"]
+    lines = ["\t".join(_PREDICTIONS_HEADER)]
     lines.extend(
         f"{d.id}\t{label}\t{score:.10f}" for d, (label, score) in zip(docs, results)
     )
@@ -265,21 +272,12 @@ def cmd_predict(args: argparse.Namespace) -> None:
 
 def load_predictions(path: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["doc_id", "label", "score"]:
-            raise ValueError(f"{path}: bad predictions header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            row = raw.rstrip("\n").split("\t")
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns")
-            if row[0] in out:
-                raise ValueError(f"{path}: line {lineno}: duplicate doc_id {row[0]!r}")
-            if row[1] not in ("0", "1"):
-                raise ValueError(f"{path}: line {lineno}: label must be 0/1")
-            out[row[0]] = int(row[1])
+    for lineno, (doc_id, label, _score) in read_tsv(path, _PREDICTIONS_HEADER):
+        if doc_id in out:
+            raise ValueError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
+        if label not in ("0", "1"):
+            raise ValueError(f"{path}: line {lineno}: label must be 0/1")
+        out[doc_id] = int(label)
     return out
 
 

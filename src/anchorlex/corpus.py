@@ -9,7 +9,6 @@ File formats:
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 import warnings
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Mapping
 
-from .util import atomic_write_text, round_half_up
+from .util import atomic_write_text, read_tsv, round_half_up
 
 HATE_TARGETS = frozenset(
     {"gender", "race", "ideology", "social_class", "religion", "disability"}
@@ -127,18 +126,18 @@ def load_corpus(path: str, format: str = "jsonl") -> list[Document]:
                 seen.add(doc.id)
                 docs.append(doc)
         else:
-            reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty file, expected a header row") from None
+            first = fh.readline()
+            if not first:
+                raise ValueError(f"{path}: empty file, expected a header row")
+            header = first.rstrip("\n").split("\t")
             for name in _DOC_FIELDS:
                 if name not in header:
                     raise ValueError(f"{path}: line 1: missing field {name}")
             idx = {name: header.index(name) for name in header}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
+            for lineno, line in enumerate(fh, start=2):
+                if line == "\n":
                     continue
+                row = line.rstrip("\n").split("\t")
                 obj = {name: (row[i] if i < len(row) else "") for name, i in idx.items()}
                 try:
                     doc = _doc_from_mapping(obj, lineno)
@@ -187,33 +186,20 @@ def _parse_bit(value: str, lineno: int, col: str) -> bool:
 def load_labels(path: str) -> dict[str, LabelRecord]:
     """Read a labels TSV into an insertion-ordered doc_id -> LabelRecord map."""
     out: dict[str, LabelRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+    for lineno, (doc_id, off, targets, vul, vio) in read_tsv(path, _LABEL_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if header != _LABEL_HEADER:
-            raise ValueError(f"{path}: bad header {header!r}, expected {_LABEL_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 columns, got {len(row)}")
-            doc_id, off, targets, vul, vio = row
-            try:
-                rec = LabelRecord(
-                    doc_id=doc_id,
-                    offensive=_parse_bit(off, lineno, "offensive"),
-                    hate_targets=frozenset(t for t in targets.split(",") if t),
-                    vulgar=_parse_bit(vul, lineno, "vulgar"),
-                    violence=_parse_bit(vio, lineno, "violence"),
-                )
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-            if doc_id in out:
-                raise ValueError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
-            out[doc_id] = rec
+            rec = LabelRecord(
+                doc_id=doc_id,
+                offensive=_parse_bit(off, lineno, "offensive"),
+                hate_targets=frozenset(t for t in targets.split(",") if t),
+                vulgar=_parse_bit(vul, lineno, "vulgar"),
+                violence=_parse_bit(vio, lineno, "violence"),
+            )
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        if doc_id in out:
+            raise ValueError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
+        out[doc_id] = rec
     return out
 
 

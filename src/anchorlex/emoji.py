@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import emoji_ranges as er
 from .corpus import Document, LabelRecord
+from .util import read_table
 
 SEED_CATEGORIES = frozenset(
     {
@@ -165,27 +166,22 @@ def parse_codepoints(field: str, lineno: int) -> str:
 def load_seed_inventory(path: str) -> SeedInventory:
     """Seed TSV: hex codepoints, category, comment; '#' lines are comments."""
     entries: list[SeedEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected codepoints<TAB>category")
-            display = parse_codepoints(cols[0], lineno)
-            if not display:
-                raise ValueError(f"{path}: line {lineno}: empty codepoint field")
-            try:
-                entries.append(
-                    SeedEntry(
-                        base=base_form(display),
-                        category=cols[1].strip(),
-                        comment=cols[2].strip() if len(cols) > 2 else "",
-                    )
+    for lineno, cols in read_table(path):
+        if len(cols) < 2:
+            raise ValueError(f"{path}: line {lineno}: expected codepoints<TAB>category")
+        display = parse_codepoints(cols[0], lineno)
+        if not display:
+            raise ValueError(f"{path}: line {lineno}: empty codepoint field")
+        try:
+            entries.append(
+                SeedEntry(
+                    base=base_form(display),
+                    category=cols[1].strip(),
+                    comment=cols[2].strip() if len(cols) > 2 else "",
                 )
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
+            )
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
     try:
         return SeedInventory(entries=tuple(entries))
     except ValueError as e:

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 from .corpus import Document, LabelRecord
 from .textnorm import NormalizationConfig, normalize, tokenize
+from .util import read_table
 
 _DEFAULT = NormalizationConfig()
 
@@ -185,23 +186,18 @@ class Gazetteer:
 def load_gazetteer(path: str, cfg: NormalizationConfig = _DEFAULT) -> Gazetteer:
     """Gazetteer TSV: group<TAB>term1,term2,...; terms are normalized on load."""
     groups: dict[str, frozenset[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected group<TAB>terms")
-            group = cols[0].strip()
-            if group in groups:
-                raise ValueError(f"{path}: line {lineno}: duplicate group {group!r}")
-            terms = frozenset(
-                normalize(t.strip(), cfg) for t in cols[1].split(",") if t.strip()
-            )
-            if not terms:
-                raise ValueError(f"{path}: line {lineno}: group {group!r} has no terms")
-            groups[group] = terms
+    for lineno, cols in read_table(path):
+        if len(cols) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected group<TAB>terms")
+        group = cols[0].strip()
+        if group in groups:
+            raise ValueError(f"{path}: line {lineno}: duplicate group {group!r}")
+        terms = frozenset(normalize(t.strip(), cfg) for t in cols[1].split(",") if t.strip())
+        if not terms:
+            raise ValueError(f"{path}: line {lineno}: group {group!r} has no terms")
+        groups[group] = terms
+    if not groups:
+        raise ValueError(f"{path}: no groups defined")
     return Gazetteer(groups=groups)
 
 

@@ -35,11 +35,11 @@ the order the grams first appear in the text. tf * idf and the norm
 are computed by one helper, `features.tfidf_l2`, which the training
 rows (`features.fit_transform`), `vectorize` and score_texts all call,
 so the vectors the trainer sees and the scores predict writes agree
-bit for bit. w.x in score_texts adds in the same order as
-decision_score's built-in sum over numpy scalars. Built-in sum over
-Python floats (compensated from Python 3.12), math.fsum, np.dot and
-np.add.reduce (pairwise) round differently, so none of them may
-replace the loops.
+bit for bit. w.x in score_texts adds in the same order as the built-in
+sum over numpy scalars of `decision_score` in tests/score_reference.py.
+Built-in sum over Python floats (compensated from Python 3.12),
+math.fsum, np.dot and np.add.reduce (pairwise) round differently, so
+none of them may replace the loops.
 """
 
 from __future__ import annotations
@@ -321,14 +321,6 @@ def train_model(
         objective_trace=fit.objective_trace,
         duality_gap=fit.duality_gap,
     )
-
-
-def decision_score(model: LinearModel, vec: Mapping[int, float]) -> float:
-    if vec and max(vec) >= len(model.weights):
-        raise ValueError(
-            f"vector dimension {max(vec) + 1} exceeds model dimension {len(model.weights)}"
-        )
-    return float(sum(model.weights[k] * v for k, v in vec.items()) + model.bias)
 
 
 def score_texts(

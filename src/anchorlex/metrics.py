@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .util import atomic_write_text
-
 CLASSES = (0, 1)
 
 
@@ -92,10 +90,6 @@ def dump_report(report: EvalReport) -> str:
     for (g, p), v in sorted(report.confusion.items()):
         lines.append(f"confusion_{g}{p}\t{v}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(path: str, report: EvalReport) -> None:
-    atomic_write_text(path, dump_report(report))
 
 
 def parse_report(text: str) -> dict[str, object]:

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic writes, digests, canonical JSON."""
+"""Small shared helpers: table readers, atomic writes, digests, canonical JSON."""
 
 from __future__ import annotations
 
@@ -7,6 +7,37 @@ import json
 import math
 import os
 import tempfile
+from typing import Iterator
+
+
+def read_tsv(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, columns) of each non-empty line after the header.
+
+    Line 1 must equal `header` and every row must have as many columns;
+    a mismatch is a ValueError starting `path: line N:`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        got = fh.readline().rstrip("\n").split("\t")
+        if got != header:
+            raise ValueError(f"{path}: line 1: bad header {got!r}, expected {header!r}")
+        n = len(header)
+        for lineno, line in enumerate(fh, start=2):
+            if line == "\n":
+                continue
+            row = line.rstrip("\n").split("\t")
+            if len(row) != n:
+                raise ValueError(f"{path}: line {lineno}: expected {n} columns, got {len(row)}")
+            yield lineno, row
+
+
+def read_table(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, columns) of each line of a headerless table that is
+    neither blank nor a `#` comment; the caller checks the columns."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            yield lineno, line.rstrip("\n").split("\t")
 
 
 def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:

@@ -15,6 +15,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .textnorm import NormalizationConfig, normalize, tokenize
+from .util import read_table
 
 CLASS_NAMES = ("head", "body", "human", "verb_kill", "verb_hit", "verb_cut", "hit_noun")
 _VERB_CLASSES = frozenset({"verb_kill", "verb_hit", "verb_cut"})
@@ -141,24 +142,17 @@ def default_rules() -> tuple[PatternRule, ...]:
 def load_classes(path: str) -> dict[str, LexicalClass]:
     """Classes TSV: name<TAB>member1,member2,...; members normalized on load."""
     out: dict[str, LexicalClass] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected name<TAB>members")
-            name = cols[0].strip()
-            if name in out:
-                raise ValueError(f"{path}: line {lineno}: duplicate class {name!r}")
-            members = tuple(
-                normalize(m.strip(), _NORM) for m in cols[1].split(",") if m.strip()
-            )
-            try:
-                out[name] = LexicalClass(name=name, members=members)
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
+    for lineno, cols in read_table(path):
+        if len(cols) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected name<TAB>members")
+        name = cols[0].strip()
+        if name in out:
+            raise ValueError(f"{path}: line {lineno}: duplicate class {name!r}")
+        members = tuple(normalize(m.strip(), _NORM) for m in cols[1].split(",") if m.strip())
+        try:
+            out[name] = LexicalClass(name=name, members=members)
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
     if not out:
         raise ValueError(f"{path}: no classes defined")
     return out
@@ -167,28 +161,21 @@ def load_classes(path: str) -> dict[str, LexicalClass]:
 def load_rules(path: str) -> tuple[PatternRule, ...]:
     """Rules TSV: name<TAB>shape<TAB>verb_class<TAB>objects(comma)<TAB>max_gap."""
     rules: list[PatternRule] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 columns")
-            try:
-                rules.append(
-                    PatternRule(
-                        name=cols[0].strip(),
-                        shape=cols[1].strip(),
-                        verb_class=cols[2].strip(),
-                        object_classes=tuple(
-                            c.strip() for c in cols[3].split(",") if c.strip()
-                        ),
-                        max_gap=int(cols[4]),
-                    )
+    for lineno, cols in read_table(path):
+        if len(cols) != 5:
+            raise ValueError(f"{path}: line {lineno}: expected 5 columns")
+        try:
+            rules.append(
+                PatternRule(
+                    name=cols[0].strip(),
+                    shape=cols[1].strip(),
+                    verb_class=cols[2].strip(),
+                    object_classes=tuple(c.strip() for c in cols[3].split(",") if c.strip()),
+                    max_gap=int(cols[4]),
                 )
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
+            )
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
     if not rules:
         raise ValueError(f"{path}: no rules defined")
     return tuple(rules)

@@ -345,6 +345,19 @@ def test_gate_answers_and_overrides_files(tmp_path):
     assert load_overrides(str(op)) == [("d1", "offensive", "0")]
 
 
+def test_overrides_take_exactly_the_queue_header_and_columns(tmp_path):
+    op = tmp_path / "adj.tsv"
+    op.write_text("doc_id\tjob\toverride\nd1\toffensive\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: bad header"):
+        load_overrides(str(op))
+    op.write_text("doc_id\tjob\tlabel\tagreement\toverride\nd1\toffensive\t1\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: expected 5 columns, got 4"):
+        load_overrides(str(op))
+    queue = [AggregatedLabel("d1", "offensive", "1", 3, "majority")]
+    op.write_text(dump_adjudication(queue), encoding="utf-8")
+    assert load_overrides(str(op)) == []
+
+
 def test_load_judgments_parses_each_timestamp_once_and_shares_it(tmp_path):
     p = tmp_path / "j.tsv"
     p.write_text(

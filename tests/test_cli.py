@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from anchorlex import cli
-from anchorlex.annotation import Judgment, write_judgments
+from anchorlex.annotation import Judgment, load_gate_answers, load_judgments, load_overrides, write_judgments
 from anchorlex.corpus import Document, load_corpus, load_labels, load_split, write_corpus, write_labels
 from anchorlex.linear import load_model
 from anchorlex.synth import make_separable_corpus
@@ -326,6 +327,107 @@ def test_aggregate_with_overrides(tmp_path):
     assert labels["d000"].offensive is True
 
 
+def test_rejected_override_names_its_file(tmp_path, capsys):
+    jpath = str(tmp_path / "j.tsv")
+    _judgment_file(jpath)
+    overrides = tmp_path / "adj.tsv"
+    overrides.write_text("doc_id\tjob\tlabel\tagreement\toverride\nzz\toffensive\t0\ttie\t1\n", encoding="utf-8")
+    out = tmp_path / "labels.tsv"
+    argv = ["aggregate", "--judgments", jpath, "--out", str(out), "--overrides", str(overrides)]
+    assert cli.main(argv) == 2
+    assert f"error: {overrides}: override for unknown doc 'zz'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_header_only_gate_answers_name_their_file(tmp_path, capsys):
+    jpath = str(tmp_path / "j.tsv")
+    _judgment_file(jpath)
+    answers = tmp_path / "answers.tsv"
+    answers.write_text("doc_id\tlabel\n", encoding="utf-8")
+    assert cli.main(["gate", "--judgments", jpath, "--answers", str(answers)]) == 2
+    assert f"error: {answers}: gate needs at least one test answer" in capsys.readouterr().err
+
+
+# Each headered reader: its header, one good row, and a command that reads
+# `bad` through it (j: a judgments file, g: a labels file).
+HEADER_READERS = {
+    "labels": (
+        load_labels,
+        "doc_id\toffensive\thate_targets\tvulgar\tviolence",
+        "d000\t1\t\t0\t0",
+        lambda bad, j, g, out: ["split", "--labels", bad, "--out", out],
+    ),
+    "judgments": (
+        load_judgments,
+        "doc_id\tannotator_id\tjob\tlabel\ttimestamp",
+        "d000\ta1\toffensive\t1\t",
+        lambda bad, j, g, out: ["kappa", "--judgments", bad, "--out", out],
+    ),
+    "gate answers": (
+        load_gate_answers,
+        "doc_id\tlabel",
+        "d000\t0",
+        lambda bad, j, g, out: ["gate", "--judgments", j, "--answers", bad, "--out", out],
+    ),
+    "overrides": (
+        load_overrides,
+        "doc_id\tjob\tlabel\tagreement\toverride",
+        "d000\toffensive\t0\tmajority\t1",
+        lambda bad, j, g, out: ["aggregate", "--judgments", j, "--overrides", bad, "--out", out],
+    ),
+    "predictions": (
+        cli.load_predictions,
+        "doc_id\tlabel\tscore",
+        "d000\t1\t0.5",
+        lambda bad, j, g, out: ["evaluate", "--gold", g, "--pred", bad, "--out", out],
+    ),
+}
+# case -> (file text from header and row, line the error names; None: it loads)
+TABLE_CASES = {
+    "empty file": (lambda h, r: "", 1),
+    "wrong header": (lambda h, r: f"id{h[6:]}\n{r}\n", 1),
+    "short row": (lambda h, r: f"{h}\n{r.rsplit(chr(9), 1)[0]}\n", 2),
+    "long row": (lambda h, r: f"{h}\n{r}\tx\n", 2),
+    "blank line": (lambda h, r: f"{h}\n\n{r}\n\n", None),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+@pytest.mark.parametrize("reader", list(HEADER_READERS))
+def test_header_readers_on_malformed_tables(tmp_path, capsys, reader, case):
+    load, header, row, argv = HEADER_READERS[reader]
+    text, lineno = TABLE_CASES[case]
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(text(header, row), encoding="utf-8")
+    if lineno is None:
+        clean = tmp_path / "clean.tsv"
+        clean.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        assert load(str(bad)) == load(str(clean)) and load(str(clean))
+        return
+    error = f"{bad}: line {lineno}: "
+    with pytest.raises(ValueError, match=re.escape(error)):
+        load(str(bad))
+    jpath = str(tmp_path / "j.tsv")
+    _judgment_file(jpath)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("doc_id\toffensive\thate_targets\tvulgar\tviolence\nd000\t1\t\t0\t0\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert cli.main(argv(str(bad), jpath, str(gold), str(out))) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.tsv.manifest.json").exists()
+
+
+def test_split_reads_a_field_past_the_csv_field_limit(tmp_path):
+    # csv.reader stops at 131,072 characters a field; the labels reader has no limit
+    long_id = "d" * 200_000
+    labels = tmp_path / "labels.tsv"
+    rows = "".join(f"{d}\t{i % 2}\t\t0\t0\n" for i, d in enumerate([long_id, "a", "b", "c", "e", "f"]))
+    labels.write_text("doc_id\toffensive\thate_targets\tvulgar\tviolence\n" + rows, encoding="utf-8")
+    out = str(tmp_path / "split.tsv")
+    assert cli.main(["split", "--labels", str(labels), "--out", out]) == 0
+    assert long_id in load_split(out).all_ids
+
+
 # --- model commands ----------------------------------------------------------
 
 
@@ -382,6 +484,12 @@ def test_load_predictions_validation(tmp_path):
     short.write_text("doc_id\tlabel\tscore\nd1\t1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="3 columns"):
         cli.load_predictions(str(short))
+
+    # only an empty line is skipped; one of spaces is a row
+    spaces = tmp_path / "w.tsv"
+    spaces.write_text("doc_id\tlabel\tscore\nd1\t1\t0.5\n  \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: expected 3 columns, got 1"):
+        cli.load_predictions(str(spaces))
 
 
 def test_evaluate_command(ws, tmp_path, capsys):

@@ -88,6 +88,14 @@ def test_corpus_tsv_round_trip(tmp_path):
     assert load_corpus(str(p), format="tsv") == docs
 
 
+def test_corpus_tsv_reads_a_text_past_the_csv_field_limit(tmp_path):
+    # csv.reader stops at 131,072 characters a field; the corpus reader has no limit
+    docs = [doc(0, "\u0643" * 200_000), doc(1, "short")]
+    p = tmp_path / "c.tsv"
+    write_corpus(str(p), docs, format="tsv")
+    assert load_corpus(str(p), format="tsv") == docs
+
+
 def test_corpus_missing_field_names_line(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"id": "a", "text": "x", "created_at": "2021-05-01T12:00:00Z"}\n{"id": "b"}\n', encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,13 @@ def test_load_gazetteer_normalizes(tmp_path):
     p.write_text("g1\tأهلا,مدرسة\n", encoding="utf-8")
     gaz = load_gazetteer(str(p))
     assert gaz.groups["g1"] == frozenset({"اهلا", "مدرسه"})
+
+
+def test_empty_gazetteer_names_its_file(tmp_path):
+    p = tmp_path / "gaz.tsv"
+    p.write_text("# group<TAB>terms\n\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
+        load_gazetteer(str(p))
 
 
 def test_target_distribution_shares():

@@ -16,7 +16,6 @@ from anchorlex.corpus import DatasetSplit, Document, LabelRecord, stratified_spl
 from anchorlex.features import MODES, FeatureConfig, fit_features, vectorize
 from anchorlex.linear import (
     LinearModel,
-    decision_score,
     fit_svm,
     load_model,
     predict_texts,
@@ -418,12 +417,6 @@ def test_decision_scores_and_prediction_rule():
     assert s_pos == pos_score and s_neg == neg_score
 
 
-def test_decision_score_rejects_mismatched_vector():
-    _, _, _, model = _trained()
-    with pytest.raises(ValueError):
-        decision_score(model, {len(model.weights) + 5: 1.0})
-
-
 # --- the one-pass trainer against the two-pass one (tests/score_reference.py) ---
 
 
@@ -498,7 +491,7 @@ def test_score_texts_matches_reference_scorer(seed, mode):
         assert [score_text(model, t, pre_normalized) for t in texts] == want
     # the train path's vectors give the same scores
     assert score_texts(model, texts, pre_normalized=True) == [
-        decision_score(model, vectorize(t, model.space)) for t in texts
+        score_reference.decision_score(model, vectorize(t, model.space)) for t in texts
     ]
     assert predict_texts(model, texts) == [
         (1 if s > 0 else 0, s) for s in (score_reference.score_text(model, t) for t in texts)

@@ -9,8 +9,8 @@ from anchorlex.metrics import (
     evaluate,
     evaluate_predictions,
     parse_report,
-    write_report,
 )
+from anchorlex.util import atomic_write_text
 
 
 def test_hand_example_macro_f1():
@@ -83,5 +83,5 @@ def test_report_round_trip(tmp_path):
     assert parsed["accuracy"] == pytest.approx(rep.accuracy, abs=1e-10)
     assert parsed["macro_f1"] == pytest.approx(rep.macro_f1, abs=1e-10)
     p = tmp_path / "report.tsv"
-    write_report(str(p), rep)
+    atomic_write_text(str(p), dump_report(rep))
     assert parse_report(p.read_text(encoding="utf-8")) == parsed

@@ -2,16 +2,23 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlex.util import (
     atomic_write_text,
     canonical_json,
+    read_table,
+    read_tsv,
     round_half_up,
     sha256_file,
     sha256_text,
 )
+
+import tsv_reference
 
 
 @pytest.mark.parametrize(
@@ -64,3 +71,48 @@ def test_sha256_text_matches_file(tmp_path):
     p.write_text(content, encoding="utf-8")
     assert sha256_file(str(p)) == sha256_text(content)
     assert len(sha256_text("")) == 64
+
+
+# --- table readers ----------------------------------------------------------
+
+# tab, the three line breaks, csv's quote and escape characters, NUL,
+# NEL (a line break to str.splitlines, not to a text file), a comment
+# mark, a space and Arabic
+_ALPHABET = ["\t", "\n", "\r", '"', "\\", "\x00", "\x85", "#", " ", "a", "\u0643", "\u0644"]
+_FIELD = st.text(st.sampled_from([c for c in _ALPHABET if c not in "\t\n\r"]), max_size=4)
+_LINE = st.one_of(
+    st.lists(_FIELD, min_size=3, max_size=3).map("\t".join),
+    st.text(st.sampled_from(_ALPHABET), max_size=8),
+)
+_TABLE = st.builds(
+    lambda head, lines, eol: head + eol.join(lines),
+    st.one_of(  # half the headers are right
+        st.sampled_from(["a\tb\tc\n", "a\tb\tc\r\n", "a\tb\tc\r"]),
+        st.sampled_from(["", "\n", "a\tb\n", "a\tb\tc\t\n", "a\tb\tc"]),
+    ),
+    st.lists(_LINE, max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+
+
+def _rows_or_error_line(read, path):
+    try:
+        return list(read(path, ["a", "b", "c"]))
+    except ValueError as e:
+        return re.match(r": line (\d+): ", str(e)[len(path) :]).group(1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_TABLE)
+def test_read_tsv_matches_csv_reader(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("tsv") / "t.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    want = _rows_or_error_line(tsv_reference.read_tsv, path)
+    assert _rows_or_error_line(read_tsv, path) == want
+
+
+def test_read_table_line_numbers_count_skipped_lines(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("# comment\n\n \t \n  # indented\na\tb\n\n#x\ty\nc\t\n", encoding="utf-8")
+    assert list(read_table(str(p))) == [(5, ["a", "b"]), (8, ["c", ""])]
