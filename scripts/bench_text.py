@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the text layer per document on seeded synthetic corpora.
+"""Time the text layer and the scorer per document on seeded synthetic corpora.
 
 Each size is a raw stream from `synth.make_anchored_corpus` (5% of docs
 carry an emoji). The script prints, per size, the median over the
 repeats of the microseconds per doc spent in `normalize`,
 `cluster_spans` and `doc_bases` on the raw texts, and in `tokenize` on
 the normalized texts (as `dedup` calls it), after a line naming nproc
-and the Python and numpy versions.
+and the Python and numpy versions. The scorer layer uses a model
+trained on the corpus' first 2,000 docs: microseconds per doc of
+`score_texts` on all raw texts (what `predict` does), and per sample of
+one 1,000-sample `explain` of the first doc with at least 6 tokens.
 
     PYTHONPATH=src python3 scripts/bench_text.py [--sizes 10000,100000] [--repeats 5]
 """
@@ -23,19 +26,32 @@ from typing import Callable
 
 import numpy as np
 
+from anchorlex.corpus import DatasetSplit
 from anchorlex.emoji import cluster_spans, doc_bases
+from anchorlex.explain import explain
+from anchorlex.linear import score_texts, train_model
 from anchorlex.synth import make_anchored_corpus
 from anchorlex.textnorm import normalize, tokenize
 
+TRAIN_DOCS = 2000
+EXPLAIN_SAMPLES = 1000
 
-def us_per_doc(fn: Callable[[str], object], texts: list[str], repeats: int) -> float:
+
+def median_s(fn: Callable[[], object], repeats: int) -> float:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def us_per_doc(fn: Callable[[str], object], texts: list[str], repeats: int) -> float:
+    def run() -> None:
         for t in texts:
             fn(t)
-        times.append(time.perf_counter() - t0)
-    return 1e6 * statistics.median(times) / len(texts)
+
+    return 1e6 * median_s(run, repeats) / len(texts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,23 +61,33 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
-    if args.repeats < 1 or not sizes or min(sizes) < 1:
-        ap.error("need --repeats >= 1 and sizes >= 1")
+    if args.repeats < 1 or not sizes or min(sizes) < TRAIN_DOCS:
+        ap.error(f"need --repeats >= 1 and sizes >= {TRAIN_DOCS}")
 
     print(
         f"nproc {os.cpu_count()}  python {platform.python_version()}  numpy {np.__version__}"
         f"  seed {args.seed}  repeats {args.repeats}"
     )
-    print("n_docs\tnormalize_us\tcluster_spans_us\ttokenize_us\tdoc_bases_us")
+    print(
+        "n_docs\tnormalize_us\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
+        "\tpredict_us\texplain_us_per_sample"
+    )
     for size in sizes:
-        docs, _ = make_anchored_corpus(n_docs=size, seed=args.seed)
+        docs, labels = make_anchored_corpus(n_docs=size, seed=args.seed)
         raw = [d.text for d in docs]
         norm = [normalize(t) for t in raw]
+        train = frozenset(d.id for d in docs[:TRAIN_DOCS])
+        model = train_model(docs, labels, DatasetSplit(train, frozenset(), frozenset()))
+        request = next(t for t in raw if len(tokenize(t)) >= 6)
         cols = [
             us_per_doc(normalize, raw, args.repeats),
             us_per_doc(cluster_spans, raw, args.repeats),
             us_per_doc(tokenize, norm, args.repeats),
             us_per_doc(doc_bases, raw, args.repeats),
+            1e6 * median_s(lambda: score_texts(model, raw), args.repeats) / len(raw),
+            1e6
+            * median_s(lambda: explain(request, model, n_samples=EXPLAIN_SAMPLES, seed=args.seed), args.repeats)
+            / EXPLAIN_SAMPLES,
         ]
         print(f"{size}\t" + "\t".join(f"{c:.2f}" for c in cols), flush=True)
     return 0

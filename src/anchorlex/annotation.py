@@ -212,8 +212,8 @@ def aggregate_to_labels(
     Subsidiary labels (hate/vulgar/violence) only stick when the doc's
     offensive majority is positive; contradicting votes on clean docs
     are dropped so the invariant (subsidiary => offensive) holds by
-    construction. One warning per call counts them; their doc ids are
-    appended to `dropped` when it is given.
+    construction. Their doc ids are appended to `dropped` when it is
+    given; without it, one warning per call counts them.
     """
     skipped: list[str] = []
     per_doc: dict[str, dict[str, AggregatedLabel]] = {}
@@ -241,14 +241,14 @@ def aggregate_to_labels(
             skipped.append(doc_id)
             targets, vulgar, violence = frozenset(), False, False
         out[doc_id] = LabelRecord(doc_id, offensive, targets, vulgar, violence)
-    if skipped:
+    if dropped is not None:
+        dropped.extend(skipped)
+    elif skipped:
         warnings.warn(
             f"dropped hate/vulgar/violence votes on {len(skipped)} non-offensive docs,"
             f" first {skipped[0]}",
             stacklevel=2,
         )
-        if dropped is not None:
-            dropped.extend(skipped)
     return out
 
 

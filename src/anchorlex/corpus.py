@@ -134,11 +134,14 @@ def load_corpus(path: str, format: str = "jsonl") -> list[Document]:
                 if name not in header:
                     raise ValueError(f"{path}: line 1: missing field {name}")
             idx = {name: header.index(name) for name in header}
+            n = len(header)
             for lineno, line in enumerate(fh, start=2):
                 if line == "\n":
                     continue
                 row = line.rstrip("\n").split("\t")
-                obj = {name: (row[i] if i < len(row) else "") for name, i in idx.items()}
+                if len(row) != n:
+                    raise ValueError(f"{path}: line {lineno}: expected {n} columns, got {len(row)}")
+                obj = {name: row[i] for name, i in idx.items()}
                 try:
                     doc = _doc_from_mapping(obj, lineno)
                 except ValueError as e:

@@ -27,19 +27,18 @@ the mirror. A step changes only alpha_i and alpha_j, so the sets are
 kept as boolean arrays with counts and updated at i and j alone.
 
 score_texts is the one read-path scorer: predict_texts, score_text and
-explain all go through it. It reads idf and weights into Python lists
-once per call and scores each distinct text once, since a score is a
-pure function of the text. Summation-order rule: tf * idf, the squared
-L2 norm and w.x are computed in Python floats, adding left to right in
-the order the grams first appear in the text. tf * idf and the norm
-are computed by one helper, `features.tfidf_l2`, which the training
-rows (`features.fit_transform`), `vectorize` and score_texts all call,
-so the vectors the trainer sees and the scores predict writes agree
-bit for bit. w.x in score_texts adds in the same order as the built-in
-sum over numpy scalars of `decision_score` in tests/score_reference.py.
-Built-in sum over Python floats (compensated from Python 3.12),
-math.fsum, np.dot and np.add.reduce (pairwise) round differently, so
-none of them may replace the loops.
+explain all go through it. It scores each distinct text once, since a
+score is a pure function of the text, BLOCK_ROWS distinct texts at a
+time: `features.transform` gives the block's tf-idf rows, and w.x is
+`features.ordered_row_sums` over the products w[col] * x. tf * idf,
+the squared L2 norm and w.x thus follow the summation-order rule in the
+`features` module docstring: each row's sum is added left to right in
+the order its grams first appear, one position at a time across the
+block. The training rows (`features.fit_transform`), `vectorize` and
+score_texts share `features.tfidf_l2`, so the vectors the trainer sees
+and the scores predict writes agree bit for bit, and w.x adds in the
+same order as the built-in sum over numpy scalars of `decision_score`
+in tests/score_reference.py.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import DatasetSplit, Document, LabelRecord
-from .features import FeatureConfig, FeatureSpace, _grams, fit_transform, tfidf_l2
+from .features import BLOCK_ROWS, FeatureConfig, FeatureSpace, fit_transform, ordered_row_sums, transform
 from .textnorm import NormalizationConfig, normalize
 from .util import atomic_write_text
 
@@ -328,23 +327,20 @@ def score_texts(
 ) -> list[float]:
     """Decision scores w.x + b, one per text, each distinct text scored once.
 
-    x is the text's tf-idf vector from `features.tfidf_l2`, in Python
-    floats by the summation-order rule in the module docstring.
+    x is the text's row from `features.transform`; the distinct texts go
+    BLOCK_ROWS at a time, by the summation-order rule (module docstring).
     """
-    space = model.space
-    column, cfg = space.vocabulary.get, space.config
-    idf, weights, bias = space.idf.tolist(), model.weights.tolist(), model.bias
+    distinct = list(dict.fromkeys(texts))
     normalize_first = model.normalized and not pre_normalized
-    scores: dict[str, float] = {}
-    for text in texts:
-        if text in scores:
-            continue
-        grams = _grams(normalize(text) if normalize_first else text, cfg).items()
-        dot = 0.0
-        for col, x in zip(*tfidf_l2(grams, column, idf)):
-            dot += weights[col] * x
-        scores[text] = float(dot + bias)
-    return [scores[t] for t in texts]
+    scores: list[float] = []
+    for a in range(0, len(distinct), BLOCK_ROWS):
+        block = distinct[a : a + BLOCK_ROWS]
+        if normalize_first:
+            block = [normalize(t) for t in block]
+        indptr, cols, vals = transform(block, model.space)
+        scores += (ordered_row_sums(indptr, model.weights[cols] * vals) + model.bias).tolist()
+    by_text = dict(zip(distinct, scores))
+    return [by_text[t] for t in texts]
 
 
 def score_text(model: LinearModel, text: str, pre_normalized: bool = False) -> float:

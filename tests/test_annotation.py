@@ -175,14 +175,19 @@ def test_aggregate_subsidiary_on_clean_doc_dropped_with_warning():
     assert not labels["d1"].offensive and not labels["d1"].violence
     # two such docs: one warning for the call, with the count and the first doc
     js += _votes("d2", "offensive", ["0", "0"]) + _votes("d2", "hate", ["race", "race"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = aggregate_to_labels(majority_vote(js))
+    assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
+    assert "on 2 non-offensive docs, first d1" in str(caught[0].message)
+    assert not labels["d2"].offensive and not labels["d2"].hate_targets
+    # a caller that passes `dropped` gets the doc ids there and no warning
     dropped = ["kept"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        labels = aggregate_to_labels(majority_vote(js), dropped)
-    assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
-    assert "on 2 non-offensive docs, first d1" in str(caught[0].message)
+        assert aggregate_to_labels(majority_vote(js), dropped) == labels
+    assert caught == []
     assert dropped == ["kept", "d1", "d2"]
-    assert not labels["d2"].offensive and not labels["d2"].hate_targets
 
 
 def test_aggregate_requires_offensive_job():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -292,6 +293,26 @@ def test_aggregate_kappa_gate_commands(tmp_path, capsys):
     assert cli.main(["kappa", "--judgments", jpath, "--out", kfile]) == 0
     assert open(kfile, encoding="utf-8").read().startswith("mean_kappa\t")
     assert json.loads(open(kfile + ".manifest.json", encoding="utf-8").read())["command"] == "kappa"
+
+
+def test_aggregate_reports_dropped_votes_without_a_warning(tmp_path, capsys):
+    jpath = str(tmp_path / "judgments.tsv")
+    judgments = []
+    for doc in range(4):
+        for ann in ("a1", "a2"):
+            judgments.append(Judgment(f"d{doc}", ann, "offensive", "0", TS))
+            if doc < 3:  # subsidiary votes that contradict the clean majority
+                judgments.append(Judgment(f"d{doc}", ann, "violence", "1", TS))
+    write_judgments(jpath, judgments)
+    out = str(tmp_path / "labels.tsv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["aggregate", "--judgments", jpath, "--out", out]) == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "UserWarning" not in captured.err
+    assert "aggregate: 4 docs labeled, 0 queue items, 3 docs with hate/vulgar/violence votes dropped" in captured.out
+    assert not any(r.violence for r in load_labels(out).values())
 
 
 def test_duplicate_judgment_exits_2(tmp_path, capsys):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorlex import cli
 from anchorlex.corpus import (
     DatasetSplit,
     Document,
@@ -94,6 +96,24 @@ def test_corpus_tsv_reads_a_text_past_the_csv_field_limit(tmp_path):
     p = tmp_path / "c.tsv"
     write_corpus(str(p), docs, format="tsv")
     assert load_corpus(str(p), format="tsv") == docs
+
+
+@pytest.mark.parametrize(
+    "row, got",
+    [
+        ("d1\thello\t2021-05-01T12:00:00Z\tar\tEXTRA tail", 5),  # a tab in the text
+        ("d1\thello\t2021-05-01T12:00:00Z", 3),
+    ],
+)
+def test_corpus_tsv_row_must_have_the_header_columns(tmp_path, capsys, row, got):
+    p = tmp_path / "c.tsv"
+    p.write_text(f"id\ttext\tcreated_at\tlang\nd0\tok\t2021-05-01T12:00:00Z\t\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 3: expected 4 columns, got {got}$"):
+        load_corpus(str(p), format="tsv")
+    out = tmp_path / "out.tsv"
+    assert cli.main(["collect", "--in", str(p), "--out", str(out), "--format", "tsv"]) == 2
+    assert "line 3: expected 4 columns" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corpus_missing_field_names_line(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -158,7 +159,10 @@ GRAM_TEXT = st.text(
 )
 def test_grams_match_loop_counters_items_and_order(text, mode, lo, width):
     cfg = FeatureConfig(mode=mode, char_range=(lo, lo + width), word_range=(lo, lo + width))
-    assert list(_grams(text, cfg).items()) == list(score_reference._grams(text, cfg).items())
+    char, word = _grams(text, cfg)
+    # prefixed and counted, the two lists are the old c:/w: gram dict, order included
+    counted = Counter(["c:" + g for g in char] + ["w:" + g for g in word])
+    assert list(counted.items()) == list(score_reference._grams(text, cfg).items())
     want = score_reference.char_ngrams(text, lo, lo + width)
     assert list(char_ngrams(text, lo, lo + width).items()) == list(want.items())
     tokens = tokenize(text)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
 import re
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from anchorlex import linear
 from anchorlex.corpus import DatasetSplit, Document, LabelRecord, stratified_split
-from anchorlex.features import MODES, FeatureConfig, fit_features, vectorize
+from anchorlex.features import MODES, FeatureConfig, fit_features, ordered_row_sums, tfidf_l2, transform, vectorize
 from anchorlex.linear import (
     LinearModel,
     fit_svm,
@@ -518,6 +520,102 @@ def test_score_texts_matches_reference_on_fuzzed_texts(fuzz_model, texts, pre_no
     texts = texts + texts[:2]
     want = [score_reference.score_text(fuzz_model, t, pre_normalized) for t in texts]
     assert score_texts(fuzz_model, texts, pre_normalized) == want
+
+
+# --- block edges of the scorer (features.BLOCK_ROWS distinct texts at a time) ---
+
+
+def _bits(scores):
+    """Scores as hex strings: equal only when equal bit for bit, the sign of zero included."""
+    return [float(s).hex() for s in scores]
+
+
+def _assert_scores_match_reference(model, texts):
+    for pre_normalized in (False, True):
+        want = [score_reference.score_text(model, t, pre_normalized) for t in texts]
+        assert _bits(score_texts(model, texts, pre_normalized)) == _bits(want)
+
+
+@pytest.fixture(scope="module", params=MODES)
+def mode_model(request):
+    docs, labels = make_separable_corpus(n_docs=120, seed=4)
+    model = train_model(docs, labels, stratified_split(labels, seed=4), FeatureConfig(mode=request.param))
+    # 513 distinct texts: the corpus docs, then their words in pairs
+    words = [w for d in docs for w in d.text.split()]
+    distinct = list(dict.fromkeys([d.text for d in docs] + [f"{a} {b}" for a, b in zip(words, words[3:])]))
+    return model, distinct[:513]
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+def test_score_texts_at_block_edges_matches_reference(mode_model, n):
+    assert linear.BLOCK_ROWS == 256
+    model, distinct = mode_model
+    texts = distinct[:n]
+    # repeats of texts on either side of each block edge, before and after their first use
+    for edge in (256, 512):
+        texts = texts[edge - 2 : edge + 2] + texts + texts[edge - 3 : edge + 3]
+    assert len(dict.fromkeys(texts)) == n
+    _assert_scores_match_reference(model, texts)
+
+
+def test_out_of_vocabulary_texts_score_exactly_the_bias(mode_model):
+    model, distinct = mode_model
+    oov = [OOV_TEXT, "", "q", "zz zz", "\u2603\u2603\u2603"]
+    assert all(vectorize(t, model.space) == {} for t in oov)
+    # a block with no in-vocabulary gram at all, and one that mixes them in
+    assert _bits(score_texts(model, oov)) == _bits([model.bias] * len(oov))
+    _assert_scores_match_reference(model, oov + distinct[:300] + oov)
+
+
+@pytest.mark.parametrize("bias", [-0.0, 0.0])
+def test_dot_product_of_negative_zero_terms_keeps_the_reference_sign(mode_model, bias):
+    model, distinct = mode_model
+    zeroed = dataclasses.replace(model, weights=np.full_like(model.weights, -0.0), bias=bias)
+    texts = distinct[:20] + [OOV_TEXT]
+    # every w.x term is -0.0; added to 0.0 the sum is +0.0, as in the reference
+    assert [math.copysign(1.0, s) for s in score_texts(zeroed, texts)] == [
+        math.copysign(1.0, score_reference.score_text(zeroed, t)) for t in texts
+    ]
+    _assert_scores_match_reference(zeroed, texts)
+
+
+def test_one_long_text_does_not_widen_the_block(mode_model):
+    model, distinct = mode_model
+    long_text = (" ".join(distinct) * 64)[: 1 << 17]
+    words = sorted({w for t in distinct for w in t.split()})
+    texts = [long_text, *(f"{words[k % len(words)]} {k}" for k in range(300))]
+    _assert_scores_match_reference(model, texts)
+    # the block's rows: the long text's is the longest by far
+    indptr, cols, vals = transform(texts[: linear.BLOCK_ROWS], model.space)
+    lens = np.diff(indptr)
+    assert lens[0] == lens.max() > 10 * lens[1:].max()
+    padded = 8 * int(lens[0]) * len(lens)  # bytes of one rows x longest-row float array
+    tracemalloc.start()
+    try:
+        tfidf_l2(indptr, cols, np.ones_like(cols), model.space.idf)
+        ordered_row_sums(indptr, model.weights[cols] * vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # memory follows the block's gram count, far below rows x longest row
+    assert peak < 128 * len(cols) + 65536 < padded / 4
+
+
+def test_vocabulary_entries_outside_c_and_w_match_nothing(tmp_path):
+    model = _trained(seed=1)[3]
+    p = tmp_path / "model.json"
+    save_model(str(p), model)
+    obj = json.loads(p.read_text(encoding="utf-8"))
+    vocab = obj["vocabulary"]
+    text = "يا غبي يا حقير"
+    hits = sorted(vectorize(text, model.space))
+    # unprefixed, other-prefixed and bare-prefix entries in place of grams the text has
+    for col, edit in zip(hits, [lambda g: g[2:], lambda g: "x" + g[1:], lambda g: g[:2], lambda g: g[1:]]):
+        vocab[col] = edit(vocab[col])
+    p.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    edited = load_model(str(p))
+    assert len(vectorize(text, edited.space)) == len(hits) - 4
+    _assert_scores_match_reference(edited, [text, text[4:], "غبي", "w:غبي", "c:يا"])
 
 
 # --- persistence -------------------------------------------------------------
