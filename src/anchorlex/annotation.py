@@ -12,23 +12,22 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import HATE_TARGETS, LabelRecord, format_timestamp, parse_timestamp
+from .corpus import HATE_TARGETS, LabelRecord, canonical_timestamp
 from .util import atomic_write_text, read_tsv
 
 JOBS = ("offensive", "hate", "vulgar", "violence")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Judgment:
     doc_id: str
     annotator_id: str
     job: str
     label: str
-    timestamp: datetime | None = None
+    timestamp: str | None = None  # canonical UTC, see corpus.canonical_timestamp
 
     def __post_init__(self) -> None:
         if not self.doc_id or not self.annotator_id:
@@ -41,14 +40,14 @@ _JUDGMENT_HEADER = ["doc_id", "annotator_id", "job", "label", "timestamp"]
 
 
 def load_judgments(path: str) -> list[Judgment]:
-    """Parse each distinct timestamp once; a repeated (doc, annotator, job) is an error."""
+    """Check each distinct timestamp once; a repeated (doc, annotator, job) is an error."""
     out: list[Judgment] = []
-    stamps: dict[str, datetime | None] = {"": None}
+    stamps: dict[str, str | None] = {"": None}
     first_line: dict[tuple[str, str, str], int] = {}
     for lineno, (doc_id, annotator_id, job, label, ts) in read_tsv(path, _JUDGMENT_HEADER):
         try:
             if ts not in stamps:
-                stamps[ts] = parse_timestamp(ts)
+                stamps[ts] = canonical_timestamp(ts)
             out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
@@ -64,8 +63,7 @@ def load_judgments(path: str) -> list[Judgment]:
 def dump_judgments(judgments: Iterable[Judgment]) -> str:
     lines = ["\t".join(_JUDGMENT_HEADER)]
     for j in judgments:
-        ts = format_timestamp(j.timestamp) if j.timestamp else ""
-        lines.append(f"{j.doc_id}\t{j.annotator_id}\t{j.job}\t{j.label}\t{ts}")
+        lines.append(f"{j.doc_id}\t{j.annotator_id}\t{j.job}\t{j.label}\t{j.timestamp or ''}")
     return "\n".join(lines) + "\n"
 
 

@@ -5,16 +5,20 @@ File formats:
   corpus TSV    header doc: id, text, created_at, lang (lang column optional)
   labels TSV    header: doc_id, offensive, hate_targets, vulgar, violence
   split file    "train:" / "dev:" / "test:" section headers, one doc_id per line
+
+No stage reads `created_at`. It is validated once on load and kept as the
+canonical UTC string YYYY-MM-DDTHH:MM:SSZ, which is written back as is.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .util import atomic_write_text, read_tsv, round_half_up
 
@@ -35,22 +39,39 @@ def parse_timestamp(value: str) -> datetime:
         s = s[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(s)
-    except ValueError as e:
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        # an offset can carry year 1 or 9999 past the range datetime holds
+        return dt.astimezone(timezone.utc).replace(microsecond=0)
+    except (ValueError, OverflowError) as e:
         raise ValueError(f"bad timestamp {value!r}: {e}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).replace(microsecond=0)
 
 
 def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
+# strftime writes years below 1000 unpadded, and some Pythons read hour 24
+# as the next day's midnight, so neither is taken as already canonical
+_CANONICAL_TS = re.compile(r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}Z")
+
+
+def canonical_timestamp(value: str) -> str:
+    """format_timestamp(parse_timestamp(value)); a canonical value is only checked."""
+    if _CANONICAL_TS.fullmatch(value):
+        try:
+            datetime.fromisoformat(value[:-1])
+            return value
+        except ValueError:
+            pass
+    return format_timestamp(parse_timestamp(value))
+
+
+@dataclass(slots=True)
 class Document:
     id: str
     text: str
-    created_at: datetime
+    created_at: str  # canonical UTC, see canonical_timestamp
     lang: str = ""
 
     def __post_init__(self) -> None:
@@ -88,16 +109,48 @@ class LabelRecord:
 _DOC_FIELDS = ("id", "text", "created_at")
 
 
-def _doc_from_mapping(obj: Mapping[str, object], lineno: int) -> Document:
+def _doc_from_mapping(obj: Mapping[str, object]) -> Document:
     for name in _DOC_FIELDS:
         if name not in obj or obj[name] is None or obj[name] == "":
-            raise ValueError(f"line {lineno}: missing field {name}")
+            raise ValueError(f"missing field {name}")
     return Document(
         id=str(obj["id"]),
         text=str(obj["text"]),
-        created_at=parse_timestamp(str(obj["created_at"])),
+        created_at=canonical_timestamp(str(obj["created_at"])),
         lang=str(obj.get("lang") or ""),
     )
+
+
+def _jsonl_rows(path: str, fh: TextIO) -> Iterator[tuple[int, Mapping[str, object]]]:
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: line {lineno}: bad JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: line {lineno}: expected an object")
+        yield lineno, obj
+
+
+def _tsv_rows(path: str, fh: TextIO) -> Iterator[tuple[int, Mapping[str, object]]]:
+    first = fh.readline()
+    if not first:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    header = first.rstrip("\n").split("\t")
+    for name in _DOC_FIELDS:
+        if name not in header:
+            raise ValueError(f"{path}: line 1: missing field {name}")
+    idx = {name: header.index(name) for name in header}
+    n = len(header)
+    for lineno, line in enumerate(fh, start=2):
+        if line == "\n":
+            continue
+        row = line.rstrip("\n").split("\t")
+        if len(row) != n:
+            raise ValueError(f"{path}: line {lineno}: expected {n} columns, got {len(row)}")
+        yield lineno, {name: row[i] for name, i in idx.items()}
 
 
 def load_corpus(path: str, format: str = "jsonl") -> list[Document]:
@@ -107,49 +160,15 @@ def load_corpus(path: str, format: str = "jsonl") -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        if format == "jsonl":
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ValueError(f"{path}: line {lineno}: bad JSON: {e}") from None
-                if not isinstance(obj, dict):
-                    raise ValueError(f"{path}: line {lineno}: expected an object")
-                try:
-                    doc = _doc_from_mapping(obj, lineno)
-                except ValueError as e:
-                    raise ValueError(f"{path}: {e}") from None
-                if doc.id in seen:
-                    raise ValueError(f"{path}: line {lineno}: duplicate id {doc.id!r}")
-                seen.add(doc.id)
-                docs.append(doc)
-        else:
-            first = fh.readline()
-            if not first:
-                raise ValueError(f"{path}: empty file, expected a header row")
-            header = first.rstrip("\n").split("\t")
-            for name in _DOC_FIELDS:
-                if name not in header:
-                    raise ValueError(f"{path}: line 1: missing field {name}")
-            idx = {name: header.index(name) for name in header}
-            n = len(header)
-            for lineno, line in enumerate(fh, start=2):
-                if line == "\n":
-                    continue
-                row = line.rstrip("\n").split("\t")
-                if len(row) != n:
-                    raise ValueError(f"{path}: line {lineno}: expected {n} columns, got {len(row)}")
-                obj = {name: row[i] for name, i in idx.items()}
-                try:
-                    doc = _doc_from_mapping(obj, lineno)
-                except ValueError as e:
-                    raise ValueError(f"{path}: {e}") from None
-                if doc.id in seen:
-                    raise ValueError(f"{path}: line {lineno}: duplicate id {doc.id!r}")
-                seen.add(doc.id)
-                docs.append(doc)
+        for lineno, obj in (_jsonl_rows if format == "jsonl" else _tsv_rows)(path, fh):
+            try:
+                doc = _doc_from_mapping(obj)
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
+            if doc.id in seen:
+                raise ValueError(f"{path}: line {lineno}: duplicate id {doc.id!r}")
+            seen.add(doc.id)
+            docs.append(doc)
     return docs
 
 
@@ -159,7 +178,7 @@ def dump_corpus(docs: Iterable[Document], format: str = "jsonl") -> str:
     if format == "jsonl":
         lines = []
         for d in docs:
-            obj = {"id": d.id, "text": d.text, "created_at": format_timestamp(d.created_at)}
+            obj = {"id": d.id, "text": d.text, "created_at": d.created_at}
             if d.lang:
                 obj["lang"] = d.lang
             lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
@@ -167,7 +186,7 @@ def dump_corpus(docs: Iterable[Document], format: str = "jsonl") -> str:
     rows = ["id\ttext\tcreated_at\tlang"]
     for d in docs:
         text = d.text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-        rows.append(f"{d.id}\t{text}\t{format_timestamp(d.created_at)}\t{d.lang}")
+        rows.append(f"{d.id}\t{text}\t{d.created_at}\t{d.lang}")
     return "\n".join(rows) + "\n"
 
 

@@ -209,7 +209,13 @@ def filter_by_seeds(docs: Iterable[Document], inventory: SeedInventory) -> list[
     if len(inventory) == 0:
         raise ValueError("seed inventory is empty")
     bases = inventory.bases
-    return [d for d in docs if doc_bases(d.text) & bases]
+    # every cluster whose base is b contains b[0], so a text holding no
+    # base's first codepoint needs no segmentation
+    firsts = sorted({ord(b[0]) for b in bases if b})
+    if not firsts:
+        return []
+    screen = re.compile(_cls(*((c, c) for c in firsts))).search
+    return [d for d in docs if screen(d.text) and doc_bases(d.text) & bases]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta, timezone
 
-from .corpus import Document, LabelRecord
+from .corpus import Document, LabelRecord, format_timestamp
 
 # neutral filler (greetings, weather, food, sports)
 NEUTRAL_WORDS = (
@@ -33,7 +33,8 @@ _T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
 
 def _doc(i: int, text: str) -> Document:
-    return Document(id=f"d{i:06d}", text=text, created_at=_T0 + timedelta(seconds=i))
+    created_at = format_timestamp(_T0 + timedelta(seconds=i))
+    return Document(id=f"d{i:06d}", text=text, created_at=created_at)
 
 
 def _sentence(rng: random.Random, words: tuple[str, ...], n: int) -> list[str]:

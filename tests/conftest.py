@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
-
 import pytest
 
 from anchorlex.corpus import Document, LabelRecord
 
-TS = datetime(2021, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
+TS = "2021-05-01T12:00:00Z"
 
 
 def doc(i: int, text: str, lang: str = "") -> Document:

@@ -1,0 +1,111 @@
+"""Golden record of the `corpus` benchmark workload's data files.
+
+Runs the workload's 11 stages (collect, normalize, dedup, mine-lexicon,
+emoji-stats, sample, match-violence, aggregate --queue, kappa, gate and
+report) on ``perfbench/gen.py``'s ``make_corpus_inputs`` at one seed and
+takes the sha256 of every data file: the 4 generated inputs and the 13
+stage outputs. Run manifests hold times and paths, so they are left out.
+
+Regenerate the record after a change that alters an output byte on
+purpose, and list each changed file with the reason in CHANGES.md:
+
+    PYTHONPATH=src python tests/golden_corpus.py --write
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy
+
+from anchorlex import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORD = Path(__file__).resolve().parent / "golden_corpus.json"
+SEED = 7
+
+
+def _load_gen():
+    """perfbench/gen.py, imported read-only without putting perfbench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stages(seed: int, p) -> list[list[str]]:
+    """The `corpus` workload's stage calls, as in perfbench/workloads.py."""
+    return [
+        ["collect", "--in", p("raw.jsonl"), "--out", p("anchored.jsonl")],
+        ["normalize", "--in", p("raw.jsonl"), "--out", p("normalized.jsonl")],
+        ["dedup", "--in", p("anchored.jsonl"), "--out", p("deduped.jsonl"),
+         "--dropped", p("dropped.tsv")],
+        ["mine-lexicon", "--in", p("deduped.jsonl"), "--labels", p("gold_labels.tsv"),
+         "--out", p("lexicon.tsv"), "--min-freq", "3"],
+        ["emoji-stats", "--in", p("deduped.jsonl"), "--labels", p("gold_labels.tsv"),
+         "--out", p("emoji_stats.tsv")],
+        ["sample", "--in", p("deduped.jsonl"), "--out", p("samples.tsv"),
+         "--k", "5", "--seed", str(seed)],
+        ["match-violence", "--in", p("deduped.jsonl"), "--out", p("violence.tsv")],
+        ["aggregate", "--judgments", p("judgments.tsv"), "--out", p("labels.tsv"),
+         "--queue", p("queue.tsv")],
+        ["kappa", "--judgments", p("judgments.tsv"), "--out", p("kappa.tsv")],
+        ["gate", "--judgments", p("judgments.tsv"), "--answers", p("gate_answers.tsv"),
+         "--out", p("gate.tsv")],
+        ["report", "--corpus", p("deduped.jsonl"), "--labels", p("labels.tsv"),
+         "--stats", p("emoji_stats.tsv"), "--lexicon", p("lexicon.tsv"),
+         "--out", p("report.txt")],
+    ]
+
+
+def run_digests(work: str, seed: int = SEED) -> dict[str, str]:
+    """Generate the inputs in `work`, run every stage, return file -> sha256."""
+    gen = _load_gen()
+    gen.make_corpus_inputs(seed, work, str(Path(cli.__file__).parent / "data"))
+    for argv in _stages(seed, lambda name: os.path.join(work, name)):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = cli.main(argv)
+        if rc != 0:
+            raise RuntimeError(f"{argv[0]} exited {rc}: {buf.getvalue()}")
+    return {
+        name: hashlib.sha256((Path(work) / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(work))
+        if not name.endswith(".manifest.json")
+    }
+
+
+def host() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--write", action="store_true", help=f"write {RECORD.name}")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        record = {**host(), "seed": SEED, "files": run_digests(work)}
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    if args.write:
+        RECORD.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

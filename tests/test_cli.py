@@ -4,7 +4,6 @@ import json
 import os
 import re
 import warnings
-from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +16,7 @@ from anchorlex.linear import load_model
 from anchorlex.synth import make_separable_corpus
 from anchorlex.util import sha256_file
 
-TS = datetime(2021, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
+TS = "2021-05-01T12:00:00Z"
 
 
 def usage_error(argv):
@@ -748,6 +747,20 @@ def test_manifest_records_input_digest_from_before_the_run(tmp_path):
     man = json.loads(open(path + ".manifest.json", encoding="utf-8").read())
     assert man["inputs"] == {path: before}
     assert man["outputs"] == {path: after}
+
+
+@pytest.mark.parametrize("stage", ["collect", "normalize"])
+@pytest.mark.parametrize("bad", ["2021-02-30T00:00:00Z", "0001-01-01T00:00:00+01:00"])
+def test_bad_timestamp_on_the_last_line_fails_cleanly(tmp_path, capsys, stage, bad):
+    raw = tmp_path / "raw.jsonl"
+    write_corpus(str(raw), [Document(id=f"d{i}", text="خنزير \U0001F437", created_at=TS) for i in range(3)])
+    with raw.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "d3", "text": "خنزير \U0001F437", "created_at": bad}) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main([stage, "--in", str(raw), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{raw}: line 4: bad timestamp {bad!r}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
 
 
 def test_failed_stdout_command_writes_no_manifest(tmp_path, capsys):

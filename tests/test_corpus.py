@@ -4,7 +4,7 @@ import re
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorlex import cli
@@ -12,6 +12,7 @@ from anchorlex.corpus import (
     DatasetSplit,
     Document,
     LabelRecord,
+    canonical_timestamp,
     dump_corpus,
     dump_labels,
     dump_split,
@@ -72,8 +73,57 @@ def test_parse_timestamp(raw, expected):
 
 
 def test_format_timestamp_round_trip():
-    assert format_timestamp(TS) == "2021-05-01T12:00:00Z"
-    assert parse_timestamp(format_timestamp(TS)) == TS
+    dt = datetime(2021, 5, 1, 12, tzinfo=timezone.utc)
+    assert format_timestamp(dt) == "2021-05-01T12:00:00Z"
+    assert parse_timestamp(format_timestamp(dt)) == dt
+
+
+def _outcome(f, value):
+    try:
+        return f(value)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def _timestamp_strings(draw) -> str:
+    year = draw(st.one_of(st.integers(1, 999), st.integers(1000, 9999)))
+    # day 31, hour 24 and second 60 make impossible dates and times
+    bounds = ((1, 12), (1, 31), (0, 24), (0, 59), (0, 60))
+    m, d, hh, mm, ss = (draw(st.integers(lo, hi)) for lo, hi in bounds)
+    date, time = f"{year:04d}-{m:02d}-{d:02d}", f"{hh:02d}:{mm:02d}:{ss:02d}"
+    if draw(st.booleans()):  # the canonical shape
+        return f"{date}T{time}Z"
+    frac = draw(st.sampled_from(["", ".5", ".999999"]))
+    tz = draw(st.sampled_from(["", "Z", "z", "+00:00", "+02:00", "-05:30", "+14:00"]))
+    s = date + draw(st.sampled_from("T ")) + time + frac + tz
+    if draw(st.booleans()):
+        s = s.translate(_ARABIC_INDIC) if draw(st.booleans()) else s[:4].translate(_ARABIC_INDIC) + s[4:]
+    return draw(st.sampled_from(["", " ", "\n"])) + s + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_timestamp_strings(), st.text(max_size=25)))
+@example("2021-02-30T00:00:00Z")
+@example("2023-02-29T12:00:00Z")
+@example("2021-05-01T24:00:00Z")
+@example("2021-05-01T23:59:60Z")
+def test_canonical_timestamp_matches_parse_then_format(value):
+    # same string or same error as the full parse; the fast path is only a shortcut
+    oracle = _outcome(lambda v: format_timestamp(parse_timestamp(v)), value)
+    assert _outcome(canonical_timestamp, value) == oracle
+
+
+def test_canonical_timestamp_keeps_a_canonical_string_and_rejects_impossible_ones():
+    s = "2021-05-01T12:00:00Z"
+    assert canonical_timestamp(s) is s
+    assert canonical_timestamp("2021-05-01 14:00:00.5+02:00") == s
+    for bad in ("2021-02-30T00:00:00Z", "2021-05-01T24:00:00Z", "0001-01-01T00:00:00+01:00"):
+        with pytest.raises(ValueError, match=f"^bad timestamp {re.escape(repr(bad))}: "):
+            canonical_timestamp(bad)
 
 
 def test_corpus_jsonl_round_trip(tmp_path):

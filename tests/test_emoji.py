@@ -307,6 +307,23 @@ def test_filter_by_seeds_keeps_order_and_matches_tones():
     assert [d.id for d in kept] == ["d001", "d002", "d004"]
 
 
+# a keycap, a flag, a lone skin tone, a ZWJ sequence and a VS16 form,
+# with their parts and near misses as the strings' building blocks
+_SCREEN_SEEDS = ("1" + VS16 + "⃣", "\U0001F1F8\U0001F1E6", TONE[3],
+                 "\U0001F3F3" + VS16 + ZWJ + "\U0001F308", "☠" + VS16)
+_SCREEN_PIECES = [*_SCREEN_SEEDS, "1", "2⃣", "⃣", "\U0001F1F8", "\U0001F1EA\U0001F1EC",
+                  "\U0001F3F3", "\U0001F308", "☠", "\U0001F44D", VS16, VS15, ZWJ, TONE[6],
+                  "ك", "ل", " "]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_SCREEN_PIECES), max_size=8).map("".join), max_size=6))
+def test_filter_by_seeds_matches_segmenting_every_text(texts):
+    inv = SeedInventory(tuple(SeedEntry(base_form(s), "other") for s in _SCREEN_SEEDS))
+    docs = [doc(i, t) for i, t in enumerate(texts)]
+    assert filter_by_seeds(docs, inv) == [d for d in docs if doc_bases(d.text) & inv.bases]
+
+
 def test_filter_by_seeds_empty_inventory():
     with pytest.raises(ValueError, match="empty"):
         filter_by_seeds([doc(0, "x")], SeedInventory(entries=()))
