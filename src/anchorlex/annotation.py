@@ -9,16 +9,13 @@ annotator pairs with enough shared items.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import HATE_TARGETS, LabelRecord, canonical_timestamp
+from .corpus import HATE_TARGETS, LABEL_CLASSES, LabelRecord, canonical_timestamp
 from .util import atomic_write_text, read_tsv
-
-JOBS = ("offensive", "hate", "vulgar", "violence")
 
 
 @dataclass(slots=True)
@@ -95,19 +92,9 @@ class GateResult:
     passed: bool
 
 
-def gate_annotator(
-    judgments: Iterable[Judgment], annotator_id: str, gate: QCGate
-) -> GateResult:
-    """Accuracy of one annotator's offensive-job judgments on the hidden test
-    items; pass is >= threshold. Gate answers are offensive-job answers."""
-    results = gate_all([j for j in judgments if j.annotator_id == annotator_id], gate)
-    if not results:
-        raise ValueError(f"annotator {annotator_id!r} judged no test items")
-    return results[0]
-
-
 def gate_all(judgments: Sequence[Judgment], gate: QCGate) -> list[GateResult]:
-    """Gate every annotator with an offensive-job judgment on a test item, in one scan."""
+    """Gate every annotator with an offensive-job judgment on a test item, in one
+    scan; pass is accuracy >= threshold on those items."""
     answers = gate.test_answers
     tally: dict[str, list[int]] = {}  # annotator -> [n_test, n_correct]
     for j in judgments:
@@ -203,20 +190,19 @@ def load_overrides(path: str) -> list[tuple[str, str, str]]:
 
 
 def aggregate_to_labels(
-    aggregated: Sequence[AggregatedLabel], dropped: list[str] | None = None
-) -> dict[str, LabelRecord]:
-    """Fold per-job majorities into LabelRecords.
+    aggregated: Sequence[AggregatedLabel],
+) -> tuple[dict[str, LabelRecord], list[str]]:
+    """Fold per-job majorities into LabelRecords; also the ids of dropped docs.
 
     Subsidiary labels (hate/vulgar/violence) only stick when the doc's
     offensive majority is positive; contradicting votes on clean docs
     are dropped so the invariant (subsidiary => offensive) holds by
-    construction. Their doc ids are appended to `dropped` when it is
-    given; without it, one warning per call counts them.
+    construction, and the second result lists those docs in order.
     """
-    skipped: list[str] = []
+    dropped: list[str] = []
     per_doc: dict[str, dict[str, AggregatedLabel]] = {}
     for a in aggregated:
-        if a.job not in JOBS:
+        if a.job not in LABEL_CLASSES:
             raise ValueError(f"{a.doc_id}: unknown job {a.job!r}")
         per_doc.setdefault(a.doc_id, {})[a.job] = a
     out: dict[str, LabelRecord] = {}
@@ -236,18 +222,10 @@ def aggregate_to_labels(
         if "violence" in jobs:
             violence = jobs["violence"].label == "1"
         if not offensive and (targets or vulgar or violence):
-            skipped.append(doc_id)
+            dropped.append(doc_id)
             targets, vulgar, violence = frozenset(), False, False
         out[doc_id] = LabelRecord(doc_id, offensive, targets, vulgar, violence)
-    if dropped is not None:
-        dropped.extend(skipped)
-    elif skipped:
-        warnings.warn(
-            f"dropped hate/vulgar/violence votes on {len(skipped)} non-offensive docs,"
-            f" first {skipped[0]}",
-            stacklevel=2,
-        )
-    return out
+    return out, dropped
 
 
 def apply_overrides(

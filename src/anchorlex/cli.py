@@ -186,8 +186,7 @@ def cmd_match_violence(args: argparse.Namespace) -> None:
 def cmd_aggregate(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     aggregated = anno.majority_vote(judgments)
-    dropped: list[str] = []
-    labels = anno.aggregate_to_labels(aggregated, dropped)
+    labels, dropped = anno.aggregate_to_labels(aggregated)
     if args.overrides:
         overrides = anno.load_overrides(args.overrides)
         try:
@@ -320,10 +319,6 @@ def cmd_report(args: argparse.Namespace) -> None:
     labels = corpus_mod.load_labels(args.labels)
     n = len(docs)
     labeled = [labels[d.id] for d in docs if d.id in labels]
-    n_off = sum(1 for r in labeled if r.offensive)
-    n_hate = sum(1 for r in labeled if r.is_hate)
-    n_vul = sum(1 for r in labeled if r.vulgar)
-    n_vio = sum(1 for r in labeled if r.violence)
     target_counts: dict[str, int] = {}
     for r in labeled:
         for t in r.hate_targets:
@@ -337,11 +332,10 @@ def cmd_report(args: argparse.Namespace) -> None:
         "=============",
         f"documents\t{n}",
         f"labeled\t{len(labeled)}",
-        f"offensive\t{n_off}\t{pct(n_off, len(labeled))}",
-        f"hate\t{n_hate}\t{pct(n_hate, len(labeled))}",
-        f"vulgar\t{n_vul}\t{pct(n_vul, len(labeled))}",
-        f"violence\t{n_vio}\t{pct(n_vio, len(labeled))}",
     ]
+    for c in corpus_mod.LABEL_CLASSES:
+        k = sum(1 for r in labeled if r.has(c))
+        lines.append(f"{c}\t{k}\t{pct(k, len(labeled))}")
     for t in sorted(target_counts, key=lambda t: (-target_counts[t], t)):
         lines.append(f"hate_target\t{t}\t{target_counts[t]}")
     for name, path in (("emoji-stats", args.stats), ("lexicon", args.lexicon), ("eval", args.eval)):
@@ -411,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--class",
         dest="positive_class",
-        choices=("offensive", "hate", "vulgar", "violence"),
+        choices=corpus_mod.LABEL_CLASSES,
         default="offensive",
     )
     _norm_flags(p)
@@ -473,7 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--target",
-        choices=("offensive", "hate", "vulgar", "violence"),
+        choices=corpus_mod.LABEL_CLASSES,
         default="offensive",
     )
     p.add_argument("--no-normalize", action="store_true", help="train on raw text")
@@ -490,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--part", choices=("train", "dev", "test"), default="test")
     p.add_argument(
         "--target",
-        choices=("offensive", "hate", "vulgar", "violence"),
+        choices=corpus_mod.LABEL_CLASSES,
         default="offensive",
     )
     p.add_argument("--out", help="write report here instead of stdout")

@@ -26,6 +26,9 @@ HATE_TARGETS = frozenset(
     {"gender", "race", "ideology", "social_class", "religion", "disability"}
 )
 
+# the label classes a record carries, read by LabelRecord.has
+LABEL_CLASSES = ("offensive", "hate", "vulgar", "violence")
+
 _SPLIT_NAMES = ("train", "dev", "test")
 
 
@@ -48,12 +51,13 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    # isoformat pads the year to four digits; strftime's %Y does not below 1000
+    return dt.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
 
 
-# strftime writes years below 1000 unpadded, and some Pythons read hour 24
-# as the next day's midnight, so neither is taken as already canonical
-_CANONICAL_TS = re.compile(r"[1-9][0-9]{3}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}Z")
+# some Pythons read hour 24 as the next day's midnight, so it is not taken
+# as already canonical
+_CANONICAL_TS = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}Z")
 
 
 def canonical_timestamp(value: str) -> str:
@@ -102,6 +106,10 @@ class LabelRecord:
     @property
     def is_hate(self) -> bool:
         return bool(self.hate_targets)
+
+    def has(self, label_class: str) -> bool:
+        """Whether the record is positive for label_class, one of LABEL_CLASSES."""
+        return self.is_hate if label_class == "hate" else getattr(self, label_class)
 
 
 # --- corpus I/O ---------------------------------------------------------
@@ -259,10 +267,6 @@ class DatasetSplit:
     def __post_init__(self) -> None:
         if self.train & self.dev or self.train & self.test or self.dev & self.test:
             raise ValueError("split parts must be disjoint")
-
-    @property
-    def all_ids(self) -> frozenset[str]:
-        return self.train | self.dev | self.test
 
     def part(self, name: str) -> frozenset[str]:
         if name not in _SPLIT_NAMES:

@@ -82,21 +82,6 @@ def base_form(display: str) -> str:
     return display.translate(_STRIP) or display
 
 
-@dataclass(frozen=True)
-class EmojiCluster:
-    display: str
-    base: str
-
-    @classmethod
-    def from_display(cls, display: str) -> "EmojiCluster":
-        return cls(display=display, base=base_form(display))
-
-
-def extract_emojis(text: str) -> list[EmojiCluster]:
-    """All emoji clusters in order of appearance (repeats included)."""
-    return [EmojiCluster.from_display(text[a:b]) for a, b in cluster_spans(text)]
-
-
 def doc_bases(text: str) -> set[str]:
     return {base_form(text[a:b]) for a, b in cluster_spans(text)}
 
@@ -192,13 +177,6 @@ def default_inventory() -> SeedInventory:
     ref = resources.files("anchorlex.data").joinpath("seed_emojis.tsv")
     with resources.as_file(ref) as p:
         return load_seed_inventory(str(p))
-
-
-def dump_seed_inventory(inv: SeedInventory) -> str:
-    lines = ["# seed emoji inventory: codepoints<TAB>category<TAB>comment"]
-    for e in inv.entries:
-        lines.append(f"{codepoints_hex(e.base)}\t{e.category}\t{e.comment}")
-    return "\n".join(lines) + "\n"
 
 
 # --- filtering, stats, sampling -----------------------------------------

@@ -16,7 +16,10 @@ import numpy as np
 
 from .emoji import alias_for, base_form, cluster_spans
 from .linear import LinearModel, score_texts
-from .textnorm import NormalizationConfig, normalize, tokenize
+from .textnorm import normalize, tokenize
+
+# ridge penalty of the surrogate fit; the intercept is not penalized
+RIDGE_LAMBDA = 1.0
 
 
 def replace_emoji_with_aliases(text: str) -> str:
@@ -31,9 +34,9 @@ def replace_emoji_with_aliases(text: str) -> str:
     return "".join(out)
 
 
-def explain_preprocess(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
+def explain_preprocess(text: str) -> str:
     """Mentions/URLs/newlines canonicalized, emoji aliased, repeats squashed."""
-    return normalize(replace_emoji_with_aliases(text), cfg)
+    return normalize(replace_emoji_with_aliases(text))
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ def explain(
     kernel_width: float = 0.25,
     top_k: int = 10,
     seed: int = 0,
-    ridge_lambda: float = 1.0,
     preprocess: bool = True,
 ) -> Explanation:
     """Attribution per token of one document under one model."""
@@ -82,7 +84,7 @@ def explain(
     A = np.hstack([np.ones((n_samples, 1)), masks])
     WA = A * weights[:, None]
     lhs = A.T @ WA
-    penalty = np.full(m + 1, ridge_lambda)
+    penalty = np.full(m + 1, RIDGE_LAMBDA)
     penalty[0] = 0.0
     lhs[np.diag_indices_from(lhs)] += penalty
     rhs = A.T @ (weights * scores)

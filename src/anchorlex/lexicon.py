@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .corpus import Document, LabelRecord
+from .corpus import LABEL_CLASSES, Document, LabelRecord
 from .textnorm import NormalizationConfig, normalize, tokenize
-from .util import read_table
 
 _DEFAULT = NormalizationConfig()
 
@@ -109,7 +107,7 @@ def mine_from_counts(
 def _partition(
     docs: Iterable[Document],
     labels: Mapping[str, LabelRecord],
-    positive: Callable[[LabelRecord], bool],
+    positive_class: str,
 ) -> tuple[list[str], list[str]]:
     pos_texts: list[str] = []
     neg_texts: list[str] = []
@@ -117,27 +115,8 @@ def _partition(
         rec = labels.get(d.id)
         if rec is None:
             raise ValueError(f"document {d.id!r} has no label record")
-        (pos_texts if positive(rec) else neg_texts).append(d.text)
+        (pos_texts if rec.has(positive_class) else neg_texts).append(d.text)
     return pos_texts, neg_texts
-
-
-_CLASS_PREDICATES: dict[str, Callable[[LabelRecord], bool]] = {
-    "offensive": lambda r: r.offensive,
-    "hate": lambda r: r.is_hate,
-    "vulgar": lambda r: r.vulgar,
-    "violence": lambda r: r.violence,
-}
-
-
-def mine_lexicon(
-    docs: Iterable[Document],
-    labels: Mapping[str, LabelRecord],
-    cfg: NormalizationConfig = _DEFAULT,
-    min_valence: float = 0.8,
-    min_freq: int = 5,
-) -> list[LexiconEntry]:
-    """High-valence terms of the offensive partition, most charged first."""
-    return mine_class_lexicon(docs, labels, "offensive", cfg, min_valence, min_freq)
 
 
 def mine_class_lexicon(
@@ -148,10 +127,10 @@ def mine_class_lexicon(
     min_valence: float = 0.8,
     min_freq: int = 5,
 ) -> list[LexiconEntry]:
-    """Like mine_lexicon but the positive partition is any label class."""
-    if positive_class not in _CLASS_PREDICATES:
+    """High-valence terms of one label class's partition, most charged first."""
+    if positive_class not in LABEL_CLASSES:
         raise ValueError(f"unknown class {positive_class!r}")
-    pos, neg = _partition(docs, labels, _CLASS_PREDICATES[positive_class])
+    pos, neg = _partition(docs, labels, positive_class)
     if not pos or not neg:
         raise ValueError(
             f"class {positive_class!r}: both partitions must be non-empty "
@@ -168,85 +147,4 @@ def dump_lexicon(entries: Iterable[LexiconEntry]) -> str:
     lines.extend(
         f"{e.term}\t{e.n_off}\t{e.n_cln}\t{e.valence:.6f}" for e in entries
     )
-    return "\n".join(lines) + "\n"
-
-
-# --- gazetteers and target distribution ---------------------------------
-
-
-@dataclass(frozen=True)
-class Gazetteer:
-    groups: Mapping[str, frozenset[str]]
-
-    def __post_init__(self) -> None:
-        if not self.groups:
-            raise ValueError("gazetteer has no groups")
-
-
-def load_gazetteer(path: str, cfg: NormalizationConfig = _DEFAULT) -> Gazetteer:
-    """Gazetteer TSV: group<TAB>term1,term2,...; terms are normalized on load."""
-    groups: dict[str, frozenset[str]] = {}
-    for lineno, cols in read_table(path):
-        if len(cols) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected group<TAB>terms")
-        group = cols[0].strip()
-        if group in groups:
-            raise ValueError(f"{path}: line {lineno}: duplicate group {group!r}")
-        terms = frozenset(normalize(t.strip(), cfg) for t in cols[1].split(",") if t.strip())
-        if not terms:
-            raise ValueError(f"{path}: line {lineno}: group {group!r} has no terms")
-        groups[group] = terms
-    if not groups:
-        raise ValueError(f"{path}: no groups defined")
-    return Gazetteer(groups=groups)
-
-
-def default_religious_gazetteer() -> Gazetteer:
-    ref = resources.files("anchorlex.data").joinpath("gazetteer_religious.tsv")
-    with resources.as_file(ref) as p:
-        return load_gazetteer(str(p))
-
-
-@dataclass(frozen=True)
-class GroupShare:
-    group: str
-    n_docs: int
-    share: float
-
-
-def target_distribution(
-    docs: Iterable[Document],
-    labels: Mapping[str, LabelRecord],
-    gazetteer: Gazetteer,
-    cfg: NormalizationConfig = _DEFAULT,
-) -> list[GroupShare]:
-    """How hate documents distribute over gazetteer groups.
-
-    A hate doc counts toward every group whose term set intersects the
-    doc's normalized token set; shares are fractions of all hate docs.
-    """
-    hate_docs = 0
-    counts: dict[str, int] = {g: 0 for g in gazetteer.groups}
-    for d in docs:
-        rec = labels.get(d.id)
-        if rec is None:
-            raise ValueError(f"document {d.id!r} has no label record")
-        if not rec.is_hate:
-            continue
-        hate_docs += 1
-        toks = set(tokenize(normalize(d.text, cfg)))
-        for g, terms in gazetteer.groups.items():
-            if toks & terms:
-                counts[g] += 1
-    out = [
-        GroupShare(group=g, n_docs=c, share=(c / hate_docs if hate_docs else 0.0))
-        for g, c in counts.items()
-    ]
-    out.sort(key=lambda s: (-s.n_docs, s.group))
-    return out
-
-
-def dump_target_distribution(shares: Iterable[GroupShare]) -> str:
-    lines = ["group\tn_docs\tshare"]
-    lines.extend(f"{s.group}\t{s.n_docs}\t{s.share:.6f}" for s in shares)
     return "\n".join(lines) + "\n"

@@ -50,14 +50,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DatasetSplit, Document, LabelRecord
+from .corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
 from .features import BLOCK_ROWS, FeatureConfig, FeatureSpace, fit_transform, ordered_row_sums, transform
-from .textnorm import NormalizationConfig, normalize
+from .textnorm import normalize
 from .util import atomic_write_text
 
 MODEL_FORMAT_VERSION = 1
-
-TARGETS = ("offensive", "hate", "vulgar", "violence")
 
 _EPS = 1e-12
 
@@ -271,15 +269,9 @@ class LinearModel:
 
 
 def target_value(rec: LabelRecord, target: str) -> int:
-    if target == "offensive":
-        return int(rec.offensive)
-    if target == "hate":
-        return int(rec.is_hate)
-    if target == "vulgar":
-        return int(rec.vulgar)
-    if target == "violence":
-        return int(rec.violence)
-    raise ValueError(f"unknown target {target!r}")
+    if target not in LABEL_CLASSES:
+        raise ValueError(f"unknown target {target!r}")
+    return int(rec.has(target))
 
 
 def train_model(
@@ -291,10 +283,9 @@ def train_model(
     seed: int = 0,
     target: str = "offensive",
     normalize_text: bool = True,
-    norm_config: NormalizationConfig = NormalizationConfig(),
 ) -> LinearModel:
     """Fit features on the train split only, then train the SVM on it."""
-    if target not in TARGETS:
+    if target not in LABEL_CLASSES:
         raise ValueError(f"unknown target {target!r}")
     train_docs = [d for d in docs if d.id in split.train]
     if not train_docs:
@@ -303,7 +294,7 @@ def train_model(
     if missing:
         raise ValueError(f"unlabeled train documents, e.g. {missing[0]!r}")
     texts = [
-        normalize(d.text, norm_config) if normalize_text else d.text
+        normalize(d.text) if normalize_text else d.text
         for d in train_docs
     ]
     yv = [target_value(labels[d.id], target) for d in train_docs]

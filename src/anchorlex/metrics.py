@@ -91,23 +91,3 @@ def dump_report(report: EvalReport) -> str:
         lines.append(f"confusion_{g}{p}\t{v}")
     return "\n".join(lines) + "\n"
 
-
-def parse_report(text: str) -> dict[str, object]:
-    """key -> value mapping of a dumped report.
-
-    Single numeric fields come back as int/float; multi-column lines
-    (the per-class rows) stay as their raw tab-joined string.
-    """
-    out: dict[str, object] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, rest = line.partition("\t")
-        if "\t" in rest:
-            out[key] = rest
-            continue
-        try:
-            out[key] = int(rest) if rest.isdigit() else float(rest)
-        except ValueError:
-            out[key] = rest
-    return out

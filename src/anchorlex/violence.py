@@ -10,7 +10,7 @@ expanded object (V_THEN_O), and a hitting noun + "on" + body part
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -59,31 +59,28 @@ class PatternRule:
             raise ValueError(f"rule {self.name!r} has no object classes")
 
 
-@dataclass(frozen=True)
-class ExpansionTable:
-    """Closed affix inventory; expansion size is a fixed function of it."""
-
-    # pure prepends: conjunctions, tense/aspect markers, their combos
-    verb_prefixes: tuple[str, ...] = (
-        "و", "ف", "س", "ب", "ح", "وس", "وب", "وح", "فس", "فب", "فح",
-    )
-    # substituted for the leading imperfect yaa of a verb stem, giving
-    # first/second/plural person variants (hamza already normalized to alef)
-    person_markers: tuple[str, ...] = ("ا", "ن", "ت", "ي")
-    noun_prefixes: tuple[str, ...] = ("و", "ف", "ال", "بال", "عال")
-    noun_suffixes: tuple[str, ...] = ("ك", "كم", "كن", "ه", "ها", "هم", "ي", "نا")
-    # object pronouns that attach directly to a verb token ("I will kill you")
-    object_pronoun_suffixes: tuple[str, ...] = ("ك", "كم", "كن", "ه", "ها", "هم")
+# The closed affix inventory; expansion size is a fixed function of it.
+# pure prepends: conjunctions, tense/aspect markers, their combos
+VERB_PREFIXES = (
+    "و", "ف", "س", "ب", "ح", "وس", "وب", "وح", "فس", "فب", "فح",
+)
+# substituted for the leading imperfect yaa of a verb stem, giving
+# first/second/plural person variants (hamza already normalized to alef)
+PERSON_MARKERS = ("ا", "ن", "ت", "ي")
+NOUN_PREFIXES = ("و", "ف", "ال", "بال", "عال")
+NOUN_SUFFIXES = ("ك", "كم", "كن", "ه", "ها", "هم", "ي", "نا")
+# object pronouns that attach directly to a verb token ("I will kill you")
+OBJECT_PRONOUN_SUFFIXES = ("ك", "كم", "كن", "ه", "ها", "هم")
 
 
-def _verb_variants(stem: str, table: ExpansionTable) -> set[str]:
+def _verb_variants(stem: str) -> set[str]:
     variants = {stem}
     if stem.startswith("ي") and len(stem) > 2:
-        variants.update(m + stem[1:] for m in table.person_markers)
+        variants.update(m + stem[1:] for m in PERSON_MARKERS)
     return variants
 
 
-def expand(stem: str, kind: str, table: ExpansionTable = ExpansionTable()) -> frozenset[str]:
+def expand(stem: str, kind: str) -> frozenset[str]:
     """All surface forms of one normalized stem.
 
     kind "verb": person variants of a yaa-initial stem, then every verb
@@ -96,9 +93,9 @@ def expand(stem: str, kind: str, table: ExpansionTable = ExpansionTable()) -> fr
     if not stem:
         raise ValueError("empty stem")
     if kind == "verb":
-        variants = _verb_variants(stem, table)
+        variants = _verb_variants(stem)
         forms = set(variants)
-        forms.update(p + v for p in table.verb_prefixes for v in variants)
+        forms.update(p + v for p in VERB_PREFIXES for v in variants)
         return frozenset(forms)
     if kind == "noun":
         bases = {stem}
@@ -107,10 +104,10 @@ def expand(stem: str, kind: str, table: ExpansionTable = ExpansionTable()) -> fr
             # ambiguous after taa-marbuta folding; generate both joins
             suffix_bases.add(stem[:-1] + "ت")
         forms = set()
-        for p in ("", *table.noun_prefixes):
+        for p in ("", *NOUN_PREFIXES):
             for b in bases:
                 forms.add(p + b)
-            for s in table.noun_suffixes:
+            for s in NOUN_SUFFIXES:
                 for b in suffix_bases:
                     forms.add(p + b + s)
         return frozenset(forms)
@@ -193,13 +190,11 @@ class PatternMatch:
 class CompiledRules:
     rules: tuple[PatternRule, ...]
     expansions: Mapping[str, frozenset[str]]
-    table: ExpansionTable = field(default_factory=ExpansionTable)
 
 
 def compile_rules(
     rules: Sequence[PatternRule] | None = None,
     classes: Mapping[str, LexicalClass] | None = None,
-    table: ExpansionTable = ExpansionTable(),
 ) -> CompiledRules:
     rules = tuple(rules) if rules is not None else default_rules()
     classes = dict(classes) if classes is not None else default_classes()
@@ -213,11 +208,11 @@ def compile_rules(
         name: frozenset(
             form
             for stem in cls.members
-            for form in expand(stem, kind_of(name), table)
+            for form in expand(stem, kind_of(name))
         )
         for name, cls in classes.items()
     }
-    return CompiledRules(rules=rules, expansions=expansions, table=table)
+    return CompiledRules(rules=rules, expansions=expansions)
 
 
 def _match_object(token: str, rule: PatternRule, compiled: CompiledRules) -> bool:
@@ -227,8 +222,8 @@ def _match_object(token: str, rule: PatternRule, compiled: CompiledRules) -> boo
     return False
 
 
-def _verb_with_object_suffix(token: str, verb_forms: frozenset[str], table: ExpansionTable) -> bool:
-    for suf in table.object_pronoun_suffixes:
+def _verb_with_object_suffix(token: str, verb_forms: frozenset[str]) -> bool:
+    for suf in OBJECT_PRONOUN_SUFFIXES:
         if len(token) > len(suf) and token.endswith(suf) and token[: -len(suf)] in verb_forms:
             return True
     return False
@@ -236,7 +231,7 @@ def _verb_with_object_suffix(token: str, verb_forms: frozenset[str], table: Expa
 
 def match_violence(
     tokens: Sequence[str],
-    compiled: CompiledRules | None = None,
+    compiled: CompiledRules,
 ) -> list[PatternMatch]:
     """All rule matches over a normalized token sequence.
 
@@ -244,8 +239,6 @@ def match_violence(
     object. For rules whose objects include <human>, a verb carrying an
     attached object pronoun matches as a single token.
     """
-    if compiled is None:
-        compiled = _default_compiled()
     out: list[PatternMatch] = []
     n = len(tokens)
     for rule in compiled.rules:
@@ -254,7 +247,7 @@ def match_violence(
         for i, tok in enumerate(tokens):
             if rule.shape == V_THEN_O:
                 if takes_human and _verb_with_object_suffix(
-                    tok, trigger_forms, compiled.table
+                    tok, trigger_forms
                 ):
                     out.append(
                         PatternMatch(rule.name, i, i + 1, (tok,))
@@ -294,19 +287,9 @@ def match_violence(
     return out
 
 
-_COMPILED_CACHE: CompiledRules | None = None
-
-
-def _default_compiled() -> CompiledRules:
-    global _COMPILED_CACHE
-    if _COMPILED_CACHE is None:
-        _COMPILED_CACHE = compile_rules()
-    return _COMPILED_CACHE
-
-
 def match_violence_text(
     text: str,
-    compiled: CompiledRules | None = None,
+    compiled: CompiledRules,
     cfg: NormalizationConfig = _NORM,
 ) -> list[PatternMatch]:
     """Normalize + tokenize, then match."""

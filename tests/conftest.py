@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from anchorlex.corpus import Document, LabelRecord
@@ -27,6 +29,19 @@ def label(
         vulgar=vulgar,
         violence=violence,
     )
+
+
+def make_label_set(n_total: int, n_positive: int, seed: int = 0) -> dict[str, LabelRecord]:
+    """Bare label records (no texts) with an exact positive count."""
+    if not (0 <= n_positive <= n_total):
+        raise ValueError("need 0 <= n_positive <= n_total")
+    rng = random.Random(seed)
+    flags = [True] * n_positive + [False] * (n_total - n_positive)
+    rng.shuffle(flags)
+    return {
+        f"d{i:06d}": LabelRecord(doc_id=f"d{i:06d}", offensive=flag)
+        for i, flag in enumerate(flags)
+    }
 
 
 @pytest.fixture

@@ -18,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from anchorlex.corpus import DatasetSplit, Document, LabelRecord
+from anchorlex.corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
 from anchorlex.features import FeatureConfig, FeatureSpace
-from anchorlex.linear import TARGETS, LinearModel, target_value
+from anchorlex.linear import LinearModel, target_value
 from anchorlex.textnorm import NormalizationConfig, normalize, tokenize
 
 import svm_reference
@@ -123,7 +123,7 @@ def train_model(
     norm_config: NormalizationConfig = NormalizationConfig(),
 ) -> LinearModel:
     """Fit features on the train split only, then train the SVM on it."""
-    if target not in TARGETS:
+    if target not in LABEL_CLASSES:
         raise ValueError(f"unknown target {target!r}")
     train_docs = [d for d in docs if d.id in split.train]
     if not train_docs:

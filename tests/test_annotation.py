@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,6 @@ from anchorlex.annotation import (
     dump_gate_results,
     dump_judgments,
     gate_all,
-    gate_annotator,
     load_gate_answers,
     load_judgments,
     load_overrides,
@@ -162,7 +160,8 @@ def test_aggregate_to_labels_basic():
         + _votes("d1", "vulgar", ["0", "0", "0"])
         + _votes("d2", "offensive", ["0", "0", "0"])
     )
-    labels = aggregate_to_labels(majority_vote(js))
+    labels, dropped = aggregate_to_labels(majority_vote(js))
+    assert dropped == []
     assert labels["d1"].offensive and labels["d1"].hate_targets == frozenset({"religion"})
     assert not labels["d1"].vulgar
     assert not labels["d2"].offensive
@@ -170,24 +169,14 @@ def test_aggregate_to_labels_basic():
 
 def test_aggregate_subsidiary_on_clean_doc_dropped_with_warning():
     js = _votes("d1", "offensive", ["0", "0"]) + _votes("d1", "violence", ["1", "1"])
-    with pytest.warns(UserWarning):
-        labels = aggregate_to_labels(majority_vote(js))
+    labels, dropped = aggregate_to_labels(majority_vote(js))
     assert not labels["d1"].offensive and not labels["d1"].violence
-    # two such docs: one warning for the call, with the count and the first doc
+    assert dropped == ["d1"]
+    # two such docs: both ids come back, in order
     js += _votes("d2", "offensive", ["0", "0"]) + _votes("d2", "hate", ["race", "race"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        labels = aggregate_to_labels(majority_vote(js))
-    assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
-    assert "on 2 non-offensive docs, first d1" in str(caught[0].message)
+    labels, dropped = aggregate_to_labels(majority_vote(js))
     assert not labels["d2"].offensive and not labels["d2"].hate_targets
-    # a caller that passes `dropped` gets the doc ids there and no warning
-    dropped = ["kept"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert aggregate_to_labels(majority_vote(js), dropped) == labels
-    assert caught == []
-    assert dropped == ["kept", "d1", "d2"]
+    assert dropped == ["d1", "d2"]
 
 
 def test_aggregate_requires_offensive_job():
@@ -221,13 +210,13 @@ def test_gate_threshold_boundary():
     answers = {f"t{i}": "1" for i in range(5)}
     gate = QCGate(test_answers=answers, pass_threshold=0.8)
     js = [J(f"t{i}", "good", lab="1") for i in range(4)] + [J("t4", "good", lab="0")]
-    res = gate_annotator(js, "good", gate)
+    (res,) = gate_all(js, gate)
     assert res.accuracy == pytest.approx(0.8) and res.passed  # >= is a pass
     js_bad = [J(f"t{i}", "bad", lab="1") for i in range(3)] + [
         J("t3", "bad", lab="0"),
         J("t4", "bad", lab="0"),
     ]
-    assert not gate_annotator(js_bad, "bad", gate).passed
+    assert not gate_all(js_bad, gate)[0].passed
 
 
 def test_gate_counts_only_offensive_judgments():
@@ -241,16 +230,15 @@ def test_gate_counts_only_offensive_judgments():
         J("t2", "perfect", job="vulgar", lab="1"),
         J("t1", "hate_only", job="hate", lab="0"),
     ]
-    res = gate_annotator(js, "perfect", gate)
-    assert (res.n_test, res.n_correct, res.accuracy, res.passed) == (3, 3, 1.0, True)
     # an annotator with no offensive judgment on a test item is not gated
-    assert [r.annotator_id for r in gate_all(js, gate)] == ["perfect"]
+    (res,) = gate_all(js, gate)
+    assert res.annotator_id == "perfect"
+    assert (res.n_test, res.n_correct, res.accuracy, res.passed) == (3, 3, 1.0, True)
 
 
 def test_gate_no_test_items_errors():
     gate = QCGate(test_answers={"t0": "1"})
-    with pytest.raises(ValueError):
-        gate_annotator([J("other", "a", lab="1")], "a", gate)
+    assert gate_all([J("other", "a", lab="1")], gate) == []
 
 
 def test_gate_all_sorted_and_dump():
@@ -502,10 +490,10 @@ def test_avg_pairwise_kappa_matches_reference(js, min_shared, job):
 def test_gate_matches_reference(js, answers, threshold, annotator):
     gate = QCGate(answers, threshold)
     assert gate_all(js, gate) == annotation_reference.gate_all(js, gate)
-    # an annotator with no test items is an error in both
-    assert _outcome(gate_annotator, js, annotator, gate) == _outcome(
-        annotation_reference.gate_annotator, js, annotator, gate
-    )
+    # the annotator's row, or none where the reference finds no test items
+    ref = _outcome(annotation_reference.gate_annotator, js, annotator, gate)
+    row = [r for r in gate_all(js, gate) if r.annotator_id == annotator]
+    assert row == ([] if isinstance(ref, str) else [ref])
 
 
 @pytest.mark.parametrize("min_shared", [4, 5, 6])

@@ -125,6 +125,21 @@ def test_collect_tsv_format(tmp_path):
     assert [d.id for d in load_corpus(out, "tsv")] == ["d1"]
 
 
+def test_collect_then_dedup_keep_a_year_below_1000(tmp_path):
+    # collect writes the year with four digits, so dedup reads its output back
+    raw, kept, deduped = (str(tmp_path / n) for n in ("raw.jsonl", "kept.jsonl", "dedup.jsonl"))
+    rows = [
+        {"id": "d1", "text": "يا خنزير قذر \U0001F437", "created_at": "0999-01-01T00:00:00Z"},
+        {"id": "d2", "text": "سكين على رقبتك يا حقير \U0001F52A", "created_at": "1000-01-01T01:00:00+02:00"},
+    ]
+    Path(raw).write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+    assert cli.main(["collect", "--in", raw, "--out", kept]) == 0
+    assert cli.main(["dedup", "--in", kept, "--out", deduped]) == 0
+    want = ["0999-01-01T00:00:00Z", "0999-12-31T23:00:00Z"]
+    assert [d.created_at for d in load_corpus(kept)] == want
+    assert [d.created_at for d in load_corpus(deduped)] == want
+
+
 def test_dedup_drops_short_and_exact(tmp_path, capsys):
     docs = [
         Document(id="a", text="كلام طويل بما يكفي هنا", created_at=TS),
@@ -445,7 +460,8 @@ def test_split_reads_a_field_past_the_csv_field_limit(tmp_path):
     labels.write_text("doc_id\toffensive\thate_targets\tvulgar\tviolence\n" + rows, encoding="utf-8")
     out = str(tmp_path / "split.tsv")
     assert cli.main(["split", "--labels", str(labels), "--out", out]) == 0
-    assert long_id in load_split(out).all_ids
+    split = load_split(out)
+    assert long_id in split.train | split.dev | split.test
 
 
 # --- model commands ----------------------------------------------------------

@@ -26,10 +26,9 @@ from anchorlex.corpus import (
     write_labels,
     write_split,
 )
-from anchorlex.synth import make_label_set
 from anchorlex.util import round_half_up
 
-from conftest import TS, doc, label
+from conftest import TS, doc, label, make_label_set
 
 
 # --- documents and labels -------------------------------------------------
@@ -225,7 +224,7 @@ def test_stratified_split_exact_class_counts():
     neg = set(labels) - pos
     assert len(split.dev & neg) == 2 and len(split.test & neg) == 4
     assert len(split.train & neg) == 14
-    assert split.all_ids == frozenset(labels)
+    assert split.train | split.dev | split.test == frozenset(labels)
 
 
 def test_stratified_split_deterministic_and_seed_sensitive():

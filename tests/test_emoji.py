@@ -8,7 +8,6 @@ import emoji_reference
 from anchorlex import emoji_ranges as er
 from anchorlex.corpus import Document, LabelRecord
 from anchorlex.emoji import (
-    EmojiCluster,
     SeedEntry,
     SeedInventory,
     alias_for,
@@ -18,9 +17,7 @@ from anchorlex.emoji import (
     default_inventory,
     doc_bases,
     dump_emoji_stats,
-    dump_seed_inventory,
     emoji_stats,
-    extract_emojis,
     filter_by_seeds,
     load_seed_inventory,
     parse_codepoints,
@@ -139,7 +136,7 @@ VECTORS = [
 
 @pytest.mark.parametrize("text,expected", VECTORS, ids=range(1, len(VECTORS) + 1))
 def test_extraction_vectors(text, expected):
-    got = [(c.display, c.base) for c in extract_emojis(text)]
+    got = [(text[a:b], base_form(text[a:b])) for a, b in cluster_spans(text)]
     assert got == expected
 
 
@@ -217,11 +214,6 @@ def test_doc_bases_dedupes():
     assert doc_bases("\U0001F437 \U0001F437\U0001F3FF") == {"\U0001F437"}
 
 
-def test_cluster_dataclass_round_trip():
-    c = EmojiCluster.from_display("\U0001F44D\U0001F3FF")
-    assert c.base == "\U0001F44D" and c.display == "\U0001F44D\U0001F3FF"
-
-
 # --- aliases ---------------------------------------------------------------
 
 
@@ -278,7 +270,8 @@ def test_inventory_rejects_duplicates_and_bad_category():
 def test_inventory_file_round_trip(tmp_path):
     inv = default_inventory()
     p = tmp_path / "seeds.tsv"
-    p.write_text(dump_seed_inventory(inv), encoding="utf-8")
+    rows = [f"{codepoints_hex(e.base)}\t{e.category}\t{e.comment}\n" for e in inv.entries]
+    p.write_text("# codepoints<TAB>category<TAB>comment\n" + "".join(rows), encoding="utf-8")
     again = load_seed_inventory(str(p))
     assert again.bases == inv.bases
     assert all(again.category_of(b) == inv.category_of(b) for b in inv.bases)

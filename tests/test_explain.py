@@ -8,6 +8,7 @@ import pytest
 
 from anchorlex.corpus import stratified_split
 from anchorlex.explain import (
+    RIDGE_LAMBDA,
     dump_explanation,
     explain,
     explain_preprocess,
@@ -89,8 +90,8 @@ def test_explain_single_token_closed_form():
     # equations by hand; recomputed here from the very masks the
     # explainer draws.
     model = _toy_model(weights=[2.0], vocab_words=["bad"])
-    n, lam, kw, seed = 400, 1.0, 0.25, 11
-    ex = explain("bad", model, n_samples=n, kernel_width=kw, seed=seed, ridge_lambda=lam, preprocess=False)
+    n, lam, kw, seed = 400, RIDGE_LAMBDA, 0.25, 11
+    ex = explain("bad", model, n_samples=n, kernel_width=kw, seed=seed, preprocess=False)
 
     masks = np.random.default_rng(seed).integers(0, 2, size=(n, 1))
     n1 = int(masks.sum())

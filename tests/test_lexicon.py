@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -11,14 +10,9 @@ from hypothesis import strategies as st
 from anchorlex.corpus import LabelRecord
 from anchorlex.lexicon import (
     TermCounts,
-    default_religious_gazetteer,
     dump_lexicon,
-    dump_target_distribution,
-    load_gazetteer,
     mine_class_lexicon,
     mine_from_counts,
-    mine_lexicon,
-    target_distribution,
     valence,
 )
 from anchorlex.textnorm import normalize, tokenize
@@ -154,9 +148,9 @@ def test_mine_lexicon_empty_partition_errors():
     all_pos = {"d000": label(0, offensive=True), "d001": label(1, offensive=True)}
     all_neg = {"d000": label(0), "d001": label(1)}
     with pytest.raises(ValueError, match="non-empty"):
-        mine_lexicon(docs, all_pos)
+        mine_class_lexicon(docs, all_pos, "offensive")
     with pytest.raises(ValueError, match="non-empty"):
-        mine_lexicon(docs, all_neg)
+        mine_class_lexicon(docs, all_neg, "offensive")
 
 
 def test_mine_class_lexicon_targets_violence(tiny_corpus):
@@ -177,55 +171,3 @@ def test_dump_lexicon_format():
     lines = text.splitlines()
     assert lines[0] == "term\tn_off\tn_cln\tvalence"
     assert lines[1] == "bad\t5\t0\t1.000000"
-
-
-# --- gazetteer -------------------------------------------------------------
-
-
-def test_default_gazetteer_loads_and_is_normalized():
-    gaz = default_religious_gazetteer()
-    assert len(gaz.groups) >= 3
-    for terms in gaz.groups.values():
-        for t in terms:
-            assert normalize(t) == t
-
-
-def test_load_gazetteer_normalizes(tmp_path):
-    p = tmp_path / "gaz.tsv"
-    p.write_text("g1\tأهلا,مدرسة\n", encoding="utf-8")
-    gaz = load_gazetteer(str(p))
-    assert gaz.groups["g1"] == frozenset({"اهلا", "مدرسه"})
-
-
-def test_empty_gazetteer_names_its_file(tmp_path):
-    p = tmp_path / "gaz.tsv"
-    p.write_text("# group<TAB>terms\n\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
-        load_gazetteer(str(p))
-
-
-def test_target_distribution_shares():
-    docs = [
-        doc(0, "كلام عن اليهود"),
-        doc(1, "كلام عن المسلمين"),
-        doc(2, "كلام عادي"),
-    ]
-    labels = {
-        "d000": label(0, offensive=True, hate_targets=("religion",)),
-        "d001": label(1, offensive=True, hate_targets=("religion",)),
-        "d002": label(2, offensive=True, hate_targets=("religion",)),
-    }
-    gaz = default_religious_gazetteer()
-    shares = {s.group: s for s in target_distribution(docs, labels, gaz)}
-    assert shares["jews"].n_docs == 1
-    assert shares["jews"].share == pytest.approx(1 / 3)
-    assert shares["muslims"].n_docs == 1
-    text = dump_target_distribution(shares.values())
-    assert text.startswith("group\tn_docs\tshare")
-
-
-def test_target_distribution_no_hate_docs():
-    docs = [doc(0, "x")]
-    labels = {"d000": label(0)}
-    shares = target_distribution(docs, labels, default_religious_gazetteer())
-    assert all(s.share == 0.0 and s.n_docs == 0 for s in shares)

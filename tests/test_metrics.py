@@ -8,7 +8,6 @@ from anchorlex.metrics import (
     dump_report,
     evaluate,
     evaluate_predictions,
-    parse_report,
 )
 from anchorlex.util import atomic_write_text
 
@@ -76,12 +75,20 @@ def test_evaluate_predictions_joins_on_ids():
 def test_report_round_trip(tmp_path):
     rep = evaluate([1, 1, 0, 0], [1, 1, 1, 0])
     text = dump_report(rep)
-    lines = text.splitlines()
-    assert lines[0] == "n\t4"
-    assert lines[1].startswith("accuracy\t0.7500000000")
-    parsed = parse_report(text)
-    assert parsed["accuracy"] == pytest.approx(rep.accuracy, abs=1e-10)
-    assert parsed["macro_f1"] == pytest.approx(rep.macro_f1, abs=1e-10)
+    # class 0: tp=1 fn=1, so P=1 R=1/2; class 1: tp=2 fp=1, so P=2/3 R=1
+    assert text.splitlines() == [
+        "n\t4",
+        "accuracy\t0.7500000000",
+        "macro_precision\t0.8333333333",
+        "macro_recall\t0.7500000000",
+        "macro_f1\t0.7333333333",
+        "class_0\tprecision=1.0000000000\trecall=0.5000000000\tf1=0.6666666667\tsupport=2",
+        "class_1\tprecision=0.6666666667\trecall=1.0000000000\tf1=0.8000000000\tsupport=2",
+        "confusion_00\t1",
+        "confusion_01\t1",
+        "confusion_10\t0",
+        "confusion_11\t2",
+    ]
     p = tmp_path / "report.tsv"
-    atomic_write_text(str(p), dump_report(rep))
-    assert parse_report(p.read_text(encoding="utf-8")) == parsed
+    atomic_write_text(str(p), text)
+    assert p.read_text(encoding="utf-8") == text

@@ -4,8 +4,9 @@ import pytest
 
 from anchorlex.textnorm import normalize, tokenize
 from anchorlex.violence import (
+    PERSON_MARKERS,
+    VERB_PREFIXES,
     CompiledRules,
-    ExpansionTable,
     LexicalClass,
     PatternRule,
     compile_rules,
@@ -29,6 +30,8 @@ YOU = "انت"  # anta: you
 SLAP = "كف"  # kaff: slap
 FACE = "وجه"  # wajh: face
 ON = normalize("على")  # 'ala -> 'ali after maksura folding
+
+RULES = compile_rules()  # the bundled classes and rules
 
 
 # --- expansion -------------------------------------------------------------
@@ -103,60 +106,60 @@ def test_kind_of_classes():
 def test_match_verb_then_object_within_gap():
     for gap_words in ([], ["غدا"], ["غدا", "قريبا"]):
         toks = [HIT] + gap_words + [HEAD + "ك"]
-        matches = match_violence(toks)
+        matches = match_violence(toks, RULES)
         assert any(m.rule == "hit_human_or_body" for m in matches), toks
 
 
 def test_match_gap_limit_excludes_distant_object():
     toks = [HIT, "a", "b", "c", HEAD + "ك"]  # gap 3 > max_gap 2
-    assert match_violence(toks) == []
+    assert match_violence(toks, RULES) == []
 
 
 def test_match_kill_human_pronoun():
     toks = [KILL, YOU]
-    assert any(m.rule == "kill_human" for m in match_violence(toks))
+    assert any(m.rule == "kill_human" for m in match_violence(toks, RULES))
 
 
 def test_match_verb_with_attached_object_pronoun():
     # one token: sa-aqtul-uk ("I will kill you")
     tok = "ساقتلك"
-    matches = match_violence([tok])
+    matches = match_violence([tok], RULES)
     assert any(m.rule == "kill_human" and m.tokens == (tok,) for m in matches)
 
 
 def test_match_hitnoun_on_body():
     # kaff 'ala wajhak: "a slap on your face"
     toks = [SLAP, ON, FACE + "ك"]
-    matches = match_violence(toks)
+    matches = match_violence(toks, RULES)
     assert any(m.rule == "hitnoun_on_body" for m in matches)
 
 
 def test_match_hitnoun_contracted_on_body():
     # kaff 'al-wajh: contracted "on the face"
     toks = [SLAP, "عال" + FACE]
-    matches = match_violence(toks)
+    matches = match_violence(toks, RULES)
     assert any(m.rule == "hitnoun_on_body" for m in matches)
 
 
 def test_match_hitnoun_needs_connective():
     # slap then body with no 'ala in between: no pattern
-    assert match_violence([SLAP, FACE]) == []
+    assert match_violence([SLAP, FACE], RULES) == []
 
 
 def test_match_text_wrapper_normalizes():
     # raw text with unnormalized 'ala and a future verb
-    matches = match_violence_text("سأضرب رأسك")
+    matches = match_violence_text("سأضرب رأسك", RULES)
     assert any(m.rule == "hit_human_or_body" for m in matches)
 
 
 def test_no_match_on_clean_text():
-    assert match_violence_text("الجو جميل اليوم") == []
-    assert match_violence_text("أحب القهوة كثيرا") == []
+    assert match_violence_text("الجو جميل اليوم", RULES) == []
+    assert match_violence_text("أحب القهوة كثيرا", RULES) == []
 
 
 def test_match_positions_and_order():
     toks = [HIT, HEAD, "x", KILL, YOU]
-    matches = match_violence(toks)
+    matches = match_violence(toks, RULES)
     assert [m.rule for m in matches] == ["hit_human_or_body", "kill_human"]
     first = matches[0]
     assert (first.start, first.end) == (0, 2)
@@ -166,7 +169,7 @@ def test_match_positions_and_order():
 def test_one_match_per_rule_and_trigger():
     # two candidate objects for one verb: only the nearest is reported
     toks = [HIT, HEAD, FACE]
-    matches = [m for m in match_violence(toks) if m.rule == "hit_human_or_body"]
+    matches = [m for m in match_violence(toks, RULES) if m.rule == "hit_human_or_body"]
     assert len(matches) == 1
     assert matches[0].tokens == (HIT, HEAD)
 
@@ -242,13 +245,13 @@ def test_lexical_class_validation():
         LexicalClass(name="head", members=())
     with pytest.raises(ValueError, match="unknown"):
         LexicalClass(name="weather", members=("x",))
-    # empty prefix tables are legal: expansion then yields bare variants only
-    bare = expand(KILL, "verb", ExpansionTable(verb_prefixes=()))
-    assert KILL in bare and "س" + KILL not in bare
+    # a verb's forms are its person variants, bare or under one verb prefix
+    variants = {KILL} | {m + KILL[1:] for m in PERSON_MARKERS}
+    assert expand(KILL, "verb") == variants | {p + v for p in VERB_PREFIXES for v in variants}
 
 
 def test_dump_matches_format():
-    matches = match_violence([HIT, HEAD])
+    matches = match_violence([HIT, HEAD], RULES)
     text = dump_matches([("docA", m) for m in matches])
     lines = text.splitlines()
     assert lines[0] == "doc_id\trule\tstart\tend\tspan"
