@@ -6,9 +6,16 @@ carries a seed emoji, 70/10/20 stratified split), featurized with the
 CLI's default char+word tf-idf features by `fit_transform`, the one
 gram pass `train` runs. The script prints, per size, the median of the
 featurization times (`features_s`) and of the fit times (`fit_s`), the
-epochs, the duality gap, and how much the process's peak RSS
-(`resource.getrusage`) grew while fitting, after a line naming nproc
-and the Python and numpy versions.
+time per SMO pair step (`us_per_step`), the epochs, the duality gap, and
+how much the process's peak RSS (`resource.getrusage`) grew while
+fitting, after a line naming nproc and the Python and numpy versions.
+
+`us_per_step` is fit_s / (epochs x n_train) in microseconds. It charges
+the set-up, the kernel-row gathers and the epoch-end objectives to the
+steps, so over full epochs it is an upper bound on the cost of one step.
+A final epoch cut short by convergence runs fewer than n_train steps, and
+then the figure can understate that cost; the `converged` column says
+when.
 
     PYTHONPATH=src python3 scripts/bench_fit.py [--sizes 700,1400] [--repeats 5]
 
@@ -73,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         f"  seed {args.seed}  repeats {args.repeats}"
     )
     print(
-        "n_train\tn_features\tnnz\tfeatures_s\tfit_s\tepochs\tconverged\tobjective"
+        "n_train\tn_features\tnnz\tfeatures_s\tfit_s\tus_per_step\tepochs\tconverged\tobjective"
         "\tduality_gap\trss_growth_mb"
     )
     for size in sizes:
@@ -83,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         res, fit_s = median_time(partial(fit_svm, X, y, space.n_features), args.repeats)
         print(
             f"{len(texts)}\t{space.n_features}\t{len(X[2])}\t{features_s:.3f}\t{fit_s:.3f}"
-            f"\t{res.n_epochs}\t{int(res.converged)}\t{res.objective:.12g}\t{res.duality_gap:.3g}"
+            f"\t{fit_s / (res.n_epochs * len(texts)) * 1e6:.1f}\t{res.n_epochs}\t{int(res.converged)}"
+            f"\t{res.objective:.12g}\t{res.duality_gap:.3g}"
             f"\t{peak_rss_mb() - rss0:.1f}",
             flush=True,
         )

@@ -24,7 +24,20 @@ The pair indices come from the two KKT index sets of Keerthi et al.
 ("Improvements to Platt's SMO", Neural Computation 2001): I_up holds
 the i with y_i = +1 and alpha_i < C or y_i = -1 and alpha_i > 0, I_low
 the mirror. A step changes only alpha_i and alpha_j, so the sets are
-kept as boolean arrays with counts and updated at i and j alone.
+kept with their sizes and updated at i and j alone. Each is stored as y
+with -inf (I_up) or +inf (I_low) outside the set: y_up - f is then the
+masked y - f whose argmax picks i, in one subtraction into a buffer
+that every step reuses, as is the f update.
+
+A step leaves w alone. It records (row, y * d_alpha) for i and j, and
+the records are added to w in step order by one np.add.at at least
+every BLOCK_ROWS rows, which bounds their memory, and before each read
+of w: the epoch-end objective, the best-iterate copy and the duality
+gap. np.add.at adds its terms one at a time in the order given, so each
+w[c] takes the same products in the same order as under a per-step
+update, and w keeps every bit. The per-step scalars (y, the kernel
+diagonal, alpha) are Python floats, on which + - * /, min and max give
+the same bits as on numpy scalars.
 
 score_texts is the one read-path scorer: predict_texts, score_text and
 explain all go through it. It scores each distinct text once, since a
@@ -59,6 +72,10 @@ MODEL_FORMAT_VERSION = 1
 
 _EPS = 1e-12
 
+# fit_svm's label values and their signs; bools and numpy ints hash and
+# compare as these
+_LABEL_SIGN = {1: 1.0, 0: -1.0, -1: -1.0}
+
 # Byte budget of the kernel-row block in fit_svm
 KERNEL_CACHE_BYTES = 64 << 20
 
@@ -80,6 +97,11 @@ def _primal(w: np.ndarray, b: float, f: np.ndarray, y: np.ndarray, C: float) -> 
     return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions of the ranges [starts[k], starts[k] + lens[k]), one after another."""
+    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
 def fit_svm(
     X: tuple[np.ndarray, np.ndarray, np.ndarray],
     y: Sequence[int],
@@ -93,8 +115,9 @@ def fit_svm(
 
     Row i holds cols[indptr[i]:indptr[i + 1]], ascending, and their vals,
     as `features.fit_transform` returns them. I_up and I_low are kept
-    across steps, not rebuilt (module docstring). The algorithm is
-    deterministic: ties in pair selection break by index.
+    across steps, not rebuilt, and w takes the steps' updates a block of
+    steps at a time (module docstring). The algorithm is deterministic:
+    ties in pair selection break by index.
     """
     indptr = np.asarray(X[0], np.int64)
     n = len(indptr) - 1
@@ -105,7 +128,10 @@ def fit_svm(
     cols, vals = np.asarray(X[1], np.int64), np.asarray(X[2], np.float64)
     if indptr[0] != 0 or np.any(np.diff(indptr) < 0) or not indptr[-1] == len(cols) == len(vals):
         raise ValueError("indptr does not describe rows of cols and vals")
-    yv = np.asarray([1.0 if v in (1, 1.0, True) else -1.0 for v in y])
+    ys = [_LABEL_SIGN.get(v) for v in y]
+    if None in ys:
+        raise ValueError(f"labels must be 0/1 or -1/+1, got {y[ys.index(None)]!r}")
+    yv = np.asarray(ys)
     if not (np.any(yv > 0) and np.any(yv < 0)):
         raise ValueError("training data must contain both classes")
     if not (math.isfinite(C) and C > 0):
@@ -117,50 +143,76 @@ def fit_svm(
     cols = cols.astype(np.int32)
     # X by column: column k holds rows c_rows[c_ptr[k]:c_ptr[k+1]], ascending
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    k_diag = np.bincount(rows, weights=vals**2, minlength=n)
+    k_diag = np.bincount(rows, weights=vals**2, minlength=n).tolist()
     order = np.argsort(cols, kind="stable")
     c_rows, c_vals = rows[order], vals[order]
     del rows, order
     c_ptr = np.zeros(n_features + 1, np.int64)
     np.cumsum(np.bincount(cols, minlength=n_features), out=c_ptr[1:])
 
-    # Kept rows fill `block` in the order they are first needed; slot[i] is
-    # the block row holding K_i, or -1. Untouched pages of the zero-filled
-    # block are never made resident.
+    # Kept rows fill `block` in the order they are first needed; kept[i] is
+    # K_i as a view of its block row, or None. Untouched pages of the
+    # zero-filled block are never made resident.
     block = np.zeros((min(n, KERNEL_CACHE_BYTES // (8 * n)), n))
-    slot = np.full(n, -1)
+    kept: list[np.ndarray | None] = [None] * n
     n_kept = 0
 
     def kernel_row(i: int) -> np.ndarray:
         nonlocal n_kept
-        if slot[i] >= 0:
-            return block[slot[i]]
+        row = kept[i]
+        if row is not None:
+            return row
         ri = slice(indptr[i], indptr[i + 1])
         starts = c_ptr[cols[ri]]
         lens = c_ptr[cols[ri] + 1] - starts
         # positions in the column copy of every nonzero in x_i's columns
-        at = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        at = _ranges(starts, lens)
         row = np.bincount(c_rows[at], weights=c_vals[at] * np.repeat(vals[ri], lens), minlength=n)
         if n_kept < len(block):
             block[n_kept] = row
-            slot[i] = n_kept
+            row = kept[i] = block[n_kept]
             n_kept += 1
         return row
 
-    alpha = np.zeros(n)
+    # per-step scalars are Python floats (module docstring)
+    y_l = yv.tolist()
+    alpha = [0.0] * n
     w = np.zeros(n_features)
     f = np.zeros(n)  # f_i = w . x_i
-    # I_up, I_low and their sizes; a step updates them at i and j only
-    pos = yv > 0
+    # (row, y_row * d_alpha_row) of the steps not yet added to w, in step order
+    todo_rows: list[int] = []
+    todo_coefs: list[float] = []
+
+    def apply_todo() -> None:
+        if todo_rows:
+            r = np.asarray(todo_rows)
+            starts = indptr[r]
+            lens = indptr[r + 1] - starts
+            at = _ranges(starts, lens)
+            np.add.at(w, cols[at], np.repeat(todo_coefs, lens) * vals[at])
+            todo_rows.clear()
+            todo_coefs.clear()
+
     c_hi = C - _EPS
-    up = (pos & (alpha < c_hi)) | (~pos & (alpha > _EPS))
-    low = (~pos & (alpha < c_hi)) | (pos & (alpha > _EPS))
-    n_up, n_low = int(up.sum()), int(low.sum())
+
+    def in_sets(k: int) -> tuple[bool, bool]:
+        """Whether k is in I_up and in I_low at the current alpha_k."""
+        below, above = alpha[k] < c_hi, alpha[k] > _EPS
+        return (below, above) if y_l[k] > 0 else (above, below)
+
+    # I_up and I_low as y with -inf, and +inf, outside the set: y_up - f is
+    # y - f masked for argmax, y_low - f for argmin. A step updates both,
+    # and the sets' sizes, at i and j only.
+    up, low = (list(s) for s in zip(*map(in_sets, range(n))))
+    y_up = np.where(up, yv, -np.inf)
+    y_low = np.where(low, yv, np.inf)
+    n_up, n_low = sum(up), sum(low)
+    m, mm, df_i, df_j = (np.empty(n) for _ in range(4))
 
     def bias_estimate() -> float:
         v = yv - f
-        hi = v[up].max() if n_up else 0.0
-        lo = v[low].min() if n_low else 0.0
+        hi = v[y_up != -np.inf].max() if n_up else 0.0
+        lo = v[y_low != np.inf].min() if n_low else 0.0
         return float((hi + lo) / 2.0)
 
     best_w = w.copy()
@@ -178,15 +230,15 @@ def fit_svm(
             if not n_up or not n_low:
                 converged = True
                 break
-            v = yv - f
-            m = np.where(up, v, -np.inf)
-            mm = np.where(low, v, np.inf)
-            i = int(np.argmax(m))
-            j = int(np.argmin(mm))
-            if m[i] - mm[j] < kkt_tol:
+            np.subtract(y_up, f, out=m)
+            np.subtract(y_low, f, out=mm)
+            i = int(m.argmax())
+            j = int(mm.argmin())
+            if m.item(i) - mm.item(j) < kkt_tol:
                 converged = True
                 break
-            s = yv[i] * yv[j]
+            y_i, y_j = y_l[i], y_l[j]
+            s = y_i * y_j
             if s < 0:
                 L = max(0.0, alpha[j] - alpha[i])
                 H = min(C, C + alpha[j] - alpha[i])
@@ -195,12 +247,12 @@ def fit_svm(
                 H = min(C, alpha[i] + alpha[j])
             k_i = kernel_row(i)
             k_j = kernel_row(j)
-            eta = k_diag[i] + k_diag[j] - 2.0 * k_i[j]
+            eta = k_diag[i] + k_diag[j] - 2.0 * k_i.item(j)
             if eta < _EPS:
                 eta = _EPS
-            e_i = f[i] - yv[i]
-            e_j = f[j] - yv[j]
-            aj_new = min(H, max(L, alpha[j] + yv[j] * (e_i - e_j) / eta))
+            e_i = f.item(i) - y_i
+            e_j = f.item(j) - y_j
+            aj_new = min(H, max(L, alpha[j] + y_j * (e_i - e_j) / eta))
             d_aj = aj_new - alpha[j]
             if abs(d_aj) < 1e-16:
                 stalled = True
@@ -209,16 +261,23 @@ def fit_svm(
             alpha[i] += d_ai
             alpha[j] += d_aj
             for k in (i, j):
-                below, above = bool(alpha[k] < c_hi), bool(alpha[k] > _EPS)
-                in_up, in_low = (below, above) if pos[k] else (above, below)
-                n_up += in_up - bool(up[k])
-                n_low += in_low - bool(low[k])
+                in_up, in_low = in_sets(k)
+                n_up += in_up - up[k]
+                n_low += in_low - low[k]
                 up[k], low[k] = in_up, in_low
-            ri = slice(indptr[i], indptr[i + 1])
-            rj = slice(indptr[j], indptr[j + 1])
-            w[cols[ri]] += yv[i] * d_ai * vals[ri]
-            w[cols[rj]] += yv[j] * d_aj * vals[rj]
-            f += (yv[i] * d_ai) * k_i + (yv[j] * d_aj) * k_j
+                y_up[k] = y_l[k] if in_up else -np.inf
+                y_low[k] = y_l[k] if in_low else np.inf
+            c_i, c_j = y_i * d_ai, y_j * d_aj
+            todo_rows += (i, j)
+            todo_coefs += (c_i, c_j)
+            if len(todo_rows) >= BLOCK_ROWS:
+                apply_todo()
+            # f += c_i K_i + c_j K_j, in that order, without temporaries
+            np.multiply(k_i, c_i, out=df_i)
+            np.multiply(k_j, c_j, out=df_j)
+            np.add(df_i, df_j, out=df_i)
+            np.add(f, df_i, out=f)
+        apply_todo()
         b = bias_estimate()
         p = _primal(w, b, f, yv, C)
         if p < best_p:
@@ -234,7 +293,7 @@ def fit_svm(
 
     # a step moves alpha_i by the clipped move of alpha_j, which can round a
     # bound of the box by an ulp
-    np.clip(alpha, 0.0, C, out=alpha)
+    alpha = np.clip(alpha, 0.0, C)
     return FitResult(
         weights=best_w,
         bias=best_b,

@@ -8,9 +8,10 @@ arguments.
 from __future__ import annotations
 
 import random
-from datetime import datetime, timedelta, timezone
+import time
+from datetime import datetime, timezone
 
-from .corpus import Document, LabelRecord, format_timestamp
+from .corpus import Document, LabelRecord
 
 # neutral filler (greetings, weather, food, sports)
 NEUTRAL_WORDS = (
@@ -29,11 +30,13 @@ OFFENSIVE_WORDS = (
 SEED_EMOJIS = ("\U0001F437", "\U0001F436", "\U0001F595", "\U0001F52A", "\U0001F44A")
 NEUTRAL_EMOJIS = ("\U0001F600", "\U0001F339", "☀️", "\U0001F680")
 
-_T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
+# Unix time of doc 0; doc i is created i seconds later
+_T0 = int(datetime(2021, 1, 1, tzinfo=timezone.utc).timestamp())
 
 
 def _doc(i: int, text: str) -> Document:
-    created_at = format_timestamp(_T0 + timedelta(seconds=i))
+    # corpus.format_timestamp's string, without building an aware datetime
+    created_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(_T0 + i))
     return Document(id=f"d{i:06d}", text=text, created_at=created_at)
 
 

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 
 from anchorlex import linear
 from anchorlex.corpus import DatasetSplit, Document, LabelRecord, stratified_split
-from anchorlex.features import MODES, FeatureConfig, fit_features, ordered_row_sums, tfidf_l2, transform, vectorize
+from anchorlex.features import (
+    MODES,
+    FeatureConfig,
+    fit_features,
+    fit_transform,
+    ordered_row_sums,
+    tfidf_l2,
+    transform,
+    vectorize,
+)
 from anchorlex.linear import (
     LinearModel,
     fit_svm,
@@ -27,7 +36,7 @@ from anchorlex.linear import (
     train_model,
 )
 from anchorlex.metrics import evaluate
-from anchorlex.synth import make_separable_corpus
+from anchorlex.synth import make_anchored_corpus, make_separable_corpus
 from anchorlex.textnorm import normalize
 
 import score_reference
@@ -183,9 +192,19 @@ def test_fit_rejects_rows_that_disagree_with_indptr():
 
 
 def test_fit_accepts_01_labels():
-    res01 = fit_svm(csr([{0: 2.0}, {0: 0.0}]), [1, 0], n_features=1)
-    res_pm = fit_svm(csr([{0: 2.0}, {0: 0.0}]), [1, -1], n_features=1)
-    assert res01.weights == res_pm.weights and res01.bias == res_pm.bias
+    X = csr([{0: 2.0}, {0: 0.0}])
+    res_pm = fit_svm(X, [1, -1], n_features=1)
+    # bools, numpy ints and floats equal to 0, 1 or -1 are labels too
+    for y in ([1, 0], [True, False], np.array([1, 0]), [np.int64(1), np.int8(-1)], [1.0, -1.0]):
+        _assert_same_fit(fit_svm(X, y, n_features=1), res_pm)
+
+
+@pytest.mark.parametrize("bad", [2, "1", math.nan, 0.5, None, -2])
+def test_fit_names_the_first_label_outside_01_and_pm1(bad):
+    # such a label used to train silently as -1
+    X = csr([{0: 2.0}, {0: 0.0}, {0: 1.0}, {0: 1.5}])
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        fit_svm(X, [1, 0, bad, 3], n_features=1)
 
 
 # --- differential check against the previous solver (tests/svm_reference.py) ---
@@ -316,6 +335,30 @@ def test_fit_equals_flat_reference_bit_for_bit(monkeypatch, flat_fits, budget):
     monkeypatch.setattr(linear, "KERNEL_CACHE_BYTES", budget)
     for (v, y, m, C), ref in flat_fits:
         _assert_same_fit(fit_svm(csr(v), y, m, C=C), ref)
+
+
+@pytest.fixture(scope="module")
+def anchored_fit():
+    """300 anchored docs under the default char+word features, and their flat-reference fit."""
+    docs, labels = make_anchored_corpus(n_docs=300, seed=0, emoji_rate=1.0)
+    space, X = fit_transform([normalize(d.text) for d in docs], FeatureConfig())
+    indptr, cols, vals = X
+    vectors = [
+        dict(zip(cols[a:b].tolist(), vals[a:b].tolist())) for a, b in zip(indptr[:-1], indptr[1:])
+    ]
+    y = [int(labels[d.id].offensive) for d in docs]
+    return X, y, space.n_features, svm_reference.fit_svm_flat(vectors, y, space.n_features)
+
+
+@pytest.mark.parametrize("budget", [linear.KERNEL_CACHE_BYTES, 4 * 8 * 300])
+def test_fit_equals_flat_reference_bit_for_bit_at_realistic_scale(monkeypatch, anchored_fit, budget):
+    # With 300 rows an epoch applies its pending w updates more than once,
+    # and a common char gram's column of w takes thousands of additions
+    # over the fit, so adding them out of step order would change its
+    # bits. The second budget keeps 4 kernel rows.
+    X, y, n_features, ref = anchored_fit
+    monkeypatch.setattr(linear, "KERNEL_CACHE_BYTES", budget)
+    _assert_same_fit(fit_svm(X, y, n_features), ref)
 
 
 # --- optimality certificate, checked without solver code ---------------------
