@@ -7,8 +7,13 @@ CLI's default char+word tf-idf features by `fit_transform`, the one
 gram pass `train` runs. The script prints, per size, the median of the
 featurization times (`features_s`) and of the fit times (`fit_s`), the
 time per SMO pair step (`us_per_step`), the epochs, the duality gap, and
-how much the process's peak RSS (`resource.getrusage`) grew while
-fitting, after a line naming nproc and the Python and numpy versions.
+the memory one fit allocates at its peak (`fit_peak_mb`), after a line
+naming nproc and the Python and numpy versions.
+
+`fit_peak_mb` is the tracemalloc peak of one more, untimed fit, counted
+from zero when it starts: it depends on that fit alone, not on what
+earlier sizes or repeats left resident in the process. numpy reports its
+array buffers to tracemalloc, so they are in it.
 
 `us_per_step` is fit_s / (epochs x n_train) in microseconds. It charges
 the set-up, the kernel-row gathers and the epoch-end objectives to the
@@ -28,10 +33,10 @@ from __future__ import annotations
 import argparse
 import os
 import platform
-import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -61,8 +66,14 @@ def median_time(fn, repeats: int):
     return out, statistics.median(times)
 
 
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_mb(fn) -> float:
+    """Peak memory traced during one call to fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,18 +92,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         "n_train\tn_features\tnnz\tfeatures_s\tfit_s\tus_per_step\tepochs\tconverged\tobjective"
-        "\tduality_gap\trss_growth_mb"
+        "\tduality_gap\tfit_peak_mb"
     )
     for size in sizes:
         texts, y = train_texts(size, args.seed)
         (space, X), features_s = median_time(partial(fit_transform, texts, FeatureConfig()), args.repeats)
-        rss0 = peak_rss_mb()
-        res, fit_s = median_time(partial(fit_svm, X, y, space.n_features), args.repeats)
+        fit = partial(fit_svm, X, y, space.n_features)
+        res, fit_s = median_time(fit, args.repeats)
         print(
             f"{len(texts)}\t{space.n_features}\t{len(X[2])}\t{features_s:.3f}\t{fit_s:.3f}"
             f"\t{fit_s / (res.n_epochs * len(texts)) * 1e6:.1f}\t{res.n_epochs}\t{int(res.converged)}"
             f"\t{res.objective:.12g}\t{res.duality_gap:.3g}"
-            f"\t{peak_rss_mb() - rss0:.1f}",
+            f"\t{peak_mb(fit):.1f}",
             flush=True,
         )
     return 0

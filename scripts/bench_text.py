@@ -10,6 +10,9 @@ and the Python and numpy versions. The scorer layer uses a model
 trained on the corpus' first 2,000 docs: microseconds per doc of
 `score_texts` on all raw texts (what `predict` does), and per sample of
 one 1,000-sample `explain` of the first doc with at least 6 tokens.
+`load_ms` is the fixed cost every `predict` or `explain` process pays
+before its first block: `load_model` of the saved model, then the
+first `score_texts` of that short doc, which builds the gram index.
 
     PYTHONPATH=src python3 scripts/bench_text.py [--sizes 10000,100000] [--repeats 5]
 """
@@ -21,6 +24,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from typing import Callable
 
@@ -29,7 +33,7 @@ import numpy as np
 from anchorlex.corpus import DatasetSplit
 from anchorlex.emoji import cluster_spans, doc_bases
 from anchorlex.explain import explain
-from anchorlex.linear import score_texts, train_model
+from anchorlex.linear import LinearModel, load_model, save_model, score_texts, train_model
 from anchorlex.synth import make_anchored_corpus
 from anchorlex.textnorm import normalize, tokenize
 
@@ -54,6 +58,14 @@ def us_per_doc(fn: Callable[[str], object], texts: list[str], repeats: int) -> f
     return 1e6 * median_s(run, repeats) / len(texts)
 
 
+def load_ms(model: LinearModel, text: str, repeats: int) -> float:
+    """Median milliseconds of `load_model` on the saved model plus its first `score_texts` of text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(path, model)
+        return 1e3 * median_s(lambda: score_texts(load_model(path), [text]), repeats)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", default="10000,100000", help="comma-separated corpus sizes")
@@ -70,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         "n_docs\tnormalize_us\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
-        "\tpredict_us\texplain_us_per_sample"
+        "\tpredict_us\texplain_us_per_sample\tload_ms"
     )
     for size in sizes:
         docs, labels = make_anchored_corpus(n_docs=size, seed=args.seed)
@@ -88,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             1e6
             * median_s(lambda: explain(request, model, n_samples=EXPLAIN_SAMPLES, seed=args.seed), args.repeats)
             / EXPLAIN_SAMPLES,
+            load_ms(model, request, args.repeats),
         ]
         print(f"{size}\t" + "\t".join(f"{c:.2f}" for c in cols), flush=True)
     return 0

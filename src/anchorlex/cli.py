@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data/IO error. Every file write
 is atomic (temp + rename). `main` is the one stage runner: it hashes the
 files a stage declares as inputs, runs the stage, hashes its outputs and
 writes the run manifest next to the primary output (or at --manifest);
-a failed stage writes none. No environment variables are consulted;
-behavior is flags + config only.
+a failed stage writes none, and an argument the manifest cannot record
+(not valid UTF-8) fails the run before the stage writes anything. No
+environment variables are consulted; behavior is flags + config only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .explain import dump_explanation, explain as explain_text
 from .features import FeatureConfig
 from .linear import load_model, predict_texts, save_model, target_value, train_model
 from .manifest import RunManifest
-from .util import atomic_write_text, read_tsv
+from .util import atomic_write_text, canonical_json, read_tsv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -366,7 +367,7 @@ def build_parser() -> _Parser:
     ) -> argparse.ArgumentParser:
         """A stage whose input and output files are the args named by these dests."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=fn, _inputs=inputs, _outputs=outputs)
+        p.set_defaults(func=fn, _inputs=inputs, _outputs=outputs, _parser=p)
         p.add_argument("--manifest", help="run manifest path (default: <out>.manifest.json)")
         return p
 
@@ -529,6 +530,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         command=args.command, config=config, seed=getattr(args, "seed", None), version=__version__
     )
     try:
+        # the manifest records every argument: one it cannot write stops the stage before it runs
+        for dest, value in config.items():
+            try:
+                canonical_json(value).encode("utf-8")
+            except UnicodeEncodeError:
+                flag = next(a.option_strings[0] for a in args._parser._actions if a.dest == dest)
+                raise ValueError(f"{flag} is not valid UTF-8: {value!r}") from None
         # inputs before the stage runs: it may overwrite one (--in f --out f)
         for dest in args._inputs:
             if path := getattr(args, dest):

@@ -139,6 +139,13 @@ def _jsonl_rows(path: str, fh: TextIO) -> Iterator[tuple[int, Mapping[str, objec
             raise ValueError(f"{path}: line {lineno}: bad JSON: {e}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: line {lineno}: expected an object")
+        # only a \ud800-\udfff escape decodes to a surrogate (a pair becomes one
+        # character); a one-character search first keeps lines without escapes cheap
+        if "\\" in line and ("\\ud" in line or "\\uD" in line):
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}: line {lineno}: lone surrogate escape in a JSON string") from None
         yield lineno, obj
 
 

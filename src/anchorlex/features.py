@@ -1,15 +1,47 @@
 """tf-idf n-gram feature space: char [2,5] and word [1,3] grams.
 
-The vocabulary's c:/w: prefixes only name the columns: a gram is looked
-up unprefixed in one dict per kind (`FeatureSpace.lookup`), so no
-prefixed string is built while gramming. `transform` maps a batch of
-texts' grams to column ids in C, then numpy counts each row's
+The vocabulary's c:/w: prefixes only name the columns. `transform`
+builds no gram string: it maps a block of texts' grams to column ids
+through a prefix trie per kind, then numpy counts each row's
 in-vocabulary grams in first-appearance order. `fit_transform` grams
-each training text once and writes the tf-idf rows straight into CSR
-arrays. `tfidf_l2` is the one place tf * idf and the L2 norm are
-computed: the training rows, `vectorize` and `linear.score_texts` all
-call it, BLOCK_ROWS rows at a time at most, so memory follows a batch's
-gram count.
+each training text once, as strings, since it must sort the vocabulary,
+and writes the tf-idf rows straight into CSR arrays. `tfidf_l2` is the
+one place tf * idf and the L2 norm are computed: the training rows,
+`vectorize` and `linear.score_texts` all call it, BLOCK_ROWS rows at a
+time at most.
+
+Gram index. A FeatureSpace builds one trie per kind on first use
+(`FeatureSpace._tries`) and keeps it. A char gram is a string of code
+points; a word gram is a string of tokens, each coded by one dict over
+the tokens of the w: entries split on " ". Level n of a trie holds the
+sorted int64 keys prefix_id * (end + 1) + code of every length-n prefix
+of its grams, where prefix_id is the length-(n-1) prefix's index in
+level n - 1 (0 at level 1), and the column of each prefix that is
+itself a gram (-1 for the others). end is above every code: 0x110000
+for code points, the number of distinct tokens for tokens, so end + 1
+is at most 0x110001 or the vocabulary's token count. prefix_id is below
+the vocabulary size, so no key of a vocabulary that fits in memory comes
+near 2**63; one path serves every alphabet and n-gram range. Only c:
+and w: entries whose length is inside their kind's range go in: an
+entry with another prefix, or one no window of a text can equal,
+matches nothing.
+
+Lookup (`_gram_keys`). A block's texts become one array of codes, each
+text followed by `end`; a token that no w: entry has is `end` too.
+Level 1 is one np.searchsorted over every position, and level n one
+over the windows still alive, each extended by the next code. A window
+dies when its prefix is not in the trie, which is also what happens
+when it would take in `end`: at a text's end or at a code outside the
+trie. The hits come out in `_grams` order (row, char before word, n
+ascending, position), so the counts, the first-appearance order and
+every sum below are those of the per-gram strings, bit for bit.
+
+Per-block memory rule. Memory follows a block's code count, never its
+rows times its longest row: the gram stage keeps a few arrays per code
+and per hit (int64 keys and positions, int32 columns, a row index of 16
+bits or less), all inside `_gram_keys`, so they are freed before
+`tfidf_l2` runs, and tf-idf and the sums then hold a few arrays per
+distinct gram of each row.
 
 Summation-order rule. A row's squared norm, and its w.x in
 `linear.score_texts`, is the float64 sum of its terms in the order the
@@ -31,7 +63,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import compress, count, repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,6 +75,11 @@ MODES = ("char", "word", "char+word")
 
 # Rows per tf-idf batch
 BLOCK_ROWS = 256
+
+# The char trie's end code: one past the last code point
+_CHAR_END = 0x110000
+# Last key of every trie level, above any prefix key
+_TOP = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -67,6 +105,40 @@ def _grams(text: str, cfg: FeatureConfig) -> tuple[list[str], list[str]]:
 
 
 @dataclass(frozen=True)
+class _Trie:
+    """Level-by-level prefix trie over the codes of one kind's grams (module docstring)."""
+
+    keys: tuple[np.ndarray, ...]  # level n: sorted prefix_id * (end + 1) + code, then _TOP
+    cols: tuple[np.ndarray, ...]  # aligned to keys: the prefix's column if it is a gram, else -1
+    end: int  # the code after each text, above every gram code
+    tokens: dict[str, int] | None  # word tries: token -> code; char codes are code points
+
+
+def _trie(
+    codes: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    cols: np.ndarray,
+    end: int,
+    tokens: dict[str, int] | None = None,
+) -> _Trie:
+    """The trie of the grams codes[starts[i] : starts[i] + lens[i]], gram i at column cols[i]."""
+    # longest first, so the grams at least n codes long are a prefix
+    order = np.argsort(-lens, kind="stable")
+    starts, lens, cols = starts[order], lens[order], cols[order]
+    node = np.zeros(len(lens), np.int64)
+    keys, level_cols = [], []
+    for n in range(1, int(lens[0]) + 1 if len(lens) else 1):
+        k, longer = np.count_nonzero(lens >= n), np.count_nonzero(lens > n)
+        level, node = np.unique(node[:k] * (end + 1) + codes[starts[:k] + n - 1], return_inverse=True)
+        c = np.full(len(level) + 1, -1, np.int32)
+        c[node[longer:]] = cols[longer:k]
+        keys.append(np.append(level, _TOP))
+        level_cols.append(c)
+    return _Trie(tuple(keys), tuple(level_cols), end, tokens)
+
+
+@dataclass(frozen=True)
 class FeatureSpace:
     config: FeatureConfig
     vocabulary: Mapping[str, int]  # gram -> column
@@ -78,19 +150,86 @@ class FeatureSpace:
         return len(self.vocabulary)
 
     @cached_property
-    def lookup(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Columns of the char grams and of the word grams, without their c:/w: prefix.
-
-        A vocabulary entry with another prefix is in neither, so it matches nothing.
-        """
-        char: dict[str, int] = {}
-        word: dict[str, int] = {}
-        for g, col in self.vocabulary.items():
-            if g[:2] == "c:":
-                char[g[2:]] = col
-            elif g[:2] == "w:":
-                word[g[2:]] = col
+    def _tries(self) -> tuple[_Trie | None, _Trie | None]:
+        """The char trie and the word trie (module docstring); None for a kind the mode leaves out."""
+        (clo, chi), (wlo, whi) = self.config.char_range, self.config.word_range
+        grams = list(self.vocabulary)
+        n = len(grams)
+        lens = np.fromiter(map(len, grams), np.int64, n)
+        cols = np.fromiter(self.vocabulary.values(), np.int64, n)
+        # every entry's code points back to back, padded so that each has two
+        flat = np.frombuffer("".join([*grams, "\0\0"]).encode("utf-32-le", "surrogatepass"), "<u4")
+        starts = np.cumsum(lens) - lens
+        colon = (lens >= 2) & (flat[starts + 1] == ord(":"))
+        char = word = None
+        if self.config.mode != "word":
+            sel = colon & (flat[starts] == ord("c")) & (lens >= clo + 2) & (lens <= chi + 2)
+            char = _trie(flat, starts[sel] + 2, lens[sel] - 2, cols[sel], _CHAR_END)
+        if self.config.mode != "char":
+            # a w: entry's token count: one more than the spaces after its prefix
+            spaces = np.cumsum(flat == ord(" "), dtype=np.int32)
+            n_tok = spaces[starts + lens - 1] - spaces[starts + 1] + 1
+            sel = colon & (flat[starts] == ord("w")) & (n_tok >= wlo) & (n_tok <= whi)
+            bodies = map(itemgetter(slice(2, None)), compress(grams, sel.tolist()))
+            all_tokens = " ".join(bodies).split(" ")
+            tokens = dict(zip(dict.fromkeys(all_tokens), count()))
+            codes = np.fromiter(map(tokens.__getitem__, all_tokens), np.int64, len(all_tokens))
+            n_tok = n_tok[sel]
+            word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), tokens)
         return char, word
+
+
+def _codes(texts: Sequence[str], trie: _Trie) -> tuple[np.ndarray, np.ndarray]:
+    """The texts' codes back to back, each text followed by trie.end, and where each trie.end is.
+
+    A token that no w: entry has gets trie.end too.
+    """
+    if trie.tokens is None:
+        joined = "\0".join([*texts, ""]).encode("utf-32-le", "surrogatepass")
+        codes = np.frombuffer(joined, "<u4").astype(np.int64)
+        ends = np.cumsum([len(t) + 1 for t in texts], dtype=np.int64) - 1
+        codes[ends] = trie.end
+        return codes, ends
+    get, end = trie.tokens.get, trie.end
+    ids = array("q")
+    ends = array("q")
+    for text in texts:
+        ids.fromlist(list(map(get, tokenize(text), repeat(end))))
+        ends.append(len(ids))
+        ids.append(end)
+    return np.frombuffer(ids, np.int64), np.frombuffer(ends, np.int64)
+
+
+def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
+    """row * n_columns + column of every in-vocabulary gram of the texts, in `_grams` order.
+
+    That is row, then char before word, then n ascending, then position.
+    """
+    v = len(space.idf)
+    row_type = np.min_scalar_type(len(texts))
+    rows = [np.zeros(0, row_type)]
+    keys = [np.zeros(0, np.int64)]
+    for trie in space._tries:
+        if trie is None:
+            continue
+        codes, ends = _codes(texts, trie)
+        # the windows alive at level n: start positions and their prefix ids
+        key, pos = codes, None
+        for n, (level, level_cols) in enumerate(zip(trie.keys, trie.cols), 1):
+            idx = np.searchsorted(level, key)
+            found = np.flatnonzero(level[idx] == key)
+            pos = found if pos is None else pos[found]
+            node = idx[found]
+            c = level_cols[node]
+            hit = c >= 0
+            row = np.searchsorted(ends, pos[hit])
+            rows.append(row.astype(row_type))
+            keys.append(row * v + c[hit])
+            if n == len(trie.keys) or not len(pos):
+                break
+            key = node * (trie.end + 1) + codes[pos + n]
+    # one stable pass by row interleaves the levels; a row type of 16 bits or less sorts by radix
+    return np.concatenate(keys)[np.argsort(np.concatenate(rows), kind="stable")]
 
 
 def ordered_row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -129,19 +268,11 @@ def transform(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np
     """The texts' tf-idf rows as CSR (indptr, cols, vals); OOV grams vanish.
 
     A row's columns come in the order its grams first appear. Memory
-    grows with the texts' gram count: pass at most BLOCK_ROWS texts.
+    grows with the texts' character count (the per-block memory rule in
+    the module docstring): pass at most BLOCK_ROWS texts.
     """
-    ids = array("q")
-    ends = [0]
-    for text in texts:
-        for lookup, grams in zip(space.lookup, _grams(text, space.config)):
-            ids.fromlist(list(map(lookup.get, grams, repeat(-1))))
-        ends.append(len(ids))
     n, v = len(texts), len(space.idf)
-    flat = np.frombuffer(ids, np.int64)
-    rows = np.repeat(np.arange(n), np.diff(ends))
-    hit = flat >= 0
-    keys, first, tfs = np.unique(rows[hit] * v + flat[hit], return_index=True, return_counts=True)
+    keys, first, tfs = np.unique(_gram_keys(texts, space), return_index=True, return_counts=True)
     order = np.argsort(first, kind="stable")
     keys, tfs = keys[order], tfs[order]
     indptr = np.zeros(n + 1, np.int64)

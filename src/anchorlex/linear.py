@@ -43,7 +43,10 @@ score_texts is the one read-path scorer: predict_texts, score_text and
 explain all go through it. It scores each distinct text once, since a
 score is a pure function of the text, BLOCK_ROWS distinct texts at a
 time: `features.transform` gives the block's tf-idf rows, and w.x is
-`features.ordered_row_sums` over the products w[col] * x. tf * idf,
+`features.ordered_row_sums` over the products w[col] * x. The grams go
+to columns through the space's gram index (a prefix trie per kind, see
+the `features` module docstring), which the first block builds and the
+space keeps, so each `load_model` pays for it once. tf * idf,
 the squared L2 norm and w.x thus follow the summation-order rule in the
 `features` module docstring: each row's sum is added left to right in
 the order its grams first appear, one position at a time across the

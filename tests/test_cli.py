@@ -786,3 +786,28 @@ def test_failed_stdout_command_writes_no_manifest(tmp_path, capsys):
     assert cli.main(["kappa", "--judgments", str(jpath), "--manifest", str(man)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not man.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["explain", "--model", "{model}", "--text", "\udcff يا غبي", "--samples", "20", "--out", "{o}"], "--text"),
+        (["explain", "--model", "{model}", "--text", "غبي", "--samples", "20", "--out", "{o}\udcff"], "--out"),
+        (["normalize", "--in", "{corpus}", "--out", "{o}", "--url-token", "\ud83d"], "--url-token"),
+    ],
+)
+def test_argument_the_manifest_cannot_hold_fails_before_the_stage(stage_inputs, tmp_path, capsys, argv, flag):
+    # an undecodable argv byte arrives as a lone surrogate
+    f = dict(stage_inputs, o=str(tmp_path / "out"))
+    args = [t.format(**f) for t in argv]
+    assert cli.main(args) == 2
+    value = args[args.index(flag) + 1]
+    assert capsys.readouterr().err == f"anchorlex {args[0]}: error: {flag} is not valid UTF-8: {value!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_path_is_a_file_name_not_a_recorded_argument(stage_inputs, tmp_path):
+    man = str(tmp_path / "run\udcff.json")
+    argv = ["predict", "--model", stage_inputs["model"], "--in", stage_inputs["corpus"], "--out", str(tmp_path / "p")]
+    assert cli.main([*argv, "--manifest", man]) == 0
+    assert json.loads(Path(man).read_text(encoding="utf-8"))["command"] == "predict"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from datetime import datetime, timezone
 
@@ -170,6 +171,34 @@ def test_corpus_missing_field_names_line(tmp_path):
     p.write_text('{"id": "a", "text": "x", "created_at": "2021-05-01T12:00:00Z"}\n{"id": "b"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2.*text"):
         load_corpus(str(p))
+
+
+@pytest.mark.parametrize("escape", ["\\ud83d", "\\uDCFF", "\\ude00\\ud83d", "\\udfff x"])
+@pytest.mark.parametrize("field", ["text", "id", "lang"])
+def test_corpus_lone_surrogate_escape_names_its_line(tmp_path, capsys, escape, field):
+    row = {"id": "b", "text": "يا غبي", "created_at": "2021-05-01T12:00:00Z", "lang": "ar"}
+    row[field] = "@@"
+    good = '{"id": "a", "text": "x \\ud83d\\ude00 \\\\ud83d", "created_at": "2021-05-01T12:00:00Z"}'
+    p = tmp_path / "bad.jsonl"
+    p.write_text(good + "\n" + json.dumps(row).replace("@@", escape) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 2: lone surrogate"):
+        load_corpus(str(p))
+    # the stages that read a corpus exit 2 naming the line, and write nothing
+    for stage in ("normalize", "collect"):
+        out = tmp_path / f"{stage}.jsonl"
+        assert cli.main([stage, "--in", str(p), "--out", str(out)]) == 2
+        assert f"{p}: line 2: lone surrogate" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_corpus_surrogate_pair_escape_is_one_character(tmp_path):
+    p = tmp_path / "ok.jsonl"
+    # an escaped pair, and an escaped backslash before "ud83d", are no lone surrogates
+    p.write_text(
+        '{"id": "a", "text": "\\ud83d\\ude00 \\uD83D\\uDE00 \\\\ud83d", "created_at": "2021-05-01T12:00:00Z"}\n',
+        encoding="utf-8",
+    )
+    assert load_corpus(str(p))[0].text == "\U0001F600 \U0001F600 \\ud83d"
 
 
 def test_corpus_duplicate_id(tmp_path):

@@ -18,6 +18,7 @@ from anchorlex.corpus import DatasetSplit, Document, LabelRecord, stratified_spl
 from anchorlex.features import (
     MODES,
     FeatureConfig,
+    _gram_keys,
     fit_features,
     fit_transform,
     ordered_row_sums,
@@ -659,6 +660,100 @@ def test_vocabulary_entries_outside_c_and_w_match_nothing(tmp_path):
     edited = load_model(str(p))
     assert len(vectorize(text, edited.space)) == len(hits) - 4
     _assert_scores_match_reference(edited, [text, text[4:], "غبي", "w:غبي", "c:يا"])
+
+
+# --- the gram index (features.FeatureSpace._tries) --------------------------
+
+# Arabic and Latin letters, an emoji with a tone and a ZWJ, a keycap, lone
+# surrogates and a NUL, so texts hold characters and tokens that no
+# vocabulary entry has, and texts the trie's end code must not leak into
+TRIE_CHARS = list("ab كلب") + ["\U0001F437", "\U0001F3FF", "\u200d", "1\u20e3", "\ud83d", "\udcff", "\0", "!"]
+TRIE_TEXT = st.lists(st.sampled_from(TRIE_CHARS) | st.characters(), max_size=16).map("".join)
+TRIE_RANGES = [((1, 1), (1, 1)), ((1, 8), (1, 8)), ((2, 5), (2, 3)), ((1, 8), (2, 3))]
+
+
+def _edited_space(space, texts, rng):
+    """space's vocabulary with grams dropped, entries no text gram can equal added, and columns shuffled."""
+    (clo, chi), (wlo, whi) = space.config.char_range, space.config.word_range
+    # dropping grams leaves longer grams whose prefixes are in the vocabulary but not they themselves
+    grams = [g for g in space.vocabulary if rng.random() < 0.7]
+    for t in texts:
+        for n in {1, clo - 1, chi + 1, chi + 2} - {0}:
+            grams += ["c:" + t[i : i + n] for i in range(len(t) - n + 1)][:3]
+        grams += [p + t[:3] for p in ("x:", "C:", "c", "w", "W:", "")]
+        words = t.split(" ")
+        for n in {wlo - 1, whi + 1} - {0}:
+            grams += ["w:" + " ".join(words[i : i + n]) for i in range(len(words) - n + 1)][:3]
+    grams += ["c:", "w:", "w: ", "w:a  b", "w: a", "w:a ", "w:كلب  "]
+    grams = list(dict.fromkeys(grams))
+    cols = rng.permutation(len(grams)).tolist()
+    return dataclasses.replace(
+        space, vocabulary=dict(zip(grams, cols)), idf=rng.uniform(0.5, 3.0, len(grams))
+    )
+
+
+@pytest.mark.parametrize("char_range, word_range", TRIE_RANGES)
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=40, deadline=None)
+@given(
+    train=st.lists(TRIE_TEXT, min_size=1, max_size=5),
+    texts=st.lists(TRIE_TEXT, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trie_scores_edited_vocabularies_like_the_reference(mode, char_range, word_range, train, texts, seed):
+    rng = np.random.default_rng(seed)
+    cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
+    texts = texts + train[:2] + [" ".join(train)]
+    space = _edited_space(fit_features(train, cfg), texts, rng)
+    model = LinearModel(
+        space=space,
+        weights=rng.normal(size=len(space.idf)),
+        bias=float(rng.normal()),
+        C=1.0,
+        seed=0,
+        target="offensive",
+        normalized=bool(rng.integers(2)),
+        objective_trace=(0.0,),
+    )
+    for t in texts:
+        got = vectorize(t, space)
+        want = score_reference.vectorize(t, space)
+        # the same columns in the same first-appearance order, each value to the bit
+        assert [(c, v.hex()) for c, v in got.items()] == [(c, float(v).hex()) for c, v in want.items()]
+    _assert_scores_match_reference(model, texts)
+
+
+def test_trie_reads_lone_surrogates_and_unknown_characters_as_code_points():
+    cfg = FeatureConfig(mode="char+word", char_range=(1, 3), word_range=(1, 2))
+    space = fit_features(["\ud83d\ude00 ab", "\udcff يا"], cfg)
+    # a high and a low surrogate side by side stay two code points, not one pair
+    for t in ["\ud83d\ude00", "\ud83d\ude00 ab", "\U0001F600 ab", "\udcff\udcff يا", "\x00\udcff"]:
+        assert list(vectorize(t, space).items()) == [
+            (c, float(v)) for c, v in score_reference.vectorize(t, space).items()
+        ]
+    assert vectorize("\ud83d", space) != vectorize("\U0001F600", space)
+
+
+def _gram_stage_peak(texts, space):
+    tracemalloc.start()
+    try:
+        _gram_keys(texts, space)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_stage_memory_follows_the_block_character_count(mode_model):
+    model, distinct = mode_model
+    long_text = (" ".join(distinct) * 64)[: 1 << 17]
+    short = [f"{t} {k}" for k, t in enumerate(distinct[: linear.BLOCK_ROWS])]
+    long_block = [long_text, *short[1:]]
+    _gram_keys(short[:2], model.space)  # builds the index, which the space keeps
+    # a few arrays over the block's codes and hits
+    for block in (short, long_block):
+        assert _gram_stage_peak(block, model.space) < 256 * sum(map(len, block)) + 65536
+    # far below one rows x longest-text int64 array
+    assert 256 * sum(map(len, long_block)) + 65536 < 8 * len(long_block) * len(long_text) / 4
 
 
 # --- persistence -------------------------------------------------------------
