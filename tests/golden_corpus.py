@@ -10,6 +10,10 @@ Regenerate the record after a change that alters an output byte on
 purpose, and list each changed file with the reason in CHANGES.md:
 
     PYTHONPATH=src python tests/golden_corpus.py --write
+
+Without --write the script prints the record it would write.
+`golden_model.py` builds the model stages' record with the helpers
+here.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable
 
 import numpy
 
@@ -36,7 +41,7 @@ RECORD = Path(__file__).resolve().parent / "golden_corpus.json"
 SEED = 7
 
 
-def _load_gen():
+def load_gen():
     """perfbench/gen.py, imported read-only without putting perfbench/ on sys.path."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     module = importlib.util.module_from_spec(spec)
@@ -70,18 +75,19 @@ def _stages(seed: int, p) -> list[list[str]]:
     ]
 
 
-def run_digests(work: str, seed: int = SEED) -> dict[str, str]:
-    """Generate the inputs in `work`, run every stage, return file -> sha256."""
-    gen = _load_gen()
-    gen.make_corpus_inputs(seed, work, str(Path(cli.__file__).parent / "data"))
-    for argv in _stages(seed, lambda name: os.path.join(work, name)):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rc = cli.main(argv)
-        if rc != 0:
-            raise RuntimeError(f"{argv[0]} exited {rc}: {buf.getvalue()}")
+def run_stage(argv: list[str]) -> None:
+    """One cli stage with its output captured; a non-zero exit raises with that output."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(argv)
+    if rc != 0:
+        raise RuntimeError(f"{argv[0]} exited {rc}: {buf.getvalue()}")
+
+
+def digests(work: str) -> dict[str, str]:
+    """file -> sha256 of every data file in `work`, manifests aside."""
     return {
         name: hashlib.sha256((Path(work) / name).read_bytes()).hexdigest()
         for name in sorted(os.listdir(work))
@@ -89,22 +95,49 @@ def run_digests(work: str, seed: int = SEED) -> dict[str, str]:
     }
 
 
+def run_digests(work: str, seed: int = SEED) -> dict[str, str]:
+    """Generate the inputs in `work`, run every stage, return file -> sha256."""
+    gen = load_gen()
+    gen.make_corpus_inputs(seed, work, str(Path(cli.__file__).parent / "data"))
+    for argv in _stages(seed, lambda name: os.path.join(work, name)):
+        run_stage(argv)
+    return digests(work)
+
+
 def host() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--write", action="store_true", help=f"write {RECORD.name}")
+def mismatch(record: dict, got: dict[str, str], name: str) -> str | None:
+    """None when every digest matches the record, else which files differ and on which hosts."""
+    changed = sorted(
+        f for f in record["files"].keys() | got.keys() if record["files"].get(f) != got.get(f)
+    )
+    if not changed:
+        return None
+    recorded_host = {k: record[k] for k in ("python", "numpy")}
+    return f"data files differ from {name}: {changed} (record made on {recorded_host}, this host {host()})"
+
+
+def write_or_print(
+    argv: list[str] | None, doc: str, record_path: Path, seed: int, run: Callable[[str], dict[str, str]]
+) -> int:
+    """The command line of a golden-record script: print the record, or write it with --write."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
+    ap.add_argument("--write", action="store_true", help=f"write {record_path.name}")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
-        record = {**host(), "seed": SEED, "files": run_digests(work)}
+        record = {**host(), "seed": seed, "files": run(work)}
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.write:
-        RECORD.write_text(text, encoding="utf-8")
+        record_path.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return write_or_print(argv, __doc__, RECORD, SEED, run_digests)
 
 
 if __name__ == "__main__":
