@@ -3,8 +3,8 @@
 
 Each size is a train split of `synth.make_anchored_corpus` (every doc
 carries a seed emoji, 70/10/20 stratified split), featurized with the
-CLI's default char+word tf-idf features by `fit_transform`, the one
-gram pass `train` runs. The script prints, per size, the median of the
+CLI's default char+word tf-idf features by `fit_transform`, as `train`
+does. The script prints, per size, the median of the
 featurization times (`features_s`) and of the fit times (`fit_s`), the
 time per SMO pair step (`us_per_step`), the epochs, the duality gap, and
 the memory one fit allocates at its peak (`fit_peak_mb`), after a line

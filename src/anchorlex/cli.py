@@ -220,16 +220,19 @@ def cmd_gate(args: argparse.Namespace) -> None:
 
 
 def _feature_config(args: argparse.Namespace) -> FeatureConfig:
-    def parse_range(s: str) -> tuple[int, int]:
-        parts = s.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad n-gram range {s!r}, expected LO,HI")
-        return int(parts[0]), int(parts[1])
+    def parse_range(flag: str, value: str) -> tuple[int, int]:
+        try:
+            lo, hi = map(int, value.split(","))
+        except ValueError:
+            lo = hi = 0
+        if not 1 <= lo <= hi:
+            raise ValueError(f"{flag} {value!r}: expected LO,HI with 1 <= LO <= HI")
+        return lo, hi
 
     return FeatureConfig(
         mode=args.mode,
-        char_range=parse_range(args.char_ngrams),
-        word_range=parse_range(args.word_ngrams),
+        char_range=parse_range("--char-ngrams", args.char_ngrams),
+        word_range=parse_range("--word-ngrams", args.word_ngrams),
     )
 
 

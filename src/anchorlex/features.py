@@ -1,47 +1,49 @@
 """tf-idf n-gram feature space: char [2,5] and word [1,3] grams.
 
-The vocabulary's c:/w: prefixes only name the columns. `transform`
-builds no gram string: it maps a block of texts' grams to column ids
-through a prefix trie per kind, then numpy counts each row's
-in-vocabulary grams in first-appearance order. `fit_transform` grams
-each training text once, as strings, since it must sort the vocabulary,
-and writes the tf-idf rows straight into CSR arrays. `tfidf_l2` is the
-one place tf * idf and the L2 norm are computed: the training rows,
-`vectorize` and `linear.score_texts` all call it, BLOCK_ROWS rows at a
-time at most.
+The vocabulary's c:/w: prefixes only name the columns, and no path
+builds a string per gram occurrence. `transform` maps a block of texts'
+grams to column ids through a prefix trie per kind, then numpy counts
+each row's grams in first-appearance order. `tfidf_l2` is the one place
+tf * idf and the L2 norm are computed: the training rows, `vectorize`
+and `linear.score_texts` all call it, BLOCK_ROWS rows at a time at most.
 
 Gram index. A FeatureSpace builds one trie per kind on first use
 (`FeatureSpace._tries`) and keeps it. A char gram is a string of code
 points; a word gram is a string of tokens, each coded by one dict over
 the tokens of the w: entries split on " ". Level n of a trie holds the
 sorted int64 keys prefix_id * (end + 1) + code of every length-n prefix
-of its grams, where prefix_id is the length-(n-1) prefix's index in
-level n - 1 (0 at level 1), and the column of each prefix that is
-itself a gram (-1 for the others). end is above every code: 0x110000
-for code points, the number of distinct tokens for tokens, so end + 1
-is at most 0x110001 or the vocabulary's token count. prefix_id is below
-the vocabulary size, so no key of a vocabulary that fits in memory comes
-near 2**63; one path serves every alphabet and n-gram range. Only c:
-and w: entries whose length is inside their kind's range go in: an
-entry with another prefix, or one no window of a text can equal,
-matches nothing.
+of its grams, prefix_id being the length-(n-1) prefix's index in level
+n - 1 (0 at level 1), and the column of each prefix that is a gram (-1
+for the others). end is above every code: 0x110000 for code points, the
+token count for tokens. prefix_id is below the vocabulary size, so no
+key comes near 2**63, whatever the alphabet or n-gram range. Only c:
+and w: entries whose length is inside their kind's range go in; any
+other entry matches nothing.
 
 Lookup (`_gram_keys`). A block's texts become one array of codes, each
 text followed by `end`; a token that no w: entry has is `end` too.
 Level 1 is one np.searchsorted over every position, and level n one
 over the windows still alive, each extended by the next code. A window
-dies when its prefix is not in the trie, which is also what happens
-when it would take in `end`: at a text's end or at a code outside the
-trie. The hits come out in `_grams` order (row, char before word, n
+dies when its prefix is not in the trie, as it does when it would take
+in `end`. The hits come out in gram order (row, char before word, n
 ascending, position), so the counts, the first-appearance order and
 every sum below are those of the per-gram strings, bit for bit.
+
+Vocabulary (`fit_transform`). The training texts are coded the same
+way, words by a token dict in first-appearance order. Level by level,
+np.unique over prefix_id * (end + 1) + code gives each window that
+takes in no end an id; one position per distinct window of length
+lo..hi becomes a string. Each kind sorts as strings ("ab c" before
+"abc", unlike token codes). The space's tries then count the texts, so
+the training rows are `transform`'s, each row's columns sorted.
 
 Per-block memory rule. Memory follows a block's code count, never its
 rows times its longest row: the gram stage keeps a few arrays per code
 and per hit (int64 keys and positions, int32 columns, a row index of 16
 bits or less), all inside `_gram_keys`, so they are freed before
 `tfidf_l2` runs, and tf-idf and the sums then hold a few arrays per
-distinct gram of each row.
+distinct gram of each row. Only the vocabulary pass holds a few arrays
+per code of the whole training set.
 
 Summation-order rule. A row's squared norm, and its w.x in
 `linear.score_texts`, is the float64 sum of its terms in the order the
@@ -60,16 +62,15 @@ differently, so none of them may be used along a row.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .textnorm import char_grams, tokenize, word_grams
+from .textnorm import tokenize
 
 MODES = ("char", "word", "char+word")
 
@@ -80,6 +81,7 @@ BLOCK_ROWS = 256
 _CHAR_END = 0x110000
 # Last key of every trie level, above any prefix key
 _TOP = np.iinfo(np.int64).max
+_Code = Callable[[str, int], int]  # (token, end) -> the token's code
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,8 @@ class FeatureConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown feature mode {self.mode!r}")
         for lo, hi in (self.char_range, self.word_range):
-            if not (1 <= lo <= hi):
+            if not (type(lo) is type(hi) is int and 1 <= lo <= hi):
                 raise ValueError(f"bad n-gram range ({lo}, {hi})")
-
-
-def _grams(text: str, cfg: FeatureConfig) -> tuple[list[str], list[str]]:
-    """Char grams and word grams of one text, unprefixed and in order; a kind the mode leaves out is empty."""
-    return (
-        char_grams(text, *cfg.char_range) if cfg.mode != "word" else [],
-        word_grams(tokenize(text), *cfg.word_range) if cfg.mode != "char" else [],
-    )
 
 
 @dataclass(frozen=True)
@@ -111,16 +105,11 @@ class _Trie:
     keys: tuple[np.ndarray, ...]  # level n: sorted prefix_id * (end + 1) + code, then _TOP
     cols: tuple[np.ndarray, ...]  # aligned to keys: the prefix's column if it is a gram, else -1
     end: int  # the code after each text, above every gram code
-    tokens: dict[str, int] | None  # word tries: token -> code; char codes are code points
+    code: _Code | None  # word tries: (token, end) -> the token's code; char codes are code points
 
 
 def _trie(
-    codes: np.ndarray,
-    starts: np.ndarray,
-    lens: np.ndarray,
-    cols: np.ndarray,
-    end: int,
-    tokens: dict[str, int] | None = None,
+    codes: np.ndarray, starts: np.ndarray, lens: np.ndarray, cols: np.ndarray, end: int, code: _Code | None = None
 ) -> _Trie:
     """The trie of the grams codes[starts[i] : starts[i] + lens[i]], gram i at column cols[i]."""
     # longest first, so the grams at least n codes long are a prefix
@@ -135,7 +124,7 @@ def _trie(
         c[node[longer:]] = cols[longer:k]
         keys.append(np.append(level, _TOP))
         level_cols.append(c)
-    return _Trie(tuple(keys), tuple(level_cols), end, tokens)
+    return _Trie(tuple(keys), tuple(level_cols), end, code)
 
 
 @dataclass(frozen=True)
@@ -175,33 +164,32 @@ class FeatureSpace:
             tokens = dict(zip(dict.fromkeys(all_tokens), count()))
             codes = np.fromiter(map(tokens.__getitem__, all_tokens), np.int64, len(all_tokens))
             n_tok = n_tok[sel]
-            word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), tokens)
+            word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), tokens.get)
         return char, word
 
 
-def _codes(texts: Sequence[str], trie: _Trie) -> tuple[np.ndarray, np.ndarray]:
-    """The texts' codes back to back, each text followed by trie.end, and where each trie.end is.
+def _codes(texts: Sequence[str], code: _Code | None, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """The texts' codes back to back, each text followed by end, and where each end is.
 
-    A token that no w: entry has gets trie.end too.
+    code None codes code points, else token t gets code(t, end).
     """
-    if trie.tokens is None:
+    if code is None:
         joined = "\0".join([*texts, ""]).encode("utf-32-le", "surrogatepass")
         codes = np.frombuffer(joined, "<u4").astype(np.int64)
         ends = np.cumsum([len(t) + 1 for t in texts], dtype=np.int64) - 1
-        codes[ends] = trie.end
+        codes[ends] = end
         return codes, ends
-    get, end = trie.tokens.get, trie.end
     ids = array("q")
     ends = array("q")
     for text in texts:
-        ids.fromlist(list(map(get, tokenize(text), repeat(end))))
+        ids.fromlist(list(map(code, tokenize(text), repeat(end))))
         ends.append(len(ids))
         ids.append(end)
     return np.frombuffer(ids, np.int64), np.frombuffer(ends, np.int64)
 
 
 def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
-    """row * n_columns + column of every in-vocabulary gram of the texts, in `_grams` order.
+    """row * n_columns + column of every in-vocabulary gram of the texts, in gram order.
 
     That is row, then char before word, then n ascending, then position.
     """
@@ -212,7 +200,7 @@ def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
     for trie in space._tries:
         if trie is None:
             continue
-        codes, ends = _codes(texts, trie)
+        codes, ends = _codes(texts, trie.code, trie.end)
         # the windows alive at level n: start positions and their prefix ids
         key, pos = codes, None
         for n, (level, level_cols) in enumerate(zip(trie.keys, trie.cols), 1):
@@ -264,6 +252,17 @@ def tfidf_l2(indptr: np.ndarray, cols: np.ndarray, tfs: np.ndarray, idf: np.ndar
     return np.divide(x, norm, out=x, where=norm > 0)
 
 
+def _counts(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The texts' in-vocabulary gram counts as CSR (indptr, cols, tfs), each row in first-appearance order."""
+    n, v = len(texts), len(space.idf)
+    keys, first, tfs = np.unique(_gram_keys(texts, space), return_index=True, return_counts=True)
+    order = np.argsort(first, kind="stable")
+    keys, tfs = keys[order], tfs[order]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys // v, minlength=n), out=indptr[1:])
+    return indptr, keys % v, tfs
+
+
 def transform(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The texts' tf-idf rows as CSR (indptr, cols, vals); OOV grams vanish.
 
@@ -271,14 +270,42 @@ def transform(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np
     grows with the texts' character count (the per-block memory rule in
     the module docstring): pass at most BLOCK_ROWS texts.
     """
-    n, v = len(texts), len(space.idf)
-    keys, first, tfs = np.unique(_gram_keys(texts, space), return_index=True, return_counts=True)
-    order = np.argsort(first, kind="stable")
-    keys, tfs = keys[order], tfs[order]
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(keys // v, minlength=n), out=indptr[1:])
-    cols = keys % v
+    indptr, cols, tfs = _counts(texts, space)
     return indptr, cols, tfidf_l2(indptr, cols, tfs, space.idf)
+
+
+def _distinct_windows(codes: np.ndarray, end: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """n, and one start of each distinct window of n codes that takes in no end, for n in lo..hi."""
+    pos = np.flatnonzero(codes != end)
+    key = codes[pos]
+    for n in range(1, hi + 1):
+        level, node = np.unique(key, return_inverse=True)
+        if n >= lo:
+            starts = np.empty(len(level), np.int64)
+            starts[node] = pos  # any position of a window serves
+            yield n, starts
+        nxt = codes[pos + n]
+        alive = nxt != end
+        pos, key = pos[alive], node[alive] * (end + 1) + nxt[alive]
+
+
+def _vocabulary(texts: Sequence[str], config: FeatureConfig) -> dict[str, int]:
+    """gram -> column: the texts' distinct char grams, then word grams, each kind sorted as strings."""
+    grams: list[str] = []
+    if config.mode != "word":
+        codes, _ = _codes(texts, None, _CHAR_END)
+        joined = "\0".join(texts)
+        windows = _distinct_windows(codes, _CHAR_END, *config.char_range)
+        grams += ["c:" + g for g in sorted(joined[p : p + n] for n, pos in windows for p in pos.tolist())]
+    if config.mode != "char":
+        tokens: dict[str, int] = {}  # in first-appearance order
+        codes, ends = _codes(texts, lambda t, _: tokens.setdefault(t, len(tokens)), 0)
+        codes[ends] = end = len(tokens)
+        names = np.array(list(tokens), dtype=object)
+        windows = _distinct_windows(codes, end, *config.word_range)
+        grams += ["w:" + g for g in sorted(
+            " ".join(t) for n, pos in windows for t in names[codes[pos[:, None] + np.arange(n)]].tolist())]
+    return dict(zip(grams, count()))
 
 
 def fit_transform(
@@ -289,46 +316,24 @@ def fit_transform(
     idf = ln((1 + N) / (1 + df)) + 1; columns sorted lexicographically
     so the space is a pure function of the text multiset. The rows are
     (indptr, cols, vals): row i holds cols[indptr[i]:indptr[i + 1]],
-    ascending, and each value equals vectorize(texts[i], space)[col]
-    bit for bit.
+    ascending: `transform`'s rows, each with its columns sorted.
     """
     if not texts:
         raise ValueError("cannot fit features on an empty text list")
-    # Each distinct gram gets a provisional id in first-seen order, char and
-    # word grams counted together; a text keeps only its ids and counts, so
-    # no gram dict outlives its text.
-    ids: tuple[dict[str, int], dict[str, int]] = ({}, {})
-    flat_ids, flat_tfs = array("q"), array("q")
-    n = len(texts)
-    indptr = np.zeros(n + 1, np.int64)
-    for i, text in enumerate(texts):
-        for seen, other, grams in zip(ids, ids[::-1], _grams(text, config)):
-            counts = Counter(grams)
-            flat_ids.extend([seen.setdefault(g, len(seen) + len(other)) for g in counts])
-            flat_tfs.extend(counts.values())
-        indptr[i + 1] = len(flat_ids)
-    # the columns: sorted char grams, then sorted word grams (c: sorts before w:)
-    grams = [sorted(seen) for seen in ids]
-    vocab = dict(zip([p + g for p, gs in zip(("c:", "w:"), grams) for g in gs], count()))
-    col_of_id = np.empty(len(vocab), np.int64)
-    col_of_id[[seen[g] for seen, gs in zip(ids, grams) for g in gs]] = np.arange(len(vocab))
-    del ids, grams
-    gram_cols = col_of_id[np.frombuffer(flat_ids, np.int64)]
-    df = np.bincount(gram_cols, minlength=len(vocab))
+    vocab = _vocabulary(texts, config)
+    n, v = len(texts), len(vocab)
+    idf = np.empty(v)  # filled once df is known; counting reads only its length
+    space = FeatureSpace(config=config, vocabulary=vocab, idf=idf, n_docs=n)
+    blocks = [_counts(texts[a : a + BLOCK_ROWS], space) for a in range(0, n, BLOCK_ROWS)]
+    cols = np.concatenate([c for _, c, _ in blocks])
     # the scalar expression once per distinct df: numpy does not promise
     # that its array log rounds like its scalar log
-    dfs, at = np.unique(df, return_inverse=True)
-    idf = np.array([np.log((1.0 + n) / (1.0 + d)) + 1.0 for d in dfs.tolist()])[at]
-    tfs = np.frombuffer(flat_tfs, np.int64)
-    vals = np.empty(len(gram_cols))
-    for a in range(0, n, BLOCK_ROWS):
-        ptr = indptr[a : a + BLOCK_ROWS + 1]
-        span = slice(ptr[0], ptr[-1])
-        vals[span] = tfidf_l2(ptr - ptr[0], gram_cols[span], tfs[span], idf)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(rows * len(vocab) + gram_cols, kind="stable")
-    space = FeatureSpace(config=config, vocabulary=vocab, idf=idf, n_docs=n)
-    return space, (indptr, gram_cols[order], vals[order])
+    dfs, at = np.unique(np.bincount(cols, minlength=v), return_inverse=True)
+    idf[:] = np.array([np.log((1.0 + n) / (1.0 + d)) + 1.0 for d in dfs.tolist()])[at]
+    vals = np.concatenate([tfidf_l2(*block, idf) for block in blocks])
+    lens = np.concatenate([np.diff(indptr) for indptr, _, _ in blocks])
+    order = np.argsort(np.repeat(np.arange(n), lens) * v + cols)
+    return space, (np.concatenate([[0], np.cumsum(lens)]), cols[order], vals[order])
 
 
 def fit_features(texts: Sequence[str], config: FeatureConfig = FeatureConfig()) -> FeatureSpace:

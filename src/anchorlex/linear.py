@@ -40,21 +40,16 @@ diagonal, alpha) are Python floats, on which + - * /, min and max give
 the same bits as on numpy scalars.
 
 score_texts is the one read-path scorer: predict_texts, score_text and
-explain all go through it. It scores each distinct text once, since a
-score is a pure function of the text, BLOCK_ROWS distinct texts at a
-time: `features.transform` gives the block's tf-idf rows, and w.x is
-`features.ordered_row_sums` over the products w[col] * x. The grams go
-to columns through the space's gram index (a prefix trie per kind, see
-the `features` module docstring), which the first block builds and the
-space keeps, so each `load_model` pays for it once. tf * idf,
-the squared L2 norm and w.x thus follow the summation-order rule in the
-`features` module docstring: each row's sum is added left to right in
-the order its grams first appear, one position at a time across the
-block. The training rows (`features.fit_transform`), `vectorize` and
-score_texts share `features.tfidf_l2`, so the vectors the trainer sees
-and the scores predict writes agree bit for bit, and w.x adds in the
-same order as the built-in sum over numpy scalars of `decision_score`
-in tests/score_reference.py.
+explain all go through it. It scores each distinct text once, BLOCK_ROWS
+at a time: `features.transform` gives the block's tf-idf rows through
+the space's gram index, which the first block builds and the space
+keeps, so each `load_model` pays for it once; w.x is
+`features.ordered_row_sums` over the products w[col] * x, by the
+`features` summation-order rule. `features.fit_transform` counts the
+training rows through the same gram index and weighs them by the same
+`tfidf_l2`, so the vectors the trainer sees and the scores predict
+writes agree bit for bit, and w.x adds in the same order as the built-in
+sum over numpy scalars of `decision_score` in tests/score_reference.py.
 """
 
 from __future__ import annotations
@@ -438,12 +433,17 @@ def load_model(path: str) -> LinearModel:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}")
     try:
+        grams = obj["vocabulary"]
+        if not (isinstance(grams, list) and set(map(type, grams)) <= {str}):
+            raise ValueError("vocabulary is not a list of strings")
+        if not isinstance(obj["normalized"], bool):
+            raise ValueError(f"normalized is not true or false: {obj['normalized']!r}")
         config = FeatureConfig(
             mode=obj["mode"],
             char_range=tuple(obj["char_range"]),
             word_range=tuple(obj["word_range"]),
         )
-        vocab = {g: i for i, g in enumerate(obj["vocabulary"])}
+        vocab = dict(zip(grams, range(len(grams))))
         space = FeatureSpace(
             config=config,
             vocabulary=vocab,
@@ -457,7 +457,7 @@ def load_model(path: str) -> LinearModel:
             C=float(obj["C"]),
             seed=int(obj["seed"]),
             target=str(obj["target"]),
-            normalized=bool(obj["normalized"]),
+            normalized=obj["normalized"],
             objective_trace=tuple(float(x) for x in obj["objective_trace"]),
         )
     except KeyError as e:
@@ -465,7 +465,7 @@ def load_model(path: str) -> LinearModel:
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad model file: {e}") from None
     # a repeated gram leaves fewer columns than grams
-    n_grams = len(obj["vocabulary"])
+    n_grams = len(grams)
     if not (len(vocab) == n_grams and space.idf.shape == model.weights.shape == (n_grams,)):
         raise ValueError(
             f"{path}: vocabulary, idf and weights disagree in length ({n_grams} grams, "

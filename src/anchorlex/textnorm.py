@@ -106,28 +106,18 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def word_grams(tokens: Sequence[str], n_min: int, n_max: int) -> list[str]:
-    """Contiguous word n-grams joined with single spaces: n ascending, then position."""
-    if not (1 <= n_min <= n_max):
-        raise ValueError(f"bad n-gram range ({n_min}, {n_max})")
-    return [" ".join(tokens[i : i + n]) for n in range(n_min, n_max + 1) for i in range(len(tokens) - n + 1)]
-
-
-def char_grams(text: str, n_min: int, n_max: int) -> list[str]:
-    """Contiguous character n-grams, spaces included: n ascending, then position."""
-    if not (1 <= n_min <= n_max):
-        raise ValueError(f"bad n-gram range ({n_min}, {n_max})")
-    return [text[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(text) - n + 1)]
-
-
 def word_ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> Counter:
-    """Multiset of `word_grams`, keys in first-appearance order."""
-    return Counter(word_grams(tokens, n_min, n_max))
+    """Multiset of contiguous word n-grams joined with single spaces, keys in first-appearance order."""
+    if not (1 <= n_min <= n_max):
+        raise ValueError(f"bad n-gram range ({n_min}, {n_max})")
+    return Counter(" ".join(tokens[i : i + n]) for n in range(n_min, n_max + 1) for i in range(len(tokens) - n + 1))
 
 
 def char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
-    """Multiset of `char_grams`, keys in first-appearance order."""
-    return Counter(char_grams(text, n_min, n_max))
+    """Multiset of contiguous character n-grams, spaces included, keys in first-appearance order."""
+    if not (1 <= n_min <= n_max):
+        raise ValueError(f"bad n-gram range ({n_min}, {n_max})")
+    return Counter(text[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(text) - n + 1))
 
 
 # --- deduplication ------------------------------------------------------

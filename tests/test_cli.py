@@ -486,6 +486,19 @@ def test_train_rejects_bad_C_and_leaves_no_model(ws, tmp_path, capsys, c):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--char-ngrams", "2,x"), ("--word-ngrams", "3,2"), ("--char-ngrams", "2"), ("--word-ngrams", "0,1"),
+     ("--char-ngrams", "1,2,3")],
+)
+def test_train_names_a_bad_ngram_flag_and_leaves_no_model(ws, tmp_path, capsys, flag, value):
+    out = tmp_path / "model.json"
+    argv = ["train", "--in", ws.corpus, "--labels", ws.labels, "--split", ws.split, "--out", str(out)]
+    assert cli.main(argv + [flag, value]) == 2
+    assert f"error: {flag} {value!r}: expected LO,HI with 1 <= LO <= HI" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predict_output_format(ws):
     lines = open(ws.preds, encoding="utf-8").read().splitlines()
     assert lines[0] == "doc_id\tlabel\tscore"
@@ -592,8 +605,13 @@ def _edited_model(ws, tmp_path, edit) -> str:
             lambda b: b.update(weights=b["weights"][:-50]),
             "vocabulary, idf and weights disagree in length",
         ),
+        (lambda b: b["vocabulary"].__setitem__(0, 5), "bad model file: vocabulary is not a list of strings"),
+        (lambda b: b.update(vocabulary="w:a"), "bad model file: vocabulary is not a list of strings"),
+        (lambda b: b.update(normalized="no"), "bad model file: normalized is not true or false: 'no'"),
+        (lambda b: b.update(word_range=[1, 2.0]), "bad model file: bad n-gram range (1, 2.0)"),
+        (lambda b: b.update(char_range=[True, 5]), "bad model file: bad n-gram range (True, 5)"),
     ],
-    ids=["no_idf", "weights_cut_by_50"],
+    ids=["no_idf", "weights_cut_by_50", "int_gram", "string_vocabulary", "normalized_no", "float_bound", "bool_bound"],
 )
 def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, message):
     model = _edited_model(ws, tmp_path, edit)

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchorlex.features import MODES, FeatureConfig, _grams, fit_features, fit_transform, vectorize
+from anchorlex.features import MODES, FeatureConfig, fit_features, fit_transform, vectorize
 from anchorlex.textnorm import char_ngrams, tokenize, word_ngrams
 
 import score_reference
@@ -20,6 +19,10 @@ def test_config_validation():
         FeatureConfig(char_range=(0, 3))
     with pytest.raises(ValueError):
         FeatureConfig(word_range=(3, 1))
+    # a bound must be an int: not a float, not a bool
+    for bad in ((1, 2.0), (True, 2), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="bad n-gram range"):
+            FeatureConfig(char_range=bad)
 
 
 def test_fit_rejects_empty_corpus():
@@ -108,18 +111,34 @@ def _rows(X):
     ]
 
 
-@settings(max_examples=200, deadline=None)
+# NUL, lone surrogates, a keycap, ZWJ, U+2139 (a word character and a
+# pictograph), a skin tone and a ZWJ sequence; "ab" is a prefix of "abc"
+FIT_PIECES = [
+    "a", "b", "ab", "abc", " ", "كل", "\u0640", "!", "\0", "\ud83d", "\udcff", "1\ufe0f\u20e3",
+    "\u200d", "\u2139", "\U0001F437", "\U0001F3FB", "\U0001F468\u200d\U0001F469",
+]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    texts=st.lists(st.text(alphabet="abc كل\u0640!\U0001F437", max_size=12), min_size=1, max_size=8),
+    texts=st.lists(st.lists(st.sampled_from(FIT_PIECES), max_size=8).map("".join), min_size=1, max_size=8),
     mode=st.sampled_from(MODES),
+    char_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
+    word_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
 )
-def test_fit_transform_equals_two_pass_fit_and_vectorize(texts, mode):
-    # The one gram pass gives the old two-pass space, and rows equal to
-    # vectorize's (and the old vectorize's) to the bit, columns ascending.
-    cfg = FeatureConfig(mode=mode, char_range=(1, 3), word_range=(1, 2))
+@example(texts=["ab c", "abc", "ab"], mode="word", char_range=(1, 1), word_range=(1, 2))
+@example(texts=["a", "b c"], mode="char+word", char_range=(2, 3), word_range=(1, 1)).via("no char gram in one text")
+@example(texts=["a", "\U0001F437"], mode="char+word", char_range=(3, 3), word_range=(1, 1)).via("no char gram")
+@example(texts=["ab!", "! !"], mode="char+word", char_range=(1, 2), word_range=(2, 3)).via("no word gram")
+@example(texts=["", "x"], mode="char+word", char_range=(2, 2), word_range=(2, 2)).via("no gram at all")
+def test_fit_transform_equals_two_pass_fit_and_vectorize(texts, mode, char_range, word_range):
+    # fit_transform gives the old two-pass space, vocabulary order
+    # included, and rows equal to vectorize's (and the old vectorize's)
+    # to the bit, columns ascending.
+    cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
     space, X = fit_transform(texts, cfg)
     old = score_reference.fit_features(texts, cfg)
-    assert space.vocabulary == old.vocabulary and space.n_docs == old.n_docs
+    assert list(space.vocabulary.items()) == list(old.vocabulary.items()) and space.n_docs == old.n_docs
     assert space.idf.tobytes() == old.idf.tobytes()
     assert fit_features(texts, cfg).idf.tobytes() == old.idf.tobytes()
     indptr, cols, _ = X
@@ -151,18 +170,8 @@ GRAM_TEXT = st.text(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    text=GRAM_TEXT,
-    mode=st.sampled_from(["char", "word", "char+word"]),
-    lo=st.integers(1, 3),
-    width=st.integers(0, 3),
-)
-def test_grams_match_loop_counters_items_and_order(text, mode, lo, width):
-    cfg = FeatureConfig(mode=mode, char_range=(lo, lo + width), word_range=(lo, lo + width))
-    char, word = _grams(text, cfg)
-    # prefixed and counted, the two lists are the old c:/w: gram dict, order included
-    counted = Counter(["c:" + g for g in char] + ["w:" + g for g in word])
-    assert list(counted.items()) == list(score_reference._grams(text, cfg).items())
+@given(text=GRAM_TEXT, lo=st.integers(1, 3), width=st.integers(0, 3))
+def test_grams_match_loop_counters_items_and_order(text, lo, width):
     want = score_reference.char_ngrams(text, lo, lo + width)
     assert list(char_ngrams(text, lo, lo + width).items()) == list(want.items())
     tokens = tokenize(text)
