@@ -127,10 +127,10 @@ FIT_PIECES = [
     word_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
 )
 @example(texts=["ab c", "abc", "ab"], mode="word", char_range=(1, 1), word_range=(1, 2))
-@example(texts=["a", "b c"], mode="char+word", char_range=(2, 3), word_range=(1, 1)).via("no char gram in one text")
-@example(texts=["a", "\U0001F437"], mode="char+word", char_range=(3, 3), word_range=(1, 1)).via("no char gram")
-@example(texts=["ab!", "! !"], mode="char+word", char_range=(1, 2), word_range=(2, 3)).via("no word gram")
-@example(texts=["", "x"], mode="char+word", char_range=(2, 2), word_range=(2, 2)).via("no gram at all")
+@example(texts=["a", "b c"], mode="char+word", char_range=(2, 3), word_range=(1, 1))  # no char gram in one text
+@example(texts=["a", "\U0001F437"], mode="char+word", char_range=(3, 3), word_range=(1, 1))  # no char gram
+@example(texts=["ab!", "! !"], mode="char+word", char_range=(1, 2), word_range=(2, 3))  # no word gram
+@example(texts=["", "x"], mode="char+word", char_range=(2, 2), word_range=(2, 2))  # no gram at all
 def test_fit_transform_equals_two_pass_fit_and_vectorize(texts, mode, char_range, word_range):
     # fit_transform gives the old two-pass space, vocabulary order
     # included, and rows equal to vectorize's (and the old vectorize's)
