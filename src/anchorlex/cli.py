@@ -37,28 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _norm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-letter-maps", action="store_true", help="keep alef/taa/yaa variants")
-    p.add_argument("--keep-diacritics", action="store_true")
-    p.add_argument("--keep-newlines", action="store_true")
-    p.add_argument("--squash", type=int, default=2, metavar="K", help="cap letter runs at K")
-    p.add_argument("--mention-token", default="@USER")
-    p.add_argument("--url-token", default="URL")
-
-
-def _norm_config(args: argparse.Namespace) -> textnorm.NormalizationConfig:
-    return textnorm.NormalizationConfig(
-        map_alef=not args.no_letter_maps,
-        map_taa_marbuta=not args.no_letter_maps,
-        map_alef_maksura=not args.no_letter_maps,
-        strip_diacritics=not args.keep_diacritics,
-        squash_repeats_over=args.squash,
-        replace_mentions_with=args.mention_token,
-        replace_urls_with=args.url_token,
-        newline_to_space=not args.keep_newlines,
-    )
-
-
 def _load_inventory(args: argparse.Namespace) -> emoji_mod.SeedInventory:
     if getattr(args, "seeds", None):
         return emoji_mod.load_seed_inventory(args.seeds)
@@ -89,7 +67,7 @@ def cmd_dedup(args: argparse.Namespace) -> None:
         jaccard_threshold=args.jaccard,
         min_tokens=args.min_tokens,
     )
-    kept, dropped = textnorm.dedup(docs, policy, _norm_config(args))
+    kept, dropped = textnorm.dedup(docs, policy)
     corpus_mod.write_corpus(args.out, kept)
     # resolved after the runner took the config, which keeps the flag as given
     args.dropped = args.dropped or args.out + ".dropped.tsv"
@@ -98,12 +76,11 @@ def cmd_dedup(args: argparse.Namespace) -> None:
 
 
 def cmd_normalize(args: argparse.Namespace) -> None:
-    cfg = _norm_config(args)
     docs = corpus_mod.load_corpus(args.infile)
     out_docs = [
         corpus_mod.Document(
             id=d.id,
-            text=textnorm.normalize(d.text, cfg),
+            text=textnorm.normalize(d.text),
             created_at=d.created_at,
             lang=d.lang,
         )
@@ -135,7 +112,6 @@ def cmd_mine_lexicon(args: argparse.Namespace) -> None:
         docs,
         labels,
         args.positive_class,
-        _norm_config(args),
         min_valence=args.min_valence,
         min_freq=args.min_freq,
     )
@@ -176,9 +152,8 @@ def cmd_match_violence(args: argparse.Namespace) -> None:
     rules = violence_mod.load_rules(args.rules) if args.rules else None
     compiled = violence_mod.compile_rules(rules, classes)
     rows = []
-    cfg = _norm_config(args)
     for d in docs:
-        for m in violence_mod.match_violence_text(d.text, compiled, cfg):
+        for m in violence_mod.match_violence_text(d.text, compiled):
             rows.append((d.id, m))
     atomic_write_text(args.out, violence_mod.dump_matches(rows))
     print(f"match-violence: {len(rows)} matches in {len(docs)} docs")
@@ -387,12 +362,10 @@ def build_parser() -> _Parser:
     p.add_argument("--min-tokens", type=int, default=3)
     p.add_argument("--jaccard", type=float, default=0.8)
     p.add_argument("--shingle-size", type=int, default=2)
-    _norm_flags(p)
 
     p = add("normalize", cmd_normalize, "canonicalize text", ("infile",))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    _norm_flags(p)
 
     p = add("split", cmd_split, "stratified train/dev/test split", ("labels",))
     p.add_argument("--labels", required=True)
@@ -412,7 +385,6 @@ def build_parser() -> _Parser:
         choices=corpus_mod.LABEL_CLASSES,
         default="offensive",
     )
-    _norm_flags(p)
 
     p = add("emoji-stats", cmd_emoji_stats, "per-emoji offensive/hate rates", ("infile", "labels", "seeds"))
     p.add_argument("--in", dest="infile", required=True)
@@ -433,7 +405,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--classes", help="lexical classes TSV (default: bundled)")
     p.add_argument("--rules", help="pattern rules TSV (default: bundled)")
-    _norm_flags(p)
 
     p = add(
         "aggregate",

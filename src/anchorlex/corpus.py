@@ -13,6 +13,7 @@ canonical UTC string YYYY-MM-DDTHH:MM:SSZ, which is written back as is.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import warnings
@@ -302,8 +303,8 @@ def stratified_split(
         raise ValueError("empty label set")
     if len(ratios) != 3:
         raise ValueError("ratios must be (train, dev, test)")
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be non-negative and sum to 1, got {ratios!r}")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"--ratios must be finite, non-negative and sum to 1, got {ratios!r}")
 
     by_class: dict[bool, list[str]] = {}
     for r in records:
@@ -350,6 +351,7 @@ def write_split(path: str, split: DatasetSplit) -> None:
 
 def load_split(path: str) -> DatasetSplit:
     parts: dict[str, set[str]] = {name: set() for name in _SPLIT_NAMES}
+    section_of: dict[str, str] = {}
     current: str | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -364,6 +366,8 @@ def load_split(path: str) -> DatasetSplit:
                 continue
             if current is None:
                 raise ValueError(f"{path}: line {lineno}: doc id before any section header")
+            if (first := section_of.setdefault(line, current)) != current:
+                raise ValueError(f"{path}: line {lineno}: doc id {line!r} already in section {first!r}")
             parts[current].add(line)
     return DatasetSplit(
         train=frozenset(parts["train"]),

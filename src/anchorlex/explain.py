@@ -62,8 +62,8 @@ def explain(
     """Attribution per token of one document under one model."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if kernel_width <= 0:
-        raise ValueError("kernel_width must be positive")
+    if not kernel_width > 0:
+        raise ValueError(f"kernel_width must be positive, got {kernel_width!r}")
     prepared = explain_preprocess(text) if preprocess else text
     tokens = tuple(tokenize(prepared))
     m = len(tokens)

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import LABEL_CLASSES, Document, LabelRecord
-from .textnorm import NormalizationConfig, normalize, tokenize
-
-_DEFAULT = NormalizationConfig()
+from .textnorm import normalize, tokenize
 
 
 @dataclass(frozen=True)
@@ -36,18 +34,13 @@ class TermCounts:
         return set(self.n_off) | set(self.n_cln)
 
     @classmethod
-    def from_texts(
-        cls,
-        off_texts: Iterable[str],
-        cln_texts: Iterable[str],
-        cfg: NormalizationConfig = _DEFAULT,
-    ) -> "TermCounts":
+    def from_texts(cls, off_texts: Iterable[str], cln_texts: Iterable[str]) -> "TermCounts":
         n_off: Counter = Counter()
         n_cln: Counter = Counter()
         for t in off_texts:
-            n_off.update(tokenize(normalize(t, cfg)))
+            n_off.update(tokenize(normalize(t)))
         for t in cln_texts:
-            n_cln.update(tokenize(normalize(t, cfg)))
+            n_cln.update(tokenize(normalize(t)))
         return cls(
             n_off=dict(n_off),
             n_cln=dict(n_cln),
@@ -123,7 +116,6 @@ def mine_class_lexicon(
     docs: Iterable[Document],
     labels: Mapping[str, LabelRecord],
     positive_class: str,
-    cfg: NormalizationConfig = _DEFAULT,
     min_valence: float = 0.8,
     min_freq: int = 5,
 ) -> list[LexiconEntry]:
@@ -136,7 +128,7 @@ def mine_class_lexicon(
             f"class {positive_class!r}: both partitions must be non-empty "
             f"(positive={len(pos)}, negative={len(neg)})"
         )
-    counts = TermCounts.from_texts(pos, neg, cfg)
+    counts = TermCounts.from_texts(pos, neg)
     if counts.total_off <= 0 or counts.total_cln <= 0:
         raise ValueError("both partitions must contain tokens")
     return mine_from_counts(counts, min_valence, min_freq)

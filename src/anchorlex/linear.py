@@ -421,6 +421,16 @@ def save_model(path: str, model: LinearModel) -> None:
     atomic_write_text(path, json.dumps(obj, ensure_ascii=False, sort_keys=True))
 
 
+def _finite(name: str, value: object, scalar: bool = False) -> np.ndarray:
+    """A JSON list of numbers (one number if scalar) as float64; bools, strings, nulls and non-finite values fail."""
+    items = [value] if scalar else value
+    ok = isinstance(items, list) and set(map(type, items)) <= {int, float}
+    arr = np.asarray(items, dtype=np.float64) if ok else None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError(f"{name} is not {'a finite number' if scalar else 'a list of finite numbers'}")
+    return arr
+
+
 def load_model(path: str) -> LinearModel:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -438,6 +448,11 @@ def load_model(path: str) -> LinearModel:
             raise ValueError("vocabulary is not a list of strings")
         if not isinstance(obj["normalized"], bool):
             raise ValueError(f"normalized is not true or false: {obj['normalized']!r}")
+        for key in ("seed", "n_train_docs"):
+            if type(obj[key]) is not int:
+                raise ValueError(f"{key} is not an integer: {obj[key]!r}")
+        if obj["target"] not in LABEL_CLASSES:
+            raise ValueError(f"unknown target {obj['target']!r}")
         config = FeatureConfig(
             mode=obj["mode"],
             char_range=tuple(obj["char_range"]),
@@ -447,22 +462,22 @@ def load_model(path: str) -> LinearModel:
         space = FeatureSpace(
             config=config,
             vocabulary=vocab,
-            idf=np.asarray(obj["idf"], dtype=np.float64),
-            n_docs=int(obj["n_train_docs"]),
+            idf=_finite("idf", obj["idf"]),
+            n_docs=obj["n_train_docs"],
         )
         model = LinearModel(
             space=space,
-            weights=np.asarray(obj["weights"], dtype=np.float64),
-            bias=float(obj["bias"]),
-            C=float(obj["C"]),
-            seed=int(obj["seed"]),
-            target=str(obj["target"]),
+            weights=_finite("weights", obj["weights"]),
+            bias=float(_finite("bias", obj["bias"], scalar=True)[0]),
+            C=float(_finite("C", obj["C"], scalar=True)[0]),
+            seed=obj["seed"],
+            target=obj["target"],
             normalized=obj["normalized"],
-            objective_trace=tuple(float(x) for x in obj["objective_trace"]),
+            objective_trace=tuple(_finite("objective_trace", obj["objective_trace"]).tolist()),
         )
     except KeyError as e:
         raise ValueError(f"{path}: model file lacks {e.args[0]}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: bad model file: {e}") from None
     # a repeated gram leaves fewer columns than grams
     n_grams = len(grams)

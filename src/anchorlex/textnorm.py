@@ -1,93 +1,62 @@
-"""Arabic-aware text normalization, tokenization, n-grams, deduplication."""
+"""Arabic-aware text normalization, tokenization, n-grams, deduplication.
+
+Every stage normalizes by one fixed rule set (see ``normalize``): line
+breaks become spaces, URLs become ``URL``, @mentions become ``@USER``,
+alef variants fold to bare alef, taa marbuta to haa, alef maksura to
+yaa, tashkeel, superscript alef and tatweel are deleted, and any run of
+three or more equal characters is cut to two.
+"""
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Document
 from .emoji import cluster_spans
 
-# letter maps, switched per NormalizationConfig flag
-_ALEF = {"آ": "ا", "أ": "ا", "إ": "ا"}  # آ أ إ -> ا
-_TAA_MARBUTA = {"ة": "ه"}  # ة -> ه
-_ALEF_MAKSURA = {"ى": "ي"}  # ى -> ي
-# tashkeel + superscript alef + tatweel, deleted
-_DIACRITICS = dict.fromkeys(map(chr, [*range(0x064B, 0x0653), 0x0670, 0x0640]), "")
-
+# letter folds, then tashkeel + superscript alef + tatweel deleted
+_TRANS = str.maketrans(
+    {"آ": "ا", "أ": "ا", "إ": "ا", "ة": "ه", "ى": "ي"}  # آ أ إ -> ا, ة -> ه, ى -> ي
+    | dict.fromkeys(map(chr, [*range(0x064B, 0x0653), 0x0670, 0x0640]), "")
+)
+_SQUASH_RE = re.compile(r"(.)\1{2,}")
 _URL_RE = re.compile(r"(?:https?://\S+|\bwww\.\S+)")
 _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    map_alef: bool = True
-    map_taa_marbuta: bool = True
-    map_alef_maksura: bool = True
-    strip_diacritics: bool = True
-    squash_repeats_over: int = 2
-    replace_mentions_with: str = "@USER"
-    replace_urls_with: str = "URL"
-    newline_to_space: bool = True
-
-    def __post_init__(self) -> None:
-        if self.squash_repeats_over < 1:
-            raise ValueError("squash_repeats_over must be >= 1")
+def _two(m: re.Match) -> str:
+    return m[1] * 2
 
 
-_DEFAULT = NormalizationConfig()
+def _once(s: str) -> str:
+    s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
+    s = _URL_RE.sub("URL", s)
+    s = _MENTION_RE.sub("@USER", s)
+    # a callable beats the template r"\1\1", which Python 3.11 expands in Python per match
+    return _SQUASH_RE.sub(_two, s.translate(_TRANS))
 
 
-@functools.lru_cache(maxsize=32)
-def _pass_for(cfg: NormalizationConfig) -> Callable[[str], str]:
-    """One rewrite pass under cfg; its translate table and squash pattern are built here once."""
-    table: dict[str, str] = {}
-    for on, part in (
-        (cfg.map_alef, _ALEF),
-        (cfg.map_taa_marbuta, _TAA_MARBUTA),
-        (cfg.map_alef_maksura, _ALEF_MAKSURA),
-        (cfg.strip_diacritics, _DIACRITICS),
-    ):
-        if on:
-            table.update(part)
-    trans = str.maketrans(table)
-    k = cfg.squash_repeats_over
-    squash = re.compile(r"(.)\1{%d,}" % k, re.DOTALL)
-
-    # the tokens are literal text, not templates: escape their backslashes once
-    url = cfg.replace_urls_with.replace("\\", "\\\\")
-    mention = cfg.replace_mentions_with.replace("\\", "\\\\")
-
-    def squashed(m: re.Match) -> str:
-        return m.group(1) * k
-
-    def once(s: str) -> str:
-        if cfg.newline_to_space:
-            s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-        s = _URL_RE.sub(url, s)
-        s = _MENTION_RE.sub(mention, s)
-        return squash.sub(squashed, s.translate(trans))
-
-    return once
-
-
-def normalize(text: str, cfg: NormalizationConfig = _DEFAULT) -> str:
+def normalize(text: str) -> str:
     """Canonicalize one text. Idempotent: normalize(normalize(x)) == normalize(x).
 
-    The rewrite steps are applied to a fixpoint: one step can expose
-    work for another (stripping a tatweel can uncover a @mention,
-    squashing can complete a URL scheme), so a single pass is not a
-    projection. Real text stabilizes in one or two rounds; the bound
-    only guards against adversarial input.
+    One pass, in order: CR/LF/CRLF -> space; http(s)://... and www....
+    -> ``URL``; @mention -> ``@USER``; آ أ إ -> ا, ة -> ه, ى -> ي;
+    tashkeel (U+064B..U+0652), superscript alef and tatweel deleted;
+    runs of 3+ equal characters cut to 2.
+
+    The pass is applied to a fixpoint: one step can expose work for
+    another (stripping a tatweel can uncover a @mention, squashing can
+    complete a URL scheme), so a single pass is not a projection. Real
+    text stabilizes in one or two rounds; the bound only guards against
+    adversarial input.
     """
-    once = _pass_for(cfg)
     s = text
     for _ in range(8):
-        nxt = once(s)
+        nxt = _once(s)
         if nxt == s:
             return s
         s = nxt
@@ -160,14 +129,13 @@ def _shingles(tokens: Sequence[str], size: int) -> frozenset[tuple[str, ...]]:
     )
 
 
-def _placeholder_tokens(cfg: NormalizationConfig) -> set[str]:
-    return set(tokenize(cfg.replace_mentions_with)) | set(tokenize(cfg.replace_urls_with))
+# the tokens the URL and @USER placeholders split into
+_PLACEHOLDERS = frozenset(tokenize("@USER URL"))
 
 
 def dedup(
     docs: Iterable[Document],
     policy: NearDupPolicy = NearDupPolicy(),
-    cfg: NormalizationConfig = _DEFAULT,
 ) -> tuple[list[Document], list[DropRecord]]:
     """Sequential first-wins dedup.
 
@@ -178,15 +146,14 @@ def dedup(
     output is equivalent to the brute-force pairwise scan (the shingle
     index below only skips pairs with zero overlap).
     """
-    placeholders = _placeholder_tokens(cfg)
     kept: list[Document] = []
     dropped: list[DropRecord] = []
     exact_seen: dict[str, str] = {}
     kept_shingles: list[frozenset] = []
     by_shingle: dict[tuple[str, ...], list[int]] = {}
     for doc in docs:
-        norm = normalize(doc.text, cfg)
-        toks = [t for t in tokenize(norm) if t not in placeholders]
+        norm = normalize(doc.text)
+        toks = [t for t in tokenize(norm) if t not in _PLACEHOLDERS]
         if len(toks) < policy.min_tokens:
             dropped.append(DropRecord(doc.id, "short"))
             continue

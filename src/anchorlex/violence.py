@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .textnorm import NormalizationConfig, normalize, tokenize
+from .textnorm import normalize, tokenize
 from .util import read_table
 
 CLASS_NAMES = ("head", "body", "human", "verb_kill", "verb_hit", "verb_cut", "hit_noun")
@@ -24,10 +24,8 @@ _NOUN_CLASSES = frozenset({"head", "body", "hit_noun"})
 V_THEN_O = "V_then_O"
 HITNOUN_ON_BODY = "HITNOUN_ON_BODY"
 
-_NORM = NormalizationConfig()
-
 # "on" (preposition), normalized: alef maksura -> yaa
-ON_TOKEN = normalize("على", _NORM)  # على -> علي
+ON_TOKEN = normalize("على")  # على -> علي
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def expand(stem: str, kind: str) -> frozenset[str]:
     -t- connective form before suffixes (raqaba+ka -> raqabatka). kind
     "literal": the stem itself only.
     """
-    stem = normalize(stem, _NORM)
+    stem = normalize(stem)
     if not stem:
         raise ValueError("empty stem")
     if kind == "verb":
@@ -145,7 +143,7 @@ def load_classes(path: str) -> dict[str, LexicalClass]:
         name = cols[0].strip()
         if name in out:
             raise ValueError(f"{path}: line {lineno}: duplicate class {name!r}")
-        members = tuple(normalize(m.strip(), _NORM) for m in cols[1].split(",") if m.strip())
+        members = tuple(normalize(m.strip()) for m in cols[1].split(",") if m.strip())
         try:
             out[name] = LexicalClass(name=name, members=members)
         except ValueError as e:
@@ -287,13 +285,9 @@ def match_violence(
     return out
 
 
-def match_violence_text(
-    text: str,
-    compiled: CompiledRules,
-    cfg: NormalizationConfig = _NORM,
-) -> list[PatternMatch]:
+def match_violence_text(text: str, compiled: CompiledRules) -> list[PatternMatch]:
     """Normalize + tokenize, then match."""
-    return match_violence(tokenize(normalize(text, cfg)), compiled)
+    return match_violence(tokenize(normalize(text)), compiled)
 
 
 def dump_matches(rows: Iterable[tuple[str, PatternMatch]]) -> str:

@@ -2,10 +2,11 @@
 
 The emoji segmenter walked the text one character at a time and asked
 range predicates (a bisect over `EXTENDED_PICTOGRAPHIC`) about each
-code point. `_normalize_once` built its translate table and formatted
-its squash pattern on every call, and stripped diacritics with a
-separate regex. `emoji.cluster_spans`, `emoji.base_form` and
-`textnorm.normalize` must give the same result on every string.
+code point. `_normalize_once` applies the one fixed rule set step by
+step: it builds its translate table on every call, strips diacritics
+with a separate regex and squashes runs through a lambda.
+`emoji.cluster_spans`, `emoji.base_form` and `textnorm.normalize` must
+give the same result on every string.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import re
 from bisect import bisect_right
 
 from anchorlex import emoji_ranges as er
-from anchorlex.textnorm import NormalizationConfig
 
 # --- emoji range predicates ------------------------------------------------
 
@@ -127,33 +127,20 @@ _URL_RE = re.compile(r"(?:https?://\S+|\bwww\.\S+)")
 _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
 
 
-def _normalize_once(s: str, cfg: NormalizationConfig) -> str:
-    if cfg.newline_to_space:
-        s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-    # the tokens are literal text (a spec change from the shipped pass, which
-    # read them as `re.sub` templates)
-    s = _URL_RE.sub(cfg.replace_urls_with.replace("\\", "\\\\"), s)
-    s = _MENTION_RE.sub(cfg.replace_mentions_with.replace("\\", "\\\\"), s)
-    table = {}
-    if cfg.map_alef:
-        table.update({k: v for k, v in _CHAR_MAP.items() if v == "ا"})
-    if cfg.map_taa_marbuta:
-        table["ة"] = "ه"
-    if cfg.map_alef_maksura:
-        table["ى"] = "ي"
-    if table:
-        s = s.translate(str.maketrans(table))
-    if cfg.strip_diacritics:
-        s = _DIACRITICS_RE.sub("", s)
-    k = cfg.squash_repeats_over
-    s = re.sub(r"(.)\1{%d,}" % k, lambda m: m.group(1) * k, s, flags=re.DOTALL)
+def _normalize_once(s: str) -> str:
+    s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
+    s = _URL_RE.sub("URL", s)
+    s = _MENTION_RE.sub("@USER", s)
+    s = s.translate(str.maketrans(_CHAR_MAP))
+    s = _DIACRITICS_RE.sub("", s)
+    s = re.sub(r"(.)\1{2,}", lambda m: m.group(1) * 2, s, flags=re.DOTALL)
     return s
 
 
-def normalize(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
+def normalize(text: str) -> str:
     s = text
     for _ in range(8):
-        nxt = _normalize_once(s, cfg)
+        nxt = _normalize_once(s)
         if nxt == s:
             return s
         s = nxt

@@ -21,7 +21,7 @@ import numpy as np
 from anchorlex.corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
 from anchorlex.features import FeatureConfig, FeatureSpace
 from anchorlex.linear import LinearModel, target_value
-from anchorlex.textnorm import NormalizationConfig, normalize, tokenize
+from anchorlex.textnorm import normalize, tokenize
 
 import svm_reference
 
@@ -120,7 +120,6 @@ def train_model(
     seed: int = 0,
     target: str = "offensive",
     normalize_text: bool = True,
-    norm_config: NormalizationConfig = NormalizationConfig(),
 ) -> LinearModel:
     """Fit features on the train split only, then train the SVM on it."""
     if target not in LABEL_CLASSES:
@@ -132,7 +131,7 @@ def train_model(
     if missing:
         raise ValueError(f"unlabeled train documents, e.g. {missing[0]!r}")
     texts = [
-        normalize(d.text, norm_config) if normalize_text else d.text
+        normalize(d.text) if normalize_text else d.text
         for d in train_docs
     ]
     yv = [target_value(labels[d.id], target) for d in train_docs]

@@ -93,6 +93,10 @@ def test_bad_ratios_return_2(ws, tmp_path, capsys):
     assert cli.main(["split", "--labels", ws.labels, "--out", out, "--ratios", "a,b,c"]) == 2
     err = capsys.readouterr().err
     assert "bad --ratios" in err
+    for ratios in ("nan,0.1,0.2", "0.5,nan,0.5"):
+        assert cli.main(["split", "--labels", ws.labels, "--out", out, "--ratios", ratios]) == 2
+        assert "--ratios must be finite, non-negative and sum to 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # --- corpus-shaping commands -------------------------------------------------
@@ -159,25 +163,25 @@ def test_dedup_drops_short_and_exact(tmp_path, capsys):
     assert reasons == {"short", "exact"}
 
 
+def test_dedup_default_jaccard_is_0_8(tmp_path):
+    # bigram shingles: a-d vs a-e share 3 of 4 (0.75), p-t vs p-u share 4 of 5 (0.8)
+    texts = {"a": "a b c d", "b": "a b c d e", "p": "p q r s t", "q": "p q r s t u"}
+    inp, out = str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")
+    write_corpus(inp, [Document(id=i, text=t, created_at=TS) for i, t in texts.items()])
+    assert cli.main(["dedup", "--in", inp, "--out", out]) == 0
+    assert [d.id for d in load_corpus(out)] == ["a", "b", "p"]
+    drops = open(out + ".dropped.tsv", encoding="utf-8").read().splitlines()[1:]
+    assert drops == ["q\tnear\tp"]
+
+
 def test_normalize_rewrites_text(tmp_path):
     docs = [Document(id="d1", text="يَا أخي @someone", created_at=TS)]
     inp, out = str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")
     write_corpus(inp, docs)
     assert cli.main(["normalize", "--in", inp, "--out", out]) == 0
     assert load_corpus(out)[0].text == "يا اخي @USER"
-    # flag flips one knob
-    out2 = str(tmp_path / "out2.jsonl")
-    assert cli.main(["normalize", "--in", inp, "--out", out2, "--keep-diacritics"]) == 0
-    assert "َ" in load_corpus(out2)[0].text
-
-
-def test_normalize_tokens_are_literal_text(tmp_path):
-    docs = [Document(id="d1", text="see http://x.co now @someone", created_at=TS)]
-    inp, out = str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")
-    write_corpus(inp, docs)
-    argv = ["normalize", "--in", inp, "--out", out, "--url-token", "\\1"]
-    assert cli.main([*argv, "--mention-token", "A\\nB"]) == 0
-    assert load_corpus(out)[0].text == "see \\1 now A\\nB"
+    # the rule set is fixed: a flag to change it is unknown
+    assert usage_error(["normalize", "--in", inp, "--out", out, "--keep-diacritics"]) == 1
 
 
 def test_split_command_writes_parts(ws):
@@ -610,17 +614,51 @@ def _edited_model(ws, tmp_path, edit) -> str:
         (lambda b: b.update(normalized="no"), "bad model file: normalized is not true or false: 'no'"),
         (lambda b: b.update(word_range=[1, 2.0]), "bad model file: bad n-gram range (1, 2.0)"),
         (lambda b: b.update(char_range=[True, 5]), "bad model file: bad n-gram range (True, 5)"),
+        (lambda b: b["weights"].__setitem__(0, None), "bad model file: weights is not a list of finite numbers"),
+        (lambda b: b["weights"].__setitem__(0, float("nan")), "bad model file: weights is not a list of finite numbers"),
+        (lambda b: b["idf"].__setitem__(0, True), "bad model file: idf is not a list of finite numbers"),
+        (lambda b: b.update(idf=[str(x) for x in b["idf"]]), "bad model file: idf is not a list of finite numbers"),
+        (lambda b: b.update(objective_trace="12"), "bad model file: objective_trace is not a list of finite numbers"),
+        (lambda b: b.update(weights=1.5), "bad model file: weights is not a list of finite numbers"),
+        (lambda b: b.update(target=7), "bad model file: unknown target 7"),
+        (lambda b: b.update(bias=True), "bad model file: bias is not a finite number"),
+        (lambda b: b.update(C="1"), "bad model file: C is not a finite number"),
+        (lambda b: b.update(C=float("inf")), "bad model file: C is not a finite number"),
+        (lambda b: b.update(seed=3.7), "bad model file: seed is not an integer: 3.7"),
+        (lambda b: b.update(n_train_docs="84"), "bad model file: n_train_docs is not an integer: '84'"),
     ],
-    ids=["no_idf", "weights_cut_by_50", "int_gram", "string_vocabulary", "normalized_no", "float_bound", "bool_bound"],
+    ids=[
+        "no_idf",
+        "weights_cut_by_50",
+        "int_gram",
+        "string_vocabulary",
+        "normalized_no",
+        "float_bound",
+        "bool_bound",
+        "null_weight",
+        "nan_weight",
+        "bool_idf",
+        "string_idf",
+        "string_trace",
+        "scalar_weights",
+        "int_target",
+        "bool_bias",
+        "string_C",
+        "inf_C",
+        "float_seed",
+        "string_n_train_docs",
+    ],
 )
 def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, message):
     model = _edited_model(ws, tmp_path, edit)
     preds = str(tmp_path / "preds.tsv")
     assert cli.main(["predict", "--model", model, "--in", ws.corpus, "--out", preds]) == 2
-    assert f"{model}: {message}" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert f"{model}: {message}" in err and out == ""
     assert not (tmp_path / "preds.tsv").exists()
     assert cli.main(["explain", "--model", model, "--text", "غبي", "--samples", "20"]) == 2
-    assert f"{model}: {message}" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert f"{model}: {message}" in err and out == ""
 
 
 def test_report_command(ws, tmp_path, capsys):
@@ -811,7 +849,7 @@ def test_failed_stdout_command_writes_no_manifest(tmp_path, capsys):
     [
         (["explain", "--model", "{model}", "--text", "\udcff يا غبي", "--samples", "20", "--out", "{o}"], "--text"),
         (["explain", "--model", "{model}", "--text", "غبي", "--samples", "20", "--out", "{o}\udcff"], "--out"),
-        (["normalize", "--in", "{corpus}", "--out", "{o}", "--url-token", "\ud83d"], "--url-token"),
+        (["collect", "--in", "{corpus}", "--out", "{o}", "--seeds", "\ud83d"], "--seeds"),
     ],
 )
 def test_argument_the_manifest_cannot_hold_fails_before_the_stage(stage_inputs, tmp_path, capsys, argv, flag):

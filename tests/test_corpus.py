@@ -282,6 +282,10 @@ def test_stratified_split_bad_ratios():
         stratified_split(labels, (0.5, 0.2, 0.2))  # does not sum to 1
     with pytest.raises(ValueError):
         stratified_split(labels, (0.9, -0.1, 0.2))
+    # nan fails every comparison, the sum check's too, so only a finiteness check catches it
+    for bad in ((float("nan"), 0.1, 0.2), (0.5, float("nan"), 0.5)):
+        with pytest.raises(ValueError, match="--ratios must be finite"):
+            stratified_split(labels, bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,6 +327,14 @@ def test_split_file_round_trip(tmp_path):
     lines = text.splitlines()
     sec = lines[1 : 1 + len(split.train)]
     assert sec == sorted(sec)
+
+
+def test_load_split_names_the_line_of_an_overlap(tmp_path):
+    p = tmp_path / "split.txt"
+    p.write_text("train:\na\nb\ndev:\nc\ntest:\nd\nb\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_split(str(p))
+    assert str(exc.value) == f"{p}: line 8: doc id 'b' already in section 'train'"
 
 
 def test_split_part_lookup():

@@ -177,6 +177,10 @@ def test_explain_validation():
         explain("x y", model, n_samples=0)
     with pytest.raises(ValueError):
         explain("x y", model, kernel_width=0.0)
+    with pytest.raises(ValueError, match="kernel_width must be positive, got nan"):
+        explain("x y", model, kernel_width=float("nan"))
+    # an infinite width weighs every sample alike
+    assert math.isfinite(explain("x y", model, n_samples=50, kernel_width=float("inf")).intercept)
     # top_k only truncates the ranked list
     assert explain("x y", model, n_samples=50, top_k=0).top == ()
 
