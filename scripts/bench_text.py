@@ -6,8 +6,13 @@ carry an emoji). The script prints, per size, the median over the
 repeats of the microseconds per doc spent in `normalize`,
 `cluster_spans` and `doc_bases` on the raw texts, and in `tokenize` on
 the normalized texts (as `dedup` calls it), after a line naming nproc
-and the Python and numpy versions. The scorer layer uses a model
-trained on the corpus' first 2,000 docs: microseconds per doc of
+and the Python and numpy versions. `normalize_passes` is the mean
+number of `_once` passes `normalize` makes per raw doc, counted by
+wrapping that function for one pass over the texts. This corpus holds
+no `@` and no URL, so the substring guards of the URL and mention subs
+always skip them here; the perfbench `corpus` workload, whose raw docs
+hold both, is where those guards are measured. The scorer layer uses
+a model trained on the corpus' first 2,000 docs: microseconds per doc of
 `score_texts` on all raw texts (what `predict` does), and per sample of
 one 1,000-sample `explain` of the first doc with at least 6 tokens.
 `load_ms` is the fixed cost every `predict` or `explain` process pays
@@ -30,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from anchorlex import textnorm
 from anchorlex.corpus import DatasetSplit
 from anchorlex.emoji import cluster_spans, doc_bases
 from anchorlex.explain import explain
@@ -58,6 +64,24 @@ def us_per_doc(fn: Callable[[str], object], texts: list[str], repeats: int) -> f
     return 1e6 * median_s(run, repeats) / len(texts)
 
 
+def normalize_passes(texts: list[str]) -> float:
+    """Mean `_once` calls per text of `normalize`, counted through a wrapper patched in for one pass."""
+    once, calls = textnorm._once, 0
+
+    def counted(s: str) -> str:
+        nonlocal calls
+        calls += 1
+        return once(s)
+
+    textnorm._once = counted
+    try:
+        for t in texts:
+            normalize(t)
+    finally:
+        textnorm._once = once
+    return calls / len(texts)
+
+
 def load_ms(model: LinearModel, text: str, repeats: int) -> float:
     """Median milliseconds of `load_model` on the saved model plus its first `score_texts` of text."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -81,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         f"  seed {args.seed}  repeats {args.repeats}"
     )
     print(
-        "n_docs\tnormalize_us\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
+        "n_docs\tnormalize_us\tnormalize_passes\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
         "\tpredict_us\texplain_us_per_sample\tload_ms"
     )
     for size in sizes:
@@ -93,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         request = next(t for t in raw if len(tokenize(t)) >= 6)
         cols = [
             us_per_doc(normalize, raw, args.repeats),
+            normalize_passes(raw),
             us_per_doc(cluster_spans, raw, args.repeats),
             us_per_doc(tokenize, norm, args.repeats),
             us_per_doc(doc_bases, raw, args.repeats),

@@ -12,6 +12,7 @@ environment variables are consulted; behavior is flags + config only.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -106,6 +107,8 @@ def cmd_split(args: argparse.Namespace) -> None:
 
 
 def cmd_mine_lexicon(args: argparse.Namespace) -> None:
+    if not math.isfinite(args.min_valence):
+        raise ValueError(f"--min-valence must be finite, got {args.min_valence}")
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
     entries = lexicon_mod.mine_class_lexicon(
@@ -294,6 +297,8 @@ def cmd_explain(args: argparse.Namespace) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> None:
+    if args.head < 0:
+        raise ValueError(f"--head must be >= 0, got {args.head}")
     docs = corpus_mod.load_corpus(args.corpus)
     labels = corpus_mod.load_labels(args.labels)
     n = len(docs)

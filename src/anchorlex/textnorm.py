@@ -4,7 +4,7 @@ Every stage normalizes by one fixed rule set (see ``normalize``): line
 breaks become spaces, URLs become ``URL``, @mentions become ``@USER``,
 alef variants fold to bare alef, taa marbuta to haa, alef maksura to
 yaa, tashkeel, superscript alef and tatweel are deleted, and any run of
-three or more equal characters is cut to two.
+three or more equal characters is cut to two, most texts in one pass.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from typing import Iterable, Sequence
 from .corpus import Document
 from .emoji import cluster_spans
 
-# letter folds, then tashkeel + superscript alef + tatweel deleted
-_TRANS = str.maketrans(
-    {"آ": "ا", "أ": "ا", "إ": "ا", "ة": "ه", "ى": "ي"}  # آ أ إ -> ا, ة -> ه, ى -> ي
-    | dict.fromkeys(map(chr, [*range(0x064B, 0x0653), 0x0670, 0x0640]), "")
-)
+_STRIP_RE = re.compile("[\u064B-\u0652\u0670\u0640]+")  # tashkeel, superscript alef, tatweel
 _SQUASH_RE = re.compile(r"(.)\1{2,}")
 _URL_RE = re.compile(r"(?:https?://\S+|\bwww\.\S+)")
 _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
@@ -34,10 +30,20 @@ def _two(m: re.Match) -> str:
 
 def _once(s: str) -> str:
     s = s.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-    s = _URL_RE.sub("URL", s)
-    s = _MENTION_RE.sub("@USER", s)
+    if "://" in s or "www." in s:  # each sub runs only if a substring its pattern needs is there
+        s = _URL_RE.sub("URL", s)
+    if "@" in s:
+        s = _MENTION_RE.sub("@USER", s)
+    # آ أ إ -> ا, ة -> ه, ى -> ي; str.translate would cost a dict lookup per character of non-Latin-1 text
+    s = s.replace("آ", "ا").replace("أ", "ا").replace("إ", "ا").replace("ة", "ه").replace("ى", "ي")
     # a callable beats the template r"\1\1", which Python 3.11 expands in Python per match
-    return _SQUASH_RE.sub(_two, s.translate(_TRANS))
+    return _SQUASH_RE.sub(_two, _STRIP_RE.sub("", s))
+
+
+def _settled(s: str) -> bool:
+    """True only if ``_once(s) == s``, for any ``s`` that ``_once`` returned (see ``normalize``)."""
+    url = ("://" in s or "www." in s) and _URL_RE.search(s)
+    return not url and ("@" not in s or all(m == "@USER" for m in _MENTION_RE.findall(s)))
 
 
 def normalize(text: str) -> str:
@@ -48,17 +54,20 @@ def normalize(text: str) -> str:
     tashkeel (U+064B..U+0652), superscript alef and tatweel deleted;
     runs of 3+ equal characters cut to 2.
 
-    The pass is applied to a fixpoint: one step can expose work for
-    another (stripping a tatweel can uncover a @mention, squashing can
-    complete a URL scheme), so a single pass is not a projection. Real
-    text stabilizes in one or two rounds; the bound only guards against
-    adversarial input.
+    The pass is applied to a fixpoint, since one step can expose work
+    for another (a stripped tatweel can uncover a @mention). A pass
+    leaves no CR, LF, fold, tashkeel or tatweel character and no run of
+    3+ (squashing only deletes, and each greedy match is a maximal run),
+    so its output is a fixpoint when ``_URL_RE`` finds nothing in it and
+    every ``_MENTION_RE`` match is exactly ``@USER``. A substring test is
+    not enough: ``@ab`` + U+064E + ``cd`` is ``@USERcd`` after one pass.
+    The bound of 8 passes guards against adversarial input.
     """
     s = text
     for _ in range(8):
         nxt = _once(s)
-        if nxt == s:
-            return s
+        if nxt == s or _settled(nxt):
+            return nxt
         s = nxt
     return s
 

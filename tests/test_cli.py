@@ -203,6 +203,15 @@ def test_mine_lexicon_finds_class_markers(ws, tmp_path):
     assert "سلام" not in terms
 
 
+@pytest.mark.parametrize("v", ["nan", "inf", "-inf"])
+def test_mine_lexicon_rejects_non_finite_min_valence(ws, tmp_path, capsys, v):
+    out = tmp_path / "lex.tsv"
+    argv = ["mine-lexicon", "--in", ws.corpus, "--labels", ws.labels, "--out", str(out)]
+    assert cli.main(argv + [f"--min-valence={v}"]) == 2
+    assert "error: --min-valence must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emoji_stats_command(tmp_path):
     docs = [
         Document(id="d1", text="خنزير \U0001F437", created_at=TS),
@@ -677,6 +686,20 @@ def test_report_command(ws, tmp_path, capsys):
     section = text.split("[lexicon] lex.tsv\n", 1)[1]
     assert section.splitlines()[0] == "term\tn_off\tn_cln\tvalence"
     assert len(section.splitlines()) <= 4
+
+
+def test_report_head_counts_rows_and_rejects_a_negative_count(ws, tmp_path, capsys):
+    lex = str(tmp_path / "lex.tsv")
+    assert cli.main(["mine-lexicon", "--in", ws.corpus, "--labels", ws.labels, "--out", lex]) == 0
+    out = tmp_path / "report.txt"
+    argv = ["report", "--corpus", ws.corpus, "--labels", ws.labels, "--out", str(out), "--lexicon", lex]
+    assert cli.main(argv + ["--head", "0"]) == 0
+    assert out.read_text(encoding="utf-8").endswith("[lexicon] lex.tsv\nterm\tn_off\tn_cln\tvalence\n")
+    out.unlink()
+    capsys.readouterr()
+    assert cli.main(argv + ["--head", "-3"]) == 2
+    assert "error: --head must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_flag_overrides_default_path(tmp_path):

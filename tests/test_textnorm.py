@@ -15,6 +15,7 @@ from anchorlex.textnorm import (
     tokenize,
     word_ngrams,
 )
+from anchorlex.textnorm import _once
 
 import emoji_reference
 from conftest import doc
@@ -72,14 +73,36 @@ def test_normalize_idempotent(s):
 # --- tokenization ----------------------------------------------------------
 
 
-# characters and whole URL and mention prefixes, which uniform draws rarely spell
-NOISY = [*MIXED, *"آإٰٓ\r\t:/", "http://", "https://", "www.", "@ab", "\r\n"]
+# characters and whole URL and mention prefixes, which uniform draws rarely spell, and
+# pieces whose first pass exposes a URL or a mention that only a second pass replaces
+NOISY = [
+    *MIXED, *"آإٰٓ\r\t:/", "http://", "https://", "www.", "@ab", "\r\n",
+    "ـ@ab", "@ab\u064ecd", "htttp://", "hـttp://", "wwwـ.x", "@USER\u064eab",
+]
 
 
 @settings(max_examples=1500, deadline=None)
 @given(st.lists(st.sampled_from(NOISY), max_size=20).map("".join))
 def test_normalize_matches_per_call_reference(s):
     assert normalize(s) == emoji_reference.normalize(s)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "ـ@ab hi",  # tatweel deleted: the mention's look-behind now holds
+        "@ab\u064ecd",  # @USER + fatha + cd: the mark's deletion joins cd to the placeholder
+        "@USER\u064eab",
+        "htttp://a.b",  # squashing completes the scheme
+        "hـttp://a.b",
+        "https\u064e://a.b",
+        "a\rـ\nhttps\u064e://x @ـab",
+    ],
+)
+def test_normalize_needs_a_second_pass(raw):
+    once = _once(raw)
+    assert _once(once) != once
+    assert normalize(raw) == emoji_reference.normalize(raw)
 
 
 def test_tokenize_words_and_emoji():
