@@ -18,6 +18,9 @@ one 1,000-sample `explain` of the first doc with at least 6 tokens.
 `load_ms` is the fixed cost every `predict` or `explain` process pays
 before its first block: `load_model` of the saved model, then the
 first `score_texts` of that short doc, which builds the gram index.
+`parse_ms`, the fixed cost of every stage call before that, is the
+median over 100 times the repeats of `cli.build_parser` and
+`parse_args` on one `explain --text` argv for that doc.
 
     PYTHONPATH=src python3 scripts/bench_text.py [--sizes 10000,100000] [--repeats 5]
 """
@@ -35,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from anchorlex import textnorm
+from anchorlex import cli, textnorm
 from anchorlex.corpus import DatasetSplit
 from anchorlex.emoji import cluster_spans, doc_bases
 from anchorlex.explain import explain
@@ -90,6 +93,12 @@ def load_ms(model: LinearModel, text: str, repeats: int) -> float:
         return 1e3 * median_s(lambda: score_texts(load_model(path), [text]), repeats)
 
 
+def parse_ms(text: str, seed: int, repeats: int) -> float:
+    """Median milliseconds to build the parser of one `explain` call and parse its argv."""
+    argv = ["explain", "--model", "model.json", "--text", text, "--seed", str(seed), "--out", "explain.txt"]
+    return 1e3 * median_s(lambda: cli.build_parser(argv[0]).parse_args(argv), 100 * repeats)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", default="10000,100000", help="comma-separated corpus sizes")
@@ -106,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         "n_docs\tnormalize_us\tnormalize_passes\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
-        "\tpredict_us\texplain_us_per_sample\tload_ms"
+        "\tpredict_us\texplain_us_per_sample\tload_ms\tparse_ms"
     )
     for size in sizes:
         docs, labels = make_anchored_corpus(n_docs=size, seed=args.seed)
@@ -126,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             * median_s(lambda: explain(request, model, n_samples=EXPLAIN_SAMPLES, seed=args.seed), args.repeats)
             / EXPLAIN_SAMPLES,
             load_ms(model, request, args.repeats),
+            parse_ms(request, args.seed, args.repeats),
         ]
         print(f"{size}\t" + "\t".join(f"{c:.2f}" for c in cols), flush=True)
     return 0

@@ -274,6 +274,8 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def cmd_explain(args: argparse.Namespace) -> None:
+    if args.top_k < 0:
+        raise ValueError(f"--top-k must be >= 0, got {args.top_k}")
     model = load_model(args.model)
     if args.text is not None:
         text = args.text
@@ -340,162 +342,168 @@ def cmd_report(args: argparse.Namespace) -> None:
 # --- parser wiring --------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """Every stage's subparser, each with its arguments, or only `command`'s if that names a stage."""
     parser = _Parser(prog="anchorlex", description=__doc__)
     parser.add_argument("--version", action="version", version=f"anchorlex {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def add(
         name: str, fn: Callable, help_: str, inputs: tuple[str, ...], outputs: tuple[str, ...] = ("out",)
-    ) -> argparse.ArgumentParser:
-        """A stage whose input and output files are the args named by these dests."""
+    ) -> argparse.ArgumentParser | None:
+        """A stage whose input and output files are the args named by these dests; None if not called."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn, _inputs=inputs, _outputs=outputs, _parser=p)
+        if command not in (None, name):
+            return None
         p.add_argument("--manifest", help="run manifest path (default: <out>.manifest.json)")
         return p
 
-    p = add("collect", cmd_collect, "keep docs whose emoji hit the seed inventory", ("infile", "seeds"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
-    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
+    if p := add("collect", cmd_collect, "keep docs whose emoji hit the seed inventory", ("infile", "seeds")):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
+        p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
 
-    p = add("dedup", cmd_dedup, "drop short/exact/near duplicate docs", ("infile",), ("out", "dropped"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dropped", help="drop log TSV (default: <out>.dropped.tsv)")
-    p.add_argument("--min-tokens", type=int, default=3)
-    p.add_argument("--jaccard", type=float, default=0.8)
-    p.add_argument("--shingle-size", type=int, default=2)
+    if p := add("dedup", cmd_dedup, "drop short/exact/near duplicate docs", ("infile",), ("out", "dropped")):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--dropped", help="drop log TSV (default: <out>.dropped.tsv)")
+        p.add_argument("--min-tokens", type=int, default=3)
+        p.add_argument("--jaccard", type=float, default=0.8)
+        p.add_argument("--shingle-size", type=int, default=2)
 
-    p = add("normalize", cmd_normalize, "canonicalize text", ("infile",))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    if p := add("normalize", cmd_normalize, "canonicalize text", ("infile",)):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
 
-    p = add("split", cmd_split, "stratified train/dev/test split", ("labels",))
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratios", default="0.7,0.1,0.2")
+    if p := add("split", cmd_split, "stratified train/dev/test split", ("labels",)):
+        p.add_argument("--labels", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--ratios", default="0.7,0.1,0.2")
 
-    p = add("mine-lexicon", cmd_mine_lexicon, "high-valence term lexicon", ("infile", "labels"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-valence", type=float, default=0.8)
-    p.add_argument("--min-freq", type=int, default=5)
-    p.add_argument(
-        "--class",
-        dest="positive_class",
-        choices=corpus_mod.LABEL_CLASSES,
-        default="offensive",
-    )
+    if p := add("mine-lexicon", cmd_mine_lexicon, "high-valence term lexicon", ("infile", "labels")):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--labels", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--min-valence", type=float, default=0.8)
+        p.add_argument("--min-freq", type=int, default=5)
+        p.add_argument(
+            "--class",
+            dest="positive_class",
+            choices=corpus_mod.LABEL_CLASSES,
+            default="offensive",
+        )
 
-    p = add("emoji-stats", cmd_emoji_stats, "per-emoji offensive/hate rates", ("infile", "labels", "seeds"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
-    p.add_argument("--all-bases", action="store_true", help="stats for every base, not just seeds")
+    if p := add("emoji-stats", cmd_emoji_stats, "per-emoji offensive/hate rates", ("infile", "labels", "seeds")):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--labels", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
+        p.add_argument("--all-bases", action="store_true", help="stats for every base, not just seeds")
 
-    p = add("sample", cmd_sample, "seeded doc samples per inventory emoji", ("infile", "seeds"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    if p := add("sample", cmd_sample, "seeded doc samples per inventory emoji", ("infile", "seeds")):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
+        p.add_argument("--k", type=int, default=10)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = add("match-violence", cmd_match_violence, "violence pattern matches", ("infile", "classes", "rules"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--classes", help="lexical classes TSV (default: bundled)")
-    p.add_argument("--rules", help="pattern rules TSV (default: bundled)")
+    if p := add("match-violence", cmd_match_violence, "violence pattern matches", ("infile", "classes", "rules")):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--classes", help="lexical classes TSV (default: bundled)")
+        p.add_argument("--rules", help="pattern rules TSV (default: bundled)")
 
-    p = add(
+    if p := add(
         "aggregate",
         cmd_aggregate,
         "majority-vote judgments into labels",
         ("judgments", "overrides"),
         ("out", "queue"),
-    )
-    p.add_argument("--judgments", required=True)
-    p.add_argument("--out", required=True, help="labels TSV")
-    p.add_argument("--queue", help="adjudication queue TSV")
-    p.add_argument("--overrides", help="adjudication TSV with filled override column")
+    ):
+        p.add_argument("--judgments", required=True)
+        p.add_argument("--out", required=True, help="labels TSV")
+        p.add_argument("--queue", help="adjudication queue TSV")
+        p.add_argument("--overrides", help="adjudication TSV with filled override column")
 
-    p = add("kappa", cmd_kappa, "average pairwise Cohen's kappa", ("judgments",))
-    p.add_argument("--judgments", required=True)
-    p.add_argument("--min-shared", type=int, default=20)
-    p.add_argument("--job", help="restrict to one job")
-    p.add_argument("--out", help="write report here instead of stdout")
+    if p := add("kappa", cmd_kappa, "average pairwise Cohen's kappa", ("judgments",)):
+        p.add_argument("--judgments", required=True)
+        p.add_argument("--min-shared", type=int, default=20)
+        p.add_argument("--job", help="restrict to one job")
+        p.add_argument("--out", help="write report here instead of stdout")
 
-    p = add("gate", cmd_gate, "gate annotators on hidden test items", ("judgments", "answers"))
-    p.add_argument("--judgments", required=True)
-    p.add_argument("--answers", required=True, help="doc_id<TAB>label TSV")
-    p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--out", help="write results here instead of stdout")
+    if p := add("gate", cmd_gate, "gate annotators on hidden test items", ("judgments", "answers")):
+        p.add_argument("--judgments", required=True)
+        p.add_argument("--answers", required=True, help="doc_id<TAB>label TSV")
+        p.add_argument("--threshold", type=float, default=0.8)
+        p.add_argument("--out", help="write results here instead of stdout")
 
-    p = add("train", cmd_train, "train the tf-idf linear classifier", ("infile", "labels", "split"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--out", required=True, help="model file")
-    p.add_argument("--mode", choices=("char", "word", "char+word"), default="char+word")
-    p.add_argument("--char-ngrams", default="2,5", metavar="LO,HI")
-    p.add_argument("--word-ngrams", default="1,3", metavar="LO,HI")
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--target",
-        choices=corpus_mod.LABEL_CLASSES,
-        default="offensive",
-    )
-    p.add_argument("--no-normalize", action="store_true", help="train on raw text")
+    if p := add("train", cmd_train, "train the tf-idf linear classifier", ("infile", "labels", "split")):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--labels", required=True)
+        p.add_argument("--split", required=True)
+        p.add_argument("--out", required=True, help="model file")
+        p.add_argument("--mode", choices=("char", "word", "char+word"), default="char+word")
+        p.add_argument("--char-ngrams", default="2,5", metavar="LO,HI")
+        p.add_argument("--word-ngrams", default="1,3", metavar="LO,HI")
+        p.add_argument("--C", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--target",
+            choices=corpus_mod.LABEL_CLASSES,
+            default="offensive",
+        )
+        p.add_argument("--no-normalize", action="store_true", help="train on raw text")
 
-    p = add("predict", cmd_predict, "score docs with a trained model", ("model", "infile"))
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    if p := add("predict", cmd_predict, "score docs with a trained model", ("model", "infile")):
+        p.add_argument("--model", required=True)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
 
-    p = add("evaluate", cmd_evaluate, "accuracy and macro P/R/F1", ("gold", "pred", "split"))
-    p.add_argument("--gold", required=True, help="labels TSV")
-    p.add_argument("--pred", required=True, help="predictions TSV")
-    p.add_argument("--split", help="restrict to one split part")
-    p.add_argument("--part", choices=("train", "dev", "test"), default="test")
-    p.add_argument(
-        "--target",
-        choices=corpus_mod.LABEL_CLASSES,
-        default="offensive",
-    )
-    p.add_argument("--out", help="write report here instead of stdout")
+    if p := add("evaluate", cmd_evaluate, "accuracy and macro P/R/F1", ("gold", "pred", "split")):
+        p.add_argument("--gold", required=True, help="labels TSV")
+        p.add_argument("--pred", required=True, help="predictions TSV")
+        p.add_argument("--split", help="restrict to one split part")
+        p.add_argument("--part", choices=("train", "dev", "test"), default="test")
+        p.add_argument(
+            "--target",
+            choices=corpus_mod.LABEL_CLASSES,
+            default="offensive",
+        )
+        p.add_argument("--out", help="write report here instead of stdout")
 
-    p = add("explain", cmd_explain, "per-token attribution for one doc", ("model", "infile"))
-    p.add_argument("--model", required=True)
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--text", help="explain this text directly")
-    source.add_argument("--in", dest="infile", help="corpus holding --doc-id")
-    p.add_argument("--doc-id")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--kernel-width", type=float, default=0.25)
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-preprocess", action="store_true")
-    p.add_argument("--out", help="write explanation here instead of stdout")
+    if p := add("explain", cmd_explain, "per-token attribution for one doc", ("model", "infile")):
+        p.add_argument("--model", required=True)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--text", help="explain this text directly")
+        source.add_argument("--in", dest="infile", help="corpus holding --doc-id")
+        p.add_argument("--doc-id")
+        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--kernel-width", type=float, default=0.25)
+        p.add_argument("--top-k", type=int, default=10)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--no-preprocess", action="store_true")
+        p.add_argument("--out", help="write explanation here instead of stdout")
 
-    p = add("report", cmd_report, "one-page corpus summary", ("corpus", "labels", "stats", "lexicon", "eval"))
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stats", help="emoji-stats TSV to excerpt")
-    p.add_argument("--lexicon", help="lexicon TSV to excerpt")
-    p.add_argument("--eval", help="evaluate output to excerpt")
-    p.add_argument("--head", type=int, default=10, help="rows to excerpt per file")
+    if p := add("report", cmd_report, "one-page corpus summary", ("corpus", "labels", "stats", "lexicon", "eval")):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--labels", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--stats", help="emoji-stats TSV to excerpt")
+        p.add_argument("--lexicon", help="lexicon TSV to excerpt")
+        p.add_argument("--eval", help="evaluate output to excerpt")
+        p.add_argument("--head", type=int, default=10, help="rows to excerpt per file")
 
+    if command is not None and command not in sub.choices:
+        return build_parser()  # --help, --version or no stage: every stage's arguments
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)

@@ -19,6 +19,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .util import atomic_write_text, read_tsv, round_half_up
@@ -192,12 +193,15 @@ def dump_corpus(docs: Iterable[Document], format: str = "jsonl") -> str:
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {format!r}")
     if format == "jsonl":
-        lines = []
-        for d in docs:
-            obj = {"id": d.id, "text": d.text, "created_at": d.created_at}
-            if d.lang:
-                obj["lang"] = d.lang
-            lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+        # the bytes of json.dumps(row, ensure_ascii=False, sort_keys=True), which quotes each str
+        # with encode_basestring, without building an encoder per row
+        enc = encode_basestring
+        lines = [
+            f'{{"created_at": {enc(d.created_at)}, "id": {enc(d.id)}, '
+            + (f'"lang": {enc(d.lang)}, ' if d.lang else "")
+            + f'"text": {enc(d.text)}}}'
+            for d in docs
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
     rows = ["id\ttext\tcreated_at\tlang"]
     for d in docs:

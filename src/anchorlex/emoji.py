@@ -61,11 +61,13 @@ def _cls(*ranges: tuple[int, int]) -> str:
 _TONE = (er.SKIN_TONE_LO, er.SKIN_TONE_HI)
 _PICT = _cls(*er.EXTENDED_PICTOGRAPHIC)
 _EXT = _cls((er.VS15, er.VS16), _TONE, (er.TAG_LO, er.TAG_HI))
-_CLUSTER_RE = re.compile(
+# flag | keycap | emoji, as in the module docstring; textnorm's tokenizer reuses it
+CLUSTER_PATTERN = (
     f"{_cls((er.RI_LO, er.RI_HI))}{{1,2}}"
     f"|{_cls(*((c, c) for c in sorted(er.KEYCAP_BASES)))}{_cp(er.VS16)}?{_cp(er.KEYCAP_MARK)}"
     f"|{_cls(*er.EXTENDED_PICTOGRAPHIC, _TONE)}{_EXT}*(?:{_cp(er.ZWJ)}{_PICT}{_EXT}*)*"
 )
+_CLUSTER_RE = re.compile(CLUSTER_PATTERN)
 
 # skin tones and variation selectors, deleted by str.translate
 _STRIP = dict.fromkeys((er.VS15, er.VS16, *range(er.SKIN_TONE_LO, er.SKIN_TONE_HI + 1)))

@@ -64,6 +64,8 @@ def explain(
         raise ValueError("n_samples must be >= 1")
     if not kernel_width > 0:
         raise ValueError(f"kernel_width must be positive, got {kernel_width!r}")
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     prepared = explain_preprocess(text) if preprocess else text
     tokens = tuple(tokenize(prepared))
     m = len(tokens)
@@ -99,7 +101,7 @@ def explain(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
 
     ranked = sorted(zip(tokens, attrib), key=lambda p: (-abs(p[1]), p[0]))
-    top = tuple((t, float(v)) for t, v in ranked[: max(0, top_k)])
+    top = tuple((t, float(v)) for t, v in ranked[:top_k])
     return Explanation(
         tokens=tokens,
         attributions=tuple(float(v) for v in attrib),

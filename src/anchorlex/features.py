@@ -25,9 +25,13 @@ text followed by `end`; a token that no w: entry has is `end` too.
 Level 1 is one np.searchsorted over every position, and level n one
 over the windows still alive, each extended by the next code. A window
 dies when its prefix is not in the trie, as it does when it would take
-in `end`. The hits come out in gram order (row, char before word, n
-ascending, position), so the counts, the first-appearance order and
-every sum below are those of the per-gram strings, bit for bit.
+in `end`. The hits come out in level order (char before word, n
+ascending, position), which within one row is the row's gram order, so
+a key's first appearance is its smallest hit index. `_counts` sorts the
+hits once, in np.unique, which gives that index with each distinct key,
+then argsorts the distinct (row, first) pairs. The counts, the
+first-appearance order and every sum below are thus those of the
+per-gram strings, bit for bit.
 
 Vocabulary (`fit_transform`). The training texts are coded the same
 way, words by a token dict in first-appearance order. Level by level,
@@ -39,11 +43,11 @@ the training rows are `transform`'s, each row's columns sorted.
 
 Per-block memory rule. Memory follows a block's code count, never its
 rows times its longest row: the gram stage keeps a few arrays per code
-and per hit (int64 keys and positions, int32 columns, a row index of 16
-bits or less), all inside `_gram_keys`, so they are freed before
-`tfidf_l2` runs, and tf-idf and the sums then hold a few arrays per
-distinct gram of each row. Only the vocabulary pass holds a few arrays
-per code of the whole training set.
+and per hit (int64 keys, positions and sort indices, int32 columns),
+all inside `_counts`, so they are freed before `tfidf_l2` runs, and
+tf-idf and the sums then hold a few arrays per distinct gram of each
+row. Only the vocabulary pass holds a few arrays per code of the whole
+training set.
 
 Summation-order rule. A row's squared norm, and its w.x in
 `linear.score_texts`, is the float64 sum of its terms in the order the
@@ -189,13 +193,12 @@ def _codes(texts: Sequence[str], code: _Code | None, end: int) -> tuple[np.ndarr
 
 
 def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
-    """row * n_columns + column of every in-vocabulary gram of the texts, in gram order.
+    """row * n_columns + column of every in-vocabulary gram of the texts, in level order.
 
-    That is row, then char before word, then n ascending, then position.
+    That is char before word, then n ascending, then position, so each
+    row's hits come in that row's gram order.
     """
     v = len(space.idf)
-    row_type = np.min_scalar_type(len(texts))
-    rows = [np.zeros(0, row_type)]
     keys = [np.zeros(0, np.int64)]
     for trie in space._tries:
         if trie is None:
@@ -210,14 +213,11 @@ def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
             node = idx[found]
             c = level_cols[node]
             hit = c >= 0
-            row = np.searchsorted(ends, pos[hit])
-            rows.append(row.astype(row_type))
-            keys.append(row * v + c[hit])
+            keys.append(np.searchsorted(ends, pos[hit]) * v + c[hit])
             if n == len(trie.keys) or not len(pos):
                 break
             key = node * (trie.end + 1) + codes[pos + n]
-    # one stable pass by row interleaves the levels; a row type of 16 bits or less sorts by radix
-    return np.concatenate(keys)[np.argsort(np.concatenate(rows), kind="stable")]
+    return np.concatenate(keys)
 
 
 def ordered_row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -255,12 +255,15 @@ def tfidf_l2(indptr: np.ndarray, cols: np.ndarray, tfs: np.ndarray, idf: np.ndar
 def _counts(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The texts' in-vocabulary gram counts as CSR (indptr, cols, tfs), each row in first-appearance order."""
     n, v = len(texts), len(space.idf)
-    keys, first, tfs = np.unique(_gram_keys(texts, space), return_index=True, return_counts=True)
-    order = np.argsort(first, kind="stable")
-    keys, tfs = keys[order], tfs[order]
+    hits = _gram_keys(texts, space)
+    # the index of a key's first hit is its first appearance, since a row's hits come in gram order
+    keys, first, tfs = np.unique(hits, return_index=True, return_counts=True)
+    # one int64 key per distinct (row, first) pair; np.lexsort where n * len(hits) would overflow it
+    rows, width = keys // v, len(hits)
+    order = np.argsort(rows * width + first) if n * width <= _TOP else np.lexsort((first, rows))
     indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(keys // v, minlength=n), out=indptr[1:])
-    return indptr, keys % v, tfs
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, keys[order] % v, tfs[order]
 
 
 def transform(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Document
-from .emoji import cluster_spans
+from .emoji import CLUSTER_PATTERN
 
 _STRIP_RE = re.compile("[\u064B-\u0652\u0670\u0640]+")  # tashkeel, superscript alef, tatweel
 _SQUASH_RE = re.compile(r"(.)\1{2,}")
 _URL_RE = re.compile(r"(?:https?://\S+|\bwww\.\S+)")
 _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
+_TOKEN_RE = re.compile(r"(?:[^\W0-9\u2139]|[0-9](?!\ufe0f?\u20e3))+|" + CLUSTER_PATTERN)
 
 
 def _two(m: re.Match) -> str:
@@ -73,15 +73,17 @@ def normalize(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split on whitespace/punctuation; every emoji cluster is its own token."""
-    tokens: list[str] = []
-    pos = 0
-    for a, b in cluster_spans(text):
-        tokens.extend(_WORD_RE.findall(text[pos:a]))
-        tokens.append(text[a:b])
-        pos = b
-    tokens.extend(_WORD_RE.findall(text[pos:]))
-    return tokens
+    r"""Split on whitespace/punctuation; every emoji cluster is its own token.
+
+    One scan takes a word (\w run) or a cluster (`emoji.CLUSTER_PATTERN`)
+    at each position. A word stops before any character that can start a
+    cluster, so the tokens are those of segmenting clusters first and
+    splitting the gaps into \w runs. Only two such characters are \w,
+    and the word pattern leaves them out: U+2139, the one pictograph in
+    \w, and an ASCII digit before U+20E3 (VS16 or not between), a keycap
+    base: ``12`` + U+20E3 is ``1`` and ``2`` + U+20E3.
+    """
+    return _TOKEN_RE.findall(text)
 
 
 def word_ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> Counter:

@@ -5,8 +5,10 @@ range predicates (a bisect over `EXTENDED_PICTOGRAPHIC`) about each
 code point. `_normalize_once` applies the one fixed rule set step by
 step: it builds its translate table on every call, strips diacritics
 with a separate regex and squashes runs through a lambda.
-`emoji.cluster_spans`, `emoji.base_form` and `textnorm.normalize` must
-give the same result on every string.
+`tokenize` segmented the clusters, then took one ``\\w+`` findall
+per gap between them. `emoji.cluster_spans`, `emoji.base_form`,
+`textnorm.normalize` and `textnorm.tokenize` must give the same result
+on every string.
 """
 
 from __future__ import annotations
@@ -145,3 +147,20 @@ def normalize(text: str) -> str:
             return s
         s = nxt
     return s
+
+
+# --- tokenization ----------------------------------------------------------
+
+_WORD_RE = re.compile(r"\w+", re.UNICODE)
+
+
+def tokenize(text: str) -> list[str]:
+    """Split on whitespace/punctuation; every emoji cluster is its own token."""
+    tokens: list[str] = []
+    pos = 0
+    for a, b in cluster_spans(text):
+        tokens.extend(_WORD_RE.findall(text[pos:a]))
+        tokens.append(text[a:b])
+        pos = b
+    tokens.extend(_WORD_RE.findall(text[pos:]))
+    return tokens

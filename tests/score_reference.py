@@ -1,9 +1,15 @@
-"""The read-path scorer before score_texts, and the two-pass trainer, kept verbatim as oracles.
+"""The read-path scorer before score_texts, its three-sort counter and the two-pass trainer, kept verbatim as oracles.
 
 The scorer counted n-grams with one `Counter` increment per gram, built
 each text's tf-idf vector as a dict of numpy scalars and summed it with
 the built-in `sum`. `linear.score_texts` must give the same float, bit
 for bit, on every text.
+
+`_counts` counted a block of texts with three sorts: `_gram_keys`
+sorted the level-ordered hits by row (stably), `np.unique` sorted them
+again to find each key's first index, and a stable argsort put the
+distinct keys in first-appearance order. `features._counts` must give
+the same CSR arrays, bytes and dtypes, on every block.
 
 The trainer grammed every training text twice: once in `fit_features`
 for df, once more in `vectorize_all` for a dict row per text, which the
@@ -19,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from anchorlex.corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
-from anchorlex.features import FeatureConfig, FeatureSpace
+from anchorlex.features import FeatureConfig, FeatureSpace, _codes
 from anchorlex.linear import LinearModel, target_value
 from anchorlex.textnorm import normalize, tokenize
 
@@ -85,6 +91,49 @@ def score_text(model: LinearModel, text: str, pre_normalized: bool = False) -> f
     if model.normalized and not pre_normalized:
         text = normalize(text)
     return decision_score(model, vectorize(text, model.space))
+
+
+def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
+    """row * n_columns + column of every in-vocabulary gram of the texts, in gram order.
+
+    That is row, then char before word, then n ascending, then position.
+    """
+    v = len(space.idf)
+    row_type = np.min_scalar_type(len(texts))
+    rows = [np.zeros(0, row_type)]
+    keys = [np.zeros(0, np.int64)]
+    for trie in space._tries:
+        if trie is None:
+            continue
+        codes, ends = _codes(texts, trie.code, trie.end)
+        # the windows alive at level n: start positions and their prefix ids
+        key, pos = codes, None
+        for n, (level, level_cols) in enumerate(zip(trie.keys, trie.cols), 1):
+            idx = np.searchsorted(level, key)
+            found = np.flatnonzero(level[idx] == key)
+            pos = found if pos is None else pos[found]
+            node = idx[found]
+            c = level_cols[node]
+            hit = c >= 0
+            row = np.searchsorted(ends, pos[hit])
+            rows.append(row.astype(row_type))
+            keys.append(row * v + c[hit])
+            if n == len(trie.keys) or not len(pos):
+                break
+            key = node * (trie.end + 1) + codes[pos + n]
+    # one stable pass by row interleaves the levels; a row type of 16 bits or less sorts by radix
+    return np.concatenate(keys)[np.argsort(np.concatenate(rows), kind="stable")]
+
+
+def counts(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The texts' in-vocabulary gram counts as CSR (indptr, cols, tfs), each row in first-appearance order."""
+    n, v = len(texts), len(space.idf)
+    keys, first, tfs = np.unique(_gram_keys(texts, space), return_index=True, return_counts=True)
+    order = np.argsort(first, kind="stable")
+    keys, tfs = keys[order], tfs[order]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys // v, minlength=n), out=indptr[1:])
+    return indptr, keys % v, tfs
 
 
 def fit_features(texts: Sequence[str], config: FeatureConfig = FeatureConfig()) -> FeatureSpace:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -601,6 +602,21 @@ def test_explain_text_and_in_exclude_each_other(ws, tmp_path, capsys):
     assert "explain needs --text, or --in with --doc-id" in capsys.readouterr().err
 
 
+def test_explain_top_k_counts_rows_and_rejects_a_negative_count(ws, tmp_path, capsys):
+    out = tmp_path / "ex.txt"
+    argv = ["explain", "--model", ws.model, "--text", "غبي جدا", "--samples", "50", "--out", str(out)]
+    assert cli.main(argv + ["--top-k", "1"]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[-2] == "token\tattribution"
+    assert cli.main(argv + ["--top-k", "0"]) == 0
+    assert out.read_text(encoding="utf-8").endswith("token\tattribution\n")
+    for f in tmp_path.iterdir():
+        f.unlink()
+    capsys.readouterr()
+    assert cli.main(argv + ["--top-k", "-1"]) == 2
+    assert "error: --top-k must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _edited_model(ws, tmp_path, edit) -> str:
     blob = json.loads(open(ws.model, encoding="utf-8").read())
     edit(blob)
@@ -710,6 +726,64 @@ def test_manifest_flag_overrides_default_path(tmp_path):
     assert cli.main(["normalize", "--in", inp, "--out", out, "--manifest", man_path]) == 0
     assert json.loads(open(man_path, encoding="utf-8").read())["command"] == "normalize"
     assert not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
+# --- the one-stage parser ------------------------------------------------------
+
+STAGES = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _valid_argvs(stage: str) -> tuple[list[str], list[str]]:
+    """argv with the stage's required flags only, and argv with every flag, each given a value of its type."""
+    p = STAGES[stage]
+    # one flag of a mutually exclusive group is enough
+    left_out = {id(a) for g in p._mutually_exclusive_groups for a in g._group_actions[1:]}
+    required, every = [stage], [stage]
+    for a in p._actions:
+        if not a.option_strings or a.dest == "help" or id(a) in left_out:
+            continue
+        words = [a.option_strings[0]]
+        if a.nargs != 0:
+            words.append(str(a.choices[-1]) if a.choices else {int: "3", float: "0.5"}.get(a.type, "f.tsv"))
+        every += words
+        required += words if a.required else []
+    return required, every
+
+
+def _parse(parser, argv, capsys):
+    """vars(args) with the stage parser's help text, or the exit code and output of a parse that exits."""
+    try:
+        args = vars(parser.parse_args(argv))
+    except SystemExit as e:
+        out = capsys.readouterr()
+        return e.code, out.out, out.err
+    stage_parser = args.pop("_parser", None)
+    return args, stage_parser and stage_parser.format_help()
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_one_stage_parser_parses_like_the_full_parser(stage, capsys):
+    one = cli.build_parser(stage)
+    subparsers = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(STAGES)
+    # only the called stage has arguments beyond -h
+    assert [name for name, p in subparsers.items() if len(p._actions) > 1] == [stage]
+    required, every = _valid_argvs(stage)
+    cases = [required, every, [stage, "--help"], required[:-2], every + ["--no-such-flag"], [stage, "-x", "1"]]
+    for argv in cases:
+        got, want = _parse(one, argv, capsys), _parse(cli.build_parser(), argv, capsys)
+        assert got == want, argv
+    # the cases do what they say: every flag parses, and a missing required flag is a usage error
+    assert isinstance(_parse(one, every, capsys)[0], dict)
+    assert _parse(one, required[:-2], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["no-such-stage"], ["--no-such-flag", "train"]])
+def test_an_argv_that_names_no_stage_gets_the_full_parser(argv, capsys):
+    got = _parse(cli.build_parser(argv[0] if argv else None), argv, capsys)
+    assert got == _parse(cli.build_parser(), argv, capsys)
+    code = usage_error(argv) if argv else cli.main(argv)
+    assert code == (0 if argv in (["--help"], ["--version"]) else 1)
 
 
 # --- run manifests -----------------------------------------------------------

@@ -133,6 +133,39 @@ def test_corpus_jsonl_round_trip(tmp_path):
     assert load_corpus(str(p)) == docs
 
 
+# quotes, backslashes, control characters, U+2028, non-BMP characters and lone surrogates
+FIELD_TEXT = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\x01", "\x1f", "\x7f", "\n", "\t", "\u2028", "\U0001F437", "\ud83d", "ي"])
+    | st.characters(),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Document,
+            id=FIELD_TEXT.filter(bool),
+            text=FIELD_TEXT.filter(lambda t: "\x00" not in t),
+            created_at=FIELD_TEXT,
+            lang=st.one_of(st.just(""), FIELD_TEXT),
+        ),
+        max_size=4,
+    )
+)
+def test_dump_corpus_jsonl_equals_json_dumps_of_each_row(docs):
+    rows = [
+        json.dumps(
+            {"id": d.id, "text": d.text, "created_at": d.created_at, **({"lang": d.lang} if d.lang else {})},
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        for d in docs
+    ]
+    assert dump_corpus(docs) == "".join(r + "\n" for r in rows)
+
+
 def test_corpus_tsv_round_trip(tmp_path):
     docs = [doc(0, "hello there"), doc(1, "كلب", lang="ar")]
     p = tmp_path / "c.tsv"

@@ -183,6 +183,8 @@ def test_explain_validation():
     assert math.isfinite(explain("x y", model, n_samples=50, kernel_width=float("inf")).intercept)
     # top_k only truncates the ranked list
     assert explain("x y", model, n_samples=50, top_k=0).top == ()
+    with pytest.raises(ValueError, match="top_k must be >= 0, got -1"):
+        explain("x y", model, top_k=-1)
 
 
 def test_dump_explanation_format():

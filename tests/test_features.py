@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anchorlex import features
 from anchorlex.features import MODES, FeatureConfig, fit_features, fit_transform, vectorize
 from anchorlex.textnorm import char_ngrams, tokenize, word_ngrams
 
@@ -144,6 +145,37 @@ def test_fit_transform_equals_two_pass_fit_and_vectorize(texts, mode, char_range
     indptr, cols, _ = X
     assert all(list(cols[a:b]) == sorted(cols[a:b]) for a, b in zip(indptr[:-1], indptr[1:]))
     assert _rows(X) == [vectorize(t, space) for t in texts] == score_reference.vectorize_all(texts, old)
+
+
+BLOCK_TEXT = st.lists(st.sampled_from([*FIT_PIECES, "ab ab ab", "zz", "?"]), max_size=10).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=st.lists(st.lists(st.sampled_from(FIT_PIECES), max_size=8).map("".join), min_size=1, max_size=6),
+    block=st.lists(BLOCK_TEXT, max_size=8),
+    repeats=st.integers(0, 3),
+    mode=st.sampled_from(MODES),
+    char_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
+    word_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
+    lexsort=st.booleans(),
+)
+@example(train=["ab c"], block=[], repeats=0, mode="char+word", char_range=(1, 2), word_range=(1, 2), lexsort=False)
+@example(train=["ab c"], block=["zz", "?"], repeats=0, mode="char+word", char_range=(1, 2), word_range=(1, 1),
+         lexsort=False)  # no hits
+@example(train=["ab ab ab c"], block=["ab ab ab"], repeats=0, mode="char+word", char_range=(1, 3),
+         word_range=(1, 2), lexsort=False)  # one row of repeated grams
+@example(train=["ab c", "b"], block=["ab c", "c ab"], repeats=2, mode="word", char_range=(1, 1), word_range=(1, 2),
+         lexsort=True)  # repeated texts
+def test_counts_equal_the_three_sort_reference(train, block, repeats, mode, char_range, word_range, lexsort):
+    space = fit_features(train, FeatureConfig(mode=mode, char_range=char_range, word_range=word_range))
+    block = block + block[:1] * repeats
+    want = score_reference.counts(block, space)  # builds the gram index, which reads features._TOP
+    with pytest.MonkeyPatch.context() as mp:
+        if lexsort:  # take the branch for blocks whose (row, first) key would overflow int64
+            mp.setattr(features, "_TOP", -1)
+        got = features._counts(block, space)
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 
 
 @settings(max_examples=100, deadline=None)

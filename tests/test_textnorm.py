@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorlex import emoji_ranges as er
 from anchorlex.textnorm import (
     DropRecord,
     NearDupPolicy,
@@ -114,11 +117,63 @@ def test_tokenize_keeps_clusters_whole():
     fam = "\U0001F468‍\U0001F469‍\U0001F466"
     assert tokenize(f"a {fam}\U0001F3FF b") == ["a", fam + "\U0001F3FF", "b"]
     assert tokenize("2️⃣ go") == ["2️⃣", "go"]
+    assert tokenize("12\u20e3\u2139\ufe0fx") == ["1", "2\u20e3", "\u2139\ufe0f", "x"]
 
 
 def test_tokenize_drops_punctuation():
     assert tokenize("a, b! (c)") == ["a", "b", "c"]
     assert tokenize("") == []
+
+
+def test_only_u2139_and_ascii_digits_are_word_characters_that_start_a_cluster():
+    # tokenize's word pattern leaves out exactly these; any other would let a word swallow a cluster's start
+    starters = {
+        *range(er.RI_LO, er.RI_HI + 1),
+        *range(er.SKIN_TONE_LO, er.SKIN_TONE_HI + 1),
+        *er.KEYCAP_BASES,
+        *(cp for lo, hi in er.EXTENDED_PICTOGRAPHIC for cp in range(lo, hi + 1)),
+    }
+    assert {cp for cp in starters if re.fullmatch(r"\w", chr(cp))} == {0x2139, *map(ord, "0123456789")}
+
+
+# Where a word and an emoji cluster meet: U+2139 (pictographic and \w) with
+# and without VS16, keycaps with and without a digit before them, a digit
+# and VS16 with no keycap, Arabic-Indic digits, lone skin tones, runs of
+# regional indicators, ZWJ sequences, tags, "_" and the bare marks
+TOKEN_PIECES = [
+    "\u2139",
+    "\u2139\ufe0f",
+    "1\u20e3",
+    "1\ufe0f\u20e3",
+    "12\u20e3",
+    "1\ufe0f",
+    "#\u20e3",
+    "*\u20e3",
+    "\u0663\u0664",
+    "\U0001F3FB",
+    "\U0001F3FF",
+    "\U0001F1E6",
+    "\U0001F1E6\U0001F1E8",
+    "\U0001F1E6" * 3,
+    "\U0001F468\u200d\U0001F469\u200d\U0001F466",
+    "\U0001F3F4\U000E0067\U000E0062\U000E007F",
+    "_",
+    "7",
+    "ab",
+    "كلب",
+    " ",
+    "#",
+    "\ufe0f",
+    "\u20e3",
+    "\u200d",
+    "\U0001F437",
+]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join))
+def test_tokenize_matches_segment_then_split_reference(s):
+    assert tokenize(s) == emoji_reference.tokenize(s)
 
 
 def test_word_ngrams_counts():
