@@ -78,28 +78,19 @@ def cmd_dedup(args: argparse.Namespace) -> None:
 
 def cmd_normalize(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
-    out_docs = [
-        corpus_mod.Document(
-            id=d.id,
-            text=textnorm.normalize(d.text),
-            created_at=d.created_at,
-            lang=d.lang,
-        )
-        for d in docs
-    ]
-    corpus_mod.write_corpus(args.out, out_docs)
-    print(f"normalize: wrote {len(out_docs)} docs")
+    for d in docs:
+        d.text = textnorm.normalize(d.text)
+    corpus_mod.write_corpus(args.out, docs)
+    print(f"normalize: wrote {len(docs)} docs")
 
 
 def cmd_split(args: argparse.Namespace) -> None:
     labels = corpus_mod.load_labels(args.labels)
     try:
-        ratios = tuple(float(x) for x in args.ratios.split(","))
+        train, dev, test = map(float, args.ratios.split(","))
     except ValueError:
         raise ValueError(f"bad --ratios {args.ratios!r}, expected three floats") from None
-    if len(ratios) != 3:
-        raise ValueError(f"bad --ratios {args.ratios!r}, expected three floats")
-    split = corpus_mod.stratified_split(labels, ratios, args.seed)
+    split = corpus_mod.stratified_split(labels, (train, dev, test), args.seed)
     corpus_mod.write_split(args.out, split)
     print(
         f"split: train={len(split.train)} dev={len(split.dev)} test={len(split.test)}"
@@ -125,13 +116,9 @@ def cmd_mine_lexicon(args: argparse.Namespace) -> None:
 def cmd_emoji_stats(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
-    inv = None
-    if args.seeds:
-        inv = emoji_mod.load_seed_inventory(args.seeds)
-    elif not args.all_bases:
-        inv = emoji_mod.default_inventory()
+    inv = _load_inventory(args) if args.seeds or not args.all_bases else None
     stats = emoji_mod.emoji_stats(docs, labels, inv)
-    if not args.all_bases and inv is not None:
+    if not args.all_bases:
         stats = [s for s in stats if s.base in inv.bases]
     atomic_write_text(args.out, emoji_mod.dump_emoji_stats(stats))
     print(f"emoji-stats: {len(stats)} base forms")
@@ -143,8 +130,7 @@ def cmd_sample(args: argparse.Namespace) -> None:
     lines = ["base\tdoc_id\ttext"]
     for base in sorted(sampled):
         for d in sampled[base]:
-            text = d.text.replace("\t", " ").replace("\n", " ")
-            lines.append(f"{emoji_mod.codepoints_hex(base)}\t{d.id}\t{text}")
+            lines.append(f"{emoji_mod.codepoints_hex(base)}\t{d.id}\t{corpus_mod.tsv_field(d.text)}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"sample: wrote draws for {len(sampled)} bases")
 
@@ -226,7 +212,6 @@ def cmd_train(args: argparse.Namespace) -> None:
         C=args.C,
         seed=args.seed,
         target=args.target,
-        normalize_text=not args.no_normalize,
     )
     save_model(args.out, model)
     print(
@@ -293,7 +278,6 @@ def cmd_explain(args: argparse.Namespace) -> None:
         kernel_width=args.kernel_width,
         top_k=args.top_k,
         seed=args.seed,
-        preprocess=not args.no_preprocess,
     )
     _emit(dump_explanation(ex), args.out)
 
@@ -337,6 +321,19 @@ def cmd_report(args: argparse.Namespace) -> None:
         lines.extend(head)
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"report: wrote {args.out}")
+
+
+def _undecodable(paths: Sequence[str | None]) -> str | None:
+    """`path: line N: not valid UTF-8` for the first of the files that does not decode."""
+    for path in filter(None, paths):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            lineno = data.count(b"\n", 0, e.start) + 1
+            return f"{path}: line {lineno}: not valid UTF-8"
+    return None
 
 
 # --- parser wiring --------------------------------------------------------
@@ -455,7 +452,6 @@ def build_parser(command: str | None = None) -> _Parser:
             choices=corpus_mod.LABEL_CLASSES,
             default="offensive",
         )
-        p.add_argument("--no-normalize", action="store_true", help="train on raw text")
 
     if p := add("predict", cmd_predict, "score docs with a trained model", ("model", "infile")):
         p.add_argument("--model", required=True)
@@ -484,7 +480,6 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--kernel-width", type=float, default=0.25)
         p.add_argument("--top-k", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-preprocess", action="store_true")
         p.add_argument("--out", help="write explanation here instead of stdout")
 
     if p := add("report", cmd_report, "one-page corpus summary", ("corpus", "labels", "stats", "lexicon", "eval")):
@@ -536,7 +531,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if manifest_path:
             man.write(manifest_path)
     except (ValueError, OSError) as e:
-        print(f"anchorlex {args.command}: error: {e}", file=sys.stderr)
+        # the readers decode as they read: trace a decoding error to its input and line
+        bad_utf8 = isinstance(e, UnicodeDecodeError) and _undecodable([getattr(args, d) for d in args._inputs])
+        print(f"anchorlex {args.command}: error: {bad_utf8 or e}", file=sys.stderr)
         return 2
     return 0
 

@@ -81,8 +81,9 @@ class Document:
     lang: str = ""
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("document id must be non-empty")
+        # an id is one field of the TSV rows that stages write
+        if not self.id or "\t" in self.id or "\n" in self.id or "\r" in self.id:
+            raise ValueError(f"document id {self.id!r} is empty or holds a tab, CR or LF")
         if "\x00" in self.text:
             raise ValueError(f"document {self.id!r}: text contains NUL")
 
@@ -189,6 +190,11 @@ def load_corpus(path: str, format: str = "jsonl") -> list[Document]:
     return docs
 
 
+def tsv_field(text: str) -> str:
+    """text with each tab, LF and CR made a space, so it stays one field of one TSV row."""
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+
 def dump_corpus(docs: Iterable[Document], format: str = "jsonl") -> str:
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {format!r}")
@@ -204,9 +210,7 @@ def dump_corpus(docs: Iterable[Document], format: str = "jsonl") -> str:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
     rows = ["id\ttext\tcreated_at\tlang"]
-    for d in docs:
-        text = d.text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-        rows.append(f"{d.id}\t{text}\t{d.created_at}\t{d.lang}")
+    rows += (f"{d.id}\t{tsv_field(d.text)}\t{d.created_at}\t{d.lang}" for d in docs)
     return "\n".join(rows) + "\n"
 
 

@@ -57,7 +57,6 @@ def explain(
     kernel_width: float = 0.25,
     top_k: int = 10,
     seed: int = 0,
-    preprocess: bool = True,
 ) -> Explanation:
     """Attribution per token of one document under one model."""
     if n_samples < 1:
@@ -66,17 +65,17 @@ def explain(
         raise ValueError(f"kernel_width must be positive, got {kernel_width!r}")
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
-    prepared = explain_preprocess(text) if preprocess else text
-    tokens = tuple(tokenize(prepared))
+    tokens = tuple(tokenize(explain_preprocess(text)))
     m = len(tokens)
     if m == 0:
         raise ValueError("document has no tokens to explain")
 
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 2, size=(n_samples, m)).astype(np.float64)  # 1 = kept
+    # tokens of normalized text join into normalized text: no sample is normalized again
     samples = [" ".join(compress(tokens, keep)) for keep in (masks > 0).tolist()]
     *sample_scores, score_full, score_empty = score_texts(
-        model, samples + [" ".join(tokens), ""], pre_normalized=preprocess
+        model, samples + [" ".join(tokens), ""], pre_normalized=True
     )
     scores = np.asarray(sample_scores)
     d = 1.0 - masks.mean(axis=1)

@@ -4,10 +4,10 @@ Objective: (1/2)||w||^2 + C * sum_i hinge(y_i (w.x_i + b)), bias
 unregularized. The dual (box-constrained QP with one equality
 constraint, from the free bias) is solved SMO-style on maximal
 violating pairs. It stops when the largest KKT violation falls below
-a tolerance, when a pair update stalls, or when the primal objective
-changes by less than a relative tolerance over an epoch. The primal
-objective is tracked per epoch on the best feasible iterate, so the
-reported trace is non-increasing by construction.
+KKT_TOL, when a pair update stalls, when the primal objective changes
+by less than REL_TOL (relative) over an epoch, or after MAX_EPOCHS
+epochs. The primal objective is tracked per epoch on the best feasible
+iterate, so the reported trace is non-increasing by construction.
 
 A pair step on (i, j) needs the kernel rows K_i = X.x_i and K_j: they
 give eta from K_i[j] and move f = X.w by f += y_i da_i K_i + y_j da_j K_j,
@@ -40,16 +40,21 @@ diagonal, alpha) are Python floats, on which + - * /, min and max give
 the same bits as on numpy scalars.
 
 score_texts is the one read-path scorer: predict_texts, score_text and
-explain all go through it. It scores each distinct text once, BLOCK_ROWS
-at a time: `features.transform` gives the block's tf-idf rows through
-the space's gram index, which the first block builds and the space
-keeps, so each `load_model` pays for it once; w.x is
-`features.ordered_row_sums` over the products w[col] * x, by the
-`features` summation-order rule. `features.fit_transform` counts the
-training rows through the same gram index and weighs them by the same
-`tfidf_l2`, so the vectors the trainer sees and the scores predict
-writes agree bit for bit, and w.x adds in the same order as the built-in
-sum over numpy scalars of `decision_score` in tests/score_reference.py.
+explain all go through it. Only explain passes pre_normalized=True: its
+samples are tokens of normalized text, which normalize leaves unchanged
+(tests/test_explain.py), and not normalizing them again saves 17 ms of
+the 138 ms that the 10 explain requests of the seed-7 `score` workload
+take (10,020 samples; 2 vCPU, median of 21), about 3% of its wall time.
+It scores each distinct text once, BLOCK_ROWS at a time:
+`features.transform` gives the block's tf-idf rows through the space's
+gram index, which the first block builds and the space keeps, so each
+`load_model` pays for it once; w.x is `features.ordered_row_sums` over
+the products w[col] * x, by the `features` summation-order rule.
+`features.fit_transform` counts the training rows through the same gram
+index and weighs them by the same `tfidf_l2`, so the vectors the trainer
+sees and the scores predict writes agree bit for bit, and w.x adds in
+the same order as the built-in sum over numpy scalars of
+`decision_score` in tests/score_reference.py.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ _LABEL_SIGN = {1: 1.0, 0: -1.0, -1: -1.0}
 
 # Byte budget of the kernel-row block in fit_svm
 KERNEL_CACHE_BYTES = 64 << 20
+
+# fit_svm's stop rules (module docstring)
+MAX_EPOCHS, REL_TOL, KKT_TOL = 1000, 1e-6, 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,6 @@ def fit_svm(
     y: Sequence[int],
     n_features: int,
     C: float = 1.0,
-    max_epochs: int = 1000,
-    rel_tol: float = 1e-6,
-    kkt_tol: float = 1e-9,
 ) -> FitResult:
     """Train on CSR rows X = (indptr, cols, vals) with labels in {0, 1} or {-1, +1}.
 
@@ -222,7 +227,7 @@ def fit_svm(
     stalled = False
     epochs_run = 0
 
-    for _ in range(max_epochs):
+    for _ in range(MAX_EPOCHS):
         epochs_run += 1
         for _ in range(n):
             if not n_up or not n_low:
@@ -232,7 +237,7 @@ def fit_svm(
             np.subtract(y_low, f, out=mm)
             i = int(m.argmax())
             j = int(mm.argmin())
-            if m.item(i) - mm.item(j) < kkt_tol:
+            if m.item(i) - mm.item(j) < KKT_TOL:
                 converged = True
                 break
             y_i, y_j = y_l[i], y_l[j]
@@ -285,7 +290,7 @@ def fit_svm(
         trace.append(best_p)
         if converged or stalled:
             break
-        if abs(prev_p - p) / max(1.0, abs(prev_p)) < rel_tol:
+        if abs(prev_p - p) / max(1.0, abs(prev_p)) < REL_TOL:
             break
         prev_p = p
 
@@ -315,7 +320,6 @@ class LinearModel:
     C: float
     seed: int
     target: str
-    normalized: bool
     objective_trace: tuple[float, ...]
     # not in model format v1, so nan after load_model
     duality_gap: float = float("nan")
@@ -339,21 +343,15 @@ def train_model(
     C: float = 1.0,
     seed: int = 0,
     target: str = "offensive",
-    normalize_text: bool = True,
 ) -> LinearModel:
-    """Fit features on the train split only, then train the SVM on it."""
-    if target not in LABEL_CLASSES:
-        raise ValueError(f"unknown target {target!r}")
+    """Fit features on the normalized texts of the train split only, then train the SVM on them."""
     train_docs = [d for d in docs if d.id in split.train]
     if not train_docs:
         raise ValueError("train split matches no documents")
     missing = [d.id for d in train_docs if d.id not in labels]
     if missing:
         raise ValueError(f"unlabeled train documents, e.g. {missing[0]!r}")
-    texts = [
-        normalize(d.text) if normalize_text else d.text
-        for d in train_docs
-    ]
+    texts = [normalize(d.text) for d in train_docs]
     yv = [target_value(labels[d.id], target) for d in train_docs]
     space, X = fit_transform(texts, feature_config)
     fit = fit_svm(X, yv, space.n_features, C=C)
@@ -364,7 +362,6 @@ def train_model(
         C=C,
         seed=seed,
         target=target,
-        normalized=normalize_text,
         objective_trace=fit.objective_trace,
         duality_gap=fit.duality_gap,
     )
@@ -375,15 +372,15 @@ def score_texts(
 ) -> list[float]:
     """Decision scores w.x + b, one per text, each distinct text scored once.
 
-    x is the text's row from `features.transform`; the distinct texts go
-    BLOCK_ROWS at a time, by the summation-order rule (module docstring).
+    x is the row from `features.transform` of the normalized text, or of
+    the text itself if pre_normalized; the distinct texts go BLOCK_ROWS at
+    a time, by the summation-order rule (module docstring).
     """
     distinct = list(dict.fromkeys(texts))
-    normalize_first = model.normalized and not pre_normalized
     scores: list[float] = []
     for a in range(0, len(distinct), BLOCK_ROWS):
         block = distinct[a : a + BLOCK_ROWS]
-        if normalize_first:
+        if not pre_normalized:
             block = [normalize(t) for t in block]
         indptr, cols, vals = transform(block, model.space)
         scores += (ordered_row_sums(indptr, model.weights[cols] * vals) + model.bias).tolist()
@@ -391,8 +388,8 @@ def score_texts(
     return [by_text[t] for t in texts]
 
 
-def score_text(model: LinearModel, text: str, pre_normalized: bool = False) -> float:
-    return score_texts(model, [text], pre_normalized)[0]
+def score_text(model: LinearModel, text: str) -> float:
+    return score_texts(model, [text])[0]
 
 
 def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[tuple[int, float]]:
@@ -415,7 +412,8 @@ def save_model(path: str, model: LinearModel) -> None:
         "C": model.C,
         "seed": model.seed,
         "target": model.target,
-        "normalized": model.normalized,
+        # format v1 records that the model was trained on normalized text
+        "normalized": True,
         "objective_trace": list(model.objective_trace),
     }
     atomic_write_text(path, json.dumps(obj, ensure_ascii=False, sort_keys=True))
@@ -446,7 +444,9 @@ def load_model(path: str) -> LinearModel:
         grams = obj["vocabulary"]
         if not (isinstance(grams, list) and set(map(type, grams)) <= {str}):
             raise ValueError("vocabulary is not a list of strings")
-        if not isinstance(obj["normalized"], bool):
+        if obj["normalized"] is False:
+            raise ValueError("normalized is false: only a model trained on normalized text can be scored")
+        if obj["normalized"] is not True:
             raise ValueError(f"normalized is not true or false: {obj['normalized']!r}")
         for key in ("seed", "n_train_docs"):
             if type(obj[key]) is not int:
@@ -472,7 +472,6 @@ def load_model(path: str) -> LinearModel:
             C=float(_finite("C", obj["C"], scalar=True)[0]),
             seed=obj["seed"],
             target=obj["target"],
-            normalized=obj["normalized"],
             objective_trace=tuple(_finite("objective_trace", obj["objective_trace"]).tolist()),
         )
     except KeyError as e:

@@ -40,12 +40,12 @@ def read_table(path: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, line.rstrip("\n").split("\t")
 
 
-def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:
-    """Write via temp file + rename so readers never see a partial file."""
+def atomic_write_text(path: str, text: str) -> None:
+    """Write UTF-8 via temp file + rename so readers never see a partial file."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding=encoding, newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

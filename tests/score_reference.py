@@ -88,7 +88,7 @@ def decision_score(model: LinearModel, vec: Mapping[int, float]) -> float:
 
 
 def score_text(model: LinearModel, text: str, pre_normalized: bool = False) -> float:
-    if model.normalized and not pre_normalized:
+    if not pre_normalized:
         text = normalize(text)
     return decision_score(model, vectorize(text, model.space))
 
@@ -168,7 +168,6 @@ def train_model(
     C: float = 1.0,
     seed: int = 0,
     target: str = "offensive",
-    normalize_text: bool = True,
 ) -> LinearModel:
     """Fit features on the train split only, then train the SVM on it."""
     if target not in LABEL_CLASSES:
@@ -180,7 +179,7 @@ def train_model(
     if missing:
         raise ValueError(f"unlabeled train documents, e.g. {missing[0]!r}")
     texts = [
-        normalize(d.text) if normalize_text else d.text
+        normalize(d.text)
         for d in train_docs
     ]
     yv = [target_value(labels[d.id], target) for d in train_docs]
@@ -194,7 +193,6 @@ def train_model(
         C=C,
         seed=seed,
         target=target,
-        normalized=normalize_text,
         objective_trace=fit.objective_trace,
         duality_gap=fit.duality_gap,
     )

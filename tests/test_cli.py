@@ -5,6 +5,7 @@ import json
 import os
 import re
 import warnings
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,15 @@ import pytest
 
 from anchorlex import cli
 from anchorlex.annotation import Judgment, load_gate_answers, load_judgments, load_overrides, write_judgments
-from anchorlex.corpus import Document, load_corpus, load_labels, load_split, write_corpus, write_labels
+from anchorlex.corpus import (
+    Document,
+    dump_corpus,
+    load_corpus,
+    load_labels,
+    load_split,
+    write_corpus,
+    write_labels,
+)
 from anchorlex.linear import load_model
 from anchorlex.synth import make_separable_corpus
 from anchorlex.util import sha256_file
@@ -256,6 +265,18 @@ def test_sample_command_deterministic(tmp_path):
     assert sum(1 for ln in lines[1:] if ln.startswith("1F437\t")) == 3
 
 
+def test_sample_keeps_each_draw_on_one_row_like_the_tsv_corpus(tmp_path):
+    docs = [Document(id=f"d{i}", text=f"a\tb\rc\nd\r\n{i} \U0001F437", created_at=TS) for i in range(3)]
+    inp, out = str(tmp_path / "c.jsonl"), str(tmp_path / "s.tsv")
+    write_corpus(inp, docs)
+    assert cli.main(["sample", "--in", inp, "--out", out, "--k", "3"]) == 0
+    # read with universal newlines, as the table readers read
+    with open(out, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh][1:]
+    tsv_text = {row.split("\t")[0]: row.split("\t")[1] for row in dump_corpus(docs, "tsv").splitlines()[1:]}
+    assert sorted(rows) == [["1F437", d.id, tsv_text[d.id]] for d in docs]
+
+
 def test_match_violence_command(tmp_path):
     docs = [
         Document(id="d1", text="سأقتلك يا وغد", created_at=TS),
@@ -466,6 +487,38 @@ def test_header_readers_on_malformed_tables(tmp_path, capsys, reader, case):
     assert not out.exists() and not (tmp_path / "out.tsv.manifest.json").exists()
 
 
+# reader -> (the ws file it is given a copy of, the line that gets a stray byte,
+# the command that reads the copy `bad` and writes `out`)
+UTF8_READERS = {
+    "corpus jsonl": ("corpus", 3, lambda ws, bad, out: ["collect", "--in", bad, "--out", out]),
+    "labels tsv": ("labels", 2, lambda ws, bad, out: ["split", "--labels", bad, "--out", out]),
+    "split file": (
+        "split",
+        2,
+        lambda ws, bad, out: ["train", "--in", ws.corpus, "--labels", ws.labels, "--split", bad, "--out", out],
+    ),
+    "model json": ("model", 1, lambda ws, bad, out: ["predict", "--model", bad, "--in", ws.corpus, "--out", out]),
+    "rules table": (
+        None,
+        5,
+        lambda ws, bad, out: ["match-violence", "--in", ws.corpus, "--rules", bad, "--out", out],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(UTF8_READERS))
+def test_input_that_is_not_utf8_names_its_file_and_line(ws, tmp_path, capsys, reader):
+    name, lineno, argv = UTF8_READERS[reader]
+    good = Path(getattr(ws, name)) if name else resources.files("anchorlex.data") / "violence_rules.tsv"
+    lines = good.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1][:-1] + b"\xff\n"
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(b"".join(lines))
+    assert cli.main(argv(ws, str(bad), str(out))) == 2
+    assert f"error: {bad}: line {lineno}: not valid UTF-8\n" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
 def test_split_reads_a_field_past_the_csv_field_limit(tmp_path):
     # csv.reader stops at 131,072 characters a field; the labels reader has no limit
     long_id = "d" * 200_000
@@ -489,6 +542,14 @@ def test_train_writes_loadable_model(ws):
     assert man["command"] == "train"
     assert man["config"]["mode"] == "word"
     assert set(man["inputs"]) == {ws.corpus, ws.labels, ws.split}
+
+
+def test_train_and_explain_read_text_one_way(ws, tmp_path):
+    # training always normalizes and explain always preprocesses: neither has a flag to skip it
+    argv = ["train", "--in", ws.corpus, "--labels", ws.labels, "--split", ws.split, "--out", str(tmp_path / "m")]
+    assert usage_error(argv + ["--no-normalize"]) == 1
+    assert usage_error(["explain", "--model", ws.model, "--text", "غبي", "--no-preprocess"]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0"])
@@ -617,6 +678,9 @@ def test_explain_top_k_counts_rows_and_rejects_a_negative_count(ws, tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+RAW_MODEL = "only a model trained on normalized text can be scored"
+
+
 def _edited_model(ws, tmp_path, edit) -> str:
     blob = json.loads(open(ws.model, encoding="utf-8").read())
     edit(blob)
@@ -637,6 +701,7 @@ def _edited_model(ws, tmp_path, edit) -> str:
         (lambda b: b["vocabulary"].__setitem__(0, 5), "bad model file: vocabulary is not a list of strings"),
         (lambda b: b.update(vocabulary="w:a"), "bad model file: vocabulary is not a list of strings"),
         (lambda b: b.update(normalized="no"), "bad model file: normalized is not true or false: 'no'"),
+        (lambda b: b.update(normalized=False), "bad model file: normalized is false: " + RAW_MODEL),
         (lambda b: b.update(word_range=[1, 2.0]), "bad model file: bad n-gram range (1, 2.0)"),
         (lambda b: b.update(char_range=[True, 5]), "bad model file: bad n-gram range (True, 5)"),
         (lambda b: b["weights"].__setitem__(0, None), "bad model file: weights is not a list of finite numbers"),
@@ -658,6 +723,7 @@ def _edited_model(ws, tmp_path, edit) -> str:
         "int_gram",
         "string_vocabulary",
         "normalized_no",
+        "normalized_false",
         "float_bound",
         "bool_bound",
         "null_weight",

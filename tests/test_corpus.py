@@ -146,7 +146,7 @@ FIELD_TEXT = st.text(
     st.lists(
         st.builds(
             Document,
-            id=FIELD_TEXT.filter(bool),
+            id=FIELD_TEXT.filter(lambda t: t and not {"\t", "\r", "\n"} & set(t)),
             text=FIELD_TEXT.filter(lambda t: "\x00" not in t),
             created_at=FIELD_TEXT,
             lang=st.one_of(st.just(""), FIELD_TEXT),
@@ -222,6 +222,22 @@ def test_corpus_lone_surrogate_escape_names_its_line(tmp_path, capsys, escape, f
         assert cli.main([stage, "--in", str(p), "--out", str(out)]) == 2
         assert f"{p}: line 2: lone surrogate" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("sep", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+def test_corpus_id_with_a_row_separator_names_its_line(tmp_path, capsys, sep):
+    bad_id = f"d{sep}x"
+    with pytest.raises(ValueError, match="holds a tab, CR or LF"):
+        Document(id=bad_id, text="x", created_at=TS)
+    p = tmp_path / "bad.jsonl"
+    row = json.dumps({"id": bad_id, "text": "y", "created_at": TS})
+    p.write_text(dump_corpus([doc(0, "x")]) + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}: line 2: document id {bad_id!r}")):
+        load_corpus(str(p))
+    out = tmp_path / "kept.jsonl"
+    assert cli.main(["collect", "--in", str(p), "--out", str(out)]) == 2
+    assert f"{p}: line 2: document id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corpus_surrogate_pair_escape_is_one_character(tmp_path):

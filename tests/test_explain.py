@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anchorlex.corpus import stratified_split
 from anchorlex.explain import (
@@ -17,6 +19,7 @@ from anchorlex.explain import (
 from anchorlex.features import FeatureConfig, FeatureSpace
 from anchorlex.linear import LinearModel, score_text, score_texts, train_model
 from anchorlex.synth import make_separable_corpus
+from anchorlex.textnorm import normalize, tokenize
 
 import score_reference
 
@@ -46,7 +49,6 @@ def _toy_model(weights, vocab_words, bias=0.1):
         C=1.0,
         seed=0,
         target="offensive",
-        normalized=True,
         objective_trace=(0.0,),
     )
 
@@ -91,7 +93,7 @@ def test_explain_single_token_closed_form():
     # explainer draws.
     model = _toy_model(weights=[2.0], vocab_words=["bad"])
     n, lam, kw, seed = 400, RIDGE_LAMBDA, 0.25, 11
-    ex = explain("bad", model, n_samples=n, kernel_width=kw, seed=seed, preprocess=False)
+    ex = explain("bad", model, n_samples=n, kernel_width=kw, seed=seed)
 
     masks = np.random.default_rng(seed).integers(0, 2, size=(n, 1))
     n1 = int(masks.sum())
@@ -109,11 +111,8 @@ def test_explain_single_token_closed_form():
     assert ex.score_full == pytest.approx(s1) and ex.score_empty == pytest.approx(s0)
 
 
-@pytest.mark.parametrize(
-    "text, preprocess",
-    [("يا غبي يا حقير جدا \U0001F437", True), ("سلام غبي ورد غبي", False), ("غبي", True)],
-)
-def test_explain_scores_its_samples_in_one_batch_like_the_reference(monkeypatch, text, preprocess):
+@pytest.mark.parametrize("text", ["يا غبي يا حقير جدا \U0001F437", "سلام غبي ورد غبي", "غبي"])
+def test_explain_scores_its_samples_in_one_batch_like_the_reference(monkeypatch, text):
     model = _model()
     calls = []
 
@@ -124,14 +123,50 @@ def test_explain_scores_its_samples_in_one_batch_like_the_reference(monkeypatch,
 
     monkeypatch.setattr(explain_mod, "score_texts", recording)
     n, seed = 300, 4
-    ex = explain(text, model, n_samples=n, seed=seed, preprocess=preprocess)
+    ex = explain(text, model, n_samples=n, seed=seed)
     [(texts, pre_normalized, scores)] = calls
     masks = np.random.default_rng(seed).integers(0, 2, size=(n, len(ex.tokens)))
     samples = [" ".join(t for t, keep in zip(ex.tokens, row) if keep) for row in masks]
     assert texts == samples + [" ".join(ex.tokens), ""]
-    assert pre_normalized == preprocess
-    assert scores == [score_reference.score_text(model, t, preprocess) for t in texts]
+    assert pre_normalized
+    assert scores == [score_reference.score_text(model, t, True) for t in texts]
     assert (ex.score_full, ex.score_empty) == (scores[-2], scores[-1])
+
+
+# what normalize rewrites or that segments oddly: tatweel, tashkeel, letter
+# folds, URL and mention starts, keycap bases (one with a tatweel before
+# U+20E3), skin tones, ZWJ, regional indicators, CR/LF and runs
+SAMPLE_PIECES = [
+    "\u0640", "\u064e", "\u0651", "\u0623", "\u0625", "\u0622", "\u0629", "\u0649", "\u064a",
+    "\u0627", "\u0628", "\u063a\u0628\u064a", " ", "www", ".", "://", "http", "@", "x", "1", "#",
+    "\ufe0f", "\u20e3", "1\u0640\u20e3", "\U0001F44D", "\U0001F3FB", "\U0001F3FF", "\u200d",
+    "\U0001F1F8", "\U0001F1E6", "\r", "\n", "\r\n", "ooo", "!!!", "\U0001F437" * 3, "\u2764",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_model():
+    return _model(seed=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(SAMPLE_PIECES), min_size=1, max_size=16), seed=st.integers(0, 2**16))
+def test_explain_samples_are_normalized_so_scoring_them_unnormalized_is_exact(fuzz_model, pieces, seed):
+    text = "".join(pieces)
+    assume(tokenize(explain_preprocess(text)))
+    calls = []
+
+    def recording(model, texts, pre_normalized=False):
+        calls.append(list(texts))
+        return score_texts(model, texts, pre_normalized)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explain_mod, "score_texts", recording)
+        explain(text, fuzz_model, n_samples=20, seed=seed)
+    [texts] = calls
+    assert [normalize(t) for t in texts] == texts
+    bits = [s.hex() for s in score_texts(fuzz_model, texts, pre_normalized=True)]
+    assert bits == [s.hex() for s in score_texts(fuzz_model, texts)]
 
 
 def test_explain_ranks_marker_tokens_first():
@@ -161,7 +196,7 @@ def test_explain_r2_bounded():
     # fit, so weighted r2 stays in [0, 1] even under heavy shrinkage
     model = _toy_model(weights=[1.5, -0.5], vocab_words=["bad", "ok"])
     for seed in range(4):
-        ex = explain("bad ok", model, n_samples=300, seed=seed, preprocess=False)
+        ex = explain("bad ok", model, n_samples=300, seed=seed)
         assert 0.0 <= ex.r2 <= 1.0
 
 

@@ -488,12 +488,11 @@ def _assert_same_model_bytes(tmp_path, data, **kw):
 ONE_LETTER_AND_REPEATED = (["ب", "x", "ب", "يا غبي", "يا غبي", "ورد"], [1, 0, 1, 1, 1, 0])
 
 
-@pytest.mark.parametrize("normalize_text", [True, False], ids=["normalized", "raw"])
 @pytest.mark.parametrize("mode", MODES)
-def test_train_model_saves_the_two_pass_model(tmp_path, mode, normalize_text):
+def test_train_model_saves_the_two_pass_model(tmp_path, mode):
     docs, labels = make_separable_corpus(n_docs=120, seed=2)
     data = _labeled(*ONE_LETTER_AND_REPEATED, (docs, labels, stratified_split(labels, seed=2)))
-    kw = dict(feature_config=FeatureConfig(mode=mode), normalize_text=normalize_text, seed=2)
+    kw = dict(feature_config=FeatureConfig(mode=mode), seed=2)
     _assert_same_model_bytes(tmp_path, data, **kw)
 
 
@@ -505,15 +504,12 @@ def test_train_model_saves_the_two_pass_model(tmp_path, mode, normalize_text):
         max_size=12,
     ),
     mode=st.sampled_from(MODES),
-    normalize_text=st.booleans(),
     C=st.sampled_from([0.01, 1.0, 100.0]),
 )
-def test_train_model_saves_the_two_pass_model_on_fuzzed_texts(
-    tmp_path_factory, rows, mode, normalize_text, C
-):
+def test_train_model_saves_the_two_pass_model_on_fuzzed_texts(tmp_path_factory, rows, mode, C):
     rows[0], rows[1] = (rows[0][0], True), (rows[1][0], False)
     data = _labeled([t for t, _ in rows], [o for _, o in rows])
-    kw = dict(feature_config=FeatureConfig(mode=mode), normalize_text=normalize_text, C=C)
+    kw = dict(feature_config=FeatureConfig(mode=mode), C=C)
     _assert_same_model_bytes(tmp_path_factory.mktemp("fuzz"), data, **kw)
 
 
@@ -534,7 +530,7 @@ def test_score_texts_matches_reference_scorer(seed, mode):
     for pre_normalized in (False, True):
         want = [score_reference.score_text(model, t, pre_normalized) for t in texts]
         assert score_texts(model, texts, pre_normalized) == want
-        assert [score_text(model, t, pre_normalized) for t in texts] == want
+    assert [score_text(model, t) for t in texts] == [score_reference.score_text(model, t) for t in texts]
     # the train path's vectors give the same scores
     assert score_texts(model, texts, pre_normalized=True) == [
         score_reference.decision_score(model, vectorize(t, model.space)) for t in texts
@@ -712,7 +708,6 @@ def test_trie_scores_edited_vocabularies_like_the_reference(mode, char_range, wo
         C=1.0,
         seed=0,
         target="offensive",
-        normalized=bool(rng.integers(2)),
         objective_trace=(0.0,),
     )
     for t in texts:
@@ -769,7 +764,7 @@ def test_model_json_round_trip_exact(tmp_path):
     assert again.space.vocabulary == model.space.vocabulary
     assert list(again.space.idf) == list(model.space.idf)
     assert again.C == model.C and again.seed == model.seed
-    assert again.target == model.target and again.normalized == model.normalized
+    assert again.target == model.target
     for text in ("يا غبي", "ورد جميل", ""):
         assert score_text(again, text) == score_text(model, text)
 

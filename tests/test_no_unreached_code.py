@@ -1,4 +1,5 @@
-"""Every public top-level name in src/anchorlex/ is reached from outside tests.
+"""Every public top-level name in src/anchorlex/ is reached from outside tests,
+and every setting of a public top-level function is set from outside tests.
 
 A name counts as reached when some other top-level statement in
 src/anchorlex/, scripts/ or perfbench/ mentions it: as a name, an
@@ -7,11 +8,18 @@ benchmark's tracer lists the functions it wraps as strings). Comments
 and docstrings do not count, and neither does the name's own
 definition, so a recursive or self-describing function is not reached
 by itself. Code that only tests reach belongs in tests/.
+
+A defaulted parameter counts as set when some call in those files
+passes it, by keyword or by position, to a function of that name (an
+import alias such as `explain as explain_text` is resolved; a call with
+`*args` passes every position, one with `**kwargs` every keyword). A
+default that no caller overrides is a constant, not a setting.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -22,6 +30,15 @@ SEARCHED = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 # name -> why it stays although no stage reaches it
 ALLOWED = {
     "cohen_kappa": "the subject of acceptance criterion 03 (kappa on hand-checked examples)",
+}
+
+# module.function(parameter) -> why the setting stays although no caller sets it
+ALLOWED_SETTINGS = {
+    "synth.make_anchored_corpus(base_offensive_rate)": "acceptance criterion 06 states the rates;"
+    " ROADMAP item 15 varies them",
+    "synth.make_anchored_corpus(p_offensive_given_emoji)": "acceptance criterion 06 states the rates;"
+    " ROADMAP item 15 varies them",
+    "features.fit_features(config)": "fit_features is kept only for perfbench/spans.py until ROADMAP item 12",
 }
 
 
@@ -55,13 +72,12 @@ def _defined(stmt: ast.stmt) -> list[str]:
     return []
 
 
+def _modules() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for d in SEARCHED for path in sorted(d.glob("*.py"))}
+
+
 def unreached() -> list[str]:
-    statements = [
-        (path, stmt)
-        for d in SEARCHED
-        for path in sorted(d.glob("*.py"))
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
+    statements = [(path, stmt) for path, tree in _modules().items() for stmt in tree.body]
     words = [_words(stmt) for _, stmt in statements]
     out = []
     for i, (path, stmt) in enumerate(statements):
@@ -72,6 +88,59 @@ def unreached() -> list[str]:
                 continue
             if not any(name in w for j, w in enumerate(words) if j != i):
                 out.append(f"{path.stem}.{name}")
+    return out
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[float, str]]:
+    """(position, name) of each defaulted parameter; keyword-only ones have no position."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    out: list[tuple[float, str]] = [(i, p.arg) for i, p in enumerate(pos) if i >= first]
+    out += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def unset() -> list[str]:
+    modules = _modules()
+    aliases = {
+        a.asname: a.name
+        for tree in modules.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom)
+        for a in n.names
+        if a.asname
+    }
+    # called name -> the most positions any call fills, and the keywords passed (None: **kwargs)
+    positions: dict[str, float] = {}
+    keywords: dict[str, set[str | None]] = {}
+    for tree in modules.values():
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            if isinstance(n.func, ast.Name):
+                name = aliases.get(n.func.id, n.func.id)
+            elif isinstance(n.func, ast.Attribute):
+                name = n.func.attr
+            else:
+                continue
+            filled = math.inf if any(isinstance(a, ast.Starred) for a in n.args) else len(n.args)
+            positions[name] = max(positions.get(name, 0), filled)
+            keywords.setdefault(name, set()).update(k.arg for k in n.keywords)
+    out = []
+    for path, tree in modules.items():
+        if path.parent != PACKAGE:
+            continue
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            passed = keywords.get(fn.name, set())
+            for i, param in _defaulted(fn):
+                setting = f"{path.stem}.{fn.name}({param})"
+                if positions.get(fn.name, 0) > i or param in passed or None in passed:
+                    continue
+                if setting not in ALLOWED_SETTINGS:
+                    out.append(setting)
     return out
 
 
@@ -87,3 +156,19 @@ def test_allowed_names_still_exist():
         for name in _defined(stmt)
     }
     assert set(ALLOWED) <= defined
+
+
+def test_every_setting_is_set_outside_tests():
+    assert unset() == []
+
+
+def test_allowed_settings_still_exist():
+    settings = {
+        f"{path.stem}.{fn.name}({param})"
+        for path, tree in _modules().items()
+        if path.parent == PACKAGE
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for _, param in _defaulted(fn)
+    }
+    assert set(ALLOWED_SETTINGS) <= settings
