@@ -321,23 +321,23 @@ class KappaReport:
     pairs: tuple[PairKappa, ...]
 
 
-def avg_pairwise_kappa(
-    judgments: Sequence[Judgment],
-    min_shared: int = 20,
-    job: str | None = None,
-) -> KappaReport:
+# the kappa stage counts an annotator pair that shares at least this many items
+MIN_SHARED = 20
+
+
+def avg_pairwise_kappa(judgments: Sequence[Judgment], min_shared: int) -> KappaReport:
     """Unweighted mean Cohen's kappa over annotator pairs.
 
-    Items are (doc, job) pairs; only pairs sharing >= min_shared items
-    count. Pairs with undefined kappa (both constant, same category) are
-    skipped. No qualifying pair at all is an error. One walk over each
-    item's annotators counts (label_a, label_b) per co-occurring pair, so
-    the cost follows the items, not the number of annotator pairs.
+    Items are (doc, job) pairs, every job pooled; only pairs sharing >=
+    min_shared items count. Pairs with undefined kappa (both constant,
+    same category) are skipped. No qualifying pair at all is an error.
+    One walk over each item's annotators counts (label_a, label_b) per
+    co-occurring pair, so the cost follows the items, not the number of
+    annotator pairs.
     """
     items: dict[tuple[str, str], dict[str, str]] = {}
     for j in judgments:
-        if job is None or j.job == job:
-            items.setdefault((j.doc_id, j.job), {})[j.annotator_id] = j.label
+        items.setdefault((j.doc_id, j.job), {})[j.annotator_id] = j.label
     # (a, b, label_a, label_b) -> count over the items both judged, a < b
     counts = Counter(
         (a, b, x, y)

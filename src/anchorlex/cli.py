@@ -62,13 +62,7 @@ def cmd_collect(args: argparse.Namespace) -> None:
 
 
 def cmd_dedup(args: argparse.Namespace) -> None:
-    docs = corpus_mod.load_corpus(args.infile)
-    policy = textnorm.NearDupPolicy(
-        shingle_size=args.shingle_size,
-        jaccard_threshold=args.jaccard,
-        min_tokens=args.min_tokens,
-    )
-    kept, dropped = textnorm.dedup(docs, policy)
+    kept, dropped = textnorm.dedup(corpus_mod.load_corpus(args.infile))
     corpus_mod.write_corpus(args.out, kept)
     # resolved after the runner took the config, which keeps the flag as given
     args.dropped = args.dropped or args.out + ".dropped.tsv"
@@ -116,10 +110,7 @@ def cmd_mine_lexicon(args: argparse.Namespace) -> None:
 def cmd_emoji_stats(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
-    inv = _load_inventory(args) if args.seeds or not args.all_bases else None
-    stats = emoji_mod.emoji_stats(docs, labels, inv)
-    if not args.all_bases:
-        stats = [s for s in stats if s.base in inv.bases]
+    stats = emoji_mod.emoji_stats(docs, labels, _load_inventory(args))
     atomic_write_text(args.out, emoji_mod.dump_emoji_stats(stats))
     print(f"emoji-stats: {len(stats)} base forms")
 
@@ -170,7 +161,7 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
 
 def cmd_kappa(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
-    report = anno.avg_pairwise_kappa(judgments, min_shared=args.min_shared, job=args.job)
+    report = anno.avg_pairwise_kappa(judgments, anno.MIN_SHARED)
     _emit(anno.dump_kappa_report(report), args.out)
 
 
@@ -259,8 +250,6 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def cmd_explain(args: argparse.Namespace) -> None:
-    if args.top_k < 0:
-        raise ValueError(f"--top-k must be >= 0, got {args.top_k}")
     model = load_model(args.model)
     if args.text is not None:
         text = args.text
@@ -271,20 +260,15 @@ def cmd_explain(args: argparse.Namespace) -> None:
         if args.doc_id not in docs:
             raise ValueError(f"doc {args.doc_id!r} not in {args.infile}")
         text = docs[args.doc_id].text
-    ex = explain_text(
-        text,
-        model,
-        n_samples=args.samples,
-        kernel_width=args.kernel_width,
-        top_k=args.top_k,
-        seed=args.seed,
-    )
+    ex = explain_text(text, model, n_samples=args.samples, seed=args.seed)
     _emit(dump_explanation(ex), args.out)
 
 
+# rows `report` excerpts from each file, after its header
+EXCERPT_ROWS = 10
+
+
 def cmd_report(args: argparse.Namespace) -> None:
-    if args.head < 0:
-        raise ValueError(f"--head must be >= 0, got {args.head}")
     docs = corpus_mod.load_corpus(args.corpus)
     labels = corpus_mod.load_labels(args.labels)
     n = len(docs)
@@ -317,8 +301,7 @@ def cmd_report(args: argparse.Namespace) -> None:
         lines.append(f"[{name}] {os.path.basename(path)}")
         with open(path, encoding="utf-8") as fh:
             content = fh.read().rstrip("\n")
-        head = content.splitlines()[: args.head + 1]  # header + N rows
-        lines.extend(head)
+        lines.extend(content.splitlines()[: EXCERPT_ROWS + 1])  # header + rows
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"report: wrote {args.out}")
 
@@ -366,9 +349,6 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--dropped", help="drop log TSV (default: <out>.dropped.tsv)")
-        p.add_argument("--min-tokens", type=int, default=3)
-        p.add_argument("--jaccard", type=float, default=0.8)
-        p.add_argument("--shingle-size", type=int, default=2)
 
     if p := add("normalize", cmd_normalize, "canonicalize text", ("infile",)):
         p.add_argument("--in", dest="infile", required=True)
@@ -398,7 +378,6 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--labels", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
-        p.add_argument("--all-bases", action="store_true", help="stats for every base, not just seeds")
 
     if p := add("sample", cmd_sample, "seeded doc samples per inventory emoji", ("infile", "seeds")):
         p.add_argument("--in", dest="infile", required=True)
@@ -427,8 +406,6 @@ def build_parser(command: str | None = None) -> _Parser:
 
     if p := add("kappa", cmd_kappa, "average pairwise Cohen's kappa", ("judgments",)):
         p.add_argument("--judgments", required=True)
-        p.add_argument("--min-shared", type=int, default=20)
-        p.add_argument("--job", help="restrict to one job")
         p.add_argument("--out", help="write report here instead of stdout")
 
     if p := add("gate", cmd_gate, "gate annotators on hidden test items", ("judgments", "answers")):
@@ -477,8 +454,6 @@ def build_parser(command: str | None = None) -> _Parser:
         source.add_argument("--in", dest="infile", help="corpus holding --doc-id")
         p.add_argument("--doc-id")
         p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--kernel-width", type=float, default=0.25)
-        p.add_argument("--top-k", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write explanation here instead of stdout")
 
@@ -489,7 +464,6 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--stats", help="emoji-stats TSV to excerpt")
         p.add_argument("--lexicon", help="lexicon TSV to excerpt")
         p.add_argument("--eval", help="evaluate output to excerpt")
-        p.add_argument("--head", type=int, default=10, help="rows to excerpt per file")
 
     if command is not None and command not in sub.choices:
         return build_parser()  # --help, --version or no stage: every stage's arguments

@@ -212,12 +212,12 @@ class EmojiStat:
 def emoji_stats(
     docs: Iterable[Document],
     labels: Mapping[str, LabelRecord],
-    inventory: SeedInventory | None = None,
+    inventory: SeedInventory,
 ) -> list[EmojiStat]:
-    """Per distinct base form: document counts and offensive/hate rates.
+    """Per seed base form of the inventory: document counts and offensive/hate rates.
 
     Counted per document (a base appearing three times in one doc counts
-    once). Every doc that carries an emoji must be labeled.
+    once). Every doc that carries an emoji, seed or not, must be labeled.
     """
     totals: dict[str, int] = {}
     off: dict[str, int] = {}
@@ -229,7 +229,7 @@ def emoji_stats(
         rec = labels.get(d.id)
         if rec is None:
             raise ValueError(f"document {d.id!r} has no label record")
-        for b in bases:
+        for b in bases & inventory.bases:
             totals[b] = totals.get(b, 0) + 1
             if rec.offensive:
                 off[b] = off.get(b, 0) + 1
@@ -238,7 +238,7 @@ def emoji_stats(
     stats = [
         EmojiStat(
             base=b,
-            category=(inventory.category_of(b) if inventory else None) or "-",
+            category=inventory.category_of(b) or "-",
             n_total=n,
             n_offensive=off.get(b, 0),
             offensive_pct=100.0 * off.get(b, 0) / n,

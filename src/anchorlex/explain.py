@@ -20,6 +20,10 @@ from .textnorm import normalize, tokenize
 
 # ridge penalty of the surrogate fit; the intercept is not penalized
 RIDGE_LAMBDA = 1.0
+# width of the sample-weight kernel, in fraction of tokens masked
+KERNEL_WIDTH = 0.25
+# tokens kept in an explanation's ranked list
+TOP_K = 10
 
 
 def replace_emoji_with_aliases(text: str) -> str:
@@ -50,21 +54,10 @@ class Explanation:
     score_empty: float
 
 
-def explain(
-    text: str,
-    model: LinearModel,
-    n_samples: int = 1000,
-    kernel_width: float = 0.25,
-    top_k: int = 10,
-    seed: int = 0,
-) -> Explanation:
+def explain(text: str, model: LinearModel, n_samples: int = 1000, seed: int = 0) -> Explanation:
     """Attribution per token of one document under one model."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not kernel_width > 0:
-        raise ValueError(f"kernel_width must be positive, got {kernel_width!r}")
-    if top_k < 0:
-        raise ValueError(f"top_k must be >= 0, got {top_k}")
     tokens = tuple(tokenize(explain_preprocess(text)))
     m = len(tokens)
     if m == 0:
@@ -79,7 +72,7 @@ def explain(
     )
     scores = np.asarray(sample_scores)
     d = 1.0 - masks.mean(axis=1)
-    weights = np.exp(-(d**2) / (kernel_width**2))
+    weights = np.exp(-(d**2) / (KERNEL_WIDTH**2))
 
     # weighted ridge with unpenalized intercept
     A = np.hstack([np.ones((n_samples, 1)), masks])
@@ -100,7 +93,7 @@ def explain(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
 
     ranked = sorted(zip(tokens, attrib), key=lambda p: (-abs(p[1]), p[0]))
-    top = tuple((t, float(v)) for t, v in ranked[:top_k])
+    top = tuple((t, float(v)) for t, v in ranked[:TOP_K])
     return Explanation(
         tokens=tokens,
         attributions=tuple(float(v) for v in attrib),

@@ -103,19 +103,12 @@ def char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
 # --- deduplication ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NearDupPolicy:
-    shingle_size: int = 2
-    jaccard_threshold: float = 0.8
-    min_tokens: int = 3
-
-    def __post_init__(self) -> None:
-        if self.shingle_size < 1:
-            raise ValueError("shingle_size must be >= 1")
-        if not (0.0 < self.jaccard_threshold <= 1.0):
-            raise ValueError("jaccard_threshold must be in (0, 1]")
-        if self.min_tokens < 0:
-            raise ValueError("min_tokens must be >= 0")
+# dedup's one rule: a doc of fewer than MIN_TOKENS words (placeholders
+# aside) is short; one whose word SHINGLE_SIZE-grams have Jaccard index
+# >= JACCARD_THRESHOLD with a kept doc's is a near duplicate
+MIN_TOKENS = 3
+SHINGLE_SIZE = 2
+JACCARD_THRESHOLD = 0.8
 
 
 @dataclass(frozen=True)
@@ -144,18 +137,16 @@ def _shingles(tokens: Sequence[str], size: int) -> frozenset[tuple[str, ...]]:
 _PLACEHOLDERS = frozenset(tokenize("@USER URL"))
 
 
-def dedup(
-    docs: Iterable[Document],
-    policy: NearDupPolicy = NearDupPolicy(),
-) -> tuple[list[Document], list[DropRecord]]:
+def dedup(docs: Iterable[Document]) -> tuple[list[Document], list[DropRecord]]:
     """Sequential first-wins dedup.
 
     Per doc, checks run in the order short -> exact -> near, so a
     too-short doc never anchors near-duplicate drops. Tokens counted
-    toward min_tokens exclude mention/URL placeholders. Near means
-    Jaccard over word shingles against any *kept* doc >= threshold;
+    toward MIN_TOKENS exclude mention/URL placeholders. Near means
+    Jaccard over word shingles against any *kept* doc >= JACCARD_THRESHOLD;
     output is equivalent to the brute-force pairwise scan (the shingle
-    index below only skips pairs with zero overlap).
+    index below only skips pairs with zero overlap). MIN_TOKENS >=
+    SHINGLE_SIZE, so no doc past the short check has an empty shingle set.
     """
     kept: list[Document] = []
     dropped: list[DropRecord] = []
@@ -165,27 +156,21 @@ def dedup(
     for doc in docs:
         norm = normalize(doc.text)
         toks = [t for t in tokenize(norm) if t not in _PLACEHOLDERS]
-        if len(toks) < policy.min_tokens:
+        if len(toks) < MIN_TOKENS:
             dropped.append(DropRecord(doc.id, "short"))
             continue
         if norm in exact_seen:
             dropped.append(DropRecord(doc.id, "exact", exact_seen[norm]))
             continue
-        sh = _shingles(toks, policy.shingle_size)
+        sh = _shingles(toks, SHINGLE_SIZE)
         candidates: set[int] = set()
         for g in sh:
             candidates.update(by_shingle.get(g, ()))
         hit: str | None = None
         for idx in sorted(candidates):
-            if jaccard(sh, kept_shingles[idx]) >= policy.jaccard_threshold:
+            if jaccard(sh, kept_shingles[idx]) >= JACCARD_THRESHOLD:
                 hit = kept[idx].id
                 break
-        if hit is None and not sh:
-            # empty shingle sets only compare equal to other empties
-            for idx, other in enumerate(kept_shingles):
-                if not other:
-                    hit = kept[idx].id
-                    break
         if hit is not None:
             dropped.append(DropRecord(doc.id, "near", hit))
             continue

@@ -7,7 +7,9 @@ annotator pair. `gate_all` called `gate_annotator` once per annotator,
 and each call scanned all judgments again. The only change from the
 shipped code is that `cohen_kappa` sums the expected agreement over the
 sorted categories, not over a set, so the float does not depend on
-`PYTHONHASHSEED`. `anchorlex.annotation` must give equal results.
+`PYTHONHASHSEED`. `avg_pairwise_kappa` has since lost its `job` filter
+on both sides, and pools every job. `anchorlex.annotation` must give
+equal results.
 """
 
 from __future__ import annotations
@@ -104,15 +106,9 @@ def cohen_kappa(a: Sequence, b: Sequence) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def avg_pairwise_kappa(
-    judgments: Sequence[Judgment],
-    min_shared: int = 20,
-    job: str | None = None,
-) -> KappaReport:
+def avg_pairwise_kappa(judgments: Sequence[Judgment], min_shared: int) -> KappaReport:
     by_annotator: dict[str, dict[tuple[str, str], str]] = {}
     for j in judgments:
-        if job is not None and j.job != job:
-            continue
         by_annotator.setdefault(j.annotator_id, {})[(j.doc_id, j.job)] = j.label
     names = sorted(by_annotator)
     pairs: list[PairKappa] = []

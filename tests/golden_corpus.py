@@ -2,9 +2,12 @@
 
 Runs the workload's 11 stages (collect, normalize, dedup, mine-lexicon,
 emoji-stats, sample, match-violence, aggregate --queue, kappa, gate and
-report) on ``perfbench/gen.py``'s ``make_corpus_inputs`` at one seed and
-takes the sha256 of every data file: the 4 generated inputs and the 13
-stage outputs. Run manifests hold times and paths, so they are left out.
+report) on ``perfbench/gen.py``'s ``make_corpus_inputs`` at one seed.
+Then it adjudicates the first rows of the queue (``write_overrides``)
+and runs aggregate again with --overrides, a path the workload does
+not take. It takes the sha256 of every data file: the 4 generated
+inputs, the 13 stage outputs, overrides.tsv and adjudicated_labels.tsv.
+Run manifests hold times and paths, so they are left out.
 
 Regenerate the record after a change that alters an output byte on
 purpose, and list each changed file with the reason in CHANGES.md:
@@ -75,6 +78,18 @@ def _stages(seed: int, p) -> list[list[str]]:
     ]
 
 
+# an adjudicator's answer against a queue item's majority label; any hate target becomes "none"
+OVERRIDE = {"0": "1", "1": "0", "none": "religion"}
+
+
+def write_overrides(queue: str, out: str) -> None:
+    """The queue's header and first 5 items, each with its override column filled."""
+    header, *items = Path(queue).read_text(encoding="utf-8").splitlines()
+    # a queue row ends in the empty override column
+    filled = [item + OVERRIDE.get(item.split("\t")[2], "none") for item in items[:5]]
+    Path(out).write_text("\n".join([header, *filled]) + "\n", encoding="utf-8")
+
+
 def run_stage(argv: list[str]) -> None:
     """One cli stage with its output captured; a non-zero exit raises with that output."""
     buf = io.StringIO()
@@ -99,8 +114,14 @@ def run_digests(work: str, seed: int = SEED) -> dict[str, str]:
     """Generate the inputs in `work`, run every stage, return file -> sha256."""
     gen = load_gen()
     gen.make_corpus_inputs(seed, work, str(Path(cli.__file__).parent / "data"))
-    for argv in _stages(seed, lambda name: os.path.join(work, name)):
+    def p(name: str) -> str:
+        return os.path.join(work, name)
+
+    for argv in _stages(seed, p):
         run_stage(argv)
+    write_overrides(p("queue.tsv"), p("overrides.tsv"))
+    run_stage(["aggregate", "--judgments", p("judgments.tsv"), "--overrides", p("overrides.tsv"),
+               "--out", p("adjudicated_labels.tsv")])
     return digests(work)
 
 

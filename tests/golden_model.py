@@ -3,9 +3,11 @@
 Runs the workload's set-up and stages on ``perfbench/gen.py``'s inputs
 at one seed: ``make_train_inputs``, then split and train, then
 ``make_score_inputs``, predict, evaluate and the 10 explain requests.
-It takes the sha256 of every data file: the 4 generated inputs,
-split.tsv, model.json, preds.tsv, eval.txt and the explain_*.txt
-files. Run manifests hold times and paths, so they are left out.
+One more explain request names the first fresh doc by --in and
+--doc-id, a path the workload does not take. It takes the sha256 of
+every data file: the 4 generated inputs, split.tsv, model.json,
+preds.tsv, eval.txt and the explain_*.txt files. Run manifests hold
+times and paths, so they are left out.
 
 model.json, preds.tsv and the explanations hold floats that another
 numpy or libm could round differently; the test compares every digest
@@ -25,10 +27,13 @@ import os
 import sys
 from pathlib import Path
 
+from anchorlex.corpus import load_corpus
 from golden_corpus import digests, load_gen, run_stage, write_or_print
 
 RECORD = Path(__file__).resolve().parent / "golden_model.json"
 SEED = 7
+# the explanation of the first fresh doc, requested by its id
+BY_DOC_ID = "explain_doc.txt"
 
 
 def run_digests(work: str, seed: int = SEED) -> dict[str, str]:
@@ -48,6 +53,9 @@ def run_digests(work: str, seed: int = SEED) -> dict[str, str]:
     for k, text in enumerate(truth.explain_texts):
         run_stage(["explain", "--model", p("model.json"), "--text", text, "--seed", str(seed),
                    "--out", p(f"explain_{k:03d}.txt")])
+    doc_id = load_corpus(p("fresh.jsonl"))[0].id
+    run_stage(["explain", "--model", p("model.json"), "--in", p("fresh.jsonl"), "--doc-id", doc_id,
+               "--seed", str(seed), "--out", p(BY_DOC_ID)])
     return digests(work)
 
 

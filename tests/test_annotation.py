@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import anchorlex
 from anchorlex.annotation import (
+    MIN_SHARED,
     AggregatedLabel,
     Judgment,
     QCGate,
@@ -288,15 +289,12 @@ def test_avg_pairwise_kappa_skips_undefined_pairs():
     assert report.mean_kappa == pytest.approx(1.0)
 
 
-def test_avg_pairwise_kappa_job_filter():
+def test_avg_pairwise_kappa_pools_every_job():
     js = _shared_judgments(30, flip_every=3)
     js += [J(f"d{i}", "a1", job="vulgar", lab="0") for i in range(30)]
     js += [J(f"d{i}", "a2", job="vulgar", lab="0") for i in range(30)]
-    all_jobs = avg_pairwise_kappa(js, min_shared=20)
-    only_off = avg_pairwise_kappa(js, min_shared=20, job="offensive")
-    # the constant vulgar votes dilute agreement items when pooled
-    assert all_jobs.pairs[0].n_shared == 60
-    assert only_off.pairs[0].n_shared == 30
+    # each (doc, job) pair is one item, so the constant vulgar votes count too
+    assert avg_pairwise_kappa(js, min_shared=20).pairs[0].n_shared == 60
 
 
 # --- file round trips --------------------------------------------------------
@@ -468,16 +466,10 @@ def test_majority_vote_matches_reference(js):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    js=judgment_sets(),
-    min_shared=st.integers(0, 8),
-    job=st.one_of(st.none(), st.sampled_from([*JOB_NAMES, "vulgar"])),
-)
-def test_avg_pairwise_kappa_matches_reference(js, min_shared, job):
-    got = _outcome(avg_pairwise_kappa, js, min_shared=min_shared, job=job)
-    assert got == _outcome(
-        annotation_reference.avg_pairwise_kappa, js, min_shared=min_shared, job=job
-    )
+@given(js=judgment_sets(), min_shared=st.integers(0, 8))
+def test_avg_pairwise_kappa_matches_reference(js, min_shared):
+    got = _outcome(avg_pairwise_kappa, js, min_shared=min_shared)
+    assert got == _outcome(annotation_reference.avg_pairwise_kappa, js, min_shared=min_shared)
 
 
 @settings(max_examples=300, deadline=None)
@@ -522,5 +514,5 @@ def test_avg_pairwise_kappa_constant_annotators_match_reference():
     # every annotator constant on the same label: kappa undefined for all pairs
     js = [J(f"d{i}", a, lab="1") for i in range(25) for a in ("a1", "a2", "a3")]
     msg = "no annotator pair shares >= 20 items with defined kappa"
-    assert _outcome(avg_pairwise_kappa, js) == msg
-    assert _outcome(annotation_reference.avg_pairwise_kappa, js) == msg
+    assert _outcome(avg_pairwise_kappa, js, MIN_SHARED) == msg
+    assert _outcome(annotation_reference.avg_pairwise_kappa, js, MIN_SHARED) == msg

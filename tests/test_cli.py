@@ -245,11 +245,6 @@ def test_emoji_stats_command(tmp_path):
     assert rows["1F437"][2] == "2"  # tone variant folds into the base
     assert "1F339" not in rows  # rose is not a seed
 
-    out_all = str(tmp_path / "all.tsv")
-    assert cli.main(["emoji-stats", "--in", inp, "--labels", lab, "--out", out_all, "--all-bases"]) == 0
-    all_rows = {ln.split("\t")[0] for ln in open(out_all, encoding="utf-8").read().splitlines()[1:]}
-    assert "1F339" in all_rows
-
 
 def test_sample_command_deterministic(tmp_path):
     docs = [Document(id=f"d{i}", text=f"نص {i} \U0001F437", created_at=TS) for i in range(6)]
@@ -321,7 +316,7 @@ def test_aggregate_kappa_gate_commands(tmp_path, capsys):
     assert len(qlines) == 4  # disagreements only (a3 flipped on 3 docs)
     assert "24 docs labeled, 3 queue items, 0 docs with" in capsys.readouterr().out
 
-    assert cli.main(["kappa", "--judgments", jpath, "--min-shared", "10"]) == 0
+    assert cli.main(["kappa", "--judgments", jpath]) == 0
     kout = capsys.readouterr().out
     assert kout.startswith("mean_kappa\t")
     assert "a1\ta2\t24\t1.000000" in kout
@@ -663,19 +658,13 @@ def test_explain_text_and_in_exclude_each_other(ws, tmp_path, capsys):
     assert "explain needs --text, or --in with --doc-id" in capsys.readouterr().err
 
 
-def test_explain_top_k_counts_rows_and_rejects_a_negative_count(ws, tmp_path, capsys):
+def test_explain_writes_the_top_ten_tokens(ws, tmp_path):
     out = tmp_path / "ex.txt"
-    argv = ["explain", "--model", ws.model, "--text", "غبي جدا", "--samples", "50", "--out", str(out)]
-    assert cli.main(argv + ["--top-k", "1"]) == 0
-    assert out.read_text(encoding="utf-8").splitlines()[-2] == "token\tattribution"
-    assert cli.main(argv + ["--top-k", "0"]) == 0
-    assert out.read_text(encoding="utf-8").endswith("token\tattribution\n")
-    for f in tmp_path.iterdir():
-        f.unlink()
-    capsys.readouterr()
-    assert cli.main(argv + ["--top-k", "-1"]) == 2
-    assert "error: --top-k must be >= 0, got -1" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    text = " ".join(f"w{i}" for i in range(12))
+    argv = ["explain", "--model", ws.model, "--text", text, "--samples", "50", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = out.read_text(encoding="utf-8").split("token\tattribution\n")[1].splitlines()
+    assert len(rows) == 10
 
 
 RAW_MODEL = "only a model trained on normalized text can be scored"
@@ -757,9 +746,7 @@ def test_report_command(ws, tmp_path, capsys):
     assert cli.main(["mine-lexicon", "--in", ws.corpus, "--labels", ws.labels, "--out", lex]) == 0
     capsys.readouterr()
     out = str(tmp_path / "report.txt")
-    rc = cli.main(
-        ["report", "--corpus", ws.corpus, "--labels", ws.labels, "--out", out, "--lexicon", lex, "--head", "3"]
-    )
+    rc = cli.main(["report", "--corpus", ws.corpus, "--labels", ws.labels, "--out", out, "--lexicon", lex])
     assert rc == 0
     text = open(out, encoding="utf-8").read()
     assert "documents\t120" in text
@@ -767,21 +754,44 @@ def test_report_command(ws, tmp_path, capsys):
     assert "[lexicon] lex.tsv" in text  # basename only, so report bytes are relocatable
     section = text.split("[lexicon] lex.tsv\n", 1)[1]
     assert section.splitlines()[0] == "term\tn_off\tn_cln\tvalence"
-    assert len(section.splitlines()) <= 4
+    assert len(section.splitlines()) <= 11
 
 
-def test_report_head_counts_rows_and_rejects_a_negative_count(ws, tmp_path, capsys):
-    lex = str(tmp_path / "lex.tsv")
-    assert cli.main(["mine-lexicon", "--in", ws.corpus, "--labels", ws.labels, "--out", lex]) == 0
+def test_report_excerpts_ten_rows_per_file(ws, tmp_path):
+    table = tmp_path / "eval.tsv"
+    table.write_text("row\n" + "".join(f"r{i}\n" for i in range(15)), encoding="utf-8")
     out = tmp_path / "report.txt"
-    argv = ["report", "--corpus", ws.corpus, "--labels", ws.labels, "--out", str(out), "--lexicon", lex]
-    assert cli.main(argv + ["--head", "0"]) == 0
-    assert out.read_text(encoding="utf-8").endswith("[lexicon] lex.tsv\nterm\tn_off\tn_cln\tvalence\n")
-    out.unlink()
+    argv = ["report", "--corpus", ws.corpus, "--labels", ws.labels, "--out", str(out), "--eval", str(table)]
+    assert cli.main(argv) == 0
+    excerpt = out.read_text(encoding="utf-8").split("[eval] eval.tsv\n")[1]
+    assert excerpt == "row\n" + "".join(f"r{i}\n" for i in range(10))
+
+
+# the one-value settings that became constants: each flag is now unknown
+REMOVED_OPTIONS = [
+    ("dedup --in {corpus} --out {o}", "--min-tokens", "3"),
+    ("dedup --in {corpus} --out {o}", "--shingle-size", "2"),
+    ("dedup --in {corpus} --out {o}", "--jaccard", "0.8"),
+    ("kappa --judgments {judgments} --out {o}", "--min-shared", "20"),
+    ("kappa --judgments {judgments} --out {o}", "--job", "offensive"),
+    ("explain --model {model} --text غبي --samples 20 --out {o}", "--kernel-width", "0.25"),
+    ("explain --model {model} --text غبي --samples 20 --out {o}", "--top-k", "10"),
+    ("report --corpus {corpus} --labels {labels} --out {o}", "--head", "10"),
+    ("emoji-stats --in {corpus} --labels {labels} --out {o}", "--all-bases", None),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", REMOVED_OPTIONS, ids=[flag for _, flag, _ in REMOVED_OPTIONS])
+def test_a_removed_option_is_a_usage_error(stage_inputs, tmp_path, capsys, argv, flag, value):
+    f = dict(stage_inputs, o=str(tmp_path / "out"))
+    args = [t.format(**f) for t in argv.split()]
+    assert cli.main(args) == 0  # the stage runs without it
+    for p in tmp_path.iterdir():
+        p.unlink()
     capsys.readouterr()
-    assert cli.main(argv + ["--head", "-3"]) == 2
-    assert "error: --head must be >= 0, got -3" in capsys.readouterr().err
-    assert not out.exists()
+    assert usage_error([*args, flag, *filter(None, [value])]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_flag_overrides_default_path(tmp_path):

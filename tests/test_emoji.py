@@ -373,6 +373,19 @@ def test_emoji_stats_sorted_by_offensive_pct_then_base():
     assert pcts == sorted(pcts, reverse=True)
 
 
+def test_emoji_stats_counts_only_seed_bases():
+    docs, labels = _stats_fixture()
+    docs.append(doc(4, "w \U0001F339 \U0001F437"))  # the rose is not a seed
+    labels["d004"] = label(4)
+    stats = {s.base: s for s in emoji_stats(docs, labels, default_inventory())}
+    assert set(stats) == {"\U0001F437", "\U0001F52A"}
+    assert stats["\U0001F437"].n_total == 3
+    # a doc with no seed emoji still needs its label
+    docs.append(doc(5, "only \U0001F339"))
+    with pytest.raises(ValueError, match="d005"):
+        emoji_stats(docs, labels, default_inventory())
+
+
 def test_emoji_stats_requires_labels():
     docs, labels = _stats_fixture()
     del labels["d001"]

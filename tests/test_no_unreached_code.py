@@ -14,18 +14,30 @@ passes it, by keyword or by position, to a function of that name (an
 import alias such as `explain as explain_text` is resolved; a call with
 `*args` passes every position, one with `**kwargs` every keyword). A
 default that no caller overrides is a constant, not a setting.
+
+`cli` hands every flag on to the library, so a CLI option counts as
+passed only when some string constant in scripts/, perfbench/ or the
+golden-record generators tests/golden_*.py equals its option string.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import math
 import re
 from pathlib import Path
 
+from anchorlex import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "anchorlex"
 SEARCHED = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+CALLERS = [
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    *sorted((ROOT / "tests").glob("golden_*.py")),
+]
 
 # name -> why it stays although no stage reaches it
 ALLOWED = {
@@ -39,6 +51,28 @@ ALLOWED_SETTINGS = {
     "synth.make_anchored_corpus(p_offensive_given_emoji)": "acceptance criterion 06 states the rates;"
     " ROADMAP item 15 varies them",
     "features.fit_features(config)": "fit_features is kept only for perfbench/spans.py until ROADMAP item 12",
+}
+
+_PATH = "a path, which is a deployment setting"
+_PAPER = "a paper-level choice that ROADMAP item 15's rehearsal will exercise"
+_ONE_VALUE = "one value in use; left for ROADMAP item 16's second slice, after item 15"
+
+# CLI option string -> why it stays although no script, workload or golden generator passes it
+ALLOWED_OPTIONS = {
+    "--seeds": _PATH,
+    "--rules": _PATH,
+    "--classes": _PATH,
+    "--manifest": _PATH,
+    "--format": "the `--format tsv` corpus layout that the README documents",
+    "--target": _PAPER,
+    "--mode": _PAPER,
+    "--class": _PAPER,
+    "--char-ngrams": _PAPER,
+    "--word-ngrams": _PAPER,
+    "--C": _ONE_VALUE,
+    "--ratios": _ONE_VALUE,
+    "--min-valence": _ONE_VALUE,
+    "--threshold": _ONE_VALUE,
 }
 
 
@@ -172,3 +206,37 @@ def test_allowed_settings_still_exist():
         for _, param in _defaulted(fn)
     }
     assert set(ALLOWED_SETTINGS) <= settings
+
+
+def stage_options() -> dict[str, list[str]]:
+    """stage -> the option strings of its parser, as `cli.build_parser(stage)` builds it; -h aside."""
+    stages = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    out = {}
+    for stage in stages:
+        sub = next(a for a in cli.build_parser(stage)._actions if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices[stage]._actions
+        out[stage] = [o for a in actions if not isinstance(a, argparse._HelpAction) for o in a.option_strings]
+    return out
+
+
+def unpassed_options() -> list[str]:
+    passed = {
+        n.value
+        for path in CALLERS
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    return [
+        f"{stage} {option}"
+        for stage, options in stage_options().items()
+        for option in options
+        if option not in passed and option not in ALLOWED_OPTIONS
+    ]
+
+
+def test_every_option_is_passed_outside_tests():
+    assert unpassed_options() == []
+
+
+def test_allowed_options_still_exist():
+    assert set(ALLOWED_OPTIONS) <= {o for options in stage_options().values() for o in options}
