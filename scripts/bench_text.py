@@ -15,9 +15,10 @@ hold both, is where those guards are measured. The scorer layer uses
 a model trained on the corpus' first 2,000 docs: microseconds per doc of
 `score_texts` on all raw texts (what `predict` does), and per sample of
 one 1,000-sample `explain` of the first doc with at least 6 tokens.
-`load_ms` is the fixed cost every `predict` or `explain` process pays
-before its first block: `load_model` of the saved model, then the
-first `score_texts` of that short doc, which builds the gram index.
+`load_ms` and `index_ms` are the fixed cost every `predict` or
+`explain` process pays before its first block: `load_model` of the
+saved model alone, then the first `score_texts` of that short doc on
+the loaded model, which builds the gram index.
 `parse_ms`, the fixed cost of every stage call before that, is the
 median over 100 times the repeats of `cli.build_parser` and
 `parse_args` on one `explain --text` argv for that doc.
@@ -85,12 +86,20 @@ def normalize_passes(texts: list[str]) -> float:
     return calls / len(texts)
 
 
-def load_ms(model: LinearModel, text: str, repeats: int) -> float:
-    """Median milliseconds of `load_model` on the saved model plus its first `score_texts` of text."""
+def load_and_index_ms(model: LinearModel, text: str, repeats: int) -> tuple[float, float]:
+    """Median milliseconds of `load_model` on the saved model, and of the first `score_texts` of text after it."""
+    load, index = [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         save_model(path, model)
-        return 1e3 * median_s(lambda: score_texts(load_model(path), [text]), repeats)
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            loaded = load_model(path)
+            t1 = time.perf_counter()
+            score_texts(loaded, [text])
+            load.append(t1 - t0)
+            index.append(time.perf_counter() - t1)
+    return 1e3 * statistics.median(load), 1e3 * statistics.median(index)
 
 
 def parse_ms(text: str, seed: int, repeats: int) -> float:
@@ -115,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         "n_docs\tnormalize_us\tnormalize_passes\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
-        "\tpredict_us\texplain_us_per_sample\tload_ms\tparse_ms"
+        "\tpredict_us\texplain_us_per_sample\tload_ms\tindex_ms\tparse_ms"
     )
     for size in sizes:
         docs, labels = make_anchored_corpus(n_docs=size, seed=args.seed)
@@ -134,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             1e6
             * median_s(lambda: explain(request, model, n_samples=EXPLAIN_SAMPLES, seed=args.seed), args.repeats)
             / EXPLAIN_SAMPLES,
-            load_ms(model, request, args.repeats),
+            *load_and_index_ms(model, request, args.repeats),
             parse_ms(request, args.seed, args.repeats),
         ]
         print(f"{size}\t" + "\t".join(f"{c:.2f}" for c in cols), flush=True)

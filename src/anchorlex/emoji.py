@@ -217,19 +217,20 @@ def emoji_stats(
     """Per seed base form of the inventory: document counts and offensive/hate rates.
 
     Counted per document (a base appearing three times in one doc counts
-    once). Every doc that carries an emoji, seed or not, must be labeled.
+    once). Every doc that carries a seed base must be labeled; a doc
+    whose emoji are all non-seed adds nothing and needs no label.
     """
     totals: dict[str, int] = {}
     off: dict[str, int] = {}
     hate: dict[str, int] = {}
     for d in docs:
-        bases = doc_bases(d.text)
+        bases = doc_bases(d.text) & inventory.bases
         if not bases:
             continue
         rec = labels.get(d.id)
         if rec is None:
             raise ValueError(f"document {d.id!r} has no label record")
-        for b in bases & inventory.bases:
+        for b in bases:
             totals[b] = totals.get(b, 0) + 1
             if rec.offensive:
                 off[b] = off.get(b, 0) + 1

@@ -195,4 +195,5 @@ def train_model(
         target=target,
         objective_trace=fit.objective_trace,
         duality_gap=fit.duality_gap,
+        converged=fit.converged,
     )

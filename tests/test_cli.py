@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from anchorlex import cli
@@ -667,9 +669,6 @@ def test_explain_writes_the_top_ten_tokens(ws, tmp_path):
     assert len(rows) == 10
 
 
-RAW_MODEL = "only a model trained on normalized text can be scored"
-
-
 def _edited_model(ws, tmp_path, edit) -> str:
     blob = json.loads(open(ws.model, encoding="utf-8").read())
     edit(blob)
@@ -679,30 +678,61 @@ def _edited_model(ws, tmp_path, edit) -> str:
     return path
 
 
+def _floats(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _as_v1(blob):
+    """The model as format v1 wrote it: decimal float lists, `normalized`, no solver certificate."""
+    for key in ("idf", "weights", "objective_trace"):
+        blob[key] = _floats(blob[key]).tolist()
+    del blob["duality_gap"], blob["converged"]
+    blob.update(format_version=1, normalized=True)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda b: b.pop("idf"), "model file lacks idf"),
         (
-            lambda b: b.update(weights=b["weights"][:-50]),
+            lambda b: b.update(weights=_b64(_floats(b["weights"])[:-50])),
             "vocabulary, idf and weights disagree in length",
         ),
         (lambda b: b["vocabulary"].__setitem__(0, 5), "bad model file: vocabulary is not a list of strings"),
         (lambda b: b.update(vocabulary="w:a"), "bad model file: vocabulary is not a list of strings"),
-        (lambda b: b.update(normalized="no"), "bad model file: normalized is not true or false: 'no'"),
-        (lambda b: b.update(normalized=False), "bad model file: normalized is false: " + RAW_MODEL),
+        (_as_v1, "unsupported model format version 1: retrain the model"),
         (lambda b: b.update(word_range=[1, 2.0]), "bad model file: bad n-gram range (1, 2.0)"),
         (lambda b: b.update(char_range=[True, 5]), "bad model file: bad n-gram range (True, 5)"),
-        (lambda b: b["weights"].__setitem__(0, None), "bad model file: weights is not a list of finite numbers"),
-        (lambda b: b["weights"].__setitem__(0, float("nan")), "bad model file: weights is not a list of finite numbers"),
-        (lambda b: b["idf"].__setitem__(0, True), "bad model file: idf is not a list of finite numbers"),
-        (lambda b: b.update(idf=[str(x) for x in b["idf"]]), "bad model file: idf is not a list of finite numbers"),
-        (lambda b: b.update(objective_trace="12"), "bad model file: objective_trace is not a list of finite numbers"),
-        (lambda b: b.update(weights=1.5), "bad model file: weights is not a list of finite numbers"),
+        (lambda b: b.update(weights=None), "bad model file: weights is not base64 text"),
+        (
+            lambda b: b.update(weights=_b64([float("nan"), *_floats(b["weights"])[1:]])),
+            "bad model file: weights holds a value that is not finite",
+        ),
+        (lambda b: b.update(idf=True), "bad model file: idf is not base64 text"),
+        (lambda b: b.update(idf=json.dumps(_floats(b["idf"]).tolist())), "bad model file: idf is not base64 text"),
+        (lambda b: b.update(objective_trace="12"), "bad model file: objective_trace is not base64 text"),
+        (lambda b: b.update(weights=1.5), "bad model file: weights is not base64 text"),
+        (lambda b: b.update(idf=_floats(b["idf"]).tolist()), "bad model file: idf is not base64 text"),
+        (lambda b: b.update(weights=b["weights"][:8] + "!" + b["weights"][8:]), "bad model file: weights is not base64 text"),
+        (lambda b: b.update(weights="\u0663" + b["weights"][1:]), "bad model file: weights is not base64 text"),
+        (
+            lambda b: b.update(idf=base64.b64encode(base64.b64decode(b["idf"]) + bytes(7)).decode()),
+            "bad model file: idf is {} bytes, not a whole number of float64 values",
+        ),
+        (
+            lambda b: b.update(idf=_b64([*_floats(b["idf"])[:-1], float("inf")])),
+            "bad model file: idf holds a value that is not finite",
+        ),
         (lambda b: b.update(target=7), "bad model file: unknown target 7"),
         (lambda b: b.update(bias=True), "bad model file: bias is not a finite number"),
         (lambda b: b.update(C="1"), "bad model file: C is not a finite number"),
         (lambda b: b.update(C=float("inf")), "bad model file: C is not a finite number"),
+        (lambda b: b.update(duality_gap="0.1"), "bad model file: duality_gap is not a finite number"),
+        (lambda b: b.update(converged="true"), "bad model file: converged is not true or false: 'true'"),
         (lambda b: b.update(seed=3.7), "bad model file: seed is not an integer: 3.7"),
         (lambda b: b.update(n_train_docs="84"), "bad model file: n_train_docs is not an integer: '84'"),
     ],
@@ -711,8 +741,7 @@ def _edited_model(ws, tmp_path, edit) -> str:
         "weights_cut_by_50",
         "int_gram",
         "string_vocabulary",
-        "normalized_no",
-        "normalized_false",
+        "v1_file",
         "float_bound",
         "bool_bound",
         "null_weight",
@@ -721,16 +750,25 @@ def _edited_model(ws, tmp_path, edit) -> str:
         "string_idf",
         "string_trace",
         "scalar_weights",
+        "list_idf",
+        "bang_in_weights",
+        "non_ascii_weights",
+        "idf_plus_7_bytes",
+        "inf_idf",
         "int_target",
         "bool_bias",
         "string_C",
         "inf_C",
+        "string_gap",
+        "string_converged",
         "float_seed",
         "string_n_train_docs",
     ],
 )
 def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, message):
     model = _edited_model(ws, tmp_path, edit)
+    n_grams = len(json.loads(Path(ws.model).read_text(encoding="utf-8"))["vocabulary"])
+    message = message.format(8 * n_grams + 7)
     preds = str(tmp_path / "preds.tsv")
     assert cli.main(["predict", "--model", model, "--in", ws.corpus, "--out", preds]) == 2
     out, err = capsys.readouterr()

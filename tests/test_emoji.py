@@ -377,13 +377,14 @@ def test_emoji_stats_counts_only_seed_bases():
     docs, labels = _stats_fixture()
     docs.append(doc(4, "w \U0001F339 \U0001F437"))  # the rose is not a seed
     labels["d004"] = label(4)
-    stats = {s.base: s for s in emoji_stats(docs, labels, default_inventory())}
+    before = emoji_stats(docs, labels, default_inventory())
+    stats = {s.base: s for s in before}
     assert set(stats) == {"\U0001F437", "\U0001F52A"}
     assert stats["\U0001F437"].n_total == 3
-    # a doc with no seed emoji still needs its label
+    # a doc with no seed emoji adds nothing, so it needs no label
     docs.append(doc(5, "only \U0001F339"))
-    with pytest.raises(ValueError, match="d005"):
-        emoji_stats(docs, labels, default_inventory())
+    assert "d005" not in labels
+    assert emoji_stats(docs, labels, default_inventory()) == before
 
 
 def test_emoji_stats_requires_labels():

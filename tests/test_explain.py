@@ -52,6 +52,8 @@ def _toy_model(weights, vocab_words, bias=0.1):
         seed=0,
         target="offensive",
         objective_trace=(0.0,),
+        duality_gap=0.0,
+        converged=True,
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -709,6 +710,8 @@ def test_trie_scores_edited_vocabularies_like_the_reference(mode, char_range, wo
         seed=0,
         target="offensive",
         objective_trace=(0.0,),
+        duality_gap=0.0,
+        converged=True,
     )
     for t in texts:
         got = vectorize(t, space)
@@ -759,12 +762,16 @@ def test_model_json_round_trip_exact(tmp_path):
     p = tmp_path / "model.json"
     save_model(str(p), model)
     again = load_model(str(p))
-    assert list(again.weights) == list(model.weights)
+    assert again.weights.tobytes() == model.weights.tobytes()
+    assert again.space.idf.tobytes() == model.space.idf.tobytes()
+    assert again.weights.flags.writeable and again.space.idf.flags.writeable
     assert again.bias == model.bias
     assert again.space.vocabulary == model.space.vocabulary
-    assert list(again.space.idf) == list(model.space.idf)
     assert again.C == model.C and again.seed == model.seed
     assert again.target == model.target
+    assert again.objective_trace == model.objective_trace
+    assert again.duality_gap == model.duality_gap and math.isfinite(again.duality_gap)
+    assert again.converged is model.converged
     for text in ("يا غبي", "ورد جميل", ""):
         assert score_text(again, text) == score_text(model, text)
 
@@ -776,15 +783,36 @@ def test_model_format_version_checked(tmp_path):
     blob = json.loads(p.read_text(encoding="utf-8"))
     blob["format_version"] = 99
     p.write_text(json.dumps(blob), encoding="utf-8")
-    with pytest.raises(ValueError, match="format_version"):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}: unsupported model format version 99")):
         load_model(str(p))
 
 
 LENGTHS = "vocabulary, idf and weights disagree in length"
+NOT_BASE64 = "bad model file: {} is not base64 text"
+NOT_FINITE = "bad model file: {} holds a value that is not finite"
 
 
 def _dup_first_gram(blob):
     blob["vocabulary"][1] = blob["vocabulary"][0]
+
+
+def _floats(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _set_value(key, at, value):
+    """An edit that writes value over the float at position `at` of the array under key."""
+
+    def edit(blob):
+        values = _floats(blob[key]).copy()
+        values[at] = value
+        blob[key] = _b64(values)
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -792,13 +820,44 @@ def _dup_first_gram(blob):
     [
         (lambda b: b.pop("idf"), "model file lacks idf"),
         (lambda b: b.pop("bias"), "model file lacks bias"),
-        (lambda b: b.update(weights=b["weights"][:-50]), LENGTHS),
-        (lambda b: b.update(idf=b["idf"][:-1]), LENGTHS),
+        (lambda b: b.pop("converged"), "model file lacks converged"),
+        (lambda b: b.update(weights=_b64(_floats(b["weights"])[:-50])), LENGTHS),
+        (lambda b: b.update(idf=_b64(_floats(b["idf"])[:-1])), LENGTHS),
         (_dup_first_gram, LENGTHS),
         (lambda b: b.update(char_range=5), "bad model file"),
         (lambda b: b.update(mode="bytes"), "bad model file"),
+        (lambda b: b.update(idf=_floats(b["idf"]).tolist()), NOT_BASE64.format("idf")),
+        (lambda b: b.update(weights=b["weights"][:8] + "!" + b["weights"][8:]), NOT_BASE64.format("weights")),
+        (lambda b: b.update(objective_trace="\u0661" + b["objective_trace"][1:]), NOT_BASE64.format("objective_trace")),
+        (
+            lambda b: b.update(weights=base64.b64encode(base64.b64decode(b["weights"]) + bytes(7)).decode()),
+            "bad model file: weights is {} bytes, not a whole number of float64 values",
+        ),
+        (_set_value("idf", 3, float("nan")), NOT_FINITE.format("idf")),
+        (_set_value("weights", -1, float("inf")), NOT_FINITE.format("weights")),
+        (_set_value("objective_trace", 0, -float("inf")), NOT_FINITE.format("objective_trace")),
+        (lambda b: b.update(duality_gap=float("nan")), "bad model file: duality_gap is not a finite number"),
+        (lambda b: b.update(converged=1), "bad model file: converged is not true or false: 1"),
     ],
-    ids=["no_idf", "no_bias", "weights_cut", "idf_cut", "repeated_gram", "range", "mode"],
+    ids=[
+        "no_idf",
+        "no_bias",
+        "no_converged",
+        "weights_cut",
+        "idf_cut",
+        "repeated_gram",
+        "range",
+        "mode",
+        "idf_list",
+        "bang_in_weights",
+        "non_ascii_trace",
+        "weights_plus_7_bytes",
+        "nan_idf",
+        "inf_weight",
+        "minus_inf_trace",
+        "nan_gap",
+        "int_converged",
+    ],
 )
 def test_load_model_rejects_malformed_file(tmp_path, edit, message):
     *_, model = _trained(seed=5)
@@ -807,6 +866,7 @@ def test_load_model_rejects_malformed_file(tmp_path, edit, message):
     blob = json.loads(p.read_text(encoding="utf-8"))
     edit(blob)
     p.write_text(json.dumps(blob), encoding="utf-8")
+    message = message.format(8 * model.weights.size + 7)
     with pytest.raises(ValueError, match="^" + re.escape(f"{p}: {message}")):
         load_model(str(p))
 
