@@ -13,7 +13,8 @@ no `@` and no URL, so the substring guards of the URL and mention subs
 always skip them here; the perfbench `corpus` workload, whose raw docs
 hold both, is where those guards are measured. The scorer layer uses
 a model trained on the corpus' first 2,000 docs: microseconds per doc of
-`score_texts` on all raw texts (what `predict` does), and per sample of
+`predict_texts` on all raw texts (what `predict` does: normalize, then
+`score_texts`), and per sample of
 one 1,000-sample `explain` of the first doc with at least 6 tokens.
 `load_ms` and `index_ms` are the fixed cost every `predict` or
 `explain` process pays before its first block: `load_model` of the
@@ -43,7 +44,7 @@ from anchorlex import cli, textnorm
 from anchorlex.corpus import DatasetSplit
 from anchorlex.emoji import cluster_spans, doc_bases
 from anchorlex.explain import explain
-from anchorlex.linear import LinearModel, load_model, save_model, score_texts, train_model
+from anchorlex.linear import LinearModel, load_model, predict_texts, save_model, score_texts, train_model
 from anchorlex.synth import make_anchored_corpus
 from anchorlex.textnorm import normalize, tokenize
 
@@ -139,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             us_per_doc(cluster_spans, raw, args.repeats),
             us_per_doc(tokenize, norm, args.repeats),
             us_per_doc(doc_bases, raw, args.repeats),
-            1e6 * median_s(lambda: score_texts(model, raw), args.repeats) / len(raw),
+            1e6 * median_s(lambda: predict_texts(model, raw), args.repeats) / len(raw),
             1e6
             * median_s(lambda: explain(request, model, n_samples=EXPLAIN_SAMPLES, seed=args.seed), args.repeats)
             / EXPLAIN_SAMPLES,

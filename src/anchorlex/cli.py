@@ -250,6 +250,8 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def cmd_explain(args: argparse.Namespace) -> None:
+    if args.text is not None and args.doc_id is not None:
+        raise ValueError("--doc-id names a doc of --in, not of --text: pass one or the other")
     model = load_model(args.model)
     if args.text is not None:
         text = args.text

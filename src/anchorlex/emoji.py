@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 import re
-import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -86,21 +85,6 @@ def base_form(display: str) -> str:
 
 def doc_bases(text: str) -> set[str]:
     return {base_form(text[a:b]) for a, b in cluster_spans(text)}
-
-
-def alias_for(base: str) -> str:
-    """Readable ``:token:`` alias for a base form, from Unicode names."""
-    parts: list[str] = []
-    for c in base:
-        cp = ord(c)
-        if cp == er.ZWJ or cp == er.KEYCAP_MARK or er.TAG_LO <= cp <= er.TAG_HI:
-            continue
-        try:
-            name = unicodedata.name(c)
-        except ValueError:
-            name = f"u{cp:x}"
-        parts.append(name.lower().replace(" ", "_").replace("-", "_"))
-    return ":" + "_".join(parts) + ":" if parts else ":emoji:"
 
 
 # --- seed inventory -----------------------------------------------------

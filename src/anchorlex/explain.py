@@ -1,22 +1,30 @@
 """Perturbation-based token attributions for a linear model's decisions.
 
-Mirrors the usual local-surrogate recipe: sample binary keep/mask
-vectors over the doc's tokens, score the model on each masked text,
-fit a weighted ridge surrogate (weight = exp(-d^2 / width^2), d =
-fraction of tokens masked), read per-token attributions off the
-coefficients. Deterministic for a fixed seed.
+Mirrors the usual local-surrogate recipe (LIME: Ribeiro, Singh &
+Guestrin, KDD 2016): sample binary keep/mask vectors over the doc's
+tokens, score the model on each masked text, fit a weighted ridge
+surrogate (weight = exp(-d^2 / width^2), d = fraction of tokens
+masked), read per-token attributions off the coefficients.
+Deterministic for a fixed seed.
+
+What is perturbed is the string `predict` scores, normalize(text), cut
+once by `textnorm.split_tokens` into gaps and tokens; emoji are tokens
+and show as themselves. A sample keeps every gap and drops its masked
+tokens, as LIME's text perturbation does, and is scored as it stands.
+So the unmasked sample is that string and score_full is the predict
+score bit for bit, and the gaps alone give score_empty. The gaps stay
+because char grams span them: tokens joined by single spaces would lose
+the punctuation and spacing grams that `predict` sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .emoji import alias_for, base_form, cluster_spans
 from .linear import LinearModel, score_texts
-from .textnorm import normalize, tokenize
+from .textnorm import normalize, split_tokens
 
 # ridge penalty of the surrogate fit; the intercept is not penalized
 RIDGE_LAMBDA = 1.0
@@ -24,23 +32,6 @@ RIDGE_LAMBDA = 1.0
 KERNEL_WIDTH = 0.25
 # tokens kept in an explanation's ranked list
 TOP_K = 10
-
-
-def replace_emoji_with_aliases(text: str) -> str:
-    """Swap each emoji cluster for a readable ':name:' token."""
-    out: list[str] = []
-    pos = 0
-    for a, b in cluster_spans(text):
-        out.append(text[pos:a])
-        out.append(f" {alias_for(base_form(text[a:b]))} ")
-        pos = b
-    out.append(text[pos:])
-    return "".join(out)
-
-
-def explain_preprocess(text: str) -> str:
-    """Mentions/URLs/newlines canonicalized, emoji aliased, repeats squashed."""
-    return normalize(replace_emoji_with_aliases(text))
 
 
 @dataclass(frozen=True)
@@ -58,24 +49,25 @@ def explain(text: str, model: LinearModel, n_samples: int = 1000, seed: int = 0)
     """Attribution per token of one document under one model."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    tokens = tuple(tokenize(explain_preprocess(text)))
+    text = normalize(text)
+    parts = split_tokens(text)
+    tokens, gaps = tuple(parts[1::2]), parts[2::2]
     m = len(tokens)
     if m == 0:
         raise ValueError("document has no tokens to explain")
 
     rng = np.random.default_rng(seed)
-    masks = rng.integers(0, 2, size=(n_samples, m)).astype(np.float64)  # 1 = kept
-    # tokens of normalized text join into normalized text: no sample is normalized again
-    samples = [" ".join(compress(tokens, keep)) for keep in (masks > 0).tolist()]
-    *sample_scores, score_full, score_empty = score_texts(
-        model, samples + [" ".join(tokens), ""], pre_normalized=True
-    )
+    keep = rng.integers(0, 2, size=(n_samples, m))  # 1 = kept
+    # piece k of a sample: token k and the gap after it if kept, else that gap alone
+    pieces = np.array([gaps, [t + g for t, g in zip(tokens, gaps)]], dtype=object)
+    samples = [parts[0] + "".join(row) for row in pieces[keep, np.arange(m)].tolist()]
+    *sample_scores, score_full, score_empty = score_texts(model, samples + [text, "".join(parts[::2])])
     scores = np.asarray(sample_scores)
-    d = 1.0 - masks.mean(axis=1)
+    d = 1.0 - keep.mean(axis=1)
     weights = np.exp(-(d**2) / (KERNEL_WIDTH**2))
 
     # weighted ridge with unpenalized intercept
-    A = np.hstack([np.ones((n_samples, 1)), masks])
+    A = np.hstack([np.ones((n_samples, 1)), keep])
     WA = A * weights[:, None]
     lhs = A.T @ WA
     penalty = np.full(m + 1, RIDGE_LAMBDA)

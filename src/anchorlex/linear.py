@@ -39,12 +39,9 @@ update, and w keeps every bit. The per-step scalars (y, the kernel
 diagonal, alpha) are Python floats, on which + - * /, min and max give
 the same bits as on numpy scalars.
 
-score_texts is the one read-path scorer: predict_texts, score_text and
-explain all go through it. Only explain passes pre_normalized=True: its
-samples are tokens of normalized text, which normalize leaves unchanged
-(tests/test_explain.py), and not normalizing them again saves 17 ms of
-the 138 ms that the 10 explain requests of the seed-7 `score` workload
-take (10,020 samples; 2 vCPU, median of 21), about 3% of its wall time.
+score_texts is the one read-path scorer, and it scores the strings it
+is given: predict_texts normalizes each distinct raw text first, as
+train_model does, and explain passes samples cut from normalized text.
 It scores each distinct text once, BLOCK_ROWS at a time:
 `features.transform` gives the block's tf-idf rows through the space's
 gram index, which the first block builds and the space keeps, so each
@@ -373,34 +370,30 @@ def train_model(
     )
 
 
-def score_texts(
-    model: LinearModel, texts: Sequence[str], pre_normalized: bool = False
-) -> list[float]:
-    """Decision scores w.x + b, one per text, each distinct text scored once.
+def score_texts(model: LinearModel, texts: Sequence[str]) -> list[float]:
+    """Decision scores w.x + b, one per text as given, each distinct text scored once.
 
-    x is the row from `features.transform` of the normalized text, or of
-    the text itself if pre_normalized; the distinct texts go BLOCK_ROWS at
-    a time, by the summation-order rule (module docstring).
+    x is the text's row from `features.transform`; the distinct texts go
+    BLOCK_ROWS at a time, by the summation-order rule (module docstring).
     """
     distinct = list(dict.fromkeys(texts))
     scores: list[float] = []
     for a in range(0, len(distinct), BLOCK_ROWS):
-        block = distinct[a : a + BLOCK_ROWS]
-        if not pre_normalized:
-            block = [normalize(t) for t in block]
-        indptr, cols, vals = transform(block, model.space)
+        indptr, cols, vals = transform(distinct[a : a + BLOCK_ROWS], model.space)
         scores += (ordered_row_sums(indptr, model.weights[cols] * vals) + model.bias).tolist()
     by_text = dict(zip(distinct, scores))
     return [by_text[t] for t in texts]
 
 
 def score_text(model: LinearModel, text: str) -> float:
-    return score_texts(model, [text])[0]
+    """The predict score of one raw text."""
+    return predict_texts(model, [text])[0][1]
 
 
 def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[tuple[int, float]]:
-    """Label and score per text; the zero score decides negative (bias-only input too)."""
-    return [(1 if s > 0 else 0, s) for s in score_texts(model, texts)]
+    """Label and score per raw text, scored as normalize(text); the zero score decides negative (bias-only input too)."""
+    normalized = {t: normalize(t) for t in set(texts)}
+    return [(1 if s > 0 else 0, s) for s in score_texts(model, [normalized[t] for t in texts])]
 
 
 def _b64(values: object) -> str:

@@ -22,6 +22,7 @@ _SQUASH_RE = re.compile(r"(.)\1{2,}")
 _URL_RE = re.compile(r"(?:https?://\S+|\bwww\.\S+)")
 _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
 _TOKEN_RE = re.compile(r"(?:[^\W0-9\u2139]|[0-9](?!\ufe0f?\u20e3))+|" + CLUSTER_PATTERN)
+_TOKEN_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
 
 
 def _two(m: re.Match) -> str:
@@ -84,6 +85,15 @@ def tokenize(text: str) -> list[str]:
     base: ``12`` + U+20E3 is ``1`` and ``2`` + U+20E3.
     """
     return _TOKEN_RE.findall(text)
+
+
+def split_tokens(text: str) -> list[str]:
+    """The text cut at its tokens: gap, token, gap, ..., token, gap.
+
+    The odd items are ``tokenize(text)`` and the items join back to the
+    text; a gap is empty where two tokens touch.
+    """
+    return _TOKEN_SPLIT_RE.split(text)
 
 
 def word_ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> Counter:

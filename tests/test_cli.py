@@ -542,7 +542,7 @@ def test_train_writes_loadable_model(ws):
 
 
 def test_train_and_explain_read_text_one_way(ws, tmp_path):
-    # training always normalizes and explain always preprocesses: neither has a flag to skip it
+    # training and explain always normalize: neither has a flag to skip it
     argv = ["train", "--in", ws.corpus, "--labels", ws.labels, "--split", ws.split, "--out", str(tmp_path / "m")]
     assert usage_error(argv + ["--no-normalize"]) == 1
     assert usage_error(["explain", "--model", ws.model, "--text", "غبي", "--no-preprocess"]) == 1
@@ -658,6 +658,11 @@ def test_explain_text_and_in_exclude_each_other(ws, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert cli.main(["explain", "--model", ws.model, "--doc-id", "d000001", "--out", out]) == 2
     assert "explain needs --text, or --in with --doc-id" in capsys.readouterr().err
+    # --doc-id names a doc of --in only: with --text it is refused, not ignored
+    assert cli.main(["explain", "--model", ws.model, "--text", "غبي", "--doc-id", "d000001", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--doc-id" in err and "--text" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_explain_writes_the_top_ten_tokens(ws, tmp_path):

@@ -10,7 +10,6 @@ from anchorlex.corpus import Document, LabelRecord
 from anchorlex.emoji import (
     SeedEntry,
     SeedInventory,
-    alias_for,
     base_form,
     cluster_spans,
     codepoints_hex,
@@ -212,29 +211,6 @@ def test_pictographic_table_avoids_every_other_class():
 
 def test_doc_bases_dedupes():
     assert doc_bases("\U0001F437 \U0001F437\U0001F3FF") == {"\U0001F437"}
-
-
-# --- aliases ---------------------------------------------------------------
-
-
-def test_alias_for_known_names():
-    assert alias_for("\U0001F437") == ":pig_face:"
-    assert alias_for("❤") == ":heavy_black_heart:"
-    assert alias_for("2⃣") == ":digit_two:"
-
-
-def test_alias_for_zwj_sequence_joins_parts():
-    a = alias_for("\U0001F468‍\U0001F469‍\U0001F466")
-    assert a.startswith(":") and a.endswith(":")
-    assert "man" in a and "woman" in a and "boy" in a
-    assert " " not in a and "-" not in a
-
-
-def test_alias_is_lowercase_identifier_like():
-    for base in ("\U0001F52A", "\U0001F595", "\U0001F1EA\U0001F1EC"):
-        a = alias_for(base)
-        assert a == a.lower()
-        assert set(a) <= set("abcdefghijklmnopqrstuvwxyz0123456789_:")
 
 
 def test_codepoints_hex_round_trip():

@@ -8,22 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anchorlex.corpus import stratified_split
-from anchorlex.explain import (
-    KERNEL_WIDTH,
-    RIDGE_LAMBDA,
-    TOP_K,
-    dump_explanation,
-    explain,
-    explain_preprocess,
-    replace_emoji_with_aliases,
-)
+from anchorlex.corpus import DatasetSplit, load_corpus, load_labels, stratified_split
+from anchorlex.explain import KERNEL_WIDTH, RIDGE_LAMBDA, TOP_K, dump_explanation, explain
 from anchorlex.features import FeatureConfig, FeatureSpace
-from anchorlex.linear import LinearModel, score_text, score_texts, train_model
+from anchorlex.linear import LinearModel, predict_texts, score_text, score_texts, train_model
 from anchorlex.synth import make_separable_corpus
-from anchorlex.textnorm import normalize, tokenize
+from anchorlex.textnorm import normalize, split_tokens, tokenize
 
 import score_reference
+from golden_corpus import load_gen
 
 # the package re-exports the function explain under the module's name
 explain_mod = importlib.import_module("anchorlex.explain")
@@ -55,24 +48,6 @@ def _toy_model(weights, vocab_words, bias=0.1):
         duality_gap=0.0,
         converged=True,
     )
-
-
-# --- preprocessing -----------------------------------------------------------
-
-
-def test_replace_emoji_with_aliases():
-    out = replace_emoji_with_aliases("x\U0001F437y")
-    assert ":pig_face:" in out
-    assert "\U0001F437" not in out
-
-
-def test_preprocess_aliases_then_normalizes():
-    out = explain_preprocess("@user أخي \U0001F437\U0001F3FF")
-    assert out.split() == ["@USER", "اخي", ":pig_face:"]
-
-
-def test_preprocess_tone_variants_collapse():
-    assert explain_preprocess("\U0001F44D") == explain_preprocess("\U0001F44D\U0001F3FF")
 
 
 # --- the surrogate fit ---------------------------------------------------------
@@ -115,24 +90,35 @@ def test_explain_single_token_closed_form():
     assert ex.score_full == pytest.approx(s1) and ex.score_empty == pytest.approx(s0)
 
 
-@pytest.mark.parametrize("text", ["يا غبي يا حقير جدا \U0001F437", "سلام غبي ورد غبي", "غبي"])
+@pytest.mark.parametrize(
+    "text",
+    ["يا غبي يا حقير جدا \U0001F437", "سلام غبي ورد غبي", "غبي", "@user  سلام، غبي!!\U0001F437\U0001F437.."],
+)
 def test_explain_scores_its_samples_in_one_batch_like_the_reference(monkeypatch, text):
     model = _model()
     calls = []
 
-    def recording(model, texts, pre_normalized=False):
-        scores = score_texts(model, texts, pre_normalized)
-        calls.append((list(texts), pre_normalized, scores))
+    def recording(model, texts):
+        scores = score_texts(model, texts)
+        calls.append((list(texts), scores))
         return scores
 
     monkeypatch.setattr(explain_mod, "score_texts", recording)
     n, seed = 300, 4
     ex = explain(text, model, n_samples=n, seed=seed)
-    [(texts, pre_normalized, scores)] = calls
+    [(texts, scores)] = calls
+    # a sample is the normalized text with its masked tokens cut out and every gap kept
+    norm = normalize(text)
+    parts = split_tokens(norm)
+    assert ex.tokens == tuple(parts[1::2])
     masks = np.random.default_rng(seed).integers(0, 2, size=(n, len(ex.tokens)))
-    samples = [" ".join(t for t, keep in zip(ex.tokens, row) if keep) for row in masks]
-    assert texts == samples + [" ".join(ex.tokens), ""]
-    assert pre_normalized
+    samples = []
+    for row in masks:
+        sample = parts[0]
+        for k, keep in enumerate(row):
+            sample += (parts[2 * k + 1] if keep else "") + parts[2 * k + 2]
+        samples.append(sample)
+    assert texts == samples + [norm, "".join(parts[::2])]
     assert scores == [score_reference.score_text(model, t, True) for t in texts]
     assert (ex.score_full, ex.score_empty) == (scores[-2], scores[-1])
 
@@ -155,22 +141,24 @@ def fuzz_model():
 
 @settings(max_examples=300, deadline=None)
 @given(pieces=st.lists(st.sampled_from(SAMPLE_PIECES), min_size=1, max_size=16), seed=st.integers(0, 2**16))
-def test_explain_samples_are_normalized_so_scoring_them_unnormalized_is_exact(fuzz_model, pieces, seed):
+def test_explain_score_full_is_the_predict_score_on_fuzzed_texts(fuzz_model, pieces, seed):
     text = "".join(pieces)
-    assume(tokenize(explain_preprocess(text)))
-    calls = []
+    assume(tokenize(normalize(text)))
+    score_full = explain(text, fuzz_model, n_samples=20, seed=seed).score_full
+    assert score_full.hex() == predict_texts(fuzz_model, [text])[0][1].hex()
 
-    def recording(model, texts, pre_normalized=False):
-        calls.append(list(texts))
-        return score_texts(model, texts, pre_normalized)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(explain_mod, "score_texts", recording)
-        explain(text, fuzz_model, n_samples=20, seed=seed)
-    [texts] = calls
-    assert [normalize(t) for t in texts] == texts
-    bits = [s.hex() for s in score_texts(fuzz_model, texts, pre_normalized=True)]
-    assert bits == [s.hex() for s in score_texts(fuzz_model, texts)]
+def test_explain_score_full_is_the_predict_score_on_every_doc_of_a_corpus(tmp_path):
+    # the score workload's inputs at seed 7: emoji on every doc, mentions, URLs and text noise
+    gen = load_gen()
+    gen.make_train_inputs(7, str(tmp_path))
+    gen.make_score_inputs(7, str(tmp_path))
+    labels = load_labels(str(tmp_path / "train_labels.tsv"))
+    split = DatasetSplit(frozenset(labels), frozenset(), frozenset())
+    model = train_model(load_corpus(str(tmp_path / "train.jsonl")), labels, split, seed=7)
+    texts = [d.text for d in load_corpus(str(tmp_path / "fresh.jsonl"))]
+    want = [s.hex() for _, s in predict_texts(model, texts)]
+    assert [explain(t, model, n_samples=1).score_full.hex() for t in texts] == want
 
 
 def test_explain_ranks_marker_tokens_first():

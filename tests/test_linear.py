@@ -528,12 +528,10 @@ def test_score_texts_matches_reference_scorer(seed, mode):
     model = train_model(docs, labels, split, FeatureConfig(mode=mode), seed=seed)
     texts = [d.text for d in docs] + EDGE_TEXTS
     texts += texts[::7]  # every 7th text again
-    for pre_normalized in (False, True):
-        want = [score_reference.score_text(model, t, pre_normalized) for t in texts]
-        assert score_texts(model, texts, pre_normalized) == want
+    assert score_texts(model, texts) == [score_reference.score_text(model, t, True) for t in texts]
     assert [score_text(model, t) for t in texts] == [score_reference.score_text(model, t) for t in texts]
     # the train path's vectors give the same scores
-    assert score_texts(model, texts, pre_normalized=True) == [
+    assert score_texts(model, texts) == [
         score_reference.decision_score(model, vectorize(t, model.space)) for t in texts
     ]
     assert predict_texts(model, texts) == [
@@ -556,11 +554,12 @@ FUZZ_TEXT = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(texts=st.lists(FUZZ_TEXT, max_size=6), pre_normalized=st.booleans())
-def test_score_texts_matches_reference_on_fuzzed_texts(fuzz_model, texts, pre_normalized):
+@given(texts=st.lists(FUZZ_TEXT, max_size=6))
+def test_score_texts_matches_reference_on_fuzzed_texts(fuzz_model, texts):
     texts = texts + texts[:2]
-    want = [score_reference.score_text(fuzz_model, t, pre_normalized) for t in texts]
-    assert score_texts(fuzz_model, texts, pre_normalized) == want
+    assert score_texts(fuzz_model, texts) == [score_reference.score_text(fuzz_model, t, True) for t in texts]
+    want = [score_reference.score_text(fuzz_model, t, False) for t in texts]
+    assert [s for _, s in predict_texts(fuzz_model, texts)] == want
 
 
 # --- block edges of the scorer (features.BLOCK_ROWS distinct texts at a time) ---
@@ -572,9 +571,10 @@ def _bits(scores):
 
 
 def _assert_scores_match_reference(model, texts):
-    for pre_normalized in (False, True):
-        want = [score_reference.score_text(model, t, pre_normalized) for t in texts]
-        assert _bits(score_texts(model, texts, pre_normalized)) == _bits(want)
+    want = [score_reference.score_text(model, t, True) for t in texts]
+    assert _bits(score_texts(model, texts)) == _bits(want)
+    want = [score_reference.score_text(model, t, False) for t in texts]
+    assert _bits(s for _, s in predict_texts(model, texts)) == _bits(want)
 
 
 @pytest.fixture(scope="module", params=MODES)

@@ -19,6 +19,7 @@ from anchorlex.textnorm import (
     dump_drops,
     jaccard,
     normalize,
+    split_tokens,
     tokenize,
     word_ngrams,
 )
@@ -178,6 +179,20 @@ TOKEN_PIECES = [
 @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join))
 def test_tokenize_matches_segment_then_split_reference(s):
     assert tokenize(s) == emoji_reference.tokenize(s)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES + [".", "!!", "\n", "\u0640"]), max_size=12).map("".join))
+def test_split_tokens_cuts_the_text_at_its_tokens(s):
+    parts = split_tokens(s)
+    assert parts[1::2] == tokenize(s)
+    assert "".join(parts) == s
+    assert len(parts) % 2 == 1
+
+
+def test_split_tokens_keeps_empty_gaps():
+    assert split_tokens("") == [""]
+    assert split_tokens("ab, c\U0001F437\U0001F437") == ["", "ab", ", ", "c", "", "\U0001F437", "", "\U0001F437", ""]
 
 
 def test_word_ngrams_counts():
