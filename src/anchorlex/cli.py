@@ -55,9 +55,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_collect(args: argparse.Namespace) -> None:
-    docs = corpus_mod.load_corpus(args.infile, args.format)
+    docs = corpus_mod.load_corpus(args.infile)
     kept = emoji_mod.filter_by_seeds(docs, _load_inventory(args))
-    corpus_mod.write_corpus(args.out, kept, args.format)
+    corpus_mod.write_corpus(args.out, kept)
     print(f"collect: kept {len(kept)}/{len(docs)} docs with seed emoji")
 
 
@@ -150,11 +150,11 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
         except ValueError as e:
             raise ValueError(f"{args.overrides}: {e}") from None
     corpus_mod.write_labels(args.out, labels.values())
+    queue = anno.adjudication_queue(aggregated)
     if args.queue:
-        atomic_write_text(args.queue, anno.dump_adjudication(anno.adjudication_queue(aggregated)))
-    queue_n = sum(1 for a in aggregated if a.agreement != "full")
+        atomic_write_text(args.queue, anno.dump_adjudication(queue))
     print(
-        f"aggregate: {len(labels)} docs labeled, {queue_n} queue items,"
+        f"aggregate: {len(labels)} docs labeled, {len(queue)} queue items,"
         f" {len(dropped)} docs with hate/vulgar/violence votes dropped"
     )
 
@@ -345,7 +345,6 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
-        p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
 
     if p := add("dedup", cmd_dedup, "drop short/exact/near duplicate docs", ("infile",), ("out", "dropped")):
         p.add_argument("--in", dest="infile", required=True)

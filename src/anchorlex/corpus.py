@@ -1,8 +1,8 @@
 """Corpus containers, label records, and deterministic stratified splitting.
 
 File formats:
-  corpus JSONL  one object per line: id, text, created_at (ISO-8601), lang (optional)
-  corpus TSV    header doc: id, text, created_at, lang (lang column optional)
+  corpus JSONL  one object per line: id, text, created_at (ISO-8601), lang (optional);
+                other keys are ignored
   labels TSV    header: doc_id, offensive, hate_targets, vulgar, violence
   split file    "train:" / "dev:" / "test:" section headers, one doc_id per line
 
@@ -17,10 +17,10 @@ import math
 import random
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Mapping
 
 from .util import atomic_write_text, read_tsv, round_half_up
 
@@ -132,53 +132,27 @@ def _doc_from_mapping(obj: Mapping[str, object]) -> Document:
     )
 
 
-def _jsonl_rows(path: str, fh: TextIO) -> Iterator[tuple[int, Mapping[str, object]]]:
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: line {lineno}: bad JSON: {e}") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: line {lineno}: expected an object")
-        # only a \ud800-\udfff escape decodes to a surrogate (a pair becomes one
-        # character); a one-character search first keeps lines without escapes cheap
-        if "\\" in line and ("\\ud" in line or "\\uD" in line):
-            try:
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(f"{path}: line {lineno}: lone surrogate escape in a JSON string") from None
-        yield lineno, obj
-
-
-def _tsv_rows(path: str, fh: TextIO) -> Iterator[tuple[int, Mapping[str, object]]]:
-    first = fh.readline()
-    if not first:
-        raise ValueError(f"{path}: empty file, expected a header row")
-    header = first.rstrip("\n").split("\t")
-    for name in _DOC_FIELDS:
-        if name not in header:
-            raise ValueError(f"{path}: line 1: missing field {name}")
-    idx = {name: header.index(name) for name in header}
-    n = len(header)
-    for lineno, line in enumerate(fh, start=2):
-        if line == "\n":
-            continue
-        row = line.rstrip("\n").split("\t")
-        if len(row) != n:
-            raise ValueError(f"{path}: line {lineno}: expected {n} columns, got {len(row)}")
-        yield lineno, {name: row[i] for name, i in idx.items()}
-
-
-def load_corpus(path: str, format: str = "jsonl") -> list[Document]:
-    """Read a corpus file; raises ValueError naming the offending line."""
-    if format not in ("jsonl", "tsv"):
-        raise ValueError(f"unknown corpus format {format!r}")
+def load_corpus(path: str) -> list[Document]:
+    """Read a corpus JSONL file; raises ValueError naming the offending line."""
     docs: list[Document] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, obj in (_jsonl_rows if format == "jsonl" else _tsv_rows)(path, fh):
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: line {lineno}: bad JSON: {e}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: expected an object")
+            # only a \ud800-\udfff escape decodes to a surrogate (a pair becomes one
+            # character); a one-character search first keeps lines without escapes cheap
+            if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}: line {lineno}: lone surrogate escape in a JSON string") from None
             try:
                 doc = _doc_from_mapping(obj)
             except ValueError as e:
@@ -195,27 +169,21 @@ def tsv_field(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
-def dump_corpus(docs: Iterable[Document], format: str = "jsonl") -> str:
-    if format not in ("jsonl", "tsv"):
-        raise ValueError(f"unknown corpus format {format!r}")
-    if format == "jsonl":
-        # the bytes of json.dumps(row, ensure_ascii=False, sort_keys=True), which quotes each str
-        # with encode_basestring, without building an encoder per row
-        enc = encode_basestring
-        lines = [
-            f'{{"created_at": {enc(d.created_at)}, "id": {enc(d.id)}, '
-            + (f'"lang": {enc(d.lang)}, ' if d.lang else "")
-            + f'"text": {enc(d.text)}}}'
-            for d in docs
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-    rows = ["id\ttext\tcreated_at\tlang"]
-    rows += (f"{d.id}\t{tsv_field(d.text)}\t{d.created_at}\t{d.lang}" for d in docs)
-    return "\n".join(rows) + "\n"
+def dump_corpus(docs: Iterable[Document]) -> str:
+    # the bytes of json.dumps(row, ensure_ascii=False, sort_keys=True), which quotes each str
+    # with encode_basestring, without building an encoder per row
+    enc = encode_basestring
+    lines = [
+        f'{{"created_at": {enc(d.created_at)}, "id": {enc(d.id)}, '
+        + (f'"lang": {enc(d.lang)}, ' if d.lang else "")
+        + f'"text": {enc(d.text)}}}'
+        for d in docs
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_corpus(path: str, docs: Iterable[Document], format: str = "jsonl") -> None:
-    atomic_write_text(path, dump_corpus(docs, format))
+def write_corpus(path: str, docs: Iterable[Document]) -> None:
+    atomic_write_text(path, dump_corpus(docs))
 
 
 # --- label I/O ----------------------------------------------------------
@@ -278,7 +246,6 @@ class DatasetSplit:
     train: frozenset[str]
     dev: frozenset[str]
     test: frozenset[str]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.train & self.dev or self.train & self.test or self.dev & self.test:
@@ -341,7 +308,6 @@ def stratified_split(
         train=frozenset(parts["train"]),
         dev=frozenset(parts["dev"]),
         test=frozenset(parts["test"]),
-        seed=seed,
     )
 
 

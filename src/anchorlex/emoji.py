@@ -94,7 +94,6 @@ def doc_bases(text: str) -> set[str]:
 class SeedEntry:
     base: str
     category: str
-    comment: str = ""
 
     def __post_init__(self) -> None:
         if self.category not in SEED_CATEGORIES:
@@ -135,7 +134,8 @@ def parse_codepoints(field: str, lineno: int) -> str:
 
 
 def load_seed_inventory(path: str) -> SeedInventory:
-    """Seed TSV: hex codepoints, category, comment; '#' lines are comments."""
+    """Seed TSV: hex codepoints, category, then an optional comment column that is
+    not read; '#' lines are comments."""
     entries: list[SeedEntry] = []
     for lineno, cols in read_table(path):
         if len(cols) < 2:
@@ -144,13 +144,7 @@ def load_seed_inventory(path: str) -> SeedInventory:
         if not display:
             raise ValueError(f"{path}: line {lineno}: empty codepoint field")
         try:
-            entries.append(
-                SeedEntry(
-                    base=base_form(display),
-                    category=cols[1].strip(),
-                    comment=cols[2].strip() if len(cols) > 2 else "",
-                )
-            )
+            entries.append(SeedEntry(base=base_form(display), category=cols[1].strip()))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
     try:

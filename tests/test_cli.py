@@ -17,10 +17,10 @@ from anchorlex import cli
 from anchorlex.annotation import Judgment, load_gate_answers, load_judgments, load_overrides, write_judgments
 from anchorlex.corpus import (
     Document,
-    dump_corpus,
     load_corpus,
     load_labels,
     load_split,
+    tsv_field,
     write_corpus,
     write_labels,
 )
@@ -133,12 +133,13 @@ def test_collect_keeps_only_seed_docs(tmp_path, capsys):
     assert man["version"]
 
 
-def test_collect_tsv_format(tmp_path):
-    docs = [Document(id="d1", text="سكين \U0001F52A", created_at=TS)]
-    inp, out = str(tmp_path / "in.tsv"), str(tmp_path / "out.tsv")
-    write_corpus(inp, docs, "tsv")
-    assert cli.main(["collect", "--in", inp, "--out", out, "--format", "tsv"]) == 0
-    assert [d.id for d in load_corpus(out, "tsv")] == ["d1"]
+def test_collect_has_one_documents_format(tmp_path):
+    # JSONL is the only documents format, so a flag to choose one is unknown
+    inp, out = str(tmp_path / "in.jsonl"), tmp_path / "out.jsonl"
+    write_corpus(inp, [Document(id="d1", text="سكين \U0001F52A", created_at=TS)])
+    assert usage_error(["collect", "--in", inp, "--out", str(out), "--format", "tsv"]) == 1
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
 
 
 def test_collect_then_dedup_keep_a_year_below_1000(tmp_path):
@@ -270,8 +271,7 @@ def test_sample_keeps_each_draw_on_one_row_like_the_tsv_corpus(tmp_path):
     # read with universal newlines, as the table readers read
     with open(out, encoding="utf-8") as fh:
         rows = [line.rstrip("\n").split("\t") for line in fh][1:]
-    tsv_text = {row.split("\t")[0]: row.split("\t")[1] for row in dump_corpus(docs, "tsv").splitlines()[1:]}
-    assert sorted(rows) == [["1F437", d.id, tsv_text[d.id]] for d in docs]
+    assert sorted(rows) == [["1F437", d.id, tsv_field(d.text)] for d in docs]
 
 
 def test_match_violence_command(tmp_path):

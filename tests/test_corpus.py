@@ -166,39 +166,6 @@ def test_dump_corpus_jsonl_equals_json_dumps_of_each_row(docs):
     assert dump_corpus(docs) == "".join(r + "\n" for r in rows)
 
 
-def test_corpus_tsv_round_trip(tmp_path):
-    docs = [doc(0, "hello there"), doc(1, "كلب", lang="ar")]
-    p = tmp_path / "c.tsv"
-    write_corpus(str(p), docs, format="tsv")
-    assert load_corpus(str(p), format="tsv") == docs
-
-
-def test_corpus_tsv_reads_a_text_past_the_csv_field_limit(tmp_path):
-    # csv.reader stops at 131,072 characters a field; the corpus reader has no limit
-    docs = [doc(0, "\u0643" * 200_000), doc(1, "short")]
-    p = tmp_path / "c.tsv"
-    write_corpus(str(p), docs, format="tsv")
-    assert load_corpus(str(p), format="tsv") == docs
-
-
-@pytest.mark.parametrize(
-    "row, got",
-    [
-        ("d1\thello\t2021-05-01T12:00:00Z\tar\tEXTRA tail", 5),  # a tab in the text
-        ("d1\thello\t2021-05-01T12:00:00Z", 3),
-    ],
-)
-def test_corpus_tsv_row_must_have_the_header_columns(tmp_path, capsys, row, got):
-    p = tmp_path / "c.tsv"
-    p.write_text(f"id\ttext\tcreated_at\tlang\nd0\tok\t2021-05-01T12:00:00Z\t\n{row}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 3: expected 4 columns, got {got}$"):
-        load_corpus(str(p), format="tsv")
-    out = tmp_path / "out.tsv"
-    assert cli.main(["collect", "--in", str(p), "--out", str(out), "--format", "tsv"]) == 2
-    assert "line 3: expected 4 columns" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_corpus_missing_field_names_line(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"id": "a", "text": "x", "created_at": "2021-05-01T12:00:00Z"}\n{"id": "b"}\n', encoding="utf-8")
@@ -286,7 +253,7 @@ def test_labels_bad_header(tmp_path):
 
 def test_split_parts_disjoint():
     with pytest.raises(ValueError):
-        DatasetSplit(train=frozenset({"a"}), dev=frozenset({"a"}), test=frozenset(), seed=0)
+        DatasetSplit(train=frozenset({"a"}), dev=frozenset({"a"}), test=frozenset())
 
 
 def test_stratified_split_exact_class_counts():
@@ -368,8 +335,8 @@ def test_split_file_round_trip(tmp_path):
     split = stratified_split(labels, seed=9)
     p = tmp_path / "split.txt"
     write_split(str(p), split)
-    got = load_split(str(p))
-    assert (got.train, got.dev, got.test) == (split.train, split.dev, split.test)
+    # a split read back equals the split written, whatever seed drew it
+    assert load_split(str(p)) == split
     text = dump_split(split)
     assert text.startswith("train:")
     # ids listed sorted inside each section
@@ -387,7 +354,7 @@ def test_load_split_names_the_line_of_an_overlap(tmp_path):
 
 
 def test_split_part_lookup():
-    s = DatasetSplit(frozenset({"a"}), frozenset({"b"}), frozenset({"c"}), seed=0)
+    s = DatasetSplit(frozenset({"a"}), frozenset({"b"}), frozenset({"c"}))
     assert s.part("dev") == frozenset({"b"})
     with pytest.raises(ValueError):
         s.part("validation")

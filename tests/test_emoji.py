@@ -246,7 +246,7 @@ def test_inventory_rejects_duplicates_and_bad_category():
 def test_inventory_file_round_trip(tmp_path):
     inv = default_inventory()
     p = tmp_path / "seeds.tsv"
-    rows = [f"{codepoints_hex(e.base)}\t{e.category}\t{e.comment}\n" for e in inv.entries]
+    rows = [f"{codepoints_hex(e.base)}\t{e.category}\ta comment the loader ignores\n" for e in inv.entries]
     p.write_text("# codepoints<TAB>category<TAB>comment\n" + "".join(rows), encoding="utf-8")
     again = load_seed_inventory(str(p))
     assert again.bases == inv.bases

@@ -63,7 +63,6 @@ ALLOWED_OPTIONS = {
     "--rules": _PATH,
     "--classes": _PATH,
     "--manifest": _PATH,
-    "--format": "the `--format tsv` corpus layout that the README documents",
     "--target": _PAPER,
     "--mode": _PAPER,
     "--class": _PAPER,
