@@ -10,7 +10,7 @@ annotator pairs with enough shared items.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -72,18 +72,6 @@ def write_judgments(path: str, judgments: Iterable[Judgment]) -> None:
 
 
 @dataclass(frozen=True)
-class QCGate:
-    test_answers: Mapping[str, str]  # doc_id -> expected label
-    pass_threshold: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not self.test_answers:
-            raise ValueError("gate needs at least one test answer")
-        if not (0.0 <= self.pass_threshold <= 1.0):
-            raise ValueError("pass_threshold must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class GateResult:
     annotator_id: str
     n_test: int
@@ -92,10 +80,13 @@ class GateResult:
     passed: bool
 
 
-def gate_all(judgments: Sequence[Judgment], gate: QCGate) -> list[GateResult]:
-    """Gate every annotator with an offensive-job judgment on a test item, in one
-    scan; pass is accuracy >= threshold on those items."""
-    answers = gate.test_answers
+def gate_all(
+    judgments: Sequence[Judgment], answers: Mapping[str, str], threshold: float
+) -> list[GateResult]:
+    """Gate every annotator with an offensive-job judgment on a test item (doc_id ->
+    expected label in answers), in one scan; pass is accuracy >= threshold on those items."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     tally: dict[str, list[int]] = {}  # annotator -> [n_test, n_correct]
     for j in judgments:
         if j.job == "offensive" and j.doc_id in answers:
@@ -103,7 +94,7 @@ def gate_all(judgments: Sequence[Judgment], gate: QCGate) -> list[GateResult]:
             t[0] += 1
             t[1] += j.label == answers[j.doc_id]
     return [
-        GateResult(a, n, k, k / n, k / n >= gate.pass_threshold)
+        GateResult(a, n, k, k / n, k / n >= threshold)
         for a, (n, k) in sorted(tally.items())
     ]
 
@@ -137,7 +128,6 @@ class AggregatedLabel:
     doc_id: str
     job: str
     label: str
-    n_judgments: int
     agreement: str  # full | majority | tie
 
 
@@ -162,7 +152,7 @@ def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
             modes = sorted(lbl for lbl, c in counts.items() if c == top)
             label = modes[0]
             agreement = "tie" if len(modes) > 1 else "majority"
-        out.append(AggregatedLabel(doc_id, job, label, len(labels), agreement))
+        out.append(AggregatedLabel(doc_id, job, label, agreement))
     return out
 
 
@@ -189,6 +179,22 @@ def load_overrides(path: str) -> list[tuple[str, str, str]]:
     ]
 
 
+def _job_value(doc_id: str, job: str, label: str) -> bool | frozenset[str]:
+    """A (job, label) pair as its LabelRecord value: `0`/`1` for the offensive,
+    vulgar and violence jobs; `none`, `0` or one hate target for hate."""
+    if job == "hate":
+        if label in ("none", "0"):
+            return frozenset()
+        if label not in HATE_TARGETS:
+            raise ValueError(f"{doc_id}: unknown hate target {label!r}")
+        return frozenset({label})
+    if job not in LABEL_CLASSES:
+        raise ValueError(f"{doc_id}: unknown job {job!r}")
+    if label not in ("0", "1"):
+        raise ValueError(f"{doc_id}: {job} label must be 0/1, got {label!r}")
+    return label == "1"
+
+
 def aggregate_to_labels(
     aggregated: Sequence[AggregatedLabel],
 ) -> tuple[dict[str, LabelRecord], list[str]]:
@@ -200,27 +206,17 @@ def aggregate_to_labels(
     construction, and the second result lists those docs in order.
     """
     dropped: list[str] = []
-    per_doc: dict[str, dict[str, AggregatedLabel]] = {}
+    per_doc: dict[str, dict[str, bool | frozenset[str]]] = {}
     for a in aggregated:
-        if a.job not in LABEL_CLASSES:
-            raise ValueError(f"{a.doc_id}: unknown job {a.job!r}")
-        per_doc.setdefault(a.doc_id, {})[a.job] = a
+        per_doc.setdefault(a.doc_id, {})[a.job] = _job_value(a.doc_id, a.job, a.label)
     out: dict[str, LabelRecord] = {}
     for doc_id, jobs in per_doc.items():
         if "offensive" not in jobs:
             raise ValueError(f"{doc_id}: no offensive job aggregated")
-        offensive = jobs["offensive"].label == "1"
-        targets: frozenset[str] = frozenset()
-        vulgar = violence = False
-        if "hate" in jobs and jobs["hate"].label not in ("none", "0", ""):
-            lbl = jobs["hate"].label
-            if lbl not in HATE_TARGETS:
-                raise ValueError(f"{doc_id}: unknown hate target {lbl!r}")
-            targets = frozenset({lbl})
-        if "vulgar" in jobs:
-            vulgar = jobs["vulgar"].label == "1"
-        if "violence" in jobs:
-            violence = jobs["violence"].label == "1"
+        offensive = jobs["offensive"]
+        targets = jobs.get("hate", frozenset())
+        vulgar = jobs.get("vulgar", False)
+        violence = jobs.get("violence", False)
         if not offensive and (targets or vulgar or violence):
             dropped.append(doc_id)
             targets, vulgar, violence = frozenset(), False, False
@@ -241,36 +237,12 @@ def apply_overrides(
         rec = out.get(doc_id)
         if rec is None:
             raise ValueError(f"override for unknown doc {doc_id!r}")
+        value = _job_value(doc_id, job, label)
         if job == "offensive":
-            if label not in ("0", "1"):
-                raise ValueError(f"{doc_id}: offensive override must be 0/1")
-            if label == "1":
-                rec = LabelRecord(doc_id, True, rec.hate_targets, rec.vulgar, rec.violence)
-            else:
-                rec = LabelRecord(doc_id, False)
-        elif job == "hate":
-            if label in ("none", "0"):
-                rec = LabelRecord(doc_id, rec.offensive, frozenset(), rec.vulgar, rec.violence)
-            else:
-                if label not in HATE_TARGETS:
-                    raise ValueError(f"{doc_id}: unknown hate target {label!r}")
-                rec = LabelRecord(doc_id, True, frozenset({label}), rec.vulgar, rec.violence)
-        elif job in ("vulgar", "violence"):
-            if label not in ("0", "1"):
-                raise ValueError(f"{doc_id}: {job} override must be 0/1")
-            flag = label == "1"
-            vulgar = flag if job == "vulgar" else rec.vulgar
-            violence = flag if job == "violence" else rec.violence
-            rec = LabelRecord(
-                doc_id,
-                rec.offensive or flag,
-                rec.hate_targets,
-                vulgar,
-                violence,
-            )
+            out[doc_id] = replace(rec, offensive=True) if value else LabelRecord(doc_id, False)
         else:
-            raise ValueError(f"{doc_id}: unknown job {job!r}")
-        out[doc_id] = rec
+            field = "hate_targets" if job == "hate" else job
+            out[doc_id] = replace(rec, offensive=rec.offensive or bool(value), **{field: value})
     return out
 
 

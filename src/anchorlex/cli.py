@@ -38,17 +38,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_inventory(args: argparse.Namespace) -> emoji_mod.SeedInventory:
+def _load_inventory(args: argparse.Namespace) -> dict[str, str]:
     if getattr(args, "seeds", None):
         return emoji_mod.load_seed_inventory(args.seeds)
     return emoji_mod.default_inventory()
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        atomic_write_text(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 # --- commands ------------------------------------------------------------
@@ -142,7 +135,10 @@ def cmd_match_violence(args: argparse.Namespace) -> None:
 def cmd_aggregate(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     aggregated = anno.majority_vote(judgments)
-    labels, dropped = anno.aggregate_to_labels(aggregated)
+    try:
+        labels, dropped = anno.aggregate_to_labels(aggregated)
+    except ValueError as e:
+        raise ValueError(f"{args.judgments}: {e}") from None
     if args.overrides:
         overrides = anno.load_overrides(args.overrides)
         try:
@@ -162,14 +158,13 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
 def cmd_kappa(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     report = anno.avg_pairwise_kappa(judgments, anno.MIN_SHARED)
-    _emit(anno.dump_kappa_report(report), args.out)
+    atomic_write_text(args.out, anno.dump_kappa_report(report))
 
 
 def cmd_gate(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
-    gate = anno.QCGate(anno.load_gate_answers(args.answers), args.threshold)
-    results = anno.gate_all(judgments, gate)
-    _emit(anno.dump_gate_results(results), args.out)
+    results = anno.gate_all(judgments, anno.load_gate_answers(args.answers), args.threshold)
+    atomic_write_text(args.out, anno.dump_gate_results(results))
     n_pass = sum(1 for r in results if r.passed)
     print(f"gate: {n_pass}/{len(results)} annotators pass", file=sys.stderr)
 
@@ -246,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         preds = {d: v for d, v in preds.items() if d in keep}
     gold = {d: target_value(r, args.target) for d, r in labels.items()}
     report = metrics_mod.evaluate_predictions(gold, preds)
-    _emit(metrics_mod.dump_report(report), args.out)
+    atomic_write_text(args.out, metrics_mod.dump_report(report))
 
 
 def cmd_explain(args: argparse.Namespace) -> None:
@@ -263,7 +258,7 @@ def cmd_explain(args: argparse.Namespace) -> None:
             raise ValueError(f"doc {args.doc_id!r} not in {args.infile}")
         text = docs[args.doc_id].text
     ex = explain_text(text, model, n_samples=args.samples, seed=args.seed)
-    _emit(dump_explanation(ex), args.out)
+    atomic_write_text(args.out, dump_explanation(ex))
 
 
 # rows `report` excerpts from each file, after its header
@@ -407,13 +402,13 @@ def build_parser(command: str | None = None) -> _Parser:
 
     if p := add("kappa", cmd_kappa, "average pairwise Cohen's kappa", ("judgments",)):
         p.add_argument("--judgments", required=True)
-        p.add_argument("--out", help="write report here instead of stdout")
+        p.add_argument("--out", required=True)
 
     if p := add("gate", cmd_gate, "gate annotators on hidden test items", ("judgments", "answers")):
         p.add_argument("--judgments", required=True)
         p.add_argument("--answers", required=True, help="doc_id<TAB>label TSV")
         p.add_argument("--threshold", type=float, default=0.8)
-        p.add_argument("--out", help="write results here instead of stdout")
+        p.add_argument("--out", required=True)
 
     if p := add("train", cmd_train, "train the tf-idf linear classifier", ("infile", "labels", "split")):
         p.add_argument("--in", dest="infile", required=True)
@@ -446,7 +441,7 @@ def build_parser(command: str | None = None) -> _Parser:
             choices=corpus_mod.LABEL_CLASSES,
             default="offensive",
         )
-        p.add_argument("--out", help="write report here instead of stdout")
+        p.add_argument("--out", required=True)
 
     if p := add("explain", cmd_explain, "per-token attribution for one doc", ("model", "infile")):
         p.add_argument("--model", required=True)
@@ -456,7 +451,7 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--doc-id")
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write explanation here instead of stdout")
+        p.add_argument("--out", required=True)
 
     if p := add("report", cmd_report, "one-page corpus summary", ("corpus", "labels", "stats", "lexicon", "eval")):
         p.add_argument("--corpus", required=True)
@@ -502,9 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for dest in args._outputs:
             if path := getattr(args, dest):
                 man.add_output(path)
-        manifest_path = args.manifest or (args.out and args.out + ".manifest.json")
-        if manifest_path:
-            man.write(manifest_path)
+        man.write(args.manifest or args.out + ".manifest.json")
     except (ValueError, OSError) as e:
         # the readers decode as they read: trace a decoding error to its input and line
         bad_utf8 = isinstance(e, UnicodeDecodeError) and _undecodable([getattr(args, d) for d in args._inputs])

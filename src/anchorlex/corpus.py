@@ -1,8 +1,8 @@
 """Corpus containers, label records, and deterministic stratified splitting.
 
 File formats:
-  corpus JSONL  one object per line: id, text, created_at (ISO-8601), lang (optional);
-                other keys are ignored
+  corpus JSONL  one object per line: id, text, created_at (ISO-8601); other keys
+                are ignored
   labels TSV    header: doc_id, offensive, hate_targets, vulgar, violence
   split file    "train:" / "dev:" / "test:" section headers, one doc_id per line
 
@@ -78,7 +78,6 @@ class Document:
     id: str
     text: str
     created_at: str  # canonical UTC, see canonical_timestamp
-    lang: str = ""
 
     def __post_init__(self) -> None:
         # an id is one field of the TSV rows that stages write
@@ -128,7 +127,6 @@ def _doc_from_mapping(obj: Mapping[str, object]) -> Document:
         id=str(obj["id"]),
         text=str(obj["text"]),
         created_at=canonical_timestamp(str(obj["created_at"])),
-        lang=str(obj.get("lang") or ""),
     )
 
 
@@ -174,9 +172,7 @@ def dump_corpus(docs: Iterable[Document]) -> str:
     # with encode_basestring, without building an encoder per row
     enc = encode_basestring
     lines = [
-        f'{{"created_at": {enc(d.created_at)}, "id": {enc(d.id)}, '
-        + (f'"lang": {enc(d.lang)}, ' if d.lang else "")
-        + f'"text": {enc(d.text)}}}'
+        f'{{"created_at": {enc(d.created_at)}, "id": {enc(d.id)}, "text": {enc(d.text)}}}'
         for d in docs
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -90,70 +90,43 @@ def doc_bases(text: str) -> set[str]:
 # --- seed inventory -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedEntry:
-    base: str
-    category: str
-
-    def __post_init__(self) -> None:
-        if self.category not in SEED_CATEGORIES:
-            raise ValueError(f"unknown seed category {self.category!r}")
-
-
-@dataclass(frozen=True)
-class SeedInventory:
-    entries: tuple[SeedEntry, ...]
-    bases: frozenset[str] = field(init=False, repr=False, compare=False)
-    _category: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        category: dict[str, str] = {}
-        for e in self.entries:
-            if e.base in category:
-                raise ValueError(f"duplicate seed base {codepoints_hex(e.base)}")
-            category[e.base] = e.category
-        object.__setattr__(self, "_category", category)
-        object.__setattr__(self, "bases", frozenset(category))
-
-    def category_of(self, base: str) -> str | None:
-        return self._category.get(base)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def codepoints_hex(s: str) -> str:
     return " ".join(f"{ord(c):04X}" for c in s)
 
 
-def parse_codepoints(field: str, lineno: int) -> str:
+def parse_codepoints(field: str) -> str:
     try:
         return "".join(chr(int(part, 16)) for part in field.split())
     except (ValueError, OverflowError):
-        raise ValueError(f"line {lineno}: bad codepoint field {field!r}") from None
+        raise ValueError(f"bad codepoint field {field!r}") from None
 
 
-def load_seed_inventory(path: str) -> SeedInventory:
-    """Seed TSV: hex codepoints, category, then an optional comment column that is
-    not read; '#' lines are comments."""
-    entries: list[SeedEntry] = []
+def load_seed_inventory(path: str) -> dict[str, str]:
+    """Seed TSV as {base form: category}: hex codepoints, category, then an optional
+    comment column that is not read; '#' lines are comments."""
+    inventory: dict[str, str] = {}
     for lineno, cols in read_table(path):
+        where = f"{path}: line {lineno}"
         if len(cols) < 2:
-            raise ValueError(f"{path}: line {lineno}: expected codepoints<TAB>category")
-        display = parse_codepoints(cols[0], lineno)
-        if not display:
-            raise ValueError(f"{path}: line {lineno}: empty codepoint field")
+            raise ValueError(f"{where}: expected codepoints<TAB>category")
         try:
-            entries.append(SeedEntry(base=base_form(display), category=cols[1].strip()))
+            display = parse_codepoints(cols[0])
         except ValueError as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from None
-    try:
-        return SeedInventory(entries=tuple(entries))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+            raise ValueError(f"{where}: {e}") from None
+        if not display:
+            raise ValueError(f"{where}: empty codepoint field")
+        base, category = base_form(display), cols[1].strip()
+        if category not in SEED_CATEGORIES:
+            raise ValueError(f"{where}: unknown seed category {category!r}")
+        if base in inventory:
+            raise ValueError(f"{where}: duplicate seed base {codepoints_hex(base)}")
+        inventory[base] = category
+    if not inventory:
+        raise ValueError(f"{path}: seed inventory is empty")
+    return inventory
 
 
-def default_inventory() -> SeedInventory:
+def default_inventory() -> dict[str, str]:
     ref = resources.files("anchorlex.data").joinpath("seed_emojis.tsv")
     with resources.as_file(ref) as p:
         return load_seed_inventory(str(p))
@@ -162,14 +135,12 @@ def default_inventory() -> SeedInventory:
 # --- filtering, stats, sampling -----------------------------------------
 
 
-def filter_by_seeds(docs: Iterable[Document], inventory: SeedInventory) -> list[Document]:
-    """Documents whose emoji base forms intersect the inventory, stable order."""
-    if len(inventory) == 0:
-        raise ValueError("seed inventory is empty")
-    bases = inventory.bases
+def filter_by_seeds(docs: Iterable[Document], inventory: Mapping[str, str]) -> list[Document]:
+    """Documents whose emoji base forms intersect the inventory's, stable order."""
+    bases = inventory.keys()
     # every cluster whose base is b contains b[0], so a text holding no
     # base's first codepoint needs no segmentation
-    firsts = sorted({ord(b[0]) for b in bases if b})
+    firsts = sorted({ord(b[0]) for b in bases})
     if not firsts:
         return []
     screen = re.compile(_cls(*((c, c) for c in firsts))).search
@@ -190,7 +161,7 @@ class EmojiStat:
 def emoji_stats(
     docs: Iterable[Document],
     labels: Mapping[str, LabelRecord],
-    inventory: SeedInventory,
+    inventory: Mapping[str, str],
 ) -> list[EmojiStat]:
     """Per seed base form of the inventory: document counts and offensive/hate rates.
 
@@ -202,7 +173,7 @@ def emoji_stats(
     off: dict[str, int] = {}
     hate: dict[str, int] = {}
     for d in docs:
-        bases = doc_bases(d.text) & inventory.bases
+        bases = doc_bases(d.text) & inventory.keys()
         if not bases:
             continue
         rec = labels.get(d.id)
@@ -217,7 +188,7 @@ def emoji_stats(
     stats = [
         EmojiStat(
             base=b,
-            category=inventory.category_of(b) or "-",
+            category=inventory[b],
             n_total=n,
             n_offensive=off.get(b, 0),
             offensive_pct=100.0 * off.get(b, 0) / n,
@@ -242,7 +213,7 @@ def dump_emoji_stats(stats: Iterable[EmojiStat]) -> str:
 
 def sample_per_emoji(
     docs: Sequence[Document],
-    inventory: SeedInventory,
+    inventory: Mapping[str, str],
     k: int,
     seed: int = 0,
 ) -> dict[str, list[Document]]:
@@ -253,11 +224,9 @@ def sample_per_emoji(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if len(inventory) == 0:
-        raise ValueError("seed inventory is empty")
-    per_base: dict[str, list[Document]] = {b: [] for b in sorted(inventory.bases)}
+    per_base: dict[str, list[Document]] = {b: [] for b in sorted(inventory)}
     for d in docs:
-        for b in doc_bases(d.text) & inventory.bases:
+        for b in doc_bases(d.text) & inventory.keys():
             per_base[b].append(d)
     out: dict[str, list[Document]] = {}
     for b, candidates in per_base.items():

@@ -29,18 +29,6 @@ ON_TOKEN = normalize("على")  # على -> علي
 
 
 @dataclass(frozen=True)
-class LexicalClass:
-    name: str
-    members: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.name not in CLASS_NAMES:
-            raise ValueError(f"unknown lexical class {self.name!r}")
-        if not self.members:
-            raise ValueError(f"class {self.name!r} has no members")
-
-
-@dataclass(frozen=True)
 class PatternRule:
     name: str
     shape: str
@@ -122,7 +110,7 @@ def kind_of(class_name: str) -> str:
     return "literal"  # human: standalone pronouns match as-is
 
 
-def default_classes() -> dict[str, LexicalClass]:
+def default_classes() -> dict[str, tuple[str, ...]]:
     ref = resources.files("anchorlex.data").joinpath("violence_classes.tsv")
     with resources.as_file(ref) as p:
         return load_classes(str(p))
@@ -134,20 +122,23 @@ def default_rules() -> tuple[PatternRule, ...]:
         return load_rules(str(p))
 
 
-def load_classes(path: str) -> dict[str, LexicalClass]:
-    """Classes TSV: name<TAB>member1,member2,...; members normalized on load."""
-    out: dict[str, LexicalClass] = {}
+def load_classes(path: str) -> dict[str, tuple[str, ...]]:
+    """Classes TSV: name<TAB>member1,member2,... as {name: members}; members
+    normalized on load."""
+    out: dict[str, tuple[str, ...]] = {}
     for lineno, cols in read_table(path):
+        where = f"{path}: line {lineno}"
         if len(cols) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected name<TAB>members")
+            raise ValueError(f"{where}: expected name<TAB>members")
         name = cols[0].strip()
         if name in out:
-            raise ValueError(f"{path}: line {lineno}: duplicate class {name!r}")
+            raise ValueError(f"{where}: duplicate class {name!r}")
+        if name not in CLASS_NAMES:
+            raise ValueError(f"{where}: unknown lexical class {name!r}")
         members = tuple(normalize(m.strip()) for m in cols[1].split(",") if m.strip())
-        try:
-            out[name] = LexicalClass(name=name, members=members)
-        except ValueError as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        if not members:
+            raise ValueError(f"{where}: class {name!r} has no members")
+        out[name] = members
     if not out:
         raise ValueError(f"{path}: no classes defined")
     return out
@@ -184,40 +175,31 @@ class PatternMatch:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CompiledRules:
-    rules: tuple[PatternRule, ...]
-    expansions: Mapping[str, frozenset[str]]
+_Compiled = list[tuple[PatternRule, frozenset[str], frozenset[str]]]
 
 
 def compile_rules(
     rules: Sequence[PatternRule] | None = None,
-    classes: Mapping[str, LexicalClass] | None = None,
-) -> CompiledRules:
-    rules = tuple(rules) if rules is not None else default_rules()
-    classes = dict(classes) if classes is not None else default_classes()
+    classes: Mapping[str, Sequence[str]] | None = None,
+) -> _Compiled:
+    """Each rule with its trigger class's surface forms and the union of its
+    object classes' forms."""
+    rules = rules if rules is not None else default_rules()
+    classes = classes if classes is not None else default_classes()
     needed = {r.verb_class for r in rules} | {
         c for r in rules for c in r.object_classes
     }
     missing = needed - set(classes)
     if missing:
         raise ValueError(f"rules reference undefined classes {sorted(missing)}")
-    expansions = {
-        name: frozenset(
-            form
-            for stem in cls.members
-            for form in expand(stem, kind_of(name))
-        )
-        for name, cls in classes.items()
+    forms = {
+        name: frozenset(form for stem in members for form in expand(stem, kind_of(name)))
+        for name, members in classes.items()
     }
-    return CompiledRules(rules=rules, expansions=expansions)
-
-
-def _match_object(token: str, rule: PatternRule, compiled: CompiledRules) -> bool:
-    for cls in rule.object_classes:
-        if token in compiled.expansions[cls]:
-            return True
-    return False
+    return [
+        (r, forms[r.verb_class], frozenset().union(*(forms[c] for c in r.object_classes)))
+        for r in rules
+    ]
 
 
 def _verb_with_object_suffix(token: str, verb_forms: frozenset[str]) -> bool:
@@ -229,7 +211,7 @@ def _verb_with_object_suffix(token: str, verb_forms: frozenset[str]) -> bool:
 
 def match_violence(
     tokens: Sequence[str],
-    compiled: CompiledRules,
+    compiled: _Compiled,
 ) -> list[PatternMatch]:
     """All rule matches over a normalized token sequence.
 
@@ -239,8 +221,7 @@ def match_violence(
     """
     out: list[PatternMatch] = []
     n = len(tokens)
-    for rule in compiled.rules:
-        trigger_forms = compiled.expansions[rule.verb_class]
+    for rule, trigger_forms, object_forms in compiled:
         takes_human = "human" in rule.object_classes
         for i, tok in enumerate(tokens):
             if rule.shape == V_THEN_O:
@@ -254,7 +235,7 @@ def match_violence(
                 if tok not in trigger_forms:
                     continue
                 for j in range(i + 1, min(n, i + 2 + rule.max_gap)):
-                    if _match_object(tokens[j], rule, compiled):
+                    if tokens[j] in object_forms:
                         out.append(
                             PatternMatch(rule.name, i, j + 1, tuple(tokens[i : j + 1]))
                         )
@@ -266,12 +247,12 @@ def match_violence(
                 for j in range(i + 1, min(n, i + 2 + rule.max_gap)):
                     tj = tokens[j]
                     # contracted "on-the-X" carries the preposition inside
-                    if _match_object(tj, rule, compiled) and tj.startswith("عال"):
+                    if tj in object_forms and tj.startswith("عال"):
                         span_end = j + 1
                         break
                     if tj == ON_TOKEN:
                         for k in range(j + 1, min(n, j + 2 + rule.max_gap)):
-                            if _match_object(tokens[k], rule, compiled):
+                            if tokens[k] in object_forms:
                                 span_end = k + 1
                                 break
                         break
@@ -285,7 +266,7 @@ def match_violence(
     return out
 
 
-def match_violence_text(text: str, compiled: CompiledRules) -> list[PatternMatch]:
+def match_violence_text(text: str, compiled: _Compiled) -> list[PatternMatch]:
     """Normalize + tokenize, then match."""
     return match_violence(tokenize(normalize(text)), compiled)
 

@@ -15,7 +15,7 @@ equal results.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from anchorlex.annotation import (
     AggregatedLabel,
@@ -23,7 +23,6 @@ from anchorlex.annotation import (
     Judgment,
     KappaReport,
     PairKappa,
-    QCGate,
 )
 
 
@@ -53,7 +52,6 @@ def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
                 doc_id=key[0],
                 job=key[1],
                 label=modes[0],
-                n_judgments=len(labels),
                 agreement=agreement,
             )
         )
@@ -61,34 +59,34 @@ def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
 
 
 def gate_annotator(
-    judgments: Iterable[Judgment], annotator_id: str, gate: QCGate
+    judgments: Iterable[Judgment], annotator_id: str, answers: Mapping[str, str], threshold: float
 ) -> GateResult:
     n_test = n_correct = 0
     for j in judgments:
         if (
             j.annotator_id != annotator_id
             or j.job != "offensive"
-            or j.doc_id not in gate.test_answers
+            or j.doc_id not in answers
         ):
             continue
         n_test += 1
-        if j.label == gate.test_answers[j.doc_id]:
+        if j.label == answers[j.doc_id]:
             n_correct += 1
     if n_test == 0:
         raise ValueError(f"annotator {annotator_id!r} judged no test items")
     acc = n_correct / n_test
-    return GateResult(annotator_id, n_test, n_correct, acc, acc >= gate.pass_threshold)
+    return GateResult(annotator_id, n_test, n_correct, acc, acc >= threshold)
 
 
-def gate_all(judgments: Sequence[Judgment], gate: QCGate) -> list[GateResult]:
+def gate_all(judgments: Sequence[Judgment], answers: Mapping[str, str], threshold: float) -> list[GateResult]:
     ids = sorted(
         {
             j.annotator_id
             for j in judgments
-            if j.job == "offensive" and j.doc_id in gate.test_answers
+            if j.job == "offensive" and j.doc_id in answers
         }
     )
-    return [gate_annotator(judgments, a, gate) for a in ids]
+    return [gate_annotator(judgments, a, answers, threshold) for a in ids]
 
 
 def cohen_kappa(a: Sequence, b: Sequence) -> float:

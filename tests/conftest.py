@@ -11,8 +11,8 @@ from anchorlex.corpus import Document, LabelRecord
 TS = "2021-05-01T12:00:00Z"
 
 
-def doc(i: int, text: str, lang: str = "") -> Document:
-    return Document(id=f"d{i:03d}", text=text, created_at=TS, lang=lang)
+def doc(i: int, text: str) -> Document:
+    return Document(id=f"d{i:03d}", text=text, created_at=TS)
 
 
 def label(

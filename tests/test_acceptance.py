@@ -25,7 +25,7 @@ from anchorlex.annotation import cohen_kappa
 from anchorlex.corpus import Document, load_corpus, stratified_split, write_corpus
 from anchorlex.emoji import base_form, cluster_spans, default_inventory, filter_by_seeds
 from anchorlex.features import FeatureConfig
-from anchorlex.lexicon import TermCounts, mine_class_lexicon, valence
+from anchorlex.lexicon import mine_class_lexicon, valence
 from anchorlex.linear import fit_svm, predict_texts, target_value, train_model
 from anchorlex.metrics import evaluate_predictions
 from anchorlex.synth import make_anchored_corpus, make_separable_corpus
@@ -138,18 +138,12 @@ def test_criterion_02_valence_properties_on_random_counts():
                 n_off[t] = 1
         t_off = sum(n_off.values()) + rng.randint(1, 20)
         t_cln = sum(n_cln.values()) + rng.randint(1, 20)
-        counts = TermCounts(n_off=n_off, n_cln=n_cln, total_off=t_off, total_cln=t_cln)
-        swapped = TermCounts(n_off=n_cln, n_cln=n_off, total_off=t_cln, total_cln=t_off)
         k1, k2 = rng.randint(1, 9), rng.randint(1, 9)
-        scaled = TermCounts(
-            n_off={t: k1 * v for t, v in n_off.items()},
-            n_cln={t: k2 * v for t, v in n_cln.items()},
-            total_off=k1 * t_off,
-            total_cln=k2 * t_cln,
-        )
         for t in terms:
-            v = valence(t, counts)
-            worst = max(worst, abs(v + valence(t, swapped)), abs(v - valence(t, scaled)))
+            v = valence(n_off[t], n_cln[t], t_off, t_cln)
+            swapped = valence(n_cln[t], n_off[t], t_cln, t_off)
+            scaled = valence(k1 * n_off[t], k2 * n_cln[t], k1 * t_off, k2 * t_cln)
+            worst = max(worst, abs(v + swapped), abs(v - scaled))
     _report(2, worst <= 1e-12, f"1000 instances, worst deviation {worst:.3e}")
 
 
@@ -188,7 +182,7 @@ def test_criterion_04_emoji_vectors_and_tone_invariance():
     ]
     inv = default_inventory()
     tone_breaks = []
-    for base in sorted(inv.bases):
+    for base in sorted(inv):
         for tone in SKIN_TONE_MODIFIERS:
             docs = [
                 Document(id="u", text=f"نص {base} هنا", created_at=TS),

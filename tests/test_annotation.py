@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,6 @@ from anchorlex.annotation import (
     MIN_SHARED,
     AggregatedLabel,
     Judgment,
-    QCGate,
     adjudication_queue,
     aggregate_to_labels,
     apply_overrides,
@@ -121,7 +121,6 @@ def test_majority_vote_full_majority_tie():
     assert agg["d1"].label == "1" and agg["d1"].agreement == "full"
     assert agg["d2"].label == "1" and agg["d2"].agreement == "majority"
     assert agg["d3"].agreement == "tie" and agg["d3"].label == "0"  # smallest mode
-    assert agg["d1"].n_judgments == 3
 
 
 def test_majority_vote_keeps_first_appearance_order():
@@ -199,6 +198,34 @@ def test_apply_overrides_monotonicity():
     assert not out["d2"].offensive and not out["d2"].vulgar
 
 
+@pytest.mark.parametrize(
+    "job, label, error",
+    [
+        ("offensive", "yes", "d1: offensive label must be 0/1, got 'yes'"),
+        ("vulgar", "true", "d1: vulgar label must be 0/1, got 'true'"),
+        ("violence", "", "d1: violence label must be 0/1, got ''"),
+        ("hate", "1", "d1: unknown hate target '1'"),
+        ("sarcasm", "1", "d1: unknown job 'sarcasm'"),
+    ],
+    ids=["offensive", "vulgar", "violence", "hate", "unknown job"],
+)
+def test_votes_and_overrides_share_one_label_rule(job, label, error):
+    votes = {"offensive": "1", job: label}
+    aggregated = [AggregatedLabel("d1", j, v, "full") for j, v in votes.items()]
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        aggregate_to_labels(aggregated)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        apply_overrides({"d1": LabelRecord("d1", True)}, [("d1", job, label)])
+
+
+def test_hate_none_and_0_both_clear_the_targets():
+    rec = LabelRecord("d1", True, frozenset({"race"}))
+    for label in ("none", "0"):
+        votes = _votes("d1", "offensive", ["1"]) + _votes("d1", "hate", [label])
+        assert aggregate_to_labels(majority_vote(votes))[0]["d1"] == LabelRecord("d1", True)
+        assert apply_overrides({"d1": rec}, [("d1", "hate", label)])["d1"] == LabelRecord("d1", True)
+
+
 def test_apply_overrides_unknown_doc_errors():
     with pytest.raises(ValueError):
         apply_overrides({}, [("ghost", "offensive", "1")])
@@ -209,20 +236,18 @@ def test_apply_overrides_unknown_doc_errors():
 
 def test_gate_threshold_boundary():
     answers = {f"t{i}": "1" for i in range(5)}
-    gate = QCGate(test_answers=answers, pass_threshold=0.8)
     js = [J(f"t{i}", "good", lab="1") for i in range(4)] + [J("t4", "good", lab="0")]
-    (res,) = gate_all(js, gate)
+    (res,) = gate_all(js, answers, 0.8)
     assert res.accuracy == pytest.approx(0.8) and res.passed  # >= is a pass
     js_bad = [J(f"t{i}", "bad", lab="1") for i in range(3)] + [
         J("t3", "bad", lab="0"),
         J("t4", "bad", lab="0"),
     ]
-    assert not gate_all(js_bad, gate)[0].passed
+    assert not gate_all(js_bad, answers, 0.8)[0].passed
 
 
 def test_gate_counts_only_offensive_judgments():
     answers = {"t0": "1", "t1": "0", "t2": "1"}
-    gate = QCGate(test_answers=answers)
     js = [J(doc, "perfect", lab=lab) for doc, lab in answers.items()]
     js += [
         J("t0", "perfect", job="hate", lab="religion"),
@@ -232,20 +257,18 @@ def test_gate_counts_only_offensive_judgments():
         J("t1", "hate_only", job="hate", lab="0"),
     ]
     # an annotator with no offensive judgment on a test item is not gated
-    (res,) = gate_all(js, gate)
+    (res,) = gate_all(js, answers, 0.8)
     assert res.annotator_id == "perfect"
     assert (res.n_test, res.n_correct, res.accuracy, res.passed) == (3, 3, 1.0, True)
 
 
 def test_gate_no_test_items_errors():
-    gate = QCGate(test_answers={"t0": "1"})
-    assert gate_all([J("other", "a", lab="1")], gate) == []
+    assert gate_all([J("other", "a", lab="1")], {"t0": "1"}, 0.8) == []
 
 
 def test_gate_all_sorted_and_dump():
-    gate = QCGate(test_answers={"t0": "1", "t1": "0"})
     js = [J("t0", "b", lab="1"), J("t0", "a", lab="0"), J("t1", "a", lab="0")]
-    results = gate_all(js, gate)
+    results = gate_all(js, {"t0": "1", "t1": "0"}, 0.8)
     assert [r.annotator_id for r in results] == ["a", "b"]
     text = dump_gate_results(results)
     assert text.splitlines()[0] == "annotator_id\tn_test\tn_correct\taccuracy\tpassed"
@@ -344,7 +367,7 @@ def test_overrides_take_exactly_the_queue_header_and_columns(tmp_path):
     op.write_text("doc_id\tjob\tlabel\tagreement\toverride\nd1\toffensive\t1\t0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: expected 5 columns, got 4"):
         load_overrides(str(op))
-    queue = [AggregatedLabel("d1", "offensive", "1", 3, "majority")]
+    queue = [AggregatedLabel("d1", "offensive", "1", "majority")]
     op.write_text(dump_adjudication(queue), encoding="utf-8")
     assert load_overrides(str(op)) == []
 
@@ -480,11 +503,10 @@ def test_avg_pairwise_kappa_matches_reference(js, min_shared):
     annotator=st.sampled_from(ANNOTATORS),
 )
 def test_gate_matches_reference(js, answers, threshold, annotator):
-    gate = QCGate(answers, threshold)
-    assert gate_all(js, gate) == annotation_reference.gate_all(js, gate)
+    assert gate_all(js, answers, threshold) == annotation_reference.gate_all(js, answers, threshold)
     # the annotator's row, or none where the reference finds no test items
-    ref = _outcome(annotation_reference.gate_annotator, js, annotator, gate)
-    row = [r for r in gate_all(js, gate) if r.annotator_id == annotator]
+    ref = _outcome(annotation_reference.gate_annotator, js, annotator, answers, threshold)
+    row = [r for r in gate_all(js, answers, threshold) if r.annotator_id == annotator]
     assert row == ([] if isinstance(ref, str) else [ref])
 
 

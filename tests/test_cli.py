@@ -318,8 +318,9 @@ def test_aggregate_kappa_gate_commands(tmp_path, capsys):
     assert len(qlines) == 4  # disagreements only (a3 flipped on 3 docs)
     assert "24 docs labeled, 3 queue items, 0 docs with" in capsys.readouterr().out
 
-    assert cli.main(["kappa", "--judgments", jpath]) == 0
-    kout = capsys.readouterr().out
+    kfile = tmp_path / "kappa.txt"
+    assert cli.main(["kappa", "--judgments", jpath, "--out", str(kfile)]) == 0
+    kout = kfile.read_text(encoding="utf-8")
     assert kout.startswith("mean_kappa\t")
     assert "a1\ta2\t24\t1.000000" in kout
 
@@ -328,17 +329,17 @@ def test_aggregate_kappa_gate_commands(tmp_path, capsys):
         fh.write("doc_id\tlabel\n")
         for doc in range(8):
             fh.write(f"d{doc:03d}\t{'1' if doc % 2 else '0'}\n")
-    assert cli.main(["gate", "--judgments", jpath, "--answers", answers]) == 0
-    gout = capsys.readouterr().out
+    gfile = tmp_path / "gate.txt"
+    assert cli.main(["gate", "--judgments", jpath, "--answers", answers, "--out", str(gfile)]) == 0
+    gout = gfile.read_text(encoding="utf-8")
     assert gout.startswith("annotator_id\tn_test\tn_correct\taccuracy\tpassed")
     assert "a1\t8\t8\t1.000000\t1" in gout
     assert "a3\t8\t7\t0.875000\t1" in gout
+    assert capsys.readouterr().out == ""
 
-    # kappa/gate write files when asked, with manifests
-    kfile = str(tmp_path / "kappa.txt")
-    assert cli.main(["kappa", "--judgments", jpath, "--out", kfile]) == 0
-    assert open(kfile, encoding="utf-8").read().startswith("mean_kappa\t")
-    assert json.loads(open(kfile + ".manifest.json", encoding="utf-8").read())["command"] == "kappa"
+    # each writes its manifest next to its output
+    for name, command in ((kfile, "kappa"), (gfile, "gate")):
+        assert json.loads(Path(f"{name}.manifest.json").read_text(encoding="utf-8"))["command"] == command
 
 
 def test_aggregate_reports_dropped_votes_without_a_warning(tmp_path, capsys):
@@ -411,8 +412,43 @@ def test_header_only_gate_answers_name_their_file(tmp_path, capsys):
     _judgment_file(jpath)
     answers = tmp_path / "answers.tsv"
     answers.write_text("doc_id\tlabel\n", encoding="utf-8")
-    assert cli.main(["gate", "--judgments", jpath, "--answers", str(answers)]) == 2
+    out = tmp_path / "gate.tsv"
+    assert cli.main(["gate", "--judgments", jpath, "--answers", str(answers), "--out", str(out)]) == 2
     assert f"error: {answers}: gate needs at least one test answer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+def test_gate_threshold_must_be_in_the_unit_interval(tmp_path, capsys, threshold):
+    jpath = str(tmp_path / "j.tsv")
+    _judgment_file(jpath)
+    answers = tmp_path / "answers.tsv"
+    answers.write_text("doc_id\tlabel\nd000\t0\n", encoding="utf-8")
+    out = tmp_path / "gate.tsv"
+    argv = ["gate", "--judgments", jpath, "--answers", str(answers), "--threshold", threshold, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"error: threshold must be in [0, 1], got {float(threshold)}\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["answers.tsv", "j.tsv"]
+
+
+@pytest.mark.parametrize(
+    "job, label, error",
+    [
+        ("offensive", "yes", "d001: offensive label must be 0/1, got 'yes'"),
+        ("vulgar", "true", "d001: vulgar label must be 0/1, got 'true'"),
+        ("violence", "2", "d001: violence label must be 0/1, got '2'"),
+        ("hate", "sports", "d001: unknown hate target 'sports'"),
+    ],
+    ids=["offensive", "vulgar", "violence", "hate"],
+)
+def test_aggregate_rejects_a_label_outside_its_job_naming_the_judgments(tmp_path, capsys, job, label, error):
+    votes = {"offensive": "1", job: label}  # two annotators agree on each job
+    jpath = tmp_path / "j.tsv"
+    write_judgments(str(jpath), [Judgment("d001", a, j, v, TS) for a in ("a1", "a2") for j, v in votes.items()])
+    out = tmp_path / "labels.tsv"
+    assert cli.main(["aggregate", "--judgments", str(jpath), "--out", str(out)]) == 2
+    assert f"error: {jpath}: {error}\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["j.tsv"]
 
 
 # Each headered reader: its header, one good row, and a command that reads
@@ -545,7 +581,8 @@ def test_train_and_explain_read_text_one_way(ws, tmp_path):
     # training and explain always normalize: neither has a flag to skip it
     argv = ["train", "--in", ws.corpus, "--labels", ws.labels, "--split", ws.split, "--out", str(tmp_path / "m")]
     assert usage_error(argv + ["--no-normalize"]) == 1
-    assert usage_error(["explain", "--model", ws.model, "--text", "غبي", "--no-preprocess"]) == 1
+    out = str(tmp_path / "ex.txt")
+    assert usage_error(["explain", "--model", ws.model, "--text", "غبي", "--no-preprocess", "--out", out]) == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -614,9 +651,10 @@ def test_load_predictions_validation(tmp_path):
 
 
 def test_evaluate_command(ws, tmp_path, capsys):
-    assert cli.main(["evaluate", "--gold", ws.labels, "--pred", ws.preds]) == 0
-    full = capsys.readouterr().out
-    assert full.splitlines()[0] == "n\t120"
+    full = tmp_path / "full.txt"
+    assert cli.main(["evaluate", "--gold", ws.labels, "--pred", ws.preds, "--out", str(full)]) == 0
+    assert full.read_text(encoding="utf-8").splitlines()[0] == "n\t120"
+    assert capsys.readouterr().out == ""
 
     out = str(tmp_path / "eval.txt")
     rc = cli.main(
@@ -628,12 +666,16 @@ def test_evaluate_command(ws, tmp_path, capsys):
     assert "macro_f1\t" in text
 
 
-def test_explain_command_stdout(ws, capsys):
-    rc = cli.main(["explain", "--model", ws.model, "--text", "غبي", "--samples", "100"])
+def test_explain_command_stdout(ws, tmp_path, capsys):
+    out = tmp_path / "ex.txt"
+    rc = cli.main(["explain", "--model", ws.model, "--text", "غبي", "--samples", "100", "--out", str(out)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "token\tattribution" in out
-    assert "غبي\t" in out
+    text = out.read_text(encoding="utf-8")
+    assert "token\tattribution" in text
+    assert "غبي\t" in text
+    # the explanation goes to --out, and nothing to stdout
+    assert capsys.readouterr().out == ""
+    assert json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))["command"] == "explain"
 
 
 def test_explain_command_doc_id(ws, tmp_path, capsys):
@@ -644,8 +686,10 @@ def test_explain_command_doc_id(ws, tmp_path, capsys):
     assert rc == 0
     assert "token\tattribution" in open(out, encoding="utf-8").read()
 
-    assert cli.main(["explain", "--model", ws.model, "--in", ws.corpus, "--doc-id", "zzz"]) == 2
-    assert cli.main(["explain", "--model", ws.model]) == 2
+    bad = str(tmp_path / "bad.txt")
+    assert cli.main(["explain", "--model", ws.model, "--in", ws.corpus, "--doc-id", "zzz", "--out", bad]) == 2
+    assert cli.main(["explain", "--model", ws.model, "--out", bad]) == 2
+    assert not os.path.exists(bad)
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -779,9 +823,11 @@ def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, mes
     out, err = capsys.readouterr()
     assert f"{model}: {message}" in err and out == ""
     assert not (tmp_path / "preds.tsv").exists()
-    assert cli.main(["explain", "--model", model, "--text", "غبي", "--samples", "20"]) == 2
+    ex = str(tmp_path / "ex.txt")
+    assert cli.main(["explain", "--model", model, "--text", "غبي", "--samples", "20", "--out", ex]) == 2
     out, err = capsys.readouterr()
     assert f"{model}: {message}" in err and out == ""
+    assert not (tmp_path / "ex.txt").exists()
 
 
 def test_report_command(ws, tmp_path, capsys):
@@ -965,9 +1011,9 @@ MANIFEST_CONTRACT = [
         ["{judgments}", "{overrides}"],
         ["{o}", "{q}"],
     ),
-    ("kappa --judgments {judgments} --manifest {m}", None, ["{judgments}"], []),
+    ("kappa --judgments {judgments} --out {o} --manifest {m}", None, ["{judgments}"], ["{o}"]),
     ("kappa --judgments {judgments} --out {o}", None, ["{judgments}"], ["{o}"]),
-    ("gate --judgments {judgments} --answers {answers} --manifest {m}", None, ["{judgments}", "{answers}"], []),
+    ("gate --judgments {judgments} --answers {answers} --out {o}", None, ["{judgments}", "{answers}"], ["{o}"]),
     (
         "gate --judgments {judgments} --answers {answers} --out {o} --manifest {m}",
         None,
@@ -981,14 +1027,14 @@ MANIFEST_CONTRACT = [
         ["{o}"],
     ),
     ("predict --model {model} --in {corpus} --out {o}", None, ["{model}", "{corpus}"], ["{o}"]),
-    ("evaluate --gold {labels} --pred {preds} --manifest {m}", None, ["{labels}", "{preds}"], []),
+    ("evaluate --gold {labels} --pred {preds} --out {o} --manifest {m}", None, ["{labels}", "{preds}"], ["{o}"]),
     (
         "evaluate --gold {labels} --pred {preds} --split {split} --out {o}",
         None,
         ["{labels}", "{preds}", "{split}"],
         ["{o}"],
     ),
-    ("explain --model {model} --text غبي --samples 20 --manifest {m}", 0, ["{model}"], []),
+    ("explain --model {model} --text غبي --samples 20 --out {o} --manifest {m}", 0, ["{model}"], ["{o}"]),
     (
         "explain --model {model} --in {corpus} --doc-id d000001 --samples 20 --seed 5 --out {o}",
         5,
@@ -1051,13 +1097,21 @@ def test_bad_timestamp_on_the_last_line_fails_cleanly(tmp_path, capsys, stage, b
     assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
 
 
-def test_failed_stdout_command_writes_no_manifest(tmp_path, capsys):
+def test_failed_kappa_writes_no_output_and_no_manifest(tmp_path, capsys):
     jpath = tmp_path / "judgments.tsv"
     jpath.write_text("doc_id\tannotator_id\n", encoding="utf-8")
     man = tmp_path / "run.manifest.json"
-    assert cli.main(["kappa", "--judgments", str(jpath), "--manifest", str(man)]) == 2
+    out = tmp_path / "kappa.txt"
+    assert cli.main(["kappa", "--judgments", str(jpath), "--out", str(out), "--manifest", str(man)]) == 2
     assert "error:" in capsys.readouterr().err
-    assert not man.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["judgments.tsv"]
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_every_stage_requires_out(stage):
+    # so every stage writes a file and its manifest; none writes its result to stdout
+    (out,) = [a for a in STAGES[stage]._actions if "--out" in a.option_strings]
+    assert out.required
 
 
 @pytest.mark.parametrize(

@@ -127,10 +127,17 @@ def test_canonical_timestamp_keeps_a_canonical_string_and_rejects_impossible_one
 
 
 def test_corpus_jsonl_round_trip(tmp_path):
-    docs = [doc(0, "hello \U0001F437"), doc(1, "tab\tand \"quote\"", lang="ar")]
+    docs = [doc(0, "hello \U0001F437"), doc(1, "tab\tand \"quote\"")]
     p = tmp_path / "c.jsonl"
     write_corpus(str(p), docs)
     assert load_corpus(str(p)) == docs
+
+
+def test_corpus_ignores_every_key_past_the_three_fields(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"id": "a", "text": "x", "created_at": "2021-05-01T12:00:00Z", "lang": 0, "src": "t"}\n', encoding="utf-8")
+    assert load_corpus(str(p)) == [Document(id="a", text="x", created_at=TS)]
+    assert dump_corpus(load_corpus(str(p))) == '{"created_at": "2021-05-01T12:00:00Z", "id": "a", "text": "x"}\n'
 
 
 # quotes, backslashes, control characters, U+2028, non-BMP characters and lone surrogates
@@ -149,7 +156,6 @@ FIELD_TEXT = st.text(
             id=FIELD_TEXT.filter(lambda t: t and not {"\t", "\r", "\n"} & set(t)),
             text=FIELD_TEXT.filter(lambda t: "\x00" not in t),
             created_at=FIELD_TEXT,
-            lang=st.one_of(st.just(""), FIELD_TEXT),
         ),
         max_size=4,
     )
@@ -157,7 +163,7 @@ FIELD_TEXT = st.text(
 def test_dump_corpus_jsonl_equals_json_dumps_of_each_row(docs):
     rows = [
         json.dumps(
-            {"id": d.id, "text": d.text, "created_at": d.created_at, **({"lang": d.lang} if d.lang else {})},
+            {"id": d.id, "text": d.text, "created_at": d.created_at},
             ensure_ascii=False,
             sort_keys=True,
         )

@@ -1,15 +1,15 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emoji_reference
+from anchorlex import cli
 from anchorlex import emoji_ranges as er
-from anchorlex.corpus import Document, LabelRecord
 from anchorlex.emoji import (
-    SeedEntry,
-    SeedInventory,
     base_form,
     cluster_spans,
     codepoints_hex,
@@ -23,7 +23,7 @@ from anchorlex.emoji import (
     sample_per_emoji,
 )
 
-from conftest import TS, doc, label
+from conftest import doc, label
 
 ZWJ = "‍"
 VS16 = "️"
@@ -215,7 +215,7 @@ def test_doc_bases_dedupes():
 
 def test_codepoints_hex_round_trip():
     s = "\U0001F468‍\U0001F466"
-    assert parse_codepoints(codepoints_hex(s), lineno=1) == s
+    assert parse_codepoints(codepoints_hex(s)) == s
     assert codepoints_hex("\U0001F437") == "1F437"
 
 
@@ -225,39 +225,58 @@ def test_codepoints_hex_round_trip():
 def test_default_inventory_loads():
     inv = default_inventory()
     assert len(inv) >= 15
-    assert "\U0001F437" in inv.bases
-    assert inv.category_of("\U0001F437") == "animal_dehumanization"
-    assert inv.category_of("\U0001F52A") == "violence_symbol"
-    assert inv.bases == frozenset(e.base for e in inv.entries)
-    assert inv.category_of("x") is None
+    assert inv["\U0001F437"] == "animal_dehumanization"
+    assert inv["\U0001F52A"] == "violence_symbol"
+    assert "x" not in inv
     # bundled bases are already base forms (no tones, no VS)
-    for b in inv.bases:
+    for b in inv:
         assert base_form(b) == b
 
 
-def test_inventory_rejects_duplicates_and_bad_category():
-    e = SeedEntry(base="\U0001F437", category="animal_dehumanization")
-    with pytest.raises(ValueError, match="duplicate"):
-        SeedInventory(entries=(e, e))
-    with pytest.raises(ValueError, match="category"):
-        SeedEntry(base="\U0001F437", category="cute")
+def test_inventory_rejects_duplicates_and_bad_category(tmp_path):
+    p = tmp_path / "seeds.tsv"
+    # a toned or VS16 form folds onto the base already listed
+    for variant in ("1F437 1F3FF", "1F437 FE0F"):
+        p.write_text(f"1F437\tanimal_dehumanization\n{variant}\tother\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: duplicate seed base 1F437$"):
+            load_seed_inventory(str(p))
+    p.write_text("1F437\tcute\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: unknown seed category 'cute'$"):
+        load_seed_inventory(str(p))
 
 
 def test_inventory_file_round_trip(tmp_path):
     inv = default_inventory()
     p = tmp_path / "seeds.tsv"
-    rows = [f"{codepoints_hex(e.base)}\t{e.category}\ta comment the loader ignores\n" for e in inv.entries]
+    rows = [f"{codepoints_hex(b)}\t{c}\ta comment the loader ignores\n" for b, c in inv.items()]
     p.write_text("# codepoints<TAB>category<TAB>comment\n" + "".join(rows), encoding="utf-8")
-    again = load_seed_inventory(str(p))
-    assert again.bases == inv.bases
-    assert all(again.category_of(b) == inv.category_of(b) for b in inv.bases)
+    assert load_seed_inventory(str(p)) == inv
 
 
-def test_load_inventory_bad_line(tmp_path):
+# seed file text -> the error after "<path>: "
+BAD_SEED_FILES = {
+    "no category": ("1F437\n", "line 1: expected codepoints<TAB>category"),
+    "bad codepoint": ("1F437\tother\n1F4ZZ\tother\n", "line 2: bad codepoint field '1F4ZZ'"),
+    "empty codepoints": ("\tother\n", "line 1: empty codepoint field"),
+    "duplicate base": ("1F437\tother\n# pig again\n1F437\tadult\n", "line 3: duplicate seed base 1F437"),
+    "only comments": ("# codepoints<TAB>category\n\n", "seed inventory is empty"),
+    "empty file": ("", "seed inventory is empty"),
+}
+
+
+def test_load_inventory_bad_line(tmp_path, capsys):
     p = tmp_path / "seeds.tsv"
-    p.write_text("1F437\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_seed_inventory(str(p))
+    corpus = tmp_path / "in.jsonl"
+    corpus.write_text('{"id": "a", "text": "\U0001F437", "created_at": "2021-05-01T12:00:00Z"}\n', encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    for case, (text, error) in BAD_SEED_FILES.items():
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {error}')}$"):
+            load_seed_inventory(str(p))
+        # collect exits 2 naming the file, and writes neither output nor manifest
+        assert cli.main(["collect", "--in", str(corpus), "--out", str(out), "--seeds", str(p)]) == 2, case
+        assert f"error: {p}: {error}\n" in capsys.readouterr().err, case
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["in.jsonl", "seeds.tsv"], case
 
 
 # --- filtering -------------------------------------------------------------
@@ -288,19 +307,19 @@ _SCREEN_PIECES = [*_SCREEN_SEEDS, "1", "2⃣", "⃣", "\U0001F1F8", "\U0001F1EA\
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(_SCREEN_PIECES), max_size=8).map("".join), max_size=6))
 def test_filter_by_seeds_matches_segmenting_every_text(texts):
-    inv = SeedInventory(tuple(SeedEntry(base_form(s), "other") for s in _SCREEN_SEEDS))
+    inv = {base_form(s): "other" for s in _SCREEN_SEEDS}
     docs = [doc(i, t) for i, t in enumerate(texts)]
-    assert filter_by_seeds(docs, inv) == [d for d in docs if doc_bases(d.text) & inv.bases]
+    assert filter_by_seeds(docs, inv) == [d for d in docs if doc_bases(d.text) & inv.keys()]
 
 
 def test_filter_by_seeds_empty_inventory():
-    with pytest.raises(ValueError, match="empty"):
-        filter_by_seeds([doc(0, "x")], SeedInventory(entries=()))
+    # no seed file loads as one (test_load_inventory_bad_line); in memory it keeps nothing
+    assert filter_by_seeds([doc(0, "\U0001F437")], {}) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    base=st.sampled_from(sorted(default_inventory().bases)),
+    base=st.sampled_from(sorted(default_inventory())),
     tone=st.sampled_from(sorted(range(0x1F3FB, 0x1F400))),
     prefix=st.text(alphabet="ab كلب", max_size=6),
 )
@@ -399,13 +418,13 @@ def test_sample_per_emoji_growing_inventory_keeps_existing_draws(seed, k, split)
     # each base draws from its own RNG, so adding entries to the
     # inventory leaves the draws of the bases already in it alone
     full = default_inventory()
-    small = SeedInventory(entries=full.entries[:split])
-    docs = [doc(i, f"t{i} " + e.base * (1 + i % 2)) for i, e in enumerate(full.entries * 4)]
-    pairs = zip(full.entries, full.entries[3:])
-    docs += [doc(500 + i, f"mix {e.base} {f.base}") for i, (e, f) in enumerate(pairs)]
+    bases = list(full)
+    small = {b: full[b] for b in bases[:split]}
+    docs = [doc(i, f"t{i} " + b * (1 + i % 2)) for i, b in enumerate(bases * 4)]
+    docs += [doc(500 + i, f"mix {b} {c}") for i, (b, c) in enumerate(zip(bases, bases[3:]))]
     before = sample_per_emoji(docs, small, k=k, seed=seed)
     after = sample_per_emoji(docs, full, k=k, seed=seed)
-    assert set(before) == small.bases
+    assert set(before) == set(small)
     assert {b: [d.id for d in v] for b, v in before.items()} == {
         b: [d.id for d in after[b]] for b in before
     }

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorlex.corpus import LabelRecord
-from anchorlex.lexicon import (
-    TermCounts,
-    dump_lexicon,
-    mine_class_lexicon,
-    mine_from_counts,
-    valence,
-)
+from anchorlex.lexicon import dump_lexicon, mine_class_lexicon, valence
 from anchorlex.textnorm import normalize, tokenize
 
 from conftest import doc, label
@@ -31,31 +24,36 @@ def brute_force_valence(term: str, off_texts: list[str], cln_texts: list[str]) -
     return 2 * (r_off / (r_off + r_cln)) - 1
 
 
+def mine(off_texts: list[str], cln_texts: list[str], min_valence: float = 0.8, min_freq: int = 5):
+    """mine_class_lexicon over offensive docs off_texts and clean docs cln_texts."""
+    docs = [doc(i, t) for i, t in enumerate(off_texts + cln_texts)]
+    labels = {d.id: label(i, offensive=i < len(off_texts)) for i, d in enumerate(docs)}
+    return mine_class_lexicon(docs, labels, "offensive", min_valence=min_valence, min_freq=min_freq)
+
+
 # --- the score -------------------------------------------------------------
 
 
 def test_valence_hand_value():
-    counts = TermCounts(n_off={"t": 8}, n_cln={"t": 1}, total_off=100, total_cln=200)
-    # r_off = 0.08, r_cln = 0.005 -> 2 * (0.08 / 0.085) - 1
-    assert valence("t", counts) == pytest.approx(0.8823529411764706, abs=1e-12)
+    # r_off = 8/100 = 0.08, r_cln = 1/200 = 0.005 -> 2 * (0.08 / 0.085) - 1
+    assert valence(8, 1, 100, 200) == pytest.approx(0.8823529411764706, abs=1e-12)
 
 
 def test_valence_extremes_and_midpoint():
-    only_off = TermCounts(n_off={"t": 3}, n_cln={}, total_off=10, total_cln=10)
-    only_cln = TermCounts(n_off={}, n_cln={"t": 3}, total_off=10, total_cln=10)
-    balanced = TermCounts(n_off={"t": 2}, n_cln={"t": 4}, total_off=10, total_cln=20)
-    assert valence("t", only_off) == 1.0
-    assert valence("t", only_cln) == -1.0
-    assert valence("t", balanced) == pytest.approx(0.0, abs=1e-15)
+    assert valence(3, 0, 10, 10) == 1.0
+    assert valence(0, 3, 10, 10) == -1.0
+    assert valence(2, 4, 10, 20) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_valence_errors():
-    with pytest.raises(ValueError):
-        valence("t", TermCounts(n_off={"t": 1}, n_cln={}, total_off=0, total_cln=5))
-    with pytest.raises(ValueError):
-        valence("t", TermCounts(n_off={"t": 1}, n_cln={}, total_off=5, total_cln=0))
-    with pytest.raises(ValueError):
-        valence("nope", TermCounts(n_off={"t": 1}, n_cln={}, total_off=5, total_cln=5))
+    # valence is undefined over a partition without tokens: mining refuses it
+    docs = [doc(0, "x words here"), doc(1, "!!! ...")]
+    labels = {"d000": label(0, offensive=True), "d001": label(1)}
+    with pytest.raises(ValueError, match="both partitions must contain tokens"):
+        mine_class_lexicon(docs, labels, "offensive")
+    labels = {"d000": label(0), "d001": label(1, offensive=True)}
+    with pytest.raises(ValueError, match="both partitions must contain tokens"):
+        mine_class_lexicon(docs, labels, "offensive")
 
 
 def test_valence_matches_brute_force_recount():
@@ -63,10 +61,11 @@ def test_valence_matches_brute_force_recount():
     for trial in range(20):
         off = [" ".join(rng.choices(WORDS, k=rng.randint(1, 30))) for _ in range(rng.randint(1, 10))]
         cln = [" ".join(rng.choices(WORDS, k=rng.randint(1, 30))) for _ in range(rng.randint(1, 10))]
-        counts = TermCounts.from_texts(off, cln)
-        for term in counts.terms:
-            expected = brute_force_valence(term, off, cln)
-            assert valence(term, counts) == pytest.approx(float(expected), abs=1e-12)
+        entries = mine(off, cln, min_valence=-1.0, min_freq=1)
+        assert {e.term for e in entries} == {t for s in off + cln for t in tokenize(normalize(s))}
+        for e in entries:
+            expected = brute_force_valence(e.term, off, cln)
+            assert e.valence == pytest.approx(float(expected), abs=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
@@ -78,45 +77,39 @@ def test_valence_matches_brute_force_recount():
     scale=st.integers(min_value=1, max_value=1000),
 )
 def test_valence_antisymmetry_and_scale_invariance(n_off, n_cln, total_off, total_cln, scale):
-    a = TermCounts(n_off={"t": n_off}, n_cln={"t": n_cln}, total_off=total_off, total_cln=total_cln)
-    swapped = TermCounts(n_off={"t": n_cln}, n_cln={"t": n_off}, total_off=total_cln, total_cln=total_off)
-    assert valence("t", a) == pytest.approx(-valence("t", swapped), abs=1e-12)
-    scaled = TermCounts(
-        n_off={"t": n_off * scale},
-        n_cln={"t": n_cln},
-        total_off=total_off * scale,
-        total_cln=total_cln,
-    )
-    assert valence("t", a) == pytest.approx(valence("t", scaled), abs=1e-12)
+    v = valence(n_off, n_cln, total_off, total_cln)
+    assert v == pytest.approx(-valence(n_cln, n_off, total_cln, total_off), abs=1e-12)
+    assert v == pytest.approx(valence(n_off * scale, n_cln, total_off * scale, total_cln), abs=1e-12)
 
 
 # --- counting --------------------------------------------------------------
 
 
 def test_from_texts_counts_occurrences_not_docs():
-    counts = TermCounts.from_texts(["كلب كلب"], ["x"])
-    assert counts.n_off["كلب"] == 2
-    assert counts.total_off == 2 and counts.total_cln == 1
+    (e,) = mine(["كلب كلب"], ["x"], min_valence=-1.0, min_freq=2)
+    assert (e.term, e.n_off, e.n_cln) == ("كلب", 2, 0)
+    # 2 of 2 offensive tokens against 0 of 1 clean
+    assert e.valence == 1.0
 
 
 def test_from_texts_normalizes_first():
-    counts = TermCounts.from_texts(["أخي"], ["اخي"])
     # alef variants collapse, so both sides count the same surface form
-    assert counts.n_off == {"اخي": 1}
-    assert counts.n_cln == {"اخي": 1}
+    (e,) = mine(["أخي"], ["اخي"], min_valence=-1.0, min_freq=1)
+    assert (e.term, e.n_off, e.n_cln) == ("اخي", 1, 1)
 
 
 def test_freq_is_combined_occurrences():
-    counts = TermCounts(n_off={"t": 3}, n_cln={"t": 4}, total_off=10, total_cln=10)
-    assert counts.freq("t") == 7
+    off, cln = ["t t t a"], ["t t t t b"]
+    # t occurs 3 + 4 = 7 times over both partitions
+    assert [e.term for e in mine(off, cln, min_valence=-1.0, min_freq=7)] == ["t"]
+    assert mine(off, cln, min_valence=-1.0, min_freq=8) == []
 
 
 # --- mining ----------------------------------------------------------------
 
 
 def test_mine_from_counts_thresholds():
-    counts = TermCounts.from_texts(["bad bad bad bad bad rare"], ["ok ok ok ok ok ok"])
-    terms = [e.term for e in mine_from_counts(counts, min_valence=0.8, min_freq=5)]
+    terms = [e.term for e in mine(["bad bad bad bad bad rare"], ["ok ok ok ok ok ok"])]
     assert "bad" in terms  # freq 5, valence 1.0
     assert "rare" not in terms  # freq 1 < 5
     assert "ok" not in terms  # valence -1
@@ -127,7 +120,7 @@ def test_mine_valence_boundary_inclusive():
     # totals equal -> need n_off = 9 * n_cln
     off = [" ".join(["t"] * 9 + ["f"] * 11)]
     cln = [" ".join(["t"] * 1 + ["f"] * 19)]
-    entries = mine_from_counts(TermCounts.from_texts(off, cln), min_valence=0.8, min_freq=5)
+    entries = mine(off, cln)
     got = {e.term: e for e in entries}
     assert "t" in got
     assert got["t"].valence == pytest.approx(0.8, abs=1e-12)
@@ -136,7 +129,7 @@ def test_mine_valence_boundary_inclusive():
 def test_mine_sort_order():
     off = ["zz zz zz zz zz aa aa aa aa aa mid mid mid mid mid mid"]
     cln = ["mid other other other other other"]
-    entries = mine_from_counts(TermCounts.from_texts(off, cln), min_valence=0.0, min_freq=5)
+    entries = mine(off, cln, min_valence=0.0)
     # primary: valence desc; tie at 1.0 between aa/zz broken by freq then term
     assert [e.term for e in entries][:2] == ["aa", "zz"]
     v = [e.valence for e in entries]
@@ -166,8 +159,7 @@ def test_mine_class_lexicon_rejects_unknown_class(tiny_corpus):
 
 
 def test_dump_lexicon_format():
-    counts = TermCounts.from_texts(["bad bad bad bad bad"], ["ok ok ok ok ok"])
-    text = dump_lexicon(mine_from_counts(counts, min_freq=5))
+    text = dump_lexicon(mine(["bad bad bad bad bad"], ["ok ok ok ok ok"]))
     lines = text.splitlines()
     assert lines[0] == "term\tn_off\tn_cln\tvalence"
     assert lines[1] == "bad\t5\t0\t1.000000"

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from anchorlex.textnorm import normalize, tokenize
+from anchorlex.textnorm import normalize
 from anchorlex.violence import (
     PERSON_MARKERS,
     VERB_PREFIXES,
-    CompiledRules,
-    LexicalClass,
     PatternRule,
     compile_rules,
     default_classes,
@@ -189,8 +189,8 @@ def test_default_tables_cover_expected_classes():
         "hit_noun",
     }
     # members arrive normalized
-    for cls in classes.values():
-        for m in cls.members:
+    for members in classes.values():
+        for m in members:
             assert normalize(m) == m
     rules = default_rules()
     assert {r.name for r in rules} == {
@@ -205,7 +205,7 @@ def test_loaders_round_trip(tmp_path):
     cp = tmp_path / "classes.tsv"
     cp.write_text("head\tرأس,دماغ\nhuman\tانت\nverb_kill\tيقتل\n", encoding="utf-8")
     classes = load_classes(str(cp))
-    assert HEAD in classes["head"].members  # normalized hamza
+    assert classes["head"] == (HEAD, "دماغ")  # normalized hamza
     rp = tmp_path / "rules.tsv"
     rp.write_text("kill_human\tV_then_O\tverb_kill\thuman\t2\n", encoding="utf-8")
     rules = load_rules(str(rp))
@@ -217,7 +217,8 @@ def test_loaders_round_trip(tmp_path):
         max_gap=2,
     )
     compiled = compile_rules(rules, classes)
-    assert isinstance(compiled, CompiledRules)
+    # the rule, its trigger forms, and its object forms
+    assert compiled == [(rules[0], expand(KILL, "verb"), expand(YOU, "literal"))]
     assert any(m.rule == "kill_human" for m in match_violence([KILL, YOU], compiled))
 
 
@@ -240,11 +241,21 @@ def test_rule_validation():
         PatternRule(name="r", shape="V_then_O", verb_class="verb_kill", object_classes=("human",), max_gap=-1)
 
 
-def test_lexical_class_validation():
-    with pytest.raises(ValueError, match="no members"):
-        LexicalClass(name="head", members=())
-    with pytest.raises(ValueError, match="unknown"):
-        LexicalClass(name="weather", members=("x",))
+# classes file text -> the error after "<path>: "
+BAD_CLASS_FILES = {
+    "head\tرأس\nbody\t , \n": "line 2: class 'body' has no members",
+    "head\tرأس\n# c\nweather\tx\n": "line 3: unknown lexical class 'weather'",
+    "head\tرأس\nhead\tدماغ\n": "line 2: duplicate class 'head'",
+    "# only a comment\n": "no classes defined",
+}
+
+
+def test_lexical_class_validation(tmp_path):
+    p = tmp_path / "classes.tsv"
+    for text, error in BAD_CLASS_FILES.items():
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {error}')}$"):
+            load_classes(str(p))
     # a verb's forms are its person variants, bare or under one verb prefix
     variants = {KILL} | {m + KILL[1:] for m in PERSON_MARKERS}
     assert expand(KILL, "verb") == variants | {p + v for p in VERB_PREFIXES for v in variants}
