@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import HATE_TARGETS, LABEL_CLASSES, LabelRecord, canonical_timestamp
-from .util import atomic_write_text, read_tsv
+from .util import atomic_write_text, dump_tsv, read_tsv
 
 
 @dataclass(slots=True)
@@ -40,28 +40,19 @@ def load_judgments(path: str) -> list[Judgment]:
     """Check each distinct timestamp once; a repeated (doc, annotator, job) is an error."""
     out: list[Judgment] = []
     stamps: dict[str, str | None] = {"": None}
-    first_line: dict[tuple[str, str, str], int] = {}
-    for lineno, (doc_id, annotator_id, job, label, ts) in read_tsv(path, _JUDGMENT_HEADER):
+    for lineno, (doc_id, annotator_id, job, label, ts) in read_tsv(path, _JUDGMENT_HEADER, 3):
         try:
             if ts not in stamps:
                 stamps[ts] = canonical_timestamp(ts)
             out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
-        key = (doc_id, annotator_id, job)
-        if first_line.setdefault(key, lineno) != lineno:
-            raise ValueError(
-                f"{path}: line {lineno}: duplicate judgment for {key!r},"
-                f" first on line {first_line[key]}"
-            )
     return out
 
 
 def dump_judgments(judgments: Iterable[Judgment]) -> str:
-    lines = ["\t".join(_JUDGMENT_HEADER)]
-    for j in judgments:
-        lines.append(f"{j.doc_id}\t{j.annotator_id}\t{j.job}\t{j.label}\t{j.timestamp or ''}")
-    return "\n".join(lines) + "\n"
+    rows = ((j.doc_id, j.annotator_id, j.job, j.label, j.timestamp or "") for j in judgments)
+    return dump_tsv(_JUDGMENT_HEADER, rows)
 
 
 def write_judgments(path: str, judgments: Iterable[Judgment]) -> None:
@@ -100,24 +91,18 @@ def gate_all(
 
 
 def load_gate_answers(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, (doc_id, label) in read_tsv(path, ["doc_id", "label"]):
-        if doc_id in out:
-            raise ValueError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
-        out[doc_id] = label
+    out = {doc_id: label for _, (doc_id, label) in read_tsv(path, ["doc_id", "label"], 1)}
     if not out:
         raise ValueError(f"{path}: gate needs at least one test answer")
     return out
 
 
 def dump_gate_results(results: Iterable[GateResult]) -> str:
-    lines = ["annotator_id\tn_test\tn_correct\taccuracy\tpassed"]
-    lines.extend(
-        f"{r.annotator_id}\t{r.n_test}\t{r.n_correct}\t{r.accuracy:.6f}"
-        f"\t{'1' if r.passed else '0'}"
+    rows = (
+        (r.annotator_id, str(r.n_test), str(r.n_correct), f"{r.accuracy:.6f}", "1" if r.passed else "0")
         for r in results
     )
-    return "\n".join(lines) + "\n"
+    return dump_tsv(["annotator_id", "n_test", "n_correct", "accuracy", "passed"], rows)
 
 
 # --- aggregation ---------------------------------------------------------
@@ -165,16 +150,14 @@ _ADJUDICATION_HEADER = ["doc_id", "job", "label", "agreement", "override"]
 
 
 def dump_adjudication(queue: Iterable[AggregatedLabel]) -> str:
-    lines = ["\t".join(_ADJUDICATION_HEADER)]
-    lines.extend(f"{a.doc_id}\t{a.job}\t{a.label}\t{a.agreement}\t" for a in queue)
-    return "\n".join(lines) + "\n"
+    return dump_tsv(_ADJUDICATION_HEADER, ((a.doc_id, a.job, a.label, a.agreement, "") for a in queue))
 
 
 def load_overrides(path: str) -> list[tuple[str, str, str]]:
-    """Rows of an adjudication file whose override column was filled in."""
+    """Rows of an adjudication file whose override column was filled in; one row per (doc, job)."""
     return [
         (doc_id, job, override)
-        for _, (doc_id, job, _label, _agreement, override) in read_tsv(path, _ADJUDICATION_HEADER)
+        for _, (doc_id, job, _label, _agreement, override) in read_tsv(path, _ADJUDICATION_HEADER, 2)
         if override
     ]
 

@@ -25,11 +25,8 @@ from . import lexicon as lexicon_mod
 from . import metrics as metrics_mod
 from . import textnorm
 from . import violence as violence_mod
-from .explain import dump_explanation, explain as explain_text
-from .features import FeatureConfig
-from .linear import load_model, predict_texts, save_model, target_value, train_model
 from .manifest import RunManifest
-from .util import atomic_write_text, canonical_json, read_tsv
+from .util import atomic_write_text, canonical_json, dump_tsv, read_tsv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,11 +108,10 @@ def cmd_emoji_stats(args: argparse.Namespace) -> None:
 def cmd_sample(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     sampled = emoji_mod.sample_per_emoji(docs, _load_inventory(args), args.k, args.seed)
-    lines = ["base\tdoc_id\ttext"]
-    for base in sorted(sampled):
-        for d in sampled[base]:
-            lines.append(f"{emoji_mod.codepoints_hex(base)}\t{d.id}\t{corpus_mod.tsv_field(d.text)}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    rows = (
+        (emoji_mod.codepoints_hex(b), d.id, corpus_mod.tsv_field(d.text)) for b in sorted(sampled) for d in sampled[b]
+    )
+    atomic_write_text(args.out, dump_tsv(["base", "doc_id", "text"], rows))
     print(f"sample: wrote draws for {len(sampled)} bases")
 
 
@@ -123,7 +119,10 @@ def cmd_match_violence(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     classes = violence_mod.load_classes(args.classes) if args.classes else None
     rules = violence_mod.load_rules(args.rules) if args.rules else None
-    compiled = violence_mod.compile_rules(rules, classes)
+    try:
+        compiled = violence_mod.compile_rules(rules, classes)
+    except ValueError as e:
+        raise ValueError(f"{args.rules or 'bundled rules'}, {args.classes or 'bundled classes'}: {e}") from None
     rows = []
     for d in docs:
         for m in violence_mod.match_violence_text(d.text, compiled):
@@ -169,24 +168,21 @@ def cmd_gate(args: argparse.Namespace) -> None:
     print(f"gate: {n_pass}/{len(results)} annotators pass", file=sys.stderr)
 
 
-def _feature_config(args: argparse.Namespace) -> FeatureConfig:
-    def parse_range(flag: str, value: str) -> tuple[int, int]:
-        try:
-            lo, hi = map(int, value.split(","))
-        except ValueError:
-            lo = hi = 0
-        if not 1 <= lo <= hi:
-            raise ValueError(f"{flag} {value!r}: expected LO,HI with 1 <= LO <= HI")
-        return lo, hi
-
-    return FeatureConfig(
-        mode=args.mode,
-        char_range=parse_range("--char-ngrams", args.char_ngrams),
-        word_range=parse_range("--word-ngrams", args.word_ngrams),
-    )
+def _ngram_range(flag: str, value: str) -> tuple[int, int]:
+    try:
+        lo, hi = map(int, value.split(","))
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise ValueError(f"{flag} {value!r}: expected LO,HI with 1 <= LO <= HI")
+    return lo, hi
 
 
+# train, predict and explain import the numpy modules when they run, so the other stages start without numpy
 def cmd_train(args: argparse.Namespace) -> None:
+    from .features import FeatureConfig
+    from .linear import save_model, train_model
+
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
     split = corpus_mod.load_split(args.split)
@@ -194,7 +190,9 @@ def cmd_train(args: argparse.Namespace) -> None:
         docs,
         labels,
         split,
-        feature_config=_feature_config(args),
+        feature_config=FeatureConfig(
+            args.mode, _ngram_range("--char-ngrams", args.char_ngrams), _ngram_range("--word-ngrams", args.word_ngrams)
+        ),
         C=args.C,
         seed=args.seed,
         target=args.target,
@@ -211,22 +209,19 @@ _PREDICTIONS_HEADER = ["doc_id", "label", "score"]
 
 
 def cmd_predict(args: argparse.Namespace) -> None:
+    from .linear import load_model, predict_texts
+
     model = load_model(args.model)
     docs = corpus_mod.load_corpus(args.infile)
     results = predict_texts(model, [d.text for d in docs])
-    lines = ["\t".join(_PREDICTIONS_HEADER)]
-    lines.extend(
-        f"{d.id}\t{label}\t{score:.10f}" for d, (label, score) in zip(docs, results)
-    )
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    rows = ((d.id, str(label), f"{score:.10f}") for d, (label, score) in zip(docs, results))
+    atomic_write_text(args.out, dump_tsv(_PREDICTIONS_HEADER, rows))
     print(f"predict: scored {len(docs)} docs")
 
 
 def load_predictions(path: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for lineno, (doc_id, label, _score) in read_tsv(path, _PREDICTIONS_HEADER):
-        if doc_id in out:
-            raise ValueError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
+    for lineno, (doc_id, label, _score) in read_tsv(path, _PREDICTIONS_HEADER, 1):
         if label not in ("0", "1"):
             raise ValueError(f"{path}: line {lineno}: label must be 0/1")
         out[doc_id] = int(label)
@@ -239,12 +234,15 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     if args.split:
         keep = corpus_mod.load_split(args.split).part(args.part)
         preds = {d: v for d, v in preds.items() if d in keep}
-    gold = {d: target_value(r, args.target) for d, r in labels.items()}
+    gold = {d: int(r.has(args.target)) for d, r in labels.items()}
     report = metrics_mod.evaluate_predictions(gold, preds)
     atomic_write_text(args.out, metrics_mod.dump_report(report))
 
 
 def cmd_explain(args: argparse.Namespace) -> None:
+    from .explain import dump_explanation, explain
+    from .linear import load_model
+
     if args.text is not None and args.doc_id is not None:
         raise ValueError("--doc-id names a doc of --in, not of --text: pass one or the other")
     model = load_model(args.model)
@@ -257,7 +255,7 @@ def cmd_explain(args: argparse.Namespace) -> None:
         if args.doc_id not in docs:
             raise ValueError(f"doc {args.doc_id!r} not in {args.infile}")
         text = docs[args.doc_id].text
-    ex = explain_text(text, model, n_samples=args.samples, seed=args.seed)
+    ex = explain(text, model, n_samples=args.samples, seed=args.seed)
     atomic_write_text(args.out, dump_explanation(ex))
 
 

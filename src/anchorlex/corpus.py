@@ -3,7 +3,8 @@
 File formats:
   corpus JSONL  one object per line: id, text, created_at (ISO-8601); other keys
                 are ignored
-  labels TSV    header: doc_id, offensive, hate_targets, vulgar, violence
+  labels TSV    header: doc_id, offensive, hate_targets, vulgar, violence; one row
+                per doc_id
   split file    "train:" / "dev:" / "test:" section headers, one doc_id per line
 
 No stage reads `created_at`. It is validated once on load and kept as the
@@ -22,7 +23,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from typing import Iterable, Mapping
 
-from .util import atomic_write_text, read_tsv, round_half_up
+from .util import atomic_write_text, dump_tsv, read_tsv, round_half_up
 
 HATE_TARGETS = frozenset(
     {"gender", "race", "ideology", "social_class", "religion", "disability"}
@@ -111,6 +112,8 @@ class LabelRecord:
 
     def has(self, label_class: str) -> bool:
         """Whether the record is positive for label_class, one of LABEL_CLASSES."""
+        if label_class not in LABEL_CLASSES:
+            raise ValueError(f"unknown label class {label_class!r}")
         return self.is_hate if label_class == "hate" else getattr(self, label_class)
 
 
@@ -196,7 +199,7 @@ def _parse_bit(value: str, lineno: int, col: str) -> bool:
 def load_labels(path: str) -> dict[str, LabelRecord]:
     """Read a labels TSV into an insertion-ordered doc_id -> LabelRecord map."""
     out: dict[str, LabelRecord] = {}
-    for lineno, (doc_id, off, targets, vul, vio) in read_tsv(path, _LABEL_HEADER):
+    for lineno, (doc_id, off, targets, vul, vio) in read_tsv(path, _LABEL_HEADER, 1):
         try:
             rec = LabelRecord(
                 doc_id=doc_id,
@@ -207,27 +210,17 @@ def load_labels(path: str) -> dict[str, LabelRecord]:
             )
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
-        if doc_id in out:
-            raise ValueError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
         out[doc_id] = rec
     return out
 
 
 def dump_labels(records: Iterable[LabelRecord]) -> str:
-    lines = ["\t".join(_LABEL_HEADER)]
-    for r in records:
-        lines.append(
-            "\t".join(
-                [
-                    r.doc_id,
-                    "1" if r.offensive else "0",
-                    ",".join(sorted(r.hate_targets)),
-                    "1" if r.vulgar else "0",
-                    "1" if r.violence else "0",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (r.doc_id, "1" if r.offensive else "0", ",".join(sorted(r.hate_targets)),
+         "1" if r.vulgar else "0", "1" if r.violence else "0")
+        for r in records
+    )
+    return dump_tsv(_LABEL_HEADER, rows)
 
 
 def write_labels(path: str, records: Iterable[LabelRecord]) -> None:

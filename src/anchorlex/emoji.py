@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import emoji_ranges as er
 from .corpus import Document, LabelRecord
-from .util import read_table
+from .util import dump_tsv, read_table
 
 SEED_CATEGORIES = frozenset(
     {
@@ -202,13 +202,12 @@ def emoji_stats(
 
 
 def dump_emoji_stats(stats: Iterable[EmojiStat]) -> str:
-    lines = ["base\tcategory\tn_total\tn_offensive\toffensive_pct\tn_hate\thate_pct"]
-    for s in stats:
-        lines.append(
-            f"{codepoints_hex(s.base)}\t{s.category}\t{s.n_total}\t{s.n_offensive}"
-            f"\t{s.offensive_pct:.2f}\t{s.n_hate}\t{s.hate_pct:.2f}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (codepoints_hex(s.base), s.category, str(s.n_total), str(s.n_offensive),
+         f"{s.offensive_pct:.2f}", str(s.n_hate), f"{s.hate_pct:.2f}")
+        for s in stats
+    )
+    return dump_tsv(["base", "category", "n_total", "n_offensive", "offensive_pct", "n_hate", "hate_pct"], rows)
 
 
 def sample_per_emoji(

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 
 from .corpus import LABEL_CLASSES, Document, LabelRecord
 from .textnorm import normalize, tokenize
+from .util import dump_tsv
 
 
 def valence(n_off: int, n_cln: int, total_off: int, total_cln: int) -> float:
@@ -78,8 +79,5 @@ def mine_class_lexicon(
 
 
 def dump_lexicon(entries: Iterable[LexiconEntry]) -> str:
-    lines = ["term\tn_off\tn_cln\tvalence"]
-    lines.extend(
-        f"{e.term}\t{e.n_off}\t{e.n_cln}\t{e.valence:.6f}" for e in entries
-    )
-    return "\n".join(lines) + "\n"
+    rows = ((e.term, str(e.n_off), str(e.n_cln), f"{e.valence:.6f}") for e in entries)
+    return dump_tsv(["term", "n_off", "n_cln", "valence"], rows)

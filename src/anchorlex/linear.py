@@ -331,12 +331,6 @@ class LinearModel:
         return self.objective_trace[-1] if self.objective_trace else float("nan")
 
 
-def target_value(rec: LabelRecord, target: str) -> int:
-    if target not in LABEL_CLASSES:
-        raise ValueError(f"unknown target {target!r}")
-    return int(rec.has(target))
-
-
 def train_model(
     docs: Sequence[Document],
     labels: Mapping[str, LabelRecord],
@@ -354,7 +348,7 @@ def train_model(
     if missing:
         raise ValueError(f"unlabeled train documents, e.g. {missing[0]!r}")
     texts = [normalize(d.text) for d in train_docs]
-    yv = [target_value(labels[d.id], target) for d in train_docs]
+    yv = [int(labels[d.id].has(target)) for d in train_docs]
     space, X = fit_transform(texts, feature_config)
     fit = fit_svm(X, yv, space.n_features, C=C)
     return LinearModel(
@@ -501,3 +495,8 @@ def load_model(path: str) -> LinearModel:
             f"{len(vocab)} distinct, {space.idf.size} idf values, {model.weights.size} weights)"
         )
     return model
+
+
+# Whatever loads the model code loads explain with it, as perfbench/spans.py
+# expects; explain imports this module, so this import stays last.
+from . import explain as _explain  # noqa: E402,F401

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Document
 from .emoji import CLUSTER_PATTERN
+from .util import dump_tsv
 
 _STRIP_RE = re.compile("[\u064B-\u0652\u0670\u0640]+")  # tashkeel, superscript alef, tatweel
 _SQUASH_RE = re.compile(r"(.)\1{2,}")
@@ -193,8 +194,5 @@ def dedup(docs: Iterable[Document]) -> tuple[list[Document], list[DropRecord]]:
 
 
 def dump_drops(drops: Iterable[DropRecord]) -> str:
-    lines = ["doc_id\treason\tduplicate_of"]
-    lines.extend(
-        f"{d.doc_id}\t{d.reason}\t{d.duplicate_of or ''}" for d in drops
-    )
-    return "\n".join(lines) + "\n"
+    rows = ((d.doc_id, d.reason, d.duplicate_of or "") for d in drops)
+    return dump_tsv(["doc_id", "reason", "duplicate_of"], rows)

@@ -1,4 +1,9 @@
-"""Small shared helpers: table readers, atomic writes, digests, canonical JSON."""
+"""Small shared helpers: the headed-TSV codec (`dump_tsv`, `read_tsv`), the
+headerless `read_table`, atomic writes, digests, canonical JSON.
+
+A headed TSV is a header line, then one row a line: tab-separated str
+fields with no quoting or escapes, and a unique key in its first columns.
+"""
 
 from __future__ import annotations
 
@@ -7,26 +12,42 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 
-def read_tsv(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+def dump_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The header line, then one line per row of pre-formatted str fields
+    (no tab, CR or LF), each line ending in LF."""
+    lines = ["\t".join(header)]
+    lines += map("\t".join, rows)
+    return "\n".join(lines) + "\n"
+
+
+def read_tsv(path: str, header: list[str], key: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, columns) of each non-empty line after the header.
 
-    Line 1 must equal `header` and every row must have as many columns;
-    a mismatch is a ValueError starting `path: line N:`.
+    Line 1 must equal `header`, every row must have as many columns, and no
+    row's first `key` columns may equal an earlier row's; a violation is a
+    ValueError starting `path: line N:`.
     """
     with open(path, encoding="utf-8") as fh:
         got = fh.readline().rstrip("\n").split("\t")
         if got != header:
             raise ValueError(f"{path}: line 1: bad header {got!r}, expected {header!r}")
         n = len(header)
+        key_of = itemgetter(*range(key))  # a str for one column, else a tuple
+        first: dict[object, int] = {}
         for lineno, line in enumerate(fh, start=2):
             if line == "\n":
                 continue
             row = line.rstrip("\n").split("\t")
             if len(row) != n:
                 raise ValueError(f"{path}: line {lineno}: expected {n} columns, got {len(row)}")
+            if first.setdefault(key_of(row), lineno) != lineno:
+                k = key_of(row)
+                what = header[0] if key == 1 else f"({', '.join(header[:key])})"
+                raise ValueError(f"{path}: line {lineno}: duplicate {what} {k!r}, first on line {first[k]}")
             yield lineno, row
 
 

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .textnorm import normalize, tokenize
-from .util import read_table
+from .util import dump_tsv, read_table
 
 CLASS_NAMES = ("head", "body", "human", "verb_kill", "verb_hit", "verb_cut", "hit_noun")
 _VERB_CLASSES = frozenset({"verb_kill", "verb_hit", "verb_cut"})
@@ -272,7 +272,5 @@ def match_violence_text(text: str, compiled: _Compiled) -> list[PatternMatch]:
 
 
 def dump_matches(rows: Iterable[tuple[str, PatternMatch]]) -> str:
-    lines = ["doc_id\trule\tstart\tend\tspan"]
-    for doc_id, m in rows:
-        lines.append(f"{doc_id}\t{m.rule}\t{m.start}\t{m.end}\t{' '.join(m.tokens)}")
-    return "\n".join(lines) + "\n"
+    lines = ((doc_id, m.rule, str(m.start), str(m.end), " ".join(m.tokens)) for doc_id, m in rows)
+    return dump_tsv(["doc_id", "rule", "start", "end", "span"], lines)

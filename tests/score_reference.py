@@ -26,7 +26,7 @@ import numpy as np
 
 from anchorlex.corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
 from anchorlex.features import FeatureConfig, FeatureSpace, _codes
-from anchorlex.linear import LinearModel, target_value
+from anchorlex.linear import LinearModel
 from anchorlex.textnorm import normalize, tokenize
 
 import svm_reference
@@ -182,7 +182,7 @@ def train_model(
         normalize(d.text)
         for d in train_docs
     ]
-    yv = [target_value(labels[d.id], target) for d in train_docs]
+    yv = [int(labels[d.id].has(target)) for d in train_docs]
     space = fit_features(texts, feature_config)
     vectors = vectorize_all(texts, space)
     fit = svm_reference.fit_svm_flat(vectors, yv, space.n_features, C=C)

@@ -26,7 +26,7 @@ from anchorlex.corpus import Document, load_corpus, stratified_split, write_corp
 from anchorlex.emoji import base_form, cluster_spans, default_inventory, filter_by_seeds
 from anchorlex.features import FeatureConfig
 from anchorlex.lexicon import mine_class_lexicon, valence
-from anchorlex.linear import fit_svm, predict_texts, target_value, train_model
+from anchorlex.linear import fit_svm, predict_texts, train_model
 from anchorlex.metrics import evaluate_predictions
 from anchorlex.synth import make_anchored_corpus, make_separable_corpus
 from anchorlex.violence import compile_rules, match_violence_text
@@ -411,7 +411,7 @@ def test_criterion_10_released_data_reproduction():
     def macro_f1(target: str, config: FeatureConfig) -> float:
         model = train_model(docs, labels, split, feature_config=config, target=target, seed=0)
         preds = predict_texts(model, [d.text for d in test_docs])
-        gold = {d.id: target_value(labels[d.id], target) for d in test_docs}
+        gold = {d.id: int(labels[d.id].has(target)) for d in test_docs}
         rep = evaluate_predictions(gold, {d.id: p for d, (p, _) in zip(test_docs, preds)})
         return 100.0 * rep.macro_f1
 

@@ -414,7 +414,7 @@ def test_load_judgments_rejects_duplicate_judgment(tmp_path):
     )
     with pytest.raises(
         ValueError,
-        match=r"line 5: duplicate judgment for \('d1', 'a1', 'offensive'\), first on line 2",
+        match=r"line 5: duplicate \(doc_id, annotator_id, job\) \('d1', 'a1', 'offensive'\), first on line 2$",
     ):
         load_judgments(str(p))
 

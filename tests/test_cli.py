@@ -274,6 +274,27 @@ def test_sample_keeps_each_draw_on_one_row_like_the_tsv_corpus(tmp_path):
     assert sorted(rows) == [["1F437", d.id, tsv_field(d.text)] for d in docs]
 
 
+@pytest.mark.parametrize(
+    "flag, content, named",
+    [
+        (
+            "--rules",
+            "r1\tV_then_O\tverb_x\thuman\t2\n",
+            "{path}, bundled classes: rules reference undefined classes ['verb_x']",
+        ),
+        ("--classes", "head\tراس\n", "bundled rules, {path}: rules reference undefined classes ['body', "),
+    ],
+    ids=["rules", "classes"],
+)
+def test_undefined_rule_class_names_its_files(tmp_path, capsys, flag, content, named):
+    inp, out, path = tmp_path / "c.jsonl", tmp_path / "m.tsv", tmp_path / "given.tsv"
+    write_corpus(str(inp), [Document(id="d1", text="سأقتلك يا وغد", created_at=TS)])
+    path.write_text(content, encoding="utf-8")
+    assert cli.main(["match-violence", "--in", str(inp), "--out", str(out), flag, str(path)]) == 2
+    assert f"error: {named.format(path=path)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_match_violence_command(tmp_path):
     docs = [
         Document(id="d1", text="سأقتلك يا وغد", created_at=TS),
@@ -378,8 +399,53 @@ def test_duplicate_judgment_exits_2(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "line 74: duplicate judgment for ('d005', 'a2', 'offensive'), first on line 18" in err
+        assert "line 74: duplicate (doc_id, annotator_id, job) ('d005', 'a2', 'offensive'), first on line 18" in err
     assert not (tmp_path / "out.tsv").exists()
+
+
+_JUDGMENTS = "doc_id\tannotator_id\tjob\tlabel\ttimestamp\nd1\ta1\toffensive\t1\t\nd1\ta2\toffensive\t1\t\n"
+
+
+@pytest.mark.parametrize(
+    "table, argv, where",
+    [
+        (
+            "doc_id\toffensive\thate_targets\tvulgar\tviolence\nd1\t1\t\t0\t0\nd2\t0\t\t0\t0\nd1\t0\t\t0\t0\n",
+            ["split", "--labels", "{t}", "--out", "{o}"],
+            "line 4: duplicate doc_id 'd1', first on line 2",
+        ),
+        (
+            "doc_id\tlabel\tscore\nd1\t1\t0.5\n\nd1\t0\t-0.5\n",
+            ["evaluate", "--gold", "{labels}", "--pred", "{t}", "--out", "{o}"],
+            "line 4: duplicate doc_id 'd1', first on line 2",
+        ),
+        (
+            "doc_id\tlabel\nd1\t1\nd1\t0\n",
+            ["gate", "--judgments", "{judgments}", "--answers", "{t}", "--out", "{o}"],
+            "line 3: duplicate doc_id 'd1', first on line 2",
+        ),
+        (
+            _JUDGMENTS + "d1\ta1\thate\tnone\t\nd1\ta1\toffensive\t0\t\n",
+            ["aggregate", "--judgments", "{t}", "--out", "{o}"],
+            "line 5: duplicate (doc_id, annotator_id, job) ('d1', 'a1', 'offensive'), first on line 2",
+        ),
+        (
+            "doc_id\tjob\tlabel\tagreement\toverride\nd1\toffensive\t1\tfull\t1\nd1\toffensive\t1\tfull\t0\n",
+            ["aggregate", "--judgments", "{judgments}", "--overrides", "{t}", "--out", "{o}"],
+            "line 3: duplicate (doc_id, job) ('d1', 'offensive'), first on line 2",
+        ),
+    ],
+    ids=["labels", "predictions", "gate-answers", "judgments", "overrides"],
+)
+def test_keyed_table_with_a_repeated_key_exits_2(tmp_path, capsys, table, argv, where):
+    paths = {name: str(tmp_path / f"{name}.tsv") for name in ("t", "labels", "judgments", "o")}
+    Path(paths["t"]).write_text(table, encoding="utf-8")
+    labels = "doc_id\toffensive\thate_targets\tvulgar\tviolence\nd1\t1\t\t0\t0\n"
+    Path(paths["labels"]).write_text(labels, encoding="utf-8")
+    Path(paths["judgments"]).write_text(_JUDGMENTS, encoding="utf-8")
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    assert f"error: {paths['t']}: {where}\n" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["judgments.tsv", "labels.tsv", "t.tsv"]
 
 
 def test_aggregate_with_overrides(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from anchorlex import cli
 from anchorlex.corpus import (
+    LABEL_CLASSES,
     DatasetSplit,
     Document,
     LabelRecord,
@@ -50,6 +51,14 @@ def test_label_record_monotonicity():
     rec = LabelRecord(doc_id="d", offensive=True, hate_targets=frozenset({"race"}))
     assert rec.is_hate
     assert not LabelRecord(doc_id="d", offensive=True).is_hate
+
+
+def test_label_record_has_reads_only_the_label_classes():
+    rec = LabelRecord(doc_id="d", offensive=True, hate_targets=frozenset({"race"}), violence=True)
+    assert [rec.has(c) for c in LABEL_CLASSES] == [True, True, False, True]
+    for name in ("doc_id", "hate_targets", "is_hate", ""):
+        with pytest.raises(ValueError, match=f"^unknown label class {name!r}$"):
+            rec.has(name)
 
 
 def test_label_record_rejects_unknown_target():

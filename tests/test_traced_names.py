@@ -7,13 +7,18 @@ This test makes a rename or deletion fail here instead.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from anchorlex.manifest import RunManifest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -36,3 +41,21 @@ def test_every_traced_name_is_a_function_of_its_module():
         f"RunManifest.{m}" for m in spans.MANIFEST_METHODS if not callable(getattr(RunManifest, m, None))
     ]
     assert missing == []
+
+
+def test_tracer_installs_on_what_the_workloads_import():
+    """The tracer patches every module of its tables, and stages import the numpy
+    modules late: the anchorlex imports of perfbench/workloads.py must load them all."""
+    source = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    imports = [
+        ast.get_source_segment(source, n)
+        for n in ast.parse(source).body
+        if isinstance(n, ast.ImportFrom) and n.module.startswith("anchorlex")
+    ]
+    assert imports, "workloads.py imports nothing of anchorlex"
+    code = "; ".join([*imports, "from spans import Tracer", "t = Tracer()", "t.install()", "t.uninstall()"])
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -95,21 +95,23 @@ _TABLE = st.builds(
 )
 
 
-def _rows_or_error_line(read, path):
+def _rows_or_error_line(read, path, key):
+    """The rows, or the error's line with, for a repeated key, the line that key was first on."""
     try:
-        return list(read(path, ["a", "b", "c"]))
+        return list(read(path, ["a", "b", "c"], key))
     except ValueError as e:
-        return re.match(r": line (\d+): ", str(e)[len(path) :]).group(1)
+        msg = str(e)[len(path) :]
+        return re.match(r": line (\d+): ", msg).group(1), re.findall(r": duplicate .*, first on line (\d+)$", msg)
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=_TABLE)
-def test_read_tsv_matches_csv_reader(tmp_path_factory, text):
+@given(text=_TABLE, key=st.integers(1, 3))
+def test_read_tsv_matches_csv_reader(tmp_path_factory, text, key):
     path = str(tmp_path_factory.mktemp("tsv") / "t.tsv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    want = _rows_or_error_line(tsv_reference.read_tsv, path)
-    assert _rows_or_error_line(read_tsv, path) == want
+    want = _rows_or_error_line(tsv_reference.read_tsv, path, key)
+    assert _rows_or_error_line(read_tsv, path, key) == want
 
 
 def test_read_table_line_numbers_count_skipped_lines(tmp_path):

@@ -3,8 +3,9 @@
 csv.reader on tabs with QUOTE_NONE: no quoting or escapes, so a row is
 the line split on tabs, and an empty line is an empty row. It stops at
 csv's field size limit (131,072 characters by default), which
-`read_tsv` does not have. `tests/test_util.py` requires `read_tsv` to
-give the same rows, and fail on the same line, for any shorter input.
+`read_tsv` does not have. A row whose first `key` columns repeat an
+earlier row's is refused, as each loader checked for itself. `tests/test_util.py` requires `read_tsv` to give the same
+rows, and fail on the same line, for any shorter input.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import csv
 
 
-def read_tsv(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
+def read_tsv(path: str, header: list[str], key: int) -> list[tuple[int, list[str]]]:
     out: list[tuple[int, list[str]]] = []
+    seen: dict[tuple[str, ...], int] = {}
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
@@ -27,5 +29,9 @@ def read_tsv(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
+            k = tuple(row[:key])
+            if k in seen:
+                raise ValueError(f"{path}: line {lineno}: duplicate key {k!r}, first on line {seen[k]}")
+            seen[k] = lineno
             out.append((lineno, row))
     return out
