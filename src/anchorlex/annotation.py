@@ -178,6 +178,15 @@ def _job_value(doc_id: str, job: str, label: str) -> bool | frozenset[str]:
     return label == "1"
 
 
+def check_labels(judgments: Iterable[Judgment]) -> None:
+    """Hold every vote, not only the majority, to its job's label rule (`_job_value`)."""
+    checked: set[tuple[str, str]] = set()
+    for j in judgments:
+        if (j.job, j.label) not in checked:
+            _job_value(j.doc_id, j.job, j.label)
+            checked.add((j.job, j.label))
+
+
 def aggregate_to_labels(
     aggregated: Sequence[AggregatedLabel],
 ) -> tuple[dict[str, LabelRecord], list[str]]:

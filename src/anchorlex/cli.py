@@ -35,18 +35,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_inventory(args: argparse.Namespace) -> dict[str, str]:
-    if getattr(args, "seeds", None):
-        return emoji_mod.load_seed_inventory(args.seeds)
-    return emoji_mod.default_inventory()
-
-
 # --- commands ------------------------------------------------------------
 
 
 def cmd_collect(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
-    kept = emoji_mod.filter_by_seeds(docs, _load_inventory(args))
+    kept = emoji_mod.filter_by_seeds(docs, emoji_mod.load_seed_inventory(args.seeds))
     corpus_mod.write_corpus(args.out, kept)
     print(f"collect: kept {len(kept)}/{len(docs)} docs with seed emoji")
 
@@ -100,14 +94,14 @@ def cmd_mine_lexicon(args: argparse.Namespace) -> None:
 def cmd_emoji_stats(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
-    stats = emoji_mod.emoji_stats(docs, labels, _load_inventory(args))
+    stats = emoji_mod.emoji_stats(docs, labels, emoji_mod.load_seed_inventory(args.seeds))
     atomic_write_text(args.out, emoji_mod.dump_emoji_stats(stats))
     print(f"emoji-stats: {len(stats)} base forms")
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
-    sampled = emoji_mod.sample_per_emoji(docs, _load_inventory(args), args.k, args.seed)
+    sampled = emoji_mod.sample_per_emoji(docs, emoji_mod.load_seed_inventory(args.seeds), args.k, args.seed)
     rows = (
         (emoji_mod.codepoints_hex(b), d.id, corpus_mod.tsv_field(d.text)) for b in sorted(sampled) for d in sampled[b]
     )
@@ -117,12 +111,12 @@ def cmd_sample(args: argparse.Namespace) -> None:
 
 def cmd_match_violence(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
-    classes = violence_mod.load_classes(args.classes) if args.classes else None
-    rules = violence_mod.load_rules(args.rules) if args.rules else None
+    classes = violence_mod.load_classes(args.classes)
+    rules = violence_mod.load_rules(args.rules)
     try:
         compiled = violence_mod.compile_rules(rules, classes)
     except ValueError as e:
-        raise ValueError(f"{args.rules or 'bundled rules'}, {args.classes or 'bundled classes'}: {e}") from None
+        raise ValueError(f"{args.rules}, {args.classes}: {e}") from None
     rows = []
     for d in docs:
         for m in violence_mod.match_violence_text(d.text, compiled):
@@ -135,6 +129,7 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     aggregated = anno.majority_vote(judgments)
     try:
+        anno.check_labels(judgments)
         labels, dropped = anno.aggregate_to_labels(aggregated)
     except ValueError as e:
         raise ValueError(f"{args.judgments}: {e}") from None
@@ -337,7 +332,7 @@ def build_parser(command: str | None = None) -> _Parser:
     if p := add("collect", cmd_collect, "keep docs whose emoji hit the seed inventory", ("infile", "seeds")):
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
+        p.add_argument("--seeds", default=emoji_mod.SEEDS_PATH, help="seed inventory TSV (default: bundled)")
 
     if p := add("dedup", cmd_dedup, "drop short/exact/near duplicate docs", ("infile",), ("out", "dropped")):
         p.add_argument("--in", dest="infile", required=True)
@@ -371,20 +366,20 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--labels", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
+        p.add_argument("--seeds", default=emoji_mod.SEEDS_PATH, help="seed inventory TSV (default: bundled)")
 
     if p := add("sample", cmd_sample, "seeded doc samples per inventory emoji", ("infile", "seeds")):
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seeds", help="seed inventory TSV (default: bundled)")
+        p.add_argument("--seeds", default=emoji_mod.SEEDS_PATH, help="seed inventory TSV (default: bundled)")
         p.add_argument("--k", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
 
     if p := add("match-violence", cmd_match_violence, "violence pattern matches", ("infile", "classes", "rules")):
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--classes", help="lexical classes TSV (default: bundled)")
-        p.add_argument("--rules", help="pattern rules TSV (default: bundled)")
+        p.add_argument("--classes", default=violence_mod.CLASSES_PATH, help="lexical classes TSV (default: bundled)")
+        p.add_argument("--rules", default=violence_mod.RULES_PATH, help="pattern rules TSV (default: bundled)")
 
     if p := add(
         "aggregate",

@@ -124,13 +124,12 @@ _DOC_FIELDS = ("id", "text", "created_at")
 
 def _doc_from_mapping(obj: Mapping[str, object]) -> Document:
     for name in _DOC_FIELDS:
-        if name not in obj or obj[name] is None or obj[name] == "":
+        value = obj.get(name)
+        if value is None or value == "":
             raise ValueError(f"missing field {name}")
-    return Document(
-        id=str(obj["id"]),
-        text=str(obj["text"]),
-        created_at=canonical_timestamp(str(obj["created_at"])),
-    )
+        if not isinstance(value, str):
+            raise ValueError(f"field {name} must be a string, got {type(value).__name__}")
+    return Document(id=obj["id"], text=obj["text"], created_at=canonical_timestamp(obj["created_at"]))
 
 
 def load_corpus(path: str) -> list[Document]:

@@ -19,14 +19,17 @@ before it.
 The *base form* is the cluster with skin tones and variation selectors
 stripped, so all tone/presentation variants of one emoji collapse to a
 single key.
+
+The bundled seed inventory is a file like a user's, at SEEDS_PATH: the
+default of `--seeds`, read by `load_seed_inventory` and recorded alike.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import re
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from . import emoji_ranges as er
@@ -89,6 +92,8 @@ def doc_bases(text: str) -> set[str]:
 
 # --- seed inventory -----------------------------------------------------
 
+SEEDS_PATH = os.path.join(os.path.dirname(__file__), "data", "seed_emojis.tsv")
+
 
 def codepoints_hex(s: str) -> str:
     return " ".join(f"{ord(c):04X}" for c in s)
@@ -124,12 +129,6 @@ def load_seed_inventory(path: str) -> dict[str, str]:
     if not inventory:
         raise ValueError(f"{path}: seed inventory is empty")
     return inventory
-
-
-def default_inventory() -> dict[str, str]:
-    ref = resources.files("anchorlex.data").joinpath("seed_emojis.tsv")
-    with resources.as_file(ref) as p:
-        return load_seed_inventory(str(p))
 
 
 # --- filtering, stats, sampling -----------------------------------------

@@ -102,7 +102,8 @@ class FitResult:
 
 def _primal(w: np.ndarray, b: float, f: np.ndarray, y: np.ndarray, C: float) -> float:
     margins = y * (f + b)
-    return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
+    # fsum, not w @ w, whose BLAS rounding follows the CPU: these bits are saved and pick the epoch
+    return 0.5 * math.fsum((w * w).tolist()) + C * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -307,7 +308,7 @@ def fit_svm(
         n_epochs=epochs_run,
         converged=converged,
         alpha=alpha,
-        duality_gap=best_p - (float(alpha.sum()) - 0.5 * float(w @ w)),
+        duality_gap=best_p - (float(alpha.sum()) - 0.5 * math.fsum((w * w).tolist())),
     )
 
 

@@ -6,12 +6,15 @@ overgenerated forms that never occur in text cost nothing). Two rule
 shapes: an expanded verb followed within a small token gap by an
 expanded object (V_THEN_O), and a hitting noun + "on" + body part
 (HITNOUN_ON_BODY).
+
+The bundled classes and rules are files like a user's, at CLASSES_PATH
+and RULES_PATH: the defaults of `--classes` and `--rules`, read alike.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .textnorm import normalize, tokenize
@@ -26,6 +29,9 @@ HITNOUN_ON_BODY = "HITNOUN_ON_BODY"
 
 # "on" (preposition), normalized: alef maksura -> yaa
 ON_TOKEN = normalize("على")  # على -> علي
+
+CLASSES_PATH = os.path.join(os.path.dirname(__file__), "data", "violence_classes.tsv")
+RULES_PATH = os.path.join(os.path.dirname(__file__), "data", "violence_rules.tsv")
 
 
 @dataclass(frozen=True)
@@ -110,18 +116,6 @@ def kind_of(class_name: str) -> str:
     return "literal"  # human: standalone pronouns match as-is
 
 
-def default_classes() -> dict[str, tuple[str, ...]]:
-    ref = resources.files("anchorlex.data").joinpath("violence_classes.tsv")
-    with resources.as_file(ref) as p:
-        return load_classes(str(p))
-
-
-def default_rules() -> tuple[PatternRule, ...]:
-    ref = resources.files("anchorlex.data").joinpath("violence_rules.tsv")
-    with resources.as_file(ref) as p:
-        return load_rules(str(p))
-
-
 def load_classes(path: str) -> dict[str, tuple[str, ...]]:
     """Classes TSV: name<TAB>member1,member2,... as {name: members}; members
     normalized on load."""
@@ -150,10 +144,13 @@ def load_rules(path: str) -> tuple[PatternRule, ...]:
     for lineno, cols in read_table(path):
         if len(cols) != 5:
             raise ValueError(f"{path}: line {lineno}: expected 5 columns")
+        name = cols[0].strip()
+        if any(r.name == name for r in rules):
+            raise ValueError(f"{path}: line {lineno}: duplicate rule {name!r}")
         try:
             rules.append(
                 PatternRule(
-                    name=cols[0].strip(),
+                    name=name,
                     shape=cols[1].strip(),
                     verb_class=cols[2].strip(),
                     object_classes=tuple(c.strip() for c in cols[3].split(",") if c.strip()),
@@ -178,14 +175,9 @@ class PatternMatch:
 _Compiled = list[tuple[PatternRule, frozenset[str], frozenset[str]]]
 
 
-def compile_rules(
-    rules: Sequence[PatternRule] | None = None,
-    classes: Mapping[str, Sequence[str]] | None = None,
-) -> _Compiled:
+def compile_rules(rules: Sequence[PatternRule], classes: Mapping[str, Sequence[str]]) -> _Compiled:
     """Each rule with its trigger class's surface forms and the union of its
     object classes' forms."""
-    rules = rules if rules is not None else default_rules()
-    classes = classes if classes is not None else default_classes()
     needed = {r.verb_class for r in rules} | {
         c for r in rules for c in r.object_classes
     }

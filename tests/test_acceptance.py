@@ -23,13 +23,13 @@ import pytest
 from anchorlex import cli
 from anchorlex.annotation import cohen_kappa
 from anchorlex.corpus import Document, load_corpus, stratified_split, write_corpus
-from anchorlex.emoji import base_form, cluster_spans, default_inventory, filter_by_seeds
+from anchorlex.emoji import SEEDS_PATH, base_form, cluster_spans, filter_by_seeds, load_seed_inventory
 from anchorlex.features import FeatureConfig
 from anchorlex.lexicon import mine_class_lexicon, valence
 from anchorlex.linear import fit_svm, predict_texts, train_model
 from anchorlex.metrics import evaluate_predictions
 from anchorlex.synth import make_anchored_corpus, make_separable_corpus
-from anchorlex.violence import compile_rules, match_violence_text
+from anchorlex.violence import CLASSES_PATH, RULES_PATH, compile_rules, load_classes, load_rules, match_violence_text
 
 from conftest import TS, make_label_set
 
@@ -180,7 +180,7 @@ def test_criterion_04_emoji_vectors_and_tone_invariance():
         for i, (text, expected) in enumerate(VECTORS, start=1)
         if [(text[a:b], base_form(text[a:b])) for a, b in cluster_spans(text)] != expected
     ]
-    inv = default_inventory()
+    inv = load_seed_inventory(SEEDS_PATH)
     tone_breaks = []
     for base in sorted(inv):
         for tone in SKIN_TONE_MODIFIERS:
@@ -378,7 +378,7 @@ def clean_fillers() -> list[str]:
 
 def test_criterion_09_violence_recall_and_precision():
     assert len(VIOLENT_SENTENCES) == 20
-    rules = compile_rules()
+    rules = compile_rules(load_rules(RULES_PATH), load_classes(CLASSES_PATH))
     missed = [s for s in VIOLENT_SENTENCES if not match_violence_text(s, rules)]
     fillers = clean_fillers()
     assert len(fillers) == 50

@@ -6,7 +6,6 @@ import json
 import os
 import re
 import warnings
-from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,9 +23,11 @@ from anchorlex.corpus import (
     write_corpus,
     write_labels,
 )
+from anchorlex.emoji import SEEDS_PATH
 from anchorlex.linear import load_model
 from anchorlex.synth import make_separable_corpus
 from anchorlex.util import sha256_file
+from anchorlex.violence import CLASSES_PATH, RULES_PATH
 
 TS = "2021-05-01T12:00:00Z"
 
@@ -280,9 +281,9 @@ def test_sample_keeps_each_draw_on_one_row_like_the_tsv_corpus(tmp_path):
         (
             "--rules",
             "r1\tV_then_O\tverb_x\thuman\t2\n",
-            "{path}, bundled classes: rules reference undefined classes ['verb_x']",
+            "{path}, {classes}: rules reference undefined classes ['verb_x']",
         ),
-        ("--classes", "head\tراس\n", "bundled rules, {path}: rules reference undefined classes ['body', "),
+        ("--classes", "head\tراس\n", "{rules}, {path}: rules reference undefined classes ['body', "),
     ],
     ids=["rules", "classes"],
 )
@@ -291,7 +292,7 @@ def test_undefined_rule_class_names_its_files(tmp_path, capsys, flag, content, n
     write_corpus(str(inp), [Document(id="d1", text="سأقتلك يا وغد", created_at=TS)])
     path.write_text(content, encoding="utf-8")
     assert cli.main(["match-violence", "--in", str(inp), "--out", str(out), flag, str(path)]) == 2
-    assert f"error: {named.format(path=path)}" in capsys.readouterr().err
+    assert f"error: {named.format(path=path, rules=RULES_PATH, classes=CLASSES_PATH)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -517,6 +518,16 @@ def test_aggregate_rejects_a_label_outside_its_job_naming_the_judgments(tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["j.tsv"]
 
 
+def test_aggregate_rejects_a_minority_label_outside_its_job(tmp_path, capsys):
+    jpath = tmp_path / "j.tsv"
+    votes = (("a1", "1"), ("a2", "1"), ("a3", "yes"))  # the majority 1 fits the rule, one vote does not
+    write_judgments(str(jpath), [Judgment("d1", a, "offensive", v, TS) for a, v in votes])
+    out = tmp_path / "labels.tsv"
+    assert cli.main(["aggregate", "--judgments", str(jpath), "--out", str(out)]) == 2
+    assert f"error: {jpath}: d1: offensive label must be 0/1, got 'yes'\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["j.tsv"]
+
+
 # Each headered reader: its header, one good row, and a command that reads
 # `bad` through it (j: a judgments file, g: a labels file).
 HEADER_READERS = {
@@ -608,7 +619,7 @@ UTF8_READERS = {
 @pytest.mark.parametrize("reader", list(UTF8_READERS))
 def test_input_that_is_not_utf8_names_its_file_and_line(ws, tmp_path, capsys, reader):
     name, lineno, argv = UTF8_READERS[reader]
-    good = Path(getattr(ws, name)) if name else resources.files("anchorlex.data") / "violence_rules.tsv"
+    good = Path(getattr(ws, name) if name else RULES_PATH)
     lines = good.read_bytes().splitlines(keepends=True)
     lines[lineno - 1] = lines[lineno - 1][:-1] + b"\xff\n"
     bad, out = tmp_path / "bad", tmp_path / "out"
@@ -1022,14 +1033,15 @@ def test_an_argv_that_names_no_stage_gets_the_full_parser(argv, capsys):
 
 @pytest.fixture(scope="module")
 def stage_inputs(ws, tmp_path_factory):
-    """ws's files plus one of every other kind a stage reads."""
+    """ws's files plus one of every other kind a stage reads; a given seeds,
+    classes or rules file is a copy of the bundled one, at another path."""
     root = tmp_path_factory.mktemp("stagein")
-    data = str(Path(cli.__file__).parent / "data")
     f = {k: getattr(ws, k) for k in ("corpus", "labels", "split", "model", "preds")}
+    bundled = {"seeds": SEEDS_PATH, "classes": CLASSES_PATH, "rules": RULES_PATH}
+    for name, path in bundled.items():
+        f[name], f[f"bundled_{name}"] = str(root / os.path.basename(path)), path
+        Path(f[name]).write_bytes(Path(path).read_bytes())
     f.update(
-        seeds=f"{data}/seed_emojis.tsv",
-        classes=f"{data}/violence_classes.tsv",
-        rules=f"{data}/violence_rules.tsv",
         judgments=str(root / "judgments.tsv"),
         answers=str(root / "answers.tsv"),
         overrides=str(root / "overrides.tsv"),
@@ -1046,24 +1058,39 @@ def stage_inputs(ws, tmp_path_factory):
 
 # argv, seed, input paths, output paths; {o}, {q} and {m} are fresh paths
 MANIFEST_CONTRACT = [
-    ("collect --in {corpus} --out {o}", None, ["{corpus}"], ["{o}"]),
+    ("collect --in {corpus} --out {o}", None, ["{corpus}", "{bundled_seeds}"], ["{o}"]),
     ("collect --in {corpus} --out {o} --seeds {seeds}", None, ["{corpus}", "{seeds}"], ["{o}"]),
     ("dedup --in {corpus} --out {o}", None, ["{corpus}"], ["{o}", "{o}.dropped.tsv"]),
     ("dedup --in {corpus} --out {o} --dropped {q}", None, ["{corpus}"], ["{o}", "{q}"]),
     ("normalize --in {corpus} --out {o}", None, ["{corpus}"], ["{o}"]),
     ("split --labels {labels} --out {o} --seed 4", 4, ["{labels}"], ["{o}"]),
     ("mine-lexicon --in {corpus} --labels {labels} --out {o}", None, ["{corpus}", "{labels}"], ["{o}"]),
-    ("emoji-stats --in {corpus} --labels {labels} --out {o}", None, ["{corpus}", "{labels}"], ["{o}"]),
+    (
+        "emoji-stats --in {corpus} --labels {labels} --out {o}",
+        None,
+        ["{corpus}", "{labels}", "{bundled_seeds}"],
+        ["{o}"],
+    ),
     (
         "emoji-stats --in {corpus} --labels {labels} --out {o} --seeds {seeds}",
         None,
         ["{corpus}", "{labels}", "{seeds}"],
         ["{o}"],
     ),
-    ("sample --in {corpus} --out {o}", 0, ["{corpus}"], ["{o}"]),
+    ("sample --in {corpus} --out {o}", 0, ["{corpus}", "{bundled_seeds}"], ["{o}"]),
     ("sample --in {corpus} --out {o} --seeds {seeds} --seed 9", 9, ["{corpus}", "{seeds}"], ["{o}"]),
-    ("match-violence --in {corpus} --out {o}", None, ["{corpus}"], ["{o}"]),
-    ("match-violence --in {corpus} --out {o} --classes {classes}", None, ["{corpus}", "{classes}"], ["{o}"]),
+    (
+        "match-violence --in {corpus} --out {o}",
+        None,
+        ["{corpus}", "{bundled_classes}", "{bundled_rules}"],
+        ["{o}"],
+    ),
+    (
+        "match-violence --in {corpus} --out {o} --classes {classes}",
+        None,
+        ["{corpus}", "{classes}", "{bundled_rules}"],
+        ["{o}"],
+    ),
     (
         "match-violence --in {corpus} --out {o} --classes {classes} --rules {rules}",
         None,
@@ -1131,6 +1158,8 @@ def test_manifest_contract(stage_inputs, tmp_path, capsys, argv, seed, inputs, o
     assert man["command"] == argv.split()[0]
     assert man["seed"] == seed
     assert man["inputs"] == before
+    # each input is an argument, a default path included, so the config names it too
+    assert set(before) <= set(man["config"].values())
     assert man["outputs"] == {p.format(**f): sha256_file(p.format(**f)) for p in outputs}
     assert "manifest" not in man["config"] and "func" not in man["config"]
     written = {p.name for p in tmp_path.iterdir()}

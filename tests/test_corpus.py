@@ -206,6 +206,26 @@ def test_corpus_lone_surrogate_escape_names_its_line(tmp_path, capsys, escape, f
         assert not out.exists()
 
 
+# a documents line whose field is not a JSON string -> the error after "line 1: "
+NON_STRING_FIELDS = {
+    '{"id": true, "text": "t", "created_at": "2021-05-01T12:00:00Z"}': "field id must be a string, got bool",
+    '{"id": 1e400, "text": "t", "created_at": "2021-05-01T12:00:00Z"}': "field id must be a string, got float",
+    '{"id": "d1", "text": ["a", "b"], "created_at": "2021-05-01T12:00:00Z"}': "field text must be a string, got list",
+    '{"id": "d1", "text": "t", "created_at": 20210501}': "field created_at must be a string, got int",
+}
+
+
+@pytest.mark.parametrize("line", list(NON_STRING_FIELDS), ids=["bool id", "huge id", "list text", "int created_at"])
+def test_a_document_field_that_is_not_a_string_names_its_line(tmp_path, capsys, line):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{raw}: line 1: {NON_STRING_FIELDS[line]}") + "$"):
+        load_corpus(str(raw))
+    assert cli.main(["normalize", "--in", str(raw), "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert f"error: {raw}: line 1: {NON_STRING_FIELDS[line]}\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
+
+
 @pytest.mark.parametrize("sep", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
 def test_corpus_id_with_a_row_separator_names_its_line(tmp_path, capsys, sep):
     bad_id = f"d{sep}x"

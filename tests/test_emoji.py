@@ -10,10 +10,10 @@ import emoji_reference
 from anchorlex import cli
 from anchorlex import emoji_ranges as er
 from anchorlex.emoji import (
+    SEEDS_PATH,
     base_form,
     cluster_spans,
     codepoints_hex,
-    default_inventory,
     doc_bases,
     dump_emoji_stats,
     emoji_stats,
@@ -223,7 +223,7 @@ def test_codepoints_hex_round_trip():
 
 
 def test_default_inventory_loads():
-    inv = default_inventory()
+    inv = load_seed_inventory(SEEDS_PATH)
     assert len(inv) >= 15
     assert inv["\U0001F437"] == "animal_dehumanization"
     assert inv["\U0001F52A"] == "violence_symbol"
@@ -246,7 +246,7 @@ def test_inventory_rejects_duplicates_and_bad_category(tmp_path):
 
 
 def test_inventory_file_round_trip(tmp_path):
-    inv = default_inventory()
+    inv = load_seed_inventory(SEEDS_PATH)
     p = tmp_path / "seeds.tsv"
     rows = [f"{codepoints_hex(b)}\t{c}\ta comment the loader ignores\n" for b, c in inv.items()]
     p.write_text("# codepoints<TAB>category<TAB>comment\n" + "".join(rows), encoding="utf-8")
@@ -283,7 +283,7 @@ def test_load_inventory_bad_line(tmp_path, capsys):
 
 
 def test_filter_by_seeds_keeps_order_and_matches_tones():
-    inv = default_inventory()
+    inv = load_seed_inventory(SEEDS_PATH)
     docs = [
         doc(0, "no emoji here"),
         doc(1, "pig \U0001F437"),
@@ -319,13 +319,13 @@ def test_filter_by_seeds_empty_inventory():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    base=st.sampled_from(sorted(default_inventory())),
+    base=st.sampled_from(sorted(load_seed_inventory(SEEDS_PATH))),
     tone=st.sampled_from(sorted(range(0x1F3FB, 0x1F400))),
     prefix=st.text(alphabet="ab كلب", max_size=6),
 )
 def test_filter_tone_invariance(base, tone, prefix):
     # a toned variant must hit the inventory exactly when the untoned does
-    inv = default_inventory()
+    inv = load_seed_inventory(SEEDS_PATH)
     plain = doc(0, prefix + base)
     toned = doc(1, prefix + base + chr(tone))
     assert bool(filter_by_seeds([plain], inv)) == bool(filter_by_seeds([toned], inv))
@@ -352,7 +352,7 @@ def _stats_fixture():
 
 def test_emoji_stats_counts_docs_not_occurrences():
     docs, labels = _stats_fixture()
-    stats = {s.base: s for s in emoji_stats(docs, labels, default_inventory())}
+    stats = {s.base: s for s in emoji_stats(docs, labels, load_seed_inventory(SEEDS_PATH))}
     pig = stats["\U0001F437"]
     assert pig.n_total == 2  # d001 counts once despite two pigs
     assert pig.n_offensive == 1 and pig.offensive_pct == pytest.approx(50.0)
@@ -363,7 +363,7 @@ def test_emoji_stats_counts_docs_not_occurrences():
 
 def test_emoji_stats_sorted_by_offensive_pct_then_base():
     docs, labels = _stats_fixture()
-    stats = emoji_stats(docs, labels, default_inventory())
+    stats = emoji_stats(docs, labels, load_seed_inventory(SEEDS_PATH))
     pcts = [s.offensive_pct for s in stats]
     assert pcts == sorted(pcts, reverse=True)
 
@@ -372,26 +372,26 @@ def test_emoji_stats_counts_only_seed_bases():
     docs, labels = _stats_fixture()
     docs.append(doc(4, "w \U0001F339 \U0001F437"))  # the rose is not a seed
     labels["d004"] = label(4)
-    before = emoji_stats(docs, labels, default_inventory())
+    before = emoji_stats(docs, labels, load_seed_inventory(SEEDS_PATH))
     stats = {s.base: s for s in before}
     assert set(stats) == {"\U0001F437", "\U0001F52A"}
     assert stats["\U0001F437"].n_total == 3
     # a doc with no seed emoji adds nothing, so it needs no label
     docs.append(doc(5, "only \U0001F339"))
     assert "d005" not in labels
-    assert emoji_stats(docs, labels, default_inventory()) == before
+    assert emoji_stats(docs, labels, load_seed_inventory(SEEDS_PATH)) == before
 
 
 def test_emoji_stats_requires_labels():
     docs, labels = _stats_fixture()
     del labels["d001"]
     with pytest.raises(ValueError, match="d001"):
-        emoji_stats(docs, labels, default_inventory())
+        emoji_stats(docs, labels, load_seed_inventory(SEEDS_PATH))
 
 
 def test_dump_emoji_stats_format():
     docs, labels = _stats_fixture()
-    text = dump_emoji_stats(emoji_stats(docs, labels, default_inventory()))
+    text = dump_emoji_stats(emoji_stats(docs, labels, load_seed_inventory(SEEDS_PATH)))
     lines = text.splitlines()
     assert lines[0] == "base\tcategory\tn_total\tn_offensive\toffensive_pct\tn_hate\thate_pct"
     assert any("\t50.00\t" in ln for ln in lines[1:])
@@ -401,7 +401,7 @@ def test_dump_emoji_stats_format():
 def test_sample_per_emoji_deterministic_and_capped():
     docs = [doc(i, f"t{i} \U0001F437") for i in range(20)]
     docs += [doc(100 + i, f"s{i} \U0001F52A") for i in range(2)]
-    inv = default_inventory()
+    inv = load_seed_inventory(SEEDS_PATH)
     a = sample_per_emoji(docs, inv, k=5, seed=1)
     b = sample_per_emoji(docs, inv, k=5, seed=1)
     assert {k_: [d.id for d in v] for k_, v in a.items()} == {
@@ -417,7 +417,7 @@ def test_sample_per_emoji_deterministic_and_capped():
 def test_sample_per_emoji_growing_inventory_keeps_existing_draws(seed, k, split):
     # each base draws from its own RNG, so adding entries to the
     # inventory leaves the draws of the bases already in it alone
-    full = default_inventory()
+    full = load_seed_inventory(SEEDS_PATH)
     bases = list(full)
     small = {b: full[b] for b in bases[:split]}
     docs = [doc(i, f"t{i} " + b * (1 + i % 2)) for i, b in enumerate(bases * 4)]
@@ -432,6 +432,6 @@ def test_sample_per_emoji_growing_inventory_keeps_existing_draws(seed, k, split)
 
 def test_sample_per_emoji_rejects_negative_k():
     with pytest.raises(ValueError):
-        sample_per_emoji([doc(0, "\U0001F437")], default_inventory(), k=-1)
-    empty = sample_per_emoji([doc(0, "\U0001F437")], default_inventory(), k=0)
+        sample_per_emoji([doc(0, "\U0001F437")], load_seed_inventory(SEEDS_PATH), k=-1)
+    empty = sample_per_emoji([doc(0, "\U0001F437")], load_seed_inventory(SEEDS_PATH), k=0)
     assert all(v == [] for v in empty.values())

@@ -4,14 +4,15 @@ import re
 
 import pytest
 
+from anchorlex import cli
 from anchorlex.textnorm import normalize
 from anchorlex.violence import (
+    CLASSES_PATH,
     PERSON_MARKERS,
+    RULES_PATH,
     VERB_PREFIXES,
     PatternRule,
     compile_rules,
-    default_classes,
-    default_rules,
     dump_matches,
     expand,
     kind_of,
@@ -31,7 +32,7 @@ SLAP = "كف"  # kaff: slap
 FACE = "وجه"  # wajh: face
 ON = normalize("على")  # 'ala -> 'ali after maksura folding
 
-RULES = compile_rules()  # the bundled classes and rules
+RULES = compile_rules(load_rules(RULES_PATH), load_classes(CLASSES_PATH))  # the bundled tables
 
 
 # --- expansion -------------------------------------------------------------
@@ -178,7 +179,7 @@ def test_one_match_per_rule_and_trigger():
 
 
 def test_default_tables_cover_expected_classes():
-    classes = default_classes()
+    classes = load_classes(CLASSES_PATH)
     assert set(classes) == {
         "head",
         "body",
@@ -192,7 +193,7 @@ def test_default_tables_cover_expected_classes():
     for members in classes.values():
         for m in members:
             assert normalize(m) == m
-    rules = default_rules()
+    rules = load_rules(RULES_PATH)
     assert {r.name for r in rules} == {
         "kill_human",
         "hit_human_or_body",
@@ -229,7 +230,7 @@ def test_compile_missing_class_errors():
         ),
     )
     with pytest.raises(ValueError, match="verb_x"):
-        compile_rules(rules, default_classes())
+        compile_rules(rules, load_classes(CLASSES_PATH))
 
 
 def test_rule_validation():
@@ -259,6 +260,32 @@ def test_lexical_class_validation(tmp_path):
     # a verb's forms are its person variants, bare or under one verb prefix
     variants = {KILL} | {m + KILL[1:] for m in PERSON_MARKERS}
     assert expand(KILL, "verb") == variants | {p + v for p in VERB_PREFIXES for v in variants}
+
+
+# rules file text -> the error after "<path>: "
+BAD_RULE_FILES = {
+    "kill_human\tV_then_O\tverb_kill\thuman\n": "line 1: expected 5 columns",
+    "r\tCIRCLE\tverb_kill\thuman\t2\n": "line 1: unknown rule shape 'CIRCLE'",
+    "kill_human\tV_then_O\tverb_kill\thuman\t2\n# again\nkill_human\tV_then_O\tverb_kill\thead\t1\n": (
+        "line 3: duplicate rule 'kill_human'"
+    ),
+    "# only a comment\n": "no rules defined",
+}
+
+
+def test_rule_file_validation(tmp_path, capsys):
+    p = tmp_path / "rules.tsv"
+    corpus = tmp_path / "in.jsonl"
+    corpus.write_text('{"id": "a", "text": "سأقتلك", "created_at": "2021-05-01T12:00:00Z"}\n', encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    for text, error in BAD_RULE_FILES.items():
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {error}')}$"):
+            load_rules(str(p))
+        # match-violence exits 2 naming the file, and writes neither output nor manifest
+        assert cli.main(["match-violence", "--in", str(corpus), "--out", str(out), "--rules", str(p)]) == 2
+        assert f"error: {p}: {error}\n" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["in.jsonl", "rules.tsv"]
 
 
 def test_dump_matches_format():
