@@ -37,14 +37,19 @@ _JUDGMENT_HEADER = ["doc_id", "annotator_id", "job", "label", "timestamp"]
 
 
 def load_judgments(path: str) -> list[Judgment]:
-    """Check each distinct timestamp once; a repeated (doc, annotator, job) is an error."""
+    """Check each distinct timestamp, and each distinct (job, label) against the
+    job's label rule (`_job_value`), once; a repeated (doc, annotator, job) is an error."""
     out: list[Judgment] = []
     stamps: dict[str, str | None] = {"": None}
+    checked: set[tuple[str, str]] = set()
     for lineno, (doc_id, annotator_id, job, label, ts) in read_tsv(path, _JUDGMENT_HEADER, 3):
         try:
             if ts not in stamps:
                 stamps[ts] = canonical_timestamp(ts)
             out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
+            if (job, label) not in checked:
+                _job_value(doc_id, job, label)
+                checked.add((job, label))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
     return out
@@ -91,7 +96,14 @@ def gate_all(
 
 
 def load_gate_answers(path: str) -> dict[str, str]:
-    out = {doc_id: label for _, (doc_id, label) in read_tsv(path, ["doc_id", "label"], 1)}
+    """doc_id -> expected offensive label, `0` or `1`."""
+    out: dict[str, str] = {}
+    for lineno, (doc_id, label) in read_tsv(path, ["doc_id", "label"], 1):
+        try:
+            _job_value(doc_id, "offensive", label)
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        out[doc_id] = label
     if not out:
         raise ValueError(f"{path}: gate needs at least one test answer")
     return out
@@ -176,15 +188,6 @@ def _job_value(doc_id: str, job: str, label: str) -> bool | frozenset[str]:
     if label not in ("0", "1"):
         raise ValueError(f"{doc_id}: {job} label must be 0/1, got {label!r}")
     return label == "1"
-
-
-def check_labels(judgments: Iterable[Judgment]) -> None:
-    """Hold every vote, not only the majority, to its job's label rule (`_job_value`)."""
-    checked: set[tuple[str, str]] = set()
-    for j in judgments:
-        if (j.job, j.label) not in checked:
-            _job_value(j.doc_id, j.job, j.label)
-            checked.add((j.job, j.label))
 
 
 def aggregate_to_labels(

@@ -129,7 +129,6 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
     aggregated = anno.majority_vote(judgments)
     try:
-        anno.check_labels(judgments)
         labels, dropped = anno.aggregate_to_labels(aggregated)
     except ValueError as e:
         raise ValueError(f"{args.judgments}: {e}") from None
@@ -181,17 +180,13 @@ def cmd_train(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
     split = corpus_mod.load_split(args.split)
-    model = train_model(
-        docs,
-        labels,
-        split,
-        feature_config=FeatureConfig(
-            args.mode, _ngram_range("--char-ngrams", args.char_ngrams), _ngram_range("--word-ngrams", args.word_ngrams)
-        ),
-        C=args.C,
-        seed=args.seed,
-        target=args.target,
+    config = FeatureConfig(
+        args.mode, _ngram_range("--char-ngrams", args.char_ngrams), _ngram_range("--word-ngrams", args.word_ngrams)
     )
+    try:
+        model = train_model(docs, labels, split, feature_config=config, C=args.C, seed=args.seed, target=args.target)
+    except ValueError as e:
+        raise ValueError(f"{args.infile}, {args.labels}, {args.split}: {e}") from None
     save_model(args.out, model)
     print(
         f"train: {model.space.n_features} features, "
@@ -230,7 +225,11 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         keep = corpus_mod.load_split(args.split).part(args.part)
         preds = {d: v for d, v in preds.items() if d in keep}
     gold = {d: int(r.has(args.target)) for d, r in labels.items()}
-    report = metrics_mod.evaluate_predictions(gold, preds)
+    try:
+        report = metrics_mod.evaluate_predictions(gold, preds)
+    except ValueError as e:
+        files = ", ".join(filter(None, (args.gold, args.pred, args.split)))
+        raise ValueError(f"{files}: {e}") from None
     atomic_write_text(args.out, metrics_mod.dump_report(report))
 
 

@@ -5,7 +5,8 @@ File formats:
                 are ignored
   labels TSV    header: doc_id, offensive, hate_targets, vulgar, violence; one row
                 per doc_id
-  split file    "train:" / "dev:" / "test:" section headers, one doc_id per line
+  split TSV     header: doc_id, part (train, dev or test); one row per doc_id,
+                train rows first, then dev, then test, ids sorted in each part
 
 No stage reads `created_at`. It is validated once on load and kept as the
 canonical UTC string YYYY-MM-DDTHH:MM:SSZ, which is written back as is.
@@ -299,12 +300,12 @@ def stratified_split(
     )
 
 
+_SPLIT_HEADER = ["doc_id", "part"]
+
+
 def dump_split(split: DatasetSplit) -> str:
-    lines: list[str] = []
-    for name in _SPLIT_NAMES:
-        lines.append(f"{name}:")
-        lines.extend(sorted(split.part(name)))
-    return "\n".join(lines) + "\n"
+    rows = ((doc_id, name) for name in _SPLIT_NAMES for doc_id in sorted(split.part(name)))
+    return dump_tsv(_SPLIT_HEADER, rows)
 
 
 def write_split(path: str, split: DatasetSplit) -> None:
@@ -313,24 +314,10 @@ def write_split(path: str, split: DatasetSplit) -> None:
 
 def load_split(path: str) -> DatasetSplit:
     parts: dict[str, set[str]] = {name: set() for name in _SPLIT_NAMES}
-    section_of: dict[str, str] = {}
-    current: str | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.endswith(":"):
-                name = line[:-1]
-                if name not in _SPLIT_NAMES:
-                    raise ValueError(f"{path}: line {lineno}: unknown section {name!r}")
-                current = name
-                continue
-            if current is None:
-                raise ValueError(f"{path}: line {lineno}: doc id before any section header")
-            if (first := section_of.setdefault(line, current)) != current:
-                raise ValueError(f"{path}: line {lineno}: doc id {line!r} already in section {first!r}")
-            parts[current].add(line)
+    for lineno, (doc_id, part) in read_tsv(path, _SPLIT_HEADER, 1):
+        if part not in parts:
+            raise ValueError(f"{path}: line {lineno}: unknown split part {part!r}")
+        parts[part].add(doc_id)
     return DatasetSplit(
         train=frozenset(parts["train"]),
         dev=frozenset(parts["dev"]),

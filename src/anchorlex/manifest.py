@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import time
 from dataclasses import dataclass, field
 
@@ -21,6 +23,11 @@ class RunManifest:
     _t0: float = field(default_factory=time.monotonic, repr=False)
 
     def add_input(self, path: str) -> None:
+        # hashing drains a pipe, which would then reach the stage empty
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError(
+                f"{path}: not a regular file: the run manifest hashes each input before the stage reads it"
+            )
         self.inputs[path] = sha256_file(path)
 
     def add_output(self, path: str) -> None:

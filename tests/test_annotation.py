@@ -336,7 +336,7 @@ def test_judgment_validation():
         Judgment(doc_id="", annotator_id="a", job="offensive", label="1", timestamp=TS)
     with pytest.raises(ValueError):
         Judgment(doc_id="d", annotator_id="a", job="offensive", label="", timestamp=TS)
-    # custom jobs are allowed in judgment files; aggregation validates jobs
+    # a Judgment holds any job; load_judgments and aggregation validate jobs
     Judgment(doc_id="d", annotator_id="a", job="sarcasm", label="1", timestamp=TS)
     with pytest.raises(ValueError, match="job"):
         aggregate_to_labels(

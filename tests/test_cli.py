@@ -6,6 +6,7 @@ import json
 import os
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -501,12 +502,15 @@ def test_gate_threshold_must_be_in_the_unit_interval(tmp_path, capsys, threshold
 @pytest.mark.parametrize(
     "job, label, error",
     [
-        ("offensive", "yes", "d001: offensive label must be 0/1, got 'yes'"),
-        ("vulgar", "true", "d001: vulgar label must be 0/1, got 'true'"),
-        ("violence", "2", "d001: violence label must be 0/1, got '2'"),
-        ("hate", "sports", "d001: unknown hate target 'sports'"),
+        # a1's first vote, the only offensive one
+        ("offensive", "yes", "line 2: d001: offensive label must be 0/1, got 'yes'"),
+        # a1's second vote, after its offensive 1
+        ("vulgar", "true", "line 3: d001: vulgar label must be 0/1, got 'true'"),
+        ("violence", "2", "line 3: d001: violence label must be 0/1, got '2'"),
+        ("hate", "sports", "line 3: d001: unknown hate target 'sports'"),
+        ("sarcasm", "1", "line 3: d001: unknown job 'sarcasm'"),
     ],
-    ids=["offensive", "vulgar", "violence", "hate"],
+    ids=["offensive", "vulgar", "violence", "hate", "job"],
 )
 def test_aggregate_rejects_a_label_outside_its_job_naming_the_judgments(tmp_path, capsys, job, label, error):
     votes = {"offensive": "1", job: label}  # two annotators agree on each job
@@ -524,8 +528,37 @@ def test_aggregate_rejects_a_minority_label_outside_its_job(tmp_path, capsys):
     write_judgments(str(jpath), [Judgment("d1", a, "offensive", v, TS) for a, v in votes])
     out = tmp_path / "labels.tsv"
     assert cli.main(["aggregate", "--judgments", str(jpath), "--out", str(out)]) == 2
-    assert f"error: {jpath}: d1: offensive label must be 0/1, got 'yes'\n" in capsys.readouterr().err
+    assert f"error: {jpath}: line 4: d1: offensive label must be 0/1, got 'yes'\n" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["j.tsv"]
+
+
+def test_kappa_and_gate_reject_a_label_outside_the_offensive_rule(tmp_path, capsys):
+    # 25 shared offensive items; a2 writes `yes` once, which kappa used to count as a category
+    rows = [(f"d{i}", a, "yes" if (a, i) == ("a2", 7) else str(i % 2)) for i in range(25) for a in ("a1", "a2")]
+    jpath = tmp_path / "j.tsv"
+    write_judgments(str(jpath), [Judgment(d, a, "offensive", v, TS) for d, a, v in rows])
+    answers = tmp_path / "answers.tsv"
+    answers.write_text("doc_id\tlabel\nd0\t0\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    error = f"error: {jpath}: line 17: d7: offensive label must be 0/1, got 'yes'\n"
+    assert cli.main(["kappa", "--judgments", str(jpath), "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert cli.main(["gate", "--judgments", str(jpath), "--answers", str(answers), "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["answers.tsv", "j.tsv"]
+
+
+@pytest.mark.parametrize("answer", ["yes", "2", "none"])
+def test_gate_rejects_an_answer_outside_the_offensive_rule(tmp_path, capsys, answer):
+    jpath = str(tmp_path / "j.tsv")
+    _judgment_file(jpath)
+    answers = tmp_path / "answers.tsv"
+    answers.write_text(f"doc_id\tlabel\nd001\t1\nd000\t{answer}\n", encoding="utf-8")
+    out = tmp_path / "gate.tsv"
+    assert cli.main(["gate", "--judgments", jpath, "--answers", str(answers), "--out", str(out)]) == 2
+    error = f"error: {answers}: line 3: d000: offensive label must be 0/1, got {answer!r}\n"
+    assert error in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["answers.tsv", "j.tsv"]
 
 
 # Each headered reader: its header, one good row, and a command that reads
@@ -641,6 +674,59 @@ def test_split_reads_a_field_past_the_csv_field_limit(tmp_path):
     assert long_id in split.train | split.dev | split.test
 
 
+def test_ids_that_look_like_section_headers_round_trip_through_split(tmp_path, capsys):
+    docs, labels = make_separable_corpus(n_docs=40, seed=5)
+    # ids that a one-id-a-line section format read as a header or stripped
+    odd = {d.id: new for d, new in zip(docs, ("dev:", " pad", "a b:", "test:", "x "))}
+    docs = [Document(odd.get(d.id, d.id), d.text, d.created_at) for d in docs]
+    labels = {odd.get(i, i): replace(r, doc_id=odd.get(i, i)) for i, r in labels.items()}
+    p = {name: str(tmp_path / name) for name in ("docs.jsonl", "labels.tsv", "split.tsv", "model.json", "preds.tsv")}
+    write_corpus(p["docs.jsonl"], docs)
+    write_labels(p["labels.tsv"], labels.values())
+    assert cli.main(["split", "--labels", p["labels.tsv"], "--out", p["split.tsv"]]) == 0
+    split = load_split(p["split.tsv"])
+    printed = f"split: train={len(split.train)} dev={len(split.dev)} test={len(split.test)}"
+    assert printed in capsys.readouterr().out
+    assert split.train | split.dev | split.test == set(labels)
+    argv = ["train", "--in", p["docs.jsonl"], "--labels", p["labels.tsv"], "--split", p["split.tsv"]]
+    assert cli.main(argv + ["--out", p["model.json"], "--mode", "word"]) == 0
+    assert load_model(p["model.json"]).space.n_docs == len(split.train)
+    assert cli.main(["predict", "--model", p["model.json"], "--in", p["docs.jsonl"], "--out", p["preds.tsv"]]) == 0
+    for part in ("train", "dev", "test"):
+        out = tmp_path / f"eval_{part}.txt"
+        argv = ["evaluate", "--gold", p["labels.tsv"], "--pred", p["preds.tsv"], "--split", p["split.tsv"]]
+        assert cli.main(argv + ["--part", part, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[0] == f"n\t{len(split.part(part))}"
+
+
+# a split file -> the error train and evaluate report, after `PATH: `
+SPLIT_FILE_ERRORS = {
+    "section format": ("train:\nd000\ndev:\nd001\n", "line 1: bad header ['train:'], expected ['doc_id', 'part']"),
+    "duplicate id": (
+        "doc_id\tpart\nd000\ttrain\nd001\tdev\nd000\ttest\n",
+        "line 4: duplicate doc_id 'd000', first on line 2",
+    ),
+    "unknown part": ("doc_id\tpart\nd000\ttrain\nd001\tvalidation\n", "line 3: unknown split part 'validation'"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPLIT_FILE_ERRORS))
+def test_a_bad_split_file_fails_train_and_evaluate(ws, tmp_path, capsys, case):
+    text, where = SPLIT_FILE_ERRORS[case]
+    bad = tmp_path / "split.txt"
+    bad.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["train", "--in", ws.corpus, "--labels", ws.labels, "--split", str(bad), "--out", out],
+        ["evaluate", "--gold", ws.labels, "--pred", ws.preds, "--split", str(bad), "--out", out],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: {where}\n" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["split.txt"]
+
+
 # --- model commands ----------------------------------------------------------
 
 
@@ -741,6 +827,23 @@ def test_evaluate_command(ws, tmp_path, capsys):
     text = open(out, encoding="utf-8").read()
     assert text.splitlines()[0] == "n\t24"
     assert "macro_f1\t" in text
+
+
+def test_split_errors_that_span_files_name_them(ws, tmp_path, capsys):
+    split = tmp_path / "split.tsv"
+    split.write_text("doc_id\tpart\nzz\ttrain\nd000\tdev\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--in", ws.corpus, "--labels", ws.labels, "--split", str(split), "--out", out]) == 2
+    error = f"error: {ws.corpus}, {ws.labels}, {split}: train split matches no documents\n"
+    assert error in capsys.readouterr().err
+    argv = ["evaluate", "--gold", ws.labels, "--pred", ws.preds, "--split", str(split), "--part", "test", "--out", out]
+    assert cli.main(argv) == 2
+    assert f"error: {ws.labels}, {ws.preds}, {split}: no predictions to evaluate\n" in capsys.readouterr().err
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("doc_id\toffensive\thate_targets\tvulgar\tviolence\nzz\t1\t\t0\t0\n", encoding="utf-8")
+    assert cli.main(["evaluate", "--gold", str(gold), "--pred", ws.preds, "--out", out]) == 2
+    assert f"error: {gold}, {ws.preds}: predictions for unlabeled docs" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "split.tsv"]
 
 
 def test_explain_command_stdout(ws, tmp_path, capsys):
@@ -1200,6 +1303,27 @@ def test_failed_kappa_writes_no_output_and_no_manifest(tmp_path, capsys):
     assert cli.main(["kappa", "--judgments", str(jpath), "--out", str(out), "--manifest", str(man)]) == 2
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["judgments.tsv"]
+
+
+def test_an_input_that_is_not_a_regular_file_exits_2_before_the_stage(tmp_path, capsys):
+    # hashing a pipe drains it, so the stage would read it empty; a pipe, not a FIFO,
+    # since opening a FIFO with no writer blocks
+    jpath = str(tmp_path / "j.tsv")
+    _judgment_file(jpath)
+    r, w = os.pipe()
+    try:
+        os.write(w, b"doc_id\tlabel\nd000\t0\n")
+        os.close(w)
+        answers = f"/dev/fd/{r}"
+        out = tmp_path / "gate.tsv"
+        assert cli.main(["gate", "--judgments", jpath, "--answers", answers, "--out", str(out)]) == 2
+    finally:
+        os.close(r)
+    captured = capsys.readouterr()
+    error = f"error: {answers}: not a regular file: the run manifest hashes each input before the stage reads it\n"
+    assert error in captured.err
+    assert captured.out == "" and "annotators pass" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["j.tsv"]
 
 
 @pytest.mark.parametrize("stage", sorted(STAGES))

@@ -368,24 +368,32 @@ def test_stratified_split_partition_invariants(n_total, frac, seed):
 def test_split_file_round_trip(tmp_path):
     labels = make_label_set(40, 12, seed=2)
     split = stratified_split(labels, seed=9)
-    p = tmp_path / "split.txt"
+    p = tmp_path / "split.tsv"
     write_split(str(p), split)
     # a split read back equals the split written, whatever seed drew it
     assert load_split(str(p)) == split
-    text = dump_split(split)
-    assert text.startswith("train:")
-    # ids listed sorted inside each section
-    lines = text.splitlines()
-    sec = lines[1 : 1 + len(split.train)]
-    assert sec == sorted(sec)
+    # a headed TSV: train rows, then dev, then test, ids sorted inside each part
+    rows = [line.split("\t") for line in dump_split(split).splitlines()]
+    assert rows[0] == ["doc_id", "part"]
+    expected = [[d, name] for name in ("train", "dev", "test") for d in sorted(split.part(name))]
+    assert rows[1:] == expected
 
 
 def test_load_split_names_the_line_of_an_overlap(tmp_path):
-    p = tmp_path / "split.txt"
-    p.write_text("train:\na\nb\ndev:\nc\ntest:\nd\nb\n", encoding="utf-8")
+    p = tmp_path / "split.tsv"
+    p.write_text("doc_id\tpart\na\ttrain\nb\ttrain\nc\tdev\nd\ttest\nb\ttest\n", encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         load_split(str(p))
-    assert str(exc.value) == f"{p}: line 8: doc id 'b' already in section 'train'"
+    assert str(exc.value) == f"{p}: line 6: duplicate doc_id 'b', first on line 3"
+
+
+@pytest.mark.parametrize("part", ["validation", "Train", "train:", ""])
+def test_load_split_names_the_line_of_an_unknown_part(tmp_path, part):
+    p = tmp_path / "split.tsv"
+    p.write_text(f"doc_id\tpart\na\ttrain\nb\t{part}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_split(str(p))
+    assert str(exc.value) == f"{p}: line 3: unknown split part {part!r}"
 
 
 def test_split_part_lookup():

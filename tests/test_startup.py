@@ -34,7 +34,7 @@ STAGES = {
     "aggregate": "--judgments judgments.tsv --out o.tsv --queue q.tsv",
     "kappa": "--judgments judgments.tsv --out o.tsv",
     "gate": "--judgments judgments.tsv --answers answers.tsv --out o.tsv",
-    "evaluate": "--gold labels.tsv --pred preds.tsv --split split.txt --out o.tsv",
+    "evaluate": "--gold labels.tsv --pred preds.tsv --split split.tsv --out o.tsv",
     "report": "--corpus docs.jsonl --labels labels.tsv --out o.txt",
 }
 
@@ -66,7 +66,10 @@ def inputs(tmp_path_factory) -> Path:
     (root / "preds.tsv").write_text(
         "doc_id\tlabel\tscore\n" + "".join(f"{d}\t{o}\t0.5\n" for d, o in zip(ids, offensive)), encoding="utf-8"
     )
-    (root / "split.txt").write_text("\n".join(["train:", *ids[:16], "test:", *ids[16:]]) + "\n", encoding="utf-8")
+    (root / "split.tsv").write_text(
+        "doc_id\tpart\n" + "".join(f"{d}\t{'train' if i < 16 else 'test'}\n" for i, d in enumerate(ids)),
+        encoding="utf-8",
+    )
     return root
 
 
@@ -94,5 +97,5 @@ def test_stage_that_needs_no_model_does_not_import_numpy(inputs, stage):
 
 
 def test_train_imports_numpy(inputs):
-    argv = "train --in docs.jsonl --labels labels.tsv --split split.txt --out model.json --mode word"
+    argv = "train --in docs.jsonl --labels labels.tsv --split split.tsv --out model.json --mode word"
     assert "numpy" in _imported(inputs, argv.split())
