@@ -80,13 +80,16 @@ def cmd_mine_lexicon(args: argparse.Namespace) -> None:
         raise ValueError(f"--min-valence must be finite, got {args.min_valence}")
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
-    entries = lexicon_mod.mine_class_lexicon(
-        docs,
-        labels,
-        args.positive_class,
-        min_valence=args.min_valence,
-        min_freq=args.min_freq,
-    )
+    try:
+        entries = lexicon_mod.mine_class_lexicon(
+            docs,
+            labels,
+            args.positive_class,
+            min_valence=args.min_valence,
+            min_freq=args.min_freq,
+        )
+    except ValueError as e:
+        raise ValueError(f"{args.infile}, {args.labels}: {e}") from None
     atomic_write_text(args.out, lexicon_mod.dump_lexicon(entries))
     print(f"mine-lexicon: {len(entries)} terms at valence >= {args.min_valence}")
 
@@ -94,7 +97,11 @@ def cmd_mine_lexicon(args: argparse.Namespace) -> None:
 def cmd_emoji_stats(args: argparse.Namespace) -> None:
     docs = corpus_mod.load_corpus(args.infile)
     labels = corpus_mod.load_labels(args.labels)
-    stats = emoji_mod.emoji_stats(docs, labels, emoji_mod.load_seed_inventory(args.seeds))
+    seeds = emoji_mod.load_seed_inventory(args.seeds)
+    try:
+        stats = emoji_mod.emoji_stats(docs, labels, seeds)
+    except ValueError as e:
+        raise ValueError(f"{args.infile}, {args.labels}: {e}") from None
     atomic_write_text(args.out, emoji_mod.dump_emoji_stats(stats))
     print(f"emoji-stats: {len(stats)} base forms")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import Document
@@ -116,10 +117,13 @@ def char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
 
 # dedup's one rule: a doc of fewer than MIN_TOKENS words (placeholders
 # aside) is short; one whose word SHINGLE_SIZE-grams have Jaccard index
-# >= JACCARD_THRESHOLD with a kept doc's is a near duplicate
+# >= JACCARD_THRESHOLD with a kept doc's is a near duplicate. The
+# threshold is the ratio _T_NUM/_T_DEN, from which dedup's filters take
+# their bounds in integers.
 MIN_TOKENS = 3
 SHINGLE_SIZE = 2
-JACCARD_THRESHOLD = 0.8
+_T_NUM, _T_DEN = 4, 5
+JACCARD_THRESHOLD = _T_NUM / _T_DEN
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,7 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 
 
 def _shingles(tokens: Sequence[str], size: int) -> frozenset[tuple[str, ...]]:
-    return frozenset(
-        tuple(tokens[i : i + size]) for i in range(len(tokens) - size + 1)
-    )
+    return frozenset(zip(*[tokens[i:] for i in range(size)]))
 
 
 # the tokens the URL and @USER placeholders split into
@@ -149,45 +151,88 @@ _PLACEHOLDERS = frozenset(tokenize("@USER URL"))
 
 
 def dedup(docs: Iterable[Document]) -> tuple[list[Document], list[DropRecord]]:
-    """Sequential first-wins dedup.
+    """Sequential first-wins dedup, as an exact set-similarity join.
 
     Per doc, checks run in the order short -> exact -> near, so a
     too-short doc never anchors near-duplicate drops. Tokens counted
     toward MIN_TOKENS exclude mention/URL placeholders. Near means
-    Jaccard over word shingles against any *kept* doc >= JACCARD_THRESHOLD;
-    output is equivalent to the brute-force pairwise scan (the shingle
-    index below only skips pairs with zero overlap). MIN_TOKENS >=
+    Jaccard over word shingles against any *kept* doc >= JACCARD_THRESHOLD,
+    and the drop names the earliest such kept doc. MIN_TOKENS >=
     SHINGLE_SIZE, so no doc past the short check has an empty shingle set.
+
+    Pass 1 normalizes and tokenizes every doc, builds its shingle set
+    and counts each shingle's document frequency. Pass 2 writes each set
+    in one global order, rarest first (``(df, shingle)``), so that the
+    prefixes it indexes and probes with hold the rarest shingles and
+    meet few other docs.
+
+    Why no pair at or over the threshold t is missed: J(x, y) >= t
+    implies t*|x| <= |y| <= |x|/t (the size filter of AllPairs, Bayardo,
+    Ma & Srikant, WWW 2007), and the two share at least o(|x|) and o(|y|)
+    shingles, where o(n) = ceil(t*n). In the global order, x's k-th
+    shared shingle is preceded in x by k - 1 shared ones and at most
+    |x| - o(|x|) that y lacks, so it lies in x's prefix of length
+    |x| - o(|x|) + k, and likewise in y's (AllPairs' prefix filter for
+    k = 1; for k > 1 the l-prefix scheme of Wang, Li & Feng, SIGMOD 2012).
+    With k = 2, or 1 for a one-shingle set (o = 1; only an equal set can
+    match it), each kept doc indexes that prefix, and a doc's candidates
+    are the kept docs that meet its own prefix at least k times and lie
+    inside its size bounds. Candidates are verified with ``jaccard`` in
+    ascending kept index, so the result is that of the brute-force scan
+    over every kept doc.
+
+    The bounds are integer expressions in the ratio _T_NUM/_T_DEN, exact
+    for every set size. The float test agrees with that ratio: a quotient
+    of set sizes below it differs from it by far more than a rounding.
     """
+    docs = list(docs)
+    norms = [normalize(doc.text) for doc in docs]
+    sets: list[frozenset | None] = []  # None for a short doc
+    for norm in norms:
+        toks = [t for t in tokenize(norm) if t not in _PLACEHOLDERS]
+        sets.append(_shingles(toks, SHINGLE_SIZE) if len(toks) >= MIN_TOKENS else None)
+    df = Counter(chain.from_iterable(filter(None, sets)))
+    # a stable sort by df of the sorted shingles: the (df, shingle) order
+    rank = {g: i for i, g in enumerate(sorted(sorted(df), key=df.__getitem__))}
+
     kept: list[Document] = []
     dropped: list[DropRecord] = []
     exact_seen: dict[str, str] = {}
     kept_shingles: list[frozenset] = []
-    by_shingle: dict[tuple[str, ...], list[int]] = {}
-    for doc in docs:
-        norm = normalize(doc.text)
-        toks = [t for t in tokenize(norm) if t not in _PLACEHOLDERS]
-        if len(toks) < MIN_TOKENS:
+    by_rank: dict[int, list[int]] = {}  # shingle rank -> kept docs whose prefix holds it
+    for doc, norm, sh in zip(docs, norms, sets):
+        if sh is None:
             dropped.append(DropRecord(doc.id, "short"))
             continue
         if norm in exact_seen:
             dropped.append(DropRecord(doc.id, "exact", exact_seen[norm]))
             continue
-        sh = _shingles(toks, SHINGLE_SIZE)
-        candidates: set[int] = set()
-        for g in sh:
-            candidates.update(by_shingle.get(g, ()))
+        ordered = sorted(map(rank.__getitem__, sh))
+        n = len(ordered)
+        least = -(-n * _T_NUM // _T_DEN)  # o(n) = ceil(t*n), also the least candidate size
+        most = n * _T_DEN // _T_NUM  # floor(n/t), the largest candidate size
+        k = min(2, least)
+        prefix = ordered[: n - least + k]
+        once: set[int] = set()  # kept docs the prefix meets, and those it meets twice
+        twice: set[int] = set()
+        for g in prefix:
+            posting = by_rank.get(g)
+            if posting:
+                if once:
+                    twice.update(once.intersection(posting))
+                once.update(posting)
         hit: str | None = None
-        for idx in sorted(candidates):
-            if jaccard(sh, kept_shingles[idx]) >= JACCARD_THRESHOLD:
+        for idx in sorted(twice if k == 2 else once):
+            other = kept_shingles[idx]
+            if least <= len(other) <= most and jaccard(sh, other) >= JACCARD_THRESHOLD:
                 hit = kept[idx].id
                 break
         if hit is not None:
             dropped.append(DropRecord(doc.id, "near", hit))
             continue
         exact_seen[norm] = doc.id
-        for g in sh:
-            by_shingle.setdefault(g, []).append(len(kept))
+        for g in prefix:
+            by_rank.setdefault(g, []).append(len(kept))
         kept_shingles.append(sh)
         kept.append(doc)
     return kept, dropped

@@ -251,6 +251,19 @@ def test_emoji_stats_command(tmp_path):
     assert "1F339" not in rows  # rose is not a seed
 
 
+@pytest.mark.parametrize("stage", ["mine-lexicon", "emoji-stats"])
+def test_a_doc_without_a_label_record_names_the_corpus_and_labels(tmp_path, capsys, stage):
+    from anchorlex.corpus import LabelRecord
+
+    inp, lab, out = tmp_path / "c.jsonl", tmp_path / "l.tsv", tmp_path / "o.tsv"
+    docs = [Document(id="d1", text="يا كلب \U0001F437", created_at=TS), Document(id="d2", text="صباح \U0001F437", created_at=TS)]
+    write_corpus(str(inp), docs)
+    write_labels(str(lab), [LabelRecord(doc_id="d1", offensive=True)])
+    assert cli.main([stage, "--in", str(inp), "--labels", str(lab), "--out", str(out)]) == 2
+    assert f"error: {inp}, {lab}: document 'd2' has no label record\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "l.tsv"]
+
+
 def test_sample_command_deterministic(tmp_path):
     docs = [Document(id=f"d{i}", text=f"نص {i} \U0001F437", created_at=TS) for i in range(6)]
     inp = str(tmp_path / "c.jsonl")

@@ -291,6 +291,43 @@ def _closed_vocab_stream(rng: random.Random) -> list[str]:
     return texts
 
 
+LONG_VOCAB = [f"w{i}" for i in range(24)]
+
+
+def _long_doc_stream(rng: random.Random) -> list[str]:
+    """Up to 16 docs of about 10 to 60 shingles over LONG_VOCAB, each a few edits of an earlier doc.
+
+    A doc of b shingles loses at most 2 to each replaced, inserted or
+    deleted word, so 0 to b/8 edits land on both sides of the threshold,
+    and cutting about a fifth of the words lands near it. Editing an
+    edit chains near duplicates, so which kept doc a drop names depends
+    on the order; sizes vary enough that the size bounds bind. One draw
+    from ``rng`` seeds the rest: a stream makes hundreds of draws, and a
+    Hypothesis-driven draw costs tens of microseconds.
+    """
+    rng = random.Random(rng.getrandbits(64))
+    pool = [[rng.choice(LONG_VOCAB) for _ in range(rng.randint(11, 61))] for _ in range(rng.randint(1, 3))]
+    texts = []
+    for _ in range(rng.randint(2, 16)):
+        toks = list(rng.choice(pool))
+        if rng.random() < 0.25:
+            cut = len(toks) // 5 + rng.randint(-1, 1)
+            toks = toks[cut:] if rng.random() < 0.5 else toks[: len(toks) - cut]
+        else:
+            for _ in range(rng.randint(0, len(toks) // 8)):
+                i = rng.randrange(len(toks))
+                edit = rng.choice(("replace", "insert", "delete"))
+                if edit == "replace":
+                    toks[i] = rng.choice(LONG_VOCAB)
+                elif edit == "insert":
+                    toks.insert(i, rng.choice(LONG_VOCAB))
+                elif len(toks) > 11:
+                    del toks[i]
+        pool.append(toks)
+        texts.append(" ".join(toks))
+    return texts
+
+
 def test_dedup_hand_scenario():
     # base has 9 words (8 bigram shingles); d003 appends one word, so
     # jaccard = 8 shared / 9 union = 0.889 >= 0.8
@@ -317,6 +354,14 @@ def test_dedup_first_wins_order():
     assert dropped[0].doc_id == "d001"
 
 
+def test_dedup_one_shingle_docs():
+    # "a a a" and "a a a a" differ as texts but share their one shingle, so a
+    # one-shingle doc needs one prefix hit where every longer doc needs two
+    kept, dropped = dedup([doc(0, "a a a"), doc(1, "a a a a"), doc(2, "b b b")])
+    assert [d.id for d in kept] == ["d000", "d002"]
+    assert dropped == [DropRecord("d001", "near", "d000")]
+
+
 def test_dedup_below_threshold_kept():
     # shingle overlap exists but jaccard < 0.8: both stay
     docs = [doc(0, "a b c d e"), doc(1, "a b x y z")]
@@ -324,10 +369,10 @@ def test_dedup_below_threshold_kept():
     assert len(kept) == 2
 
 
-@settings(max_examples=300, deadline=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_dedup_equals_brute_force(rng):
-    docs = [doc(i, t) for i, t in enumerate(_closed_vocab_stream(rng))]
+@settings(max_examples=450, deadline=None)
+@given(stream=st.sampled_from([_closed_vocab_stream, _long_doc_stream]), rng=st.randoms(use_true_random=False))
+def test_dedup_equals_brute_force(stream, rng):
+    docs = [doc(i, t) for i, t in enumerate(stream(rng))]
     kept, dropped = dedup(docs)
     kept_ref, dropped_ref = _brute_force_dedup(docs)
     assert [d.id for d in kept] == [d.id for d in kept_ref]
@@ -368,6 +413,71 @@ def test_closed_vocab_streams_reach_every_drop_rule_and_both_sides_of_the_thresh
     )
 
 
+def test_long_doc_streams_reach_both_sides_of_the_threshold_and_the_size_bounds():
+    from anchorlex.textnorm import _shingles
+
+    near, at_threshold, just_below, chained, outside_sizes, sizes = 0, 0, 0, 0, 0, set()
+    for seed in range(150):
+        docs = [doc(i, t) for i, t in enumerate(_long_doc_stream(random.Random(seed)))]
+        sh = {d.id: _shingles(_counted(d.text), SHINGLE_SIZE) for d in docs}
+        sizes.update(map(len, sh.values()))
+        kept, dropped = dedup(docs)
+        near_of = {r.doc_id: r.duplicate_of for r in dropped if r.reason == "near"}
+        kept_ids, kept_before = {d.id for d in kept}, []
+        for d in docs:
+            x = sh[d.id]
+            if d.id in near_of:
+                near += 1
+                at_threshold += jaccard(x, sh[near_of[d.id]]) == JACCARD_THRESHOLD
+                chained += sum(jaccard(x, sh[k]) >= JACCARD_THRESHOLD for k in kept_before) >= 2
+            for k in kept_before:
+                just_below += 0.7 <= jaccard(x, sh[k]) < JACCARD_THRESHOLD
+                outside_sizes += bool(x & sh[k]) and not JACCARD_THRESHOLD * len(x) <= len(sh[k]) <= len(x) / JACCARD_THRESHOLD
+            if d.id in kept_ids:
+                kept_before.append(d.id)
+    assert near >= 100 and min(at_threshold, just_below, chained, outside_sizes) >= 10, (
+        near, at_threshold, just_below, chained, outside_sizes
+    )
+    assert min(sizes) <= 10 and max(sizes) >= 60, (min(sizes), max(sizes))
+
+
+def _edge_pairs():
+    """Every size pair (n, m), 3 <= n <= m <= 60, at which two shingle sets can have Jaccard exactly 4/5.
+
+    With i shared shingles, i / (n + m - i) = 4/5 means 9i = 4(n + m), so
+    n + m is a multiple of 9 and i <= n; no pair holds a set of 3.
+    """
+    return [(n, m, 4 * (n + m) // 9) for n in range(3, 61) for m in range(n, 61) if (n + m) % 9 == 0 and 4 * (n + m) // 9 <= n]
+
+
+def _chain_pair(n, m, shared, short):
+    """Two texts of n and m distinct word bigrams that share `shared` of them, or one fewer if `short`.
+
+    Both start with the chain s0 .. s{shared}, which gives the shared
+    bigrams, then go on with words of their own; `short` swaps the
+    second's last chain word for a new one, so its size stays m.
+    """
+    chain = [f"s{k}" for k in range(shared + 1)]
+    second = chain[:-1] + ["z"] if short else chain
+    return " ".join(chain + [f"a{k}" for k in range(n - shared)]), " ".join(second + [f"b{k}" for k in range(m - shared)])
+
+
+@pytest.mark.parametrize("n,m,shared", _edge_pairs())
+def test_dedup_drops_a_pair_at_exactly_the_threshold_and_keeps_it_one_shared_shingle_short(n, m, shared):
+    from anchorlex.textnorm import _shingles
+
+    small, large = _chain_pair(n, m, shared, short=False)
+    assert [len(_shingles(_counted(t), SHINGLE_SIZE)) for t in (small, large)] == [n, m]
+    assert jaccard(*(_shingles(_counted(t), SHINGLE_SIZE) for t in (small, large))) == JACCARD_THRESHOLD
+    for first, second in ((large, small), (small, large)):
+        kept, dropped = dedup([doc(0, first), doc(1, second)])
+        assert [d.id for d in kept] == ["d000"] and dropped == [DropRecord("d001", "near", "d000")], (first, second)
+    small, large = _chain_pair(n, m, shared, short=True)
+    for first, second in ((large, small), (small, large)):
+        kept, dropped = dedup([doc(0, first), doc(1, second)])
+        assert [d.id for d in kept] == ["d000", "d001"] and dropped == [], (first, second)
+
+
 def test_dedup_no_kept_pair_meets_threshold():
     from anchorlex.textnorm import _shingles
 
@@ -377,6 +487,29 @@ def test_dedup_no_kept_pair_meets_threshold():
         for i in range(len(shs)):
             for j in range(i + 1, len(shs)):
                 assert jaccard(shs[i], shs[j]) < JACCARD_THRESHOLD
+
+
+# jaccard calls on the 5,000 docs of make_anchored_corpus(n_docs=5_000, seed=0)
+# when dedup verified every kept doc that shared any shingle with the new doc,
+# before its prefix, count and size filters
+ALL_OVERLAPS_JACCARD_CALLS = 392_980
+
+
+def test_dedup_verifies_at_least_ten_times_fewer_pairs_than_every_overlap(monkeypatch):
+    from anchorlex import synth, textnorm
+
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return jaccard(a, b)
+
+    monkeypatch.setattr(textnorm, "jaccard", counted)
+    docs, _ = synth.make_anchored_corpus(n_docs=5_000, seed=0)
+    kept, dropped = dedup(docs)
+    assert len(kept) + len(dropped) == 5_000
+    assert 0 < calls * 10 <= ALL_OVERLAPS_JACCARD_CALLS, calls
 
 
 def test_dump_drops_format():
