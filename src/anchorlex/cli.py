@@ -319,7 +319,8 @@ def _undecodable(paths: Sequence[str | None]) -> str | None:
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """Every stage's subparser, each with its arguments, or only `command`'s if that names a stage."""
+    """Every stage's subparser with its arguments; if `command` names a stage, only that
+    stage's, so a stage call builds one subparser, not 16."""
     parser = _Parser(prog="anchorlex", description=__doc__)
     parser.add_argument("--version", action="version", version=f"anchorlex {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -328,10 +329,10 @@ def build_parser(command: str | None = None) -> _Parser:
         name: str, fn: Callable, help_: str, inputs: tuple[str, ...], outputs: tuple[str, ...] = ("out",)
     ) -> argparse.ArgumentParser | None:
         """A stage whose input and output files are the args named by these dests; None if not called."""
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=fn, _inputs=inputs, _outputs=outputs, _parser=p)
         if command not in (None, name):
             return None
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=fn, _inputs=inputs, _outputs=outputs, _parser=p)
         p.add_argument("--manifest", help="run manifest path (default: <out>.manifest.json)")
         return p
 

@@ -16,6 +16,10 @@ compete for one character because P is disjoint from RI, T, X, ZWJ and
 the keycap bases. A ZWJ not followed by a pictograph ends the cluster
 before it.
 
+A lookahead on CLUSTER_START, every code point that can begin a
+cluster, gates the pattern: it rejects Arabic, ASCII letters and spaces
+in one bitmap lookup and one compare, and changes no match.
+
 The *base form* is the cluster with skin tones and variation selectors
 stripped, so all tone/presentation variants of one emoji collapse to a
 single key.
@@ -60,14 +64,23 @@ def _cls(*ranges: tuple[int, int]) -> str:
     return "[" + "".join(f"{_cp(lo)}-{_cp(hi)}" for lo, hi in ranges) + "]"
 
 
+_RI = (er.RI_LO, er.RI_HI)
+_KEYCAPS = [(c, c) for c in sorted(er.KEYCAP_BASES)]
 _TONE = (er.SKIN_TONE_LO, er.SKIN_TONE_HI)
 _PICT = _cls(*er.EXTENDED_PICTOGRAPHIC)
 _EXT = _cls((er.VS15, er.VS16), _TONE, (er.TAG_LO, er.TAG_HI))
-# flag | keycap | emoji, as in the module docstring; textnorm's tokenizer reuses it
+_STARTS = (_RI, *_KEYCAPS, *er.EXTENDED_PICTOGRAPHIC, _TONE)
+_ASTRAL = [r for r in _STARTS if r[1] > 0xFFFF]
+# every code point that can begin a flag, a keycap or an emoji: re looks a BMP
+# code point up in one bitmap, but tries astral ranges one by one, so those join
+CLUSTER_START = _cls(
+    *(r for r in _STARTS if r[1] <= 0xFFFF), (min(lo for lo, _ in _ASTRAL), max(hi for _, hi in _ASTRAL))
+)
+# the start gate, then flag | keycap | emoji as in the module docstring; textnorm's tokenizer reuses it
 CLUSTER_PATTERN = (
-    f"{_cls((er.RI_LO, er.RI_HI))}{{1,2}}"
-    f"|{_cls(*((c, c) for c in sorted(er.KEYCAP_BASES)))}{_cp(er.VS16)}?{_cp(er.KEYCAP_MARK)}"
-    f"|{_cls(*er.EXTENDED_PICTOGRAPHIC, _TONE)}{_EXT}*(?:{_cp(er.ZWJ)}{_PICT}{_EXT}*)*"
+    f"(?={CLUSTER_START})(?:{_cls(_RI)}{{1,2}}"
+    f"|{_cls(*_KEYCAPS)}{_cp(er.VS16)}?{_cp(er.KEYCAP_MARK)}"
+    f"|{_cls(*er.EXTENDED_PICTOGRAPHIC, _TONE)}{_EXT}*(?:{_cp(er.ZWJ)}{_PICT}{_EXT}*)*)"
 )
 _CLUSTER_RE = re.compile(CLUSTER_PATTERN)
 
@@ -138,11 +151,12 @@ def filter_by_seeds(docs: Iterable[Document], inventory: Mapping[str, str]) -> l
     """Documents whose emoji base forms intersect the inventory's, stable order."""
     bases = inventory.keys()
     # every cluster whose base is b contains b[0], so a text holding no
-    # base's first codepoint needs no segmentation
+    # base's first codepoint needs no segmentation; re tries astral members
+    # one by one, so a range gate first rejects the rest in one compare
     firsts = sorted({ord(b[0]) for b in bases})
     if not firsts:
         return []
-    screen = re.compile(_cls(*((c, c) for c in firsts))).search
+    screen = re.compile(f"(?={_cls((firsts[0], firsts[-1]))}){_cls(*((c, c) for c in firsts))}").search
     return [d for d in docs if screen(d.text) and doc_bases(d.text) & bases]
 
 

@@ -5,7 +5,9 @@ expands them to surface forms (auditable by construction, and cheap:
 overgenerated forms that never occur in text cost nothing). Two rule
 shapes: an expanded verb followed within a small token gap by an
 expanded object (V_THEN_O), and a hitting noun + "on" + body part
-(HITNOUN_ON_BODY).
+(HITNOUN_ON_BODY). A V_THEN_O rule that takes <human> also matches a
+verb with an object pronoun attached; those suffixed forms are
+expanded into a set too, so each token costs set lookups only.
 
 The bundled classes and rules are files like a user's, at CLASSES_PATH
 and RULES_PATH: the defaults of `--classes` and `--rules`, read alike.
@@ -172,12 +174,15 @@ class PatternMatch:
     tokens: tuple[str, ...]
 
 
-_Compiled = list[tuple[PatternRule, frozenset[str], frozenset[str]]]
+_Compiled = list[tuple[PatternRule, frozenset[str], frozenset[str], frozenset[str]]]
 
 
 def compile_rules(rules: Sequence[PatternRule], classes: Mapping[str, Sequence[str]]) -> _Compiled:
-    """Each rule with its trigger class's surface forms and the union of its
-    object classes' forms."""
+    """Each rule with its trigger class's surface forms, the union of its
+    object classes' forms, and its suffixed forms: for a V_then_O rule whose
+    objects include <human>, every trigger form + object pronoun suffix
+    (empty for other rules). No form is empty, so `tok in suffixed` holds
+    exactly when tok is a trigger form with a pronoun attached."""
     needed = {r.verb_class for r in rules} | {
         c for r in rules for c in r.object_classes
     }
@@ -189,16 +194,11 @@ def compile_rules(rules: Sequence[PatternRule], classes: Mapping[str, Sequence[s
         for name, members in classes.items()
     }
     return [
-        (r, forms[r.verb_class], frozenset().union(*(forms[c] for c in r.object_classes)))
+        (r, forms[r.verb_class], frozenset().union(*(forms[c] for c in r.object_classes)),
+         frozenset(v + s for v in forms[r.verb_class] for s in OBJECT_PRONOUN_SUFFIXES
+                   if r.shape == V_THEN_O and "human" in r.object_classes))
         for r in rules
     ]
-
-
-def _verb_with_object_suffix(token: str, verb_forms: frozenset[str]) -> bool:
-    for suf in OBJECT_PRONOUN_SUFFIXES:
-        if len(token) > len(suf) and token.endswith(suf) and token[: -len(suf)] in verb_forms:
-            return True
-    return False
 
 
 def match_violence(
@@ -213,16 +213,11 @@ def match_violence(
     """
     out: list[PatternMatch] = []
     n = len(tokens)
-    for rule, trigger_forms, object_forms in compiled:
-        takes_human = "human" in rule.object_classes
+    for rule, trigger_forms, object_forms, suffixed in compiled:
         for i, tok in enumerate(tokens):
             if rule.shape == V_THEN_O:
-                if takes_human and _verb_with_object_suffix(
-                    tok, trigger_forms
-                ):
-                    out.append(
-                        PatternMatch(rule.name, i, i + 1, (tok,))
-                    )
+                if tok in suffixed:
+                    out.append(PatternMatch(rule.name, i, i + 1, (tok,)))
                     continue
                 if tok not in trigger_forms:
                     continue

@@ -10,6 +10,7 @@ import emoji_reference
 from anchorlex import cli
 from anchorlex import emoji_ranges as er
 from anchorlex.emoji import (
+    CLUSTER_START,
     SEEDS_PATH,
     base_form,
     cluster_spans,
@@ -207,6 +208,20 @@ def test_pictographic_table_avoids_every_other_class():
     }
     for lo, hi in er.EXTENDED_PICTOGRAPHIC:
         assert not any(lo <= cp <= hi for cp in others), (hex(lo), hex(hi))
+
+
+def test_cluster_start_holds_every_code_point_that_begins_a_cluster():
+    # the pattern's lookahead: a starter it missed would lose its cluster
+    starters = {
+        *range(er.RI_LO, er.RI_HI + 1),
+        *er.KEYCAP_BASES,
+        *(cp for lo, hi in er.EXTENDED_PICTOGRAPHIC for cp in range(lo, hi + 1)),
+        *range(er.SKIN_TONE_LO, er.SKIN_TONE_HI + 1),
+    }
+    gate = re.compile(CLUSTER_START)
+    assert [hex(cp) for cp in sorted(starters) if not gate.fullmatch(chr(cp))] == []
+    # what it is for: Arabic, ASCII letters and spaces fail it
+    assert not any(map(gate.match, "كلب يا dog \u0640\u064b"))
 
 
 def test_doc_bases_dedupes():

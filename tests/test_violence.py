@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
+import violence_reference
 from anchorlex import cli
 from anchorlex.textnorm import normalize
 from anchorlex.violence import (
     CLASSES_PATH,
+    OBJECT_PRONOUN_SUFFIXES,
+    ON_TOKEN,
     PERSON_MARKERS,
     RULES_PATH,
     VERB_PREFIXES,
@@ -175,6 +179,57 @@ def test_one_match_per_rule_and_trigger():
     assert matches[0].tokens == (HIT, HEAD)
 
 
+# A small table with both shapes: a V_then_O rule that takes <human> (and so
+# suffixed verbs), one that does not, and a HITNOUN_ON_BODY rule.
+SMALL = compile_rules(
+    (
+        PatternRule("kill_human", "V_then_O", "verb_kill", ("human", "body"), 1),
+        PatternRule("cut_head", "V_then_O", "verb_cut", ("head",), 0),
+        PatternRule("slap_on_body", "HITNOUN_ON_BODY", "hit_noun", ("body",), 1),
+    ),
+    {
+        "verb_kill": (KILL,),
+        "verb_cut": ("يقطع",),
+        "human": (YOU, "انتم"),
+        "head": (HEAD,),
+        "body": (FACE, NECK),
+        "hit_noun": (SLAP,),
+    },
+)
+
+
+def _token_pool(compiled, rng: random.Random) -> list[str]:
+    """A few tokens of every kind for every rule, so that random sequences of
+    them reach every branch of the matcher."""
+
+    def some(forms, k):
+        return rng.sample(sorted(forms), min(k, len(forms)))
+
+    fillers = ["غدا", "والله", "x", ON_TOKEN + "ه", "ك", "ها"]
+    pool = [ON_TOKEN] * 3 + fillers + ["عال" + w for w in fillers[:2]]
+    for _, triggers, objects, _ in compiled:
+        pool += some(triggers, 3) + some(objects, 3) + some([o for o in objects if o.startswith("عال")], 2)
+        # a suffix on a trigger form (matched alone only if the rule takes <human>) and on a non-verb
+        pool += [w + s for w in some(triggers, 2) + some(objects, 1) for s in OBJECT_PRONOUN_SUFFIXES]
+    return pool
+
+
+@pytest.mark.parametrize("compiled", [RULES, SMALL], ids=["bundled", "small"])
+def test_matcher_matches_suffix_loop_reference(compiled):
+    rng = random.Random(0)
+    pool = _token_pool(compiled, rng)
+    reference = [c[:3] for c in compiled]
+    seen = set()
+    for _ in range(3000):
+        tokens = rng.choices(pool, k=rng.randint(0, 10))
+        got = match_violence(tokens, compiled)
+        assert got == violence_reference.match_violence(tokens, reference), tokens
+        seen.update((m.rule, m.end - m.start == 1) for m in got)
+    # the draws reach every rule, and a suffixed verb matching alone
+    assert {rule for rule, _ in seen} == {r.name for r, *_ in compiled}
+    assert any(alone for _, alone in seen)
+
+
 # --- tables and loaders ----------------------------------------------------
 
 
@@ -218,8 +273,11 @@ def test_loaders_round_trip(tmp_path):
         max_gap=2,
     )
     compiled = compile_rules(rules, classes)
-    # the rule, its trigger forms, and its object forms
-    assert compiled == [(rules[0], expand(KILL, "verb"), expand(YOU, "literal"))]
+    # the rule, its trigger forms, its object forms, and (it takes <human>)
+    # every trigger form with an object pronoun attached
+    suffixed = frozenset(v + s for v in expand(KILL, "verb") for s in OBJECT_PRONOUN_SUFFIXES)
+    assert "ساقتلك" in suffixed and len(suffixed) == 6 * len(expand(KILL, "verb"))
+    assert compiled == [(rules[0], expand(KILL, "verb"), expand(YOU, "literal"), suffixed)]
     assert any(m.rule == "kill_human" for m in match_violence([KILL, YOU], compiled))
 
 
