@@ -3,7 +3,8 @@
 
 Each size is a raw stream from `synth.make_anchored_corpus` (5% of docs
 carry an emoji). The script prints, per size, the median over the
-repeats of the microseconds per doc spent in `normalize`,
+repeats of the microseconds per doc spent in `load_corpus` on that
+stream, written once with `write_corpus` to a temporary file, in `normalize`,
 `cluster_spans` and `doc_bases` on the raw texts, and in `tokenize` on
 the normalized texts (as `dedup` calls it), after a line naming nproc
 and the Python and numpy versions. `normalize_passes` is the mean
@@ -41,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from anchorlex import cli, textnorm
-from anchorlex.corpus import DatasetSplit
+from anchorlex.corpus import DatasetSplit, Document, load_corpus, write_corpus
 from anchorlex.emoji import cluster_spans, doc_bases
 from anchorlex.explain import explain
 from anchorlex.linear import LinearModel, load_model, predict_texts, save_model, score_texts, train_model
@@ -67,6 +68,14 @@ def us_per_doc(fn: Callable[[str], object], texts: list[str], repeats: int) -> f
             fn(t)
 
     return 1e6 * median_s(run, repeats) / len(texts)
+
+
+def load_us(docs: list[Document], repeats: int) -> float:
+    """Median microseconds per doc of `load_corpus` on docs, written once with `write_corpus`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "raw.jsonl")
+        write_corpus(path, docs)
+        return 1e6 * median_s(lambda: load_corpus(path), repeats) / len(docs)
 
 
 def normalize_passes(texts: list[str]) -> float:
@@ -124,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         f"  seed {args.seed}  repeats {args.repeats}"
     )
     print(
-        "n_docs\tnormalize_us\tnormalize_passes\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
+        "n_docs\tload_us\tnormalize_us\tnormalize_passes\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
         "\tpredict_us\texplain_us_per_sample\tload_ms\tindex_ms\tparse_ms"
     )
     for size in sizes:
@@ -135,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         model = train_model(docs, labels, DatasetSplit(train, frozenset(), frozenset()))
         request = next(t for t in raw if len(tokenize(t)) >= 6)
         cols = [
+            load_us(docs, args.repeats),
             us_per_doc(normalize, raw, args.repeats),
             normalize_passes(raw),
             us_per_doc(cluster_spans, raw, args.repeats),

@@ -10,6 +10,9 @@ File formats:
 
 No stage reads `created_at`. It is validated once on load and kept as the
 canonical UTC string YYYY-MM-DDTHH:MM:SSZ, which is written back as is.
+
+`load_corpus` decodes a line with one `raw_decode` call where that is exactly
+`json.loads`, and sends every other line through `json.loads` itself.
 """
 
 from __future__ import annotations
@@ -121,30 +124,41 @@ class LabelRecord:
 # --- corpus I/O ---------------------------------------------------------
 
 _DOC_FIELDS = ("id", "text", "created_at")
+_DECODER = json.JSONDecoder()  # configured as json.loads' own
 
 
 def _doc_from_mapping(obj: Mapping[str, object]) -> Document:
-    for name in _DOC_FIELDS:
-        value = obj.get(name)
-        if value is None or value == "":
-            raise ValueError(f"missing field {name}")
-        if not isinstance(value, str):
-            raise ValueError(f"field {name} must be a string, got {type(value).__name__}")
-    return Document(id=obj["id"], text=obj["text"], created_at=canonical_timestamp(obj["created_at"]))
+    id_, text, created_at = obj.get("id"), obj.get("text"), obj.get("created_at")
+    if not (type(id_) is str and id_ and type(text) is str and text and type(created_at) is str and created_at):
+        for name in _DOC_FIELDS:  # names the first bad field
+            value = obj.get(name)
+            if value is None or value == "":
+                raise ValueError(f"missing field {name}")
+            if not isinstance(value, str):
+                raise ValueError(f"field {name} must be a string, got {type(value).__name__}")
+    return Document(id=id_, text=text, created_at=canonical_timestamp(created_at))
 
 
 def load_corpus(path: str) -> list[Document]:
-    """Read a corpus JSONL file; raises ValueError naming the offending line."""
+    """Read a corpus JSONL file; raises ValueError naming the offending line.
+
+    json.loads skips space, tab, LF and CR, raw_decodes, and allows only those four after
+    the value (fewer than .strip()): a line that starts with its value takes raw_decode."""
     docs: list[Document] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: bad JSON: {e}") from None
+                obj, end = _DECODER.raw_decode(line)
+            except (ValueError, RecursionError):
+                end = 0  # no value is empty: the line goes to json.loads
+            if not end or line[end:].strip(" \t\n\r"):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as e:
+                    raise ValueError(f"{path}: line {lineno}: bad JSON: {e}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno}: expected an object")
             # only a \ud800-\udfff escape decodes to a surrogate (a pair becomes one

@@ -441,10 +441,11 @@ def _floats(name: str, text: object) -> np.ndarray:
 
 def load_model(path: str) -> LinearModel:
     with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not a JSON model file: {e}") from None
+        text = fh.read()  # a UTF-8 error propagates, for the CLI to name its line
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as e:  # also too deep, or too many digits
+        raise ValueError(f"{path}: not a JSON model file: {e}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: not a JSON model file: no top-level object")
     version = obj.get("format_version")

@@ -174,7 +174,8 @@ class PatternMatch:
     tokens: tuple[str, ...]
 
 
-_Compiled = list[tuple[PatternRule, frozenset[str], frozenset[str], frozenset[str]]]
+class _Compiled(list[tuple[PatternRule, frozenset[str], frozenset[str], frozenset[str]]]):
+    screen: frozenset[str]  # every rule's trigger and suffixed forms: where any match starts
 
 
 def compile_rules(rules: Sequence[PatternRule], classes: Mapping[str, Sequence[str]]) -> _Compiled:
@@ -193,12 +194,14 @@ def compile_rules(rules: Sequence[PatternRule], classes: Mapping[str, Sequence[s
         name: frozenset(form for stem in members for form in expand(stem, kind_of(name)))
         for name, members in classes.items()
     }
-    return [
+    compiled = _Compiled(
         (r, forms[r.verb_class], frozenset().union(*(forms[c] for c in r.object_classes)),
          frozenset(v + s for v in forms[r.verb_class] for s in OBJECT_PRONOUN_SUFFIXES
                    if r.shape == V_THEN_O and "human" in r.object_classes))
         for r in rules
-    ]
+    )
+    compiled.screen = frozenset().union(*(c[1] | c[3] for c in compiled))
+    return compiled
 
 
 def match_violence(
@@ -211,6 +214,8 @@ def match_violence(
     object. For rules whose objects include <human>, a verb carrying an
     attached object pronoun matches as a single token.
     """
+    if compiled.screen.isdisjoint(tokens):
+        return []
     out: list[PatternMatch] = []
     n = len(tokens)
     for rule, trigger_forms, object_forms, suffixed in compiled:

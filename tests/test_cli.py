@@ -1023,6 +1023,32 @@ def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, mes
     assert not (tmp_path / "ex.txt").exists()
 
 
+# JSON the decoder refuses with no JSONDecodeError: Python's digit limit for int(),
+# and the decoder's recursion limit
+UNDECODABLE_JSON = {
+    "5000-digit integer": ('{"id": "d1", "n": ' + "7" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    "100000 nested arrays": ("[" * 100_000, "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("body", list(UNDECODABLE_JSON), ids=list(UNDECODABLE_JSON))
+def test_json_past_the_decoder_limits_names_its_file(ws, tmp_path, capsys, body):
+    text, reason = UNDECODABLE_JSON[body]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(f'{{"id": "d0", "text": "x", "created_at": "{TS}"}}\n{text}\n', encoding="utf-8")
+    for stage in ("normalize", "collect"):
+        assert cli.main([stage, "--in", str(raw), "--out", str(tmp_path / "out.jsonl")]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"anchorlex {stage}: error: {raw}: line 2: bad JSON: {reason}") and out == ""
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    for argv in (["predict", "--in", ws.corpus], ["explain", "--text", "غبي", "--samples", "20"]):
+        assert cli.main([*argv, "--model", str(model), "--out", str(tmp_path / "out.tsv")]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"anchorlex {argv[0]}: error: {model}: not a JSON model file: {reason}") and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "raw.jsonl"]
+
+
 def test_report_command(ws, tmp_path, capsys):
     lex = str(tmp_path / "lex.tsv")
     assert cli.main(["mine-lexicon", "--in", ws.corpus, "--labels", ws.labels, "--out", lex]) == 0

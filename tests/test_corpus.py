@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpus_reference
 from anchorlex import cli
 from anchorlex.corpus import (
     LABEL_CLASSES,
@@ -259,6 +260,62 @@ def test_corpus_duplicate_id(tmp_path):
     p.write_text(raw + raw, encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         load_corpus(str(p))
+
+
+# JSON's own whitespace but LF (CR also ends a line of the file), the other characters
+# .strip() strips (line breaks only to str.splitlines, not to a text file), a BOM, and nothing
+_JSON_WS = [" ", "\t", "\r"]
+_OTHER_WS = ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "\ufeff"]
+_WS = st.one_of(st.just(""), st.text(st.sampled_from(_JSON_WS), max_size=2), st.sampled_from(_OTHER_WS))
+_VALID_TEXT = st.sampled_from(['"x"', '"يا غبي"', '"a\\tb"', '"\\ud83d\\ude00"', '"\\\\ud83d"'])
+_TEXT = _VALID_TEXT | st.sampled_from(['""', '"\\u0000"', '"\\ud83d"', "5", "null", "true", '["a"]', "1e400"])
+_DATE = st.sampled_from(
+    ['"2021-05-01T12:00:00Z"', '"2021-05-01 14:00:00+02:00"', '"2021-02-30T00:00:00Z"', '"2021-05-01T24:00:00Z"',
+     '"soon"', '""', "20210501"]
+)
+_ID = st.sampled_from(['"a"', '"b"', '"c"', '"d"', '"e"'])
+
+
+def _row(id_: str, text: str, created_at: str, extra: str = "") -> str:
+    return f'{{"id": {id_}, "text": {text}, "created_at": {created_at}{extra}}}'
+
+
+_GOOD_ROW = st.builds(_row, _ID, _VALID_TEXT, st.just(f'"{TS}"'))
+# missing, empty, non-string and repeated fields, impossible dates, bad ids, non-objects,
+# truncated and extra values
+_ANY_ROW = st.one_of(
+    st.builds(
+        _row,
+        _ID | st.sampled_from(['""', '"a\\tb"', "1", "null"]),
+        _TEXT,
+        _DATE,
+        st.sampled_from(["", ', "lang": "ar"', ', "id": "z"', ', "text": null', ', "created_at": 1']),
+    ),
+    st.sampled_from(["", "[1]", '"s"', "1", "null", "{}", '{"id": "a"}', "{", '{"id": "a"', "x", "[" * 50]),
+)
+_LINE = st.builds(
+    lambda pre, body, extra, post: pre + body + extra + post,
+    _WS,
+    st.one_of(_GOOD_ROW, _GOOD_ROW, _ANY_ROW),
+    st.sampled_from(["", "", "", "", " {}", "[]", " 1", ",", "x"]),
+    _WS,
+)
+
+
+def _docs_or_error(load, path):
+    try:
+        return [(d.id, d.text, d.created_at) for d in load(path)]
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=250, deadline=None)
+@given(lines=st.lists(_LINE, max_size=6), eol=st.sampled_from(["\n", "\r\n"]), last=st.booleans())
+def test_load_corpus_matches_the_json_loads_loop(tmp_path_factory, lines, eol, last):
+    path = str(tmp_path_factory.getbasetemp() / "oracle.jsonl")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(eol.join(lines) + (eol if last else ""))
+    assert _docs_or_error(load_corpus, path) == _docs_or_error(corpus_reference.load_corpus, path)
 
 
 def test_labels_round_trip(tmp_path):

@@ -278,6 +278,9 @@ def test_loaders_round_trip(tmp_path):
     suffixed = frozenset(v + s for v in expand(KILL, "verb") for s in OBJECT_PRONOUN_SUFFIXES)
     assert "ساقتلك" in suffixed and len(suffixed) == 6 * len(expand(KILL, "verb"))
     assert compiled == [(rules[0], expand(KILL, "verb"), expand(YOU, "literal"), suffixed)]
+    # and the screen: every form a match can start at
+    assert compiled.screen == expand(KILL, "verb") | suffixed
+    assert match_violence([YOU, "غدا"], compiled) == []
     assert any(m.rule == "kill_human" for m in match_violence([KILL, YOU], compiled))
 
 
