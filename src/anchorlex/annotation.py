@@ -5,6 +5,10 @@ Jobs are independent labeling passes ("offensive", "hate", "vulgar",
 Quality control: hidden test items with known answers gate annotators at
 an accuracy threshold; agreement is Cohen's kappa averaged over
 annotator pairs with enough shared items.
+
+A judgments file is read as `Judgments`, five aligned plain-list columns,
+and each stage walks only the columns it needs; a `Judgment` is one row,
+built where a caller writes judgments or a file must be read line by line.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import HATE_TARGETS, LABEL_CLASSES, LabelRecord, canonical_timestamp
-from .util import atomic_write_text, dump_tsv, read_tsv
+from .util import atomic_write_text, dump_tsv, read_tsv, split_tsv
 
 
 @dataclass(slots=True)
@@ -33,12 +37,44 @@ class Judgment:
             raise ValueError(f"{self.doc_id}/{self.job}: empty label")
 
 
+@dataclass(slots=True)
+class Judgments:
+    """A judgments file as five aligned columns, one entry per row; `len` is the row count."""
+
+    doc_ids: list[str]
+    annotator_ids: list[str]
+    jobs: list[str]
+    labels: list[str]
+    timestamps: list[str | None]
+
+    @classmethod
+    def of(cls, judgments: Iterable[Judgment]) -> Judgments:
+        js = list(judgments)
+        return cls(
+            [j.doc_id for j in js],
+            [j.annotator_id for j in js],
+            [j.job for j in js],
+            [j.label for j in js],
+            [j.timestamp for j in js],
+        )
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+
 _JUDGMENT_HEADER = ["doc_id", "annotator_id", "job", "label", "timestamp"]
 
 
-def load_judgments(path: str) -> list[Judgment]:
+def load_judgments(path: str) -> Judgments:
     """Check each distinct timestamp, and each distinct (job, label) against the
-    job's label rule (`_job_value`), once; a repeated (doc, annotator, job) is an error."""
+    job's label rule (`_job_value`), once; a repeated (doc, annotator, job) is an error.
+
+    A clean file is read as columns from one split (`_clean_columns`); the
+    per-line loop reads any other, and its error names the first bad line.
+    """
+    clean = _clean_columns(path)
+    if clean is not None:
+        return clean
     out: list[Judgment] = []
     stamps: dict[str, str | None] = {"": None}
     checked: set[tuple[str, str]] = set()
@@ -52,7 +88,31 @@ def load_judgments(path: str) -> list[Judgment]:
                 checked.add((job, label))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
-    return out
+    return Judgments.of(out)
+
+
+def _clean_columns(path: str) -> Judgments | None:
+    """The judgments of a file that passes every check, or None."""
+    cols = split_tsv(path, _JUDGMENT_HEADER, 3)
+    if cols is None:
+        return None
+    doc_ids, annotator_ids, jobs, labels, raw_stamps = cols
+    if "" in doc_ids or "" in annotator_ids:  # an empty label fits no job's rule
+        return None
+    try:
+        canonical = {ts: canonical_timestamp(ts) if ts else None for ts in set(raw_stamps)}
+        for job, label in set(zip(jobs, labels)):
+            _job_value("", job, label)
+    except ValueError:
+        return None
+    stamps = list(map(canonical.__getitem__, raw_stamps))
+    return Judgments(doc_ids, _shared(annotator_ids), _shared(jobs), _shared(labels), stamps)
+
+
+def _shared(column: list[str]) -> list[str]:
+    """`column` with one str object per distinct value."""
+    first: dict[str, str] = {}
+    return list(map(first.setdefault, column, column))
 
 
 def dump_judgments(judgments: Iterable[Judgment]) -> str:
@@ -76,19 +136,19 @@ class GateResult:
     passed: bool
 
 
-def gate_all(
-    judgments: Sequence[Judgment], answers: Mapping[str, str], threshold: float
-) -> list[GateResult]:
+def gate_all(judgments: Judgments, answers: Mapping[str, str], threshold: float) -> list[GateResult]:
     """Gate every annotator with an offensive-job judgment on a test item (doc_id ->
     expected label in answers), in one scan; pass is accuracy >= threshold on those items."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     tally: dict[str, list[int]] = {}  # annotator -> [n_test, n_correct]
-    for j in judgments:
-        if j.job == "offensive" and j.doc_id in answers:
-            t = tally.setdefault(j.annotator_id, [0, 0])
+    for doc_id, annotator_id, job, label in zip(
+        judgments.doc_ids, judgments.annotator_ids, judgments.jobs, judgments.labels
+    ):
+        if job == "offensive" and doc_id in answers:
+            t = tally.setdefault(annotator_id, [0, 0])
             t[0] += 1
-            t[1] += j.label == answers[j.doc_id]
+            t[1] += label == answers[doc_id]
     return [
         GateResult(a, n, k, k / n, k / n >= threshold)
         for a, (n, k) in sorted(tally.items())
@@ -128,7 +188,7 @@ class AggregatedLabel:
     agreement: str  # full | majority | tie
 
 
-def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
+def majority_vote(judgments: Judgments) -> list[AggregatedLabel]:
     """Modal label per (doc, job), in first-appearance order.
 
     agreement: "full" when unanimous, "majority" for a strict mode,
@@ -136,8 +196,8 @@ def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
     smallest of them is reported so output stays deterministic).
     """
     votes: dict[tuple[str, str], list[str]] = {}
-    for j in judgments:
-        votes.setdefault((j.doc_id, j.job), []).append(j.label)
+    for key, label in zip(zip(judgments.doc_ids, judgments.jobs), judgments.labels):
+        votes.setdefault(key, []).append(label)
     out: list[AggregatedLabel] = []
     for (doc_id, job), labels in votes.items():
         label = labels[0]
@@ -202,8 +262,12 @@ def aggregate_to_labels(
     """
     dropped: list[str] = []
     per_doc: dict[str, dict[str, bool | frozenset[str]]] = {}
+    values: dict[tuple[str, str], bool | frozenset[str]] = {}  # (job, label) pairs that passed
     for a in aggregated:
-        per_doc.setdefault(a.doc_id, {})[a.job] = _job_value(a.doc_id, a.job, a.label)
+        value = values.get((a.job, a.label))
+        if value is None:
+            value = values[a.job, a.label] = _job_value(a.doc_id, a.job, a.label)
+        per_doc.setdefault(a.doc_id, {})[a.job] = value
     out: dict[str, LabelRecord] = {}
     for doc_id, jobs in per_doc.items():
         if "offensive" not in jobs:
@@ -292,7 +356,7 @@ class KappaReport:
 MIN_SHARED = 20
 
 
-def avg_pairwise_kappa(judgments: Sequence[Judgment], min_shared: int) -> KappaReport:
+def avg_pairwise_kappa(judgments: Judgments, min_shared: int) -> KappaReport:
     """Unweighted mean Cohen's kappa over annotator pairs.
 
     Items are (doc, job) pairs, every job pooled; only pairs sharing >=
@@ -303,8 +367,9 @@ def avg_pairwise_kappa(judgments: Sequence[Judgment], min_shared: int) -> KappaR
     annotator pairs.
     """
     items: dict[tuple[str, str], dict[str, str]] = {}
-    for j in judgments:
-        items.setdefault((j.doc_id, j.job), {})[j.annotator_id] = j.label
+    doc_jobs = zip(judgments.doc_ids, judgments.jobs)
+    for key, annotator_id, label in zip(doc_jobs, judgments.annotator_ids, judgments.labels):
+        items.setdefault(key, {})[annotator_id] = label
     # (a, b, label_a, label_b) -> count over the items both judged, a < b
     counts = Counter(
         (a, b, x, y)

@@ -157,7 +157,10 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
 
 def cmd_kappa(args: argparse.Namespace) -> None:
     judgments = anno.load_judgments(args.judgments)
-    report = anno.avg_pairwise_kappa(judgments, anno.MIN_SHARED)
+    try:
+        report = anno.avg_pairwise_kappa(judgments, anno.MIN_SHARED)
+    except ValueError as e:
+        raise ValueError(f"{args.judgments}: {e}") from None
     atomic_write_text(args.out, anno.dump_kappa_report(report))
 
 

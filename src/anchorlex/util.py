@@ -1,8 +1,12 @@
-"""Small shared helpers: the headed-TSV codec (`dump_tsv`, `read_tsv`), the
-headerless `read_table`, atomic writes, digests, canonical JSON.
+"""Small shared helpers: the headed-TSV codec (`dump_tsv`, `read_tsv`,
+`split_tsv`), the headerless `read_table`, atomic writes, digests,
+canonical JSON.
 
 A headed TSV is a header line, then one row a line: tab-separated str
 fields with no quoting or escapes, and a unique key in its first columns.
+`read_tsv` reads row by row and names the line of any error; `split_tsv`
+reads a file with nothing to report as columns, in bulk, and leaves every
+other file to `read_tsv`.
 """
 
 from __future__ import annotations
@@ -49,6 +53,43 @@ def read_tsv(path: str, header: list[str], key: int) -> Iterator[tuple[int, list
                 what = header[0] if key == 1 else f"({', '.join(header[:key])})"
                 raise ValueError(f"{path}: line {lineno}: duplicate {what} {k!r}, first on line {first[k]}")
             yield lineno, row
+
+
+def split_tsv(path: str, header: list[str], key: int) -> list[list[str]] | None:
+    """The columns of a headed TSV from one split of the whole text, or None.
+
+    None unless `read_tsv` would read the file with nothing to skip and
+    nothing to raise: line 1 is `header`, no line is blank, every row has
+    as many columns, and no key repeats. The caller reads a None file with
+    `read_tsv`, whose error names the line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:  # the newline translation of read_tsv
+            text = fh.read()
+    except UnicodeDecodeError:  # read_tsv decodes by chunks and may stop on another error first
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    n = len(header)
+    rows = text.count("\n") - 1
+    if not text.startswith("\t".join(header) + "\n") or "\n\n" in text:
+        return None
+    # A tab after each LF makes every LF end one field, and the split end in "".
+    # Once each row's last field ends in LF, the LFs fall on the row bounds.
+    flat = text.replace("\n", "\n\t").split("\t")
+    del text
+    if len(flat) != n * (rows + 1) + 1:
+        return None
+    cols = [flat[i:-1:n] for i in range(n, 2 * n)]
+    del flat
+    cut = {v: v[:-1] for v in set(cols[-1])}  # a shared str per distinct last field
+    if not all(v.endswith("\n") for v in cut):
+        return None
+    cols[-1] = list(map(cut.__getitem__, cols[-1]))
+    # equal hashes of two different keys only send the file to read_tsv
+    if len(set(map(hash, zip(*cols[:key])))) != rows:
+        return None
+    return cols
 
 
 def read_table(path: str) -> Iterator[tuple[int, list[str]]]:

@@ -10,6 +10,10 @@ sorted categories, not over a set, so the float does not depend on
 `PYTHONHASHSEED`. `avg_pairwise_kappa` has since lost its `job` filter
 on both sides, and pools every job. `anchorlex.annotation` must give
 equal results.
+
+`load_judgments` is the per-line loader from before judgments were read
+as columns: one `Judgment` a row. The column read must give the same
+rows, or raise the same message.
 """
 
 from __future__ import annotations
@@ -18,12 +22,35 @@ from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from anchorlex.annotation import (
+    _JUDGMENT_HEADER,
     AggregatedLabel,
     GateResult,
     Judgment,
     KappaReport,
     PairKappa,
+    _job_value,
 )
+from anchorlex.corpus import canonical_timestamp
+from anchorlex.util import read_tsv
+
+
+def load_judgments(path: str) -> list[Judgment]:
+    """Check each distinct timestamp, and each distinct (job, label) against the
+    job's label rule (`_job_value`), once; a repeated (doc, annotator, job) is an error."""
+    out: list[Judgment] = []
+    stamps: dict[str, str | None] = {"": None}
+    checked: set[tuple[str, str]] = set()
+    for lineno, (doc_id, annotator_id, job, label, ts) in read_tsv(path, _JUDGMENT_HEADER, 3):
+        try:
+            if ts not in stamps:
+                stamps[ts] = canonical_timestamp(ts)
+            out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
+            if (job, label) not in checked:
+                _job_value(doc_id, job, label)
+                checked.add((job, label))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+    return out
 
 
 def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorlex
+from anchorlex import annotation
 from anchorlex.annotation import (
     MIN_SHARED,
     AggregatedLabel,
     Judgment,
+    Judgments,
     adjudication_queue,
     aggregate_to_labels,
     apply_overrides,
@@ -117,7 +119,7 @@ def test_majority_vote_full_majority_tie():
         J("d2", "a1", lab="1"), J("d2", "a2", lab="1"), J("d2", "a3", lab="0"),  # majority 1
         J("d3", "a1", lab="1"), J("d3", "a2", lab="0"),                   # tie
     ]
-    agg = {a.doc_id: a for a in majority_vote(js)}
+    agg = {a.doc_id: a for a in majority_vote(Judgments.of(js))}
     assert agg["d1"].label == "1" and agg["d1"].agreement == "full"
     assert agg["d2"].label == "1" and agg["d2"].agreement == "majority"
     assert agg["d3"].agreement == "tie" and agg["d3"].label == "0"  # smallest mode
@@ -125,12 +127,12 @@ def test_majority_vote_full_majority_tie():
 
 def test_majority_vote_keeps_first_appearance_order():
     js = [J("z9", "a1"), J("a1", "a1"), J("m5", "a1")]
-    assert [a.doc_id for a in majority_vote(js)] == ["z9", "a1", "m5"]
+    assert [a.doc_id for a in majority_vote(Judgments.of(js))] == ["z9", "a1", "m5"]
 
 
 def test_majority_vote_separates_jobs():
     js = [J("d1", "a1", job="offensive", lab="1"), J("d1", "a1", job="vulgar", lab="0")]
-    agg = majority_vote(js)
+    agg = majority_vote(Judgments.of(js))
     assert {(a.doc_id, a.job, a.label) for a in agg} == {("d1", "offensive", "1"), ("d1", "vulgar", "0")}
 
 
@@ -140,7 +142,7 @@ def test_adjudication_queue_non_unanimous_in_order():
         J("d2", "a1", lab="1"), J("d2", "a2", lab="0"),
         J("d3", "a1", lab="0"), J("d3", "a2", lab="1"), J("d3", "a3", lab="1"),
     ]
-    queue = adjudication_queue(majority_vote(js))
+    queue = adjudication_queue(majority_vote(Judgments.of(js)))
     assert [a.doc_id for a in queue] == ["d2", "d3"]
     text = dump_adjudication(queue)
     assert text.splitlines()[0] == "doc_id\tjob\tlabel\tagreement\toverride"
@@ -160,7 +162,7 @@ def test_aggregate_to_labels_basic():
         + _votes("d1", "vulgar", ["0", "0", "0"])
         + _votes("d2", "offensive", ["0", "0", "0"])
     )
-    labels, dropped = aggregate_to_labels(majority_vote(js))
+    labels, dropped = aggregate_to_labels(majority_vote(Judgments.of(js)))
     assert dropped == []
     assert labels["d1"].offensive and labels["d1"].hate_targets == frozenset({"religion"})
     assert not labels["d1"].vulgar
@@ -169,12 +171,12 @@ def test_aggregate_to_labels_basic():
 
 def test_aggregate_subsidiary_on_clean_doc_dropped_with_warning():
     js = _votes("d1", "offensive", ["0", "0"]) + _votes("d1", "violence", ["1", "1"])
-    labels, dropped = aggregate_to_labels(majority_vote(js))
+    labels, dropped = aggregate_to_labels(majority_vote(Judgments.of(js)))
     assert not labels["d1"].offensive and not labels["d1"].violence
     assert dropped == ["d1"]
     # two such docs: both ids come back, in order
     js += _votes("d2", "offensive", ["0", "0"]) + _votes("d2", "hate", ["race", "race"])
-    labels, dropped = aggregate_to_labels(majority_vote(js))
+    labels, dropped = aggregate_to_labels(majority_vote(Judgments.of(js)))
     assert not labels["d2"].offensive and not labels["d2"].hate_targets
     assert dropped == ["d1", "d2"]
 
@@ -182,7 +184,7 @@ def test_aggregate_subsidiary_on_clean_doc_dropped_with_warning():
 def test_aggregate_requires_offensive_job():
     js = _votes("d1", "vulgar", ["1", "1"])
     with pytest.raises(ValueError, match="offensive"):
-        aggregate_to_labels(majority_vote(js))
+        aggregate_to_labels(majority_vote(Judgments.of(js)))
 
 
 def test_apply_overrides_monotonicity():
@@ -222,7 +224,7 @@ def test_hate_none_and_0_both_clear_the_targets():
     rec = LabelRecord("d1", True, frozenset({"race"}))
     for label in ("none", "0"):
         votes = _votes("d1", "offensive", ["1"]) + _votes("d1", "hate", [label])
-        assert aggregate_to_labels(majority_vote(votes))[0]["d1"] == LabelRecord("d1", True)
+        assert aggregate_to_labels(majority_vote(Judgments.of(votes)))[0]["d1"] == LabelRecord("d1", True)
         assert apply_overrides({"d1": rec}, [("d1", "hate", label)])["d1"] == LabelRecord("d1", True)
 
 
@@ -237,13 +239,13 @@ def test_apply_overrides_unknown_doc_errors():
 def test_gate_threshold_boundary():
     answers = {f"t{i}": "1" for i in range(5)}
     js = [J(f"t{i}", "good", lab="1") for i in range(4)] + [J("t4", "good", lab="0")]
-    (res,) = gate_all(js, answers, 0.8)
+    (res,) = gate_all(Judgments.of(js), answers, 0.8)
     assert res.accuracy == pytest.approx(0.8) and res.passed  # >= is a pass
     js_bad = [J(f"t{i}", "bad", lab="1") for i in range(3)] + [
         J("t3", "bad", lab="0"),
         J("t4", "bad", lab="0"),
     ]
-    assert not gate_all(js_bad, answers, 0.8)[0].passed
+    assert not gate_all(Judgments.of(js_bad), answers, 0.8)[0].passed
 
 
 def test_gate_counts_only_offensive_judgments():
@@ -257,18 +259,18 @@ def test_gate_counts_only_offensive_judgments():
         J("t1", "hate_only", job="hate", lab="0"),
     ]
     # an annotator with no offensive judgment on a test item is not gated
-    (res,) = gate_all(js, answers, 0.8)
+    (res,) = gate_all(Judgments.of(js), answers, 0.8)
     assert res.annotator_id == "perfect"
     assert (res.n_test, res.n_correct, res.accuracy, res.passed) == (3, 3, 1.0, True)
 
 
 def test_gate_no_test_items_errors():
-    assert gate_all([J("other", "a", lab="1")], {"t0": "1"}, 0.8) == []
+    assert gate_all(Judgments.of([J("other", "a", lab="1")]), {"t0": "1"}, 0.8) == []
 
 
 def test_gate_all_sorted_and_dump():
     js = [J("t0", "b", lab="1"), J("t0", "a", lab="0"), J("t1", "a", lab="0")]
-    results = gate_all(js, {"t0": "1", "t1": "0"}, 0.8)
+    results = gate_all(Judgments.of(js), {"t0": "1", "t1": "0"}, 0.8)
     assert [r.annotator_id for r in results] == ["a", "b"]
     text = dump_gate_results(results)
     assert text.splitlines()[0] == "annotator_id\tn_test\tn_correct\taccuracy\tpassed"
@@ -290,9 +292,9 @@ def _shared_judgments(n_items: int, flip_every: int) -> list[Judgment]:
 def test_avg_pairwise_kappa_min_shared():
     js = _shared_judgments(19, flip_every=5)
     with pytest.raises(ValueError, match="no annotator pair"):
-        avg_pairwise_kappa(js, min_shared=20)
+        avg_pairwise_kappa(Judgments.of(js), min_shared=20)
     js = _shared_judgments(20, flip_every=5)
-    report = avg_pairwise_kappa(js, min_shared=20)
+    report = avg_pairwise_kappa(Judgments.of(js), min_shared=20)
     assert len(report.pairs) == 1
     assert report.pairs[0].n_shared == 20
 
@@ -305,7 +307,7 @@ def test_avg_pairwise_kappa_skips_undefined_pairs():
         lab = "1" if i % 2 == 0 else "0"
         js.append(J(f"d{i}", "b1", lab=lab))
         js.append(J(f"d{i}", "b2", lab=lab))
-    report = avg_pairwise_kappa(js, min_shared=20)
+    report = avg_pairwise_kappa(Judgments.of(js), min_shared=20)
     defined = {(p.annotator_a, p.annotator_b) for p in report.pairs}
     assert ("b1", "b2") in defined
     assert ("c1", "c2") not in defined
@@ -317,7 +319,7 @@ def test_avg_pairwise_kappa_pools_every_job():
     js += [J(f"d{i}", "a1", job="vulgar", lab="0") for i in range(30)]
     js += [J(f"d{i}", "a2", job="vulgar", lab="0") for i in range(30)]
     # each (doc, job) pair is one item, so the constant vulgar votes count too
-    assert avg_pairwise_kappa(js, min_shared=20).pairs[0].n_shared == 60
+    assert avg_pairwise_kappa(Judgments.of(js), min_shared=20).pairs[0].n_shared == 60
 
 
 # --- file round trips --------------------------------------------------------
@@ -327,7 +329,7 @@ def test_judgments_file_round_trip(tmp_path):
     js = [J("d1", "a1"), J("d2", "a2", job="hate", lab="religion")]
     p = tmp_path / "judgments.tsv"
     write_judgments(str(p), js)
-    assert load_judgments(str(p)) == js
+    assert load_judgments(str(p)) == Judgments.of(js)
     assert dump_judgments(js).splitlines()[0] == "doc_id\tannotator_id\tjob\tlabel\ttimestamp"
 
 
@@ -340,9 +342,9 @@ def test_judgment_validation():
     Judgment(doc_id="d", annotator_id="a", job="sarcasm", label="1", timestamp=TS)
     with pytest.raises(ValueError, match="job"):
         aggregate_to_labels(
-            majority_vote(
+            majority_vote(Judgments.of(
                 [J("d1", "a1", job="sarcasm", lab="1"), J("d1", "a1", job="offensive", lab="1")]
-            )
+            ))
         )
 
 
@@ -384,8 +386,8 @@ def test_load_judgments_parses_each_timestamp_once_and_shares_it(tmp_path):
     )
     js = load_judgments(str(p))
     # fromisoformat formats other than the writer's still load
-    assert [j.timestamp for j in js] == [TS, TS, TS, None]
-    assert js[0].timestamp is js[2].timestamp
+    assert js.timestamps == [TS, TS, TS, None]
+    assert js.timestamps[0] is js.timestamps[2]
 
 
 def test_load_judgments_bad_timestamp_names_its_first_line(tmp_path):
@@ -419,11 +421,103 @@ def test_load_judgments_rejects_duplicate_judgment(tmp_path):
         load_judgments(str(p))
 
 
+def test_load_judgments_length_is_the_row_count(tmp_path):
+    p = tmp_path / "j.tsv"
+    js = [J(f"d{i}", a, job) for i in range(3) for a in ("a1", "a2") for job in ("offensive", "vulgar")]
+    write_judgments(str(p), js)
+    assert len(load_judgments(str(p))) == len(p.read_text(encoding="utf-8").splitlines()) - 1 == 12
+
+
+# --- the column read against the per-line loader --------------------------------
+
+_VALID_ROW = st.tuples(
+    st.sampled_from([f"d{i}" for i in range(30)]),
+    st.sampled_from(["a0", "a1", "a2"]),
+    st.sampled_from(
+        [("offensive", "0"), ("offensive", "1"), ("hate", "none"), ("hate", "0"), ("hate", "race"),
+         ("vulgar", "1"), ("violence", "0")]
+    ),
+    st.sampled_from(["", TS, "2021-05-01 14:00:00+02:00"]),  # the last one is not canonical
+).map(lambda r: [r[0], r[1], *r[2], r[3]])
+# each fault turns a valid row into a bad line; "dup" repeats an earlier row's key,
+# and the two header faults replace line 1
+_FAULTS = {
+    "blank": lambda row: [],
+    "short": lambda row: row[:4],
+    "long": lambda row: row + ["x"],
+    "empty doc": lambda row: ["", *row[1:]],
+    "empty annotator": lambda row: [row[0], "", *row[2:]],
+    "empty label": lambda row: [*row[:3], "", row[4]],
+    "bad timestamp": lambda row: [*row[:4], "yesterday"],
+    "no such day": lambda row: [*row[:4], "2021-02-30T00:00:00Z"],
+    "unknown job": lambda row: [row[0], row[1], "sarcasm", "1", row[4]],
+    "offensive label": lambda row: [row[0], row[1], "offensive", "none", row[4]],
+    "hate label": lambda row: [row[0], row[1], "hate", "1", row[4]],
+    "dup": None,
+    "short header": None,
+    "no header": None,
+}
+
+
+@st.composite
+def judgment_files(draw):
+    """A judgments file's text: valid rows with up to two faults put in."""
+    header = "doc_id\tannotator_id\tjob\tlabel\ttimestamp"
+    rows = draw(st.lists(_VALID_ROW, max_size=8, unique_by=lambda row: tuple(row[:3])))
+    for fault in draw(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=2)):
+        at = draw(st.integers(0, len(rows)))
+        if fault in ("short header", "no header"):
+            header = header.rsplit("\t", 1)[0] if fault == "short header" else ""
+            continue
+        if fault == "dup":
+            if not rows:
+                continue
+            first = draw(st.integers(0, len(rows) - 1))
+            at = max(at, first + 1)
+            line = [*rows[first][:3], draw(st.sampled_from(["0", "1"])), ""]
+        else:
+            line = _FAULTS[fault](draw(_VALID_ROW))
+        rows.insert(at, line)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header, *map("\t".join, rows)]
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=judgment_files())
+def test_load_judgments_matches_the_per_line_loader(tmp_path_factory, text):
+    path = str(tmp_path_factory.getbasetemp() / "judgments.tsv")  # rewritten by each example
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    want = _outcome(lambda p: Judgments.of(annotation_reference.load_judgments(p)), path)
+    assert _outcome(load_judgments, path) == want
+    # every file the loop reads without a blank line to skip is read as columns
+    blank = "\n\n" in text.replace("\r\n", "\n").replace("\r", "\n")
+    assert (annotation._clean_columns(path) is not None) == (not isinstance(want, str) and not blank)
+
+
+@pytest.mark.parametrize(
+    "head, tail",
+    [
+        (b"doc_id\tannotator_id\tjob\tlabel\ttimestamp\n", b"d\xff\ta1\toffensive\t1\t\n"),
+        (b"x\n", b"\xff\n"),  # a bad header: the loop stops there, before the bad byte
+    ],
+    ids=["bad-byte-past-8k", "bad-header-first"],
+)
+def test_load_judgments_on_invalid_utf8_matches_the_per_line_loader(tmp_path, head, tail):
+    # over 8 KB of good rows first: the loop decodes by chunks, so the position it reports is the chunk's
+    p = tmp_path / "j.tsv"
+    p.write_bytes(head + b"".join(b"d%d\ta1\toffensive\t1\t\n" % i for i in range(1000)) + tail)
+    want = _outcome(lambda path: Judgments.of(annotation_reference.load_judgments(path)), str(p))
+    assert isinstance(want, str)
+    assert _outcome(load_judgments, str(p)) == want
+
+
 def test_kappa_does_not_depend_on_hash_seed():
     # four categories, so the chance-agreement sum has an order to lose
     code = """
 import random
-from anchorlex.annotation import Judgment, avg_pairwise_kappa
+from anchorlex.annotation import Judgment, Judgments, avg_pairwise_kappa
 rng = random.Random(0)
 labels = ["none", "religion", "gender", "race"]
 js = [
@@ -431,7 +525,7 @@ js = [
     for d in range(200)
     for a in rng.sample(range(8), 3)
 ]
-for p in avg_pairwise_kappa(js, min_shared=5).pairs:
+for p in avg_pairwise_kappa(Judgments.of(js), min_shared=5).pairs:
     print(p.annotator_a, p.annotator_b, repr(p.kappa))
 """
     src = os.path.dirname(os.path.dirname(anchorlex.__file__))
@@ -485,13 +579,13 @@ def _outcome(f, *args, **kwargs):
 @settings(max_examples=300, deadline=None)
 @given(js=judgment_sets())
 def test_majority_vote_matches_reference(js):
-    assert majority_vote(js) == annotation_reference.majority_vote(js)
+    assert majority_vote(Judgments.of(js)) == annotation_reference.majority_vote(js)
 
 
 @settings(max_examples=300, deadline=None)
 @given(js=judgment_sets(), min_shared=st.integers(0, 8))
 def test_avg_pairwise_kappa_matches_reference(js, min_shared):
-    got = _outcome(avg_pairwise_kappa, js, min_shared=min_shared)
+    got = _outcome(avg_pairwise_kappa, Judgments.of(js), min_shared=min_shared)
     assert got == _outcome(annotation_reference.avg_pairwise_kappa, js, min_shared=min_shared)
 
 
@@ -503,10 +597,10 @@ def test_avg_pairwise_kappa_matches_reference(js, min_shared):
     annotator=st.sampled_from(ANNOTATORS),
 )
 def test_gate_matches_reference(js, answers, threshold, annotator):
-    assert gate_all(js, answers, threshold) == annotation_reference.gate_all(js, answers, threshold)
+    assert gate_all(Judgments.of(js), answers, threshold) == annotation_reference.gate_all(js, answers, threshold)
     # the annotator's row, or none where the reference finds no test items
     ref = _outcome(annotation_reference.gate_annotator, js, annotator, answers, threshold)
-    row = [r for r in gate_all(js, answers, threshold) if r.annotator_id == annotator]
+    row = [r for r in gate_all(Judgments.of(js), answers, threshold) if r.annotator_id == annotator]
     assert row == ([] if isinstance(ref, str) else [ref])
 
 
@@ -518,7 +612,7 @@ def test_avg_pairwise_kappa_min_shared_edges_match_reference(min_shared):
     for i, (x, y) in enumerate(["00", "01", "11", "22", "20"]):
         js += [J(f"d{i}", "a1", lab=x), J(f"d{i}", "a2", lab=y)]
         js += [J(f"d{i}", "a3", lab="0"), J(f"d{i}", "a4", lab="0")]
-    got = _outcome(avg_pairwise_kappa, js, min_shared=min_shared)
+    got = _outcome(avg_pairwise_kappa, Judgments.of(js), min_shared=min_shared)
     assert got == _outcome(annotation_reference.avg_pairwise_kappa, js, min_shared=min_shared)
     if min_shared <= 5:
         assert [(p.annotator_a, p.annotator_b, p.n_shared) for p in got.pairs] == [
@@ -536,5 +630,5 @@ def test_avg_pairwise_kappa_constant_annotators_match_reference():
     # every annotator constant on the same label: kappa undefined for all pairs
     js = [J(f"d{i}", a, lab="1") for i in range(25) for a in ("a1", "a2", "a3")]
     msg = "no annotator pair shares >= 20 items with defined kappa"
-    assert _outcome(avg_pairwise_kappa, js, MIN_SHARED) == msg
+    assert _outcome(avg_pairwise_kappa, Judgments.of(js), MIN_SHARED) == msg
     assert _outcome(annotation_reference.avg_pairwise_kappa, js, MIN_SHARED) == msg

@@ -545,6 +545,16 @@ def test_aggregate_rejects_a_minority_label_outside_its_job(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["j.tsv"]
 
 
+def test_kappa_without_a_qualifying_pair_names_the_judgments(tmp_path, capsys):
+    jpath = tmp_path / "j.tsv"
+    write_judgments(str(jpath), [Judgment("d1", a, "offensive", "1", TS) for a in ("a1", "a2")])
+    out = tmp_path / "kappa.tsv"
+    assert cli.main(["kappa", "--judgments", str(jpath), "--out", str(out)]) == 2
+    error = f"error: {jpath}: no annotator pair shares >= 20 items with defined kappa\n"
+    assert error in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["j.tsv"]
+
+
 def test_kappa_and_gate_reject_a_label_outside_the_offensive_rule(tmp_path, capsys):
     # 25 shared offensive items; a2 writes `yes` once, which kappa used to count as a category
     rows = [(f"d{i}", a, "yes" if (a, i) == ("a2", 7) else str(i % 2)) for i in range(25) for a in ("a1", "a2")]

@@ -16,6 +16,7 @@ from anchorlex.util import (
     round_half_up,
     sha256_file,
     sha256_text,
+    split_tsv,
 )
 
 import tsv_reference
@@ -112,6 +113,41 @@ def test_read_tsv_matches_csv_reader(tmp_path_factory, text, key):
         fh.write(text)
     want = _rows_or_error_line(tsv_reference.read_tsv, path, key)
     assert _rows_or_error_line(read_tsv, path, key) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_TABLE, key=st.integers(1, 3))
+def test_split_tsv_reads_every_file_read_tsv_reads_without_a_skip(tmp_path_factory, text, key):
+    path = str(tmp_path_factory.getbasetemp() / "split.tsv")  # rewritten by each example
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    got = split_tsv(path, ["a", "b", "c"], key)
+    try:
+        rows = [row for _, row in read_tsv(path, ["a", "b", "c"], key)]
+    except ValueError:
+        assert got is None
+        return
+    if "\n\n" in text.replace("\r\n", "\n").replace("\r", "\n"):  # a blank line to skip
+        assert got is None
+    else:
+        assert got == [[row[i] for row in rows] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "header, text",
+    [
+        (["a", "b", "c"], "a\tb\tc\n1\t2\t3\t4\n5\t6\n"),  # a long row, then a short one
+        (["a", "b", "c"], "a\tb\tc\n1\t2\n3\t4\t5\t6\n"),  # a short row, then a long one
+        (["a", "b", "c"], "a\tb\tc\n1\t2\t3\t4\t5\n\n6\t7\t8\n"),  # a long row, then a blank line
+        (["a"], "a\nx\n\ny\n"),  # a blank line among one-column rows
+    ],
+    ids=["long-short", "short-long", "long-blank", "one-column-blank"],
+)
+def test_split_tsv_refuses_rows_that_as_many_fields_would_misplace(tmp_path, header, text):
+    # each file has as many fields as its rows need, but not on the rows' own lines
+    p = tmp_path / "t.tsv"
+    p.write_text(text, encoding="utf-8")
+    assert split_tsv(str(p), header, 1) is None
 
 
 def test_read_table_line_numbers_count_skipped_lines(tmp_path):
