@@ -16,11 +16,13 @@ hold both, is where those guards are measured. The scorer layer uses
 a model trained on the corpus' first 2,000 docs: microseconds per doc of
 `predict_texts` on all raw texts (what `predict` does: normalize, then
 `score_texts`), and per sample of
-one 1,000-sample `explain` of the first doc with at least 6 tokens.
-`load_ms` and `index_ms` are the fixed cost every `predict` or
-`explain` process pays before its first block: `load_model` of the
-saved model alone, then the first `score_texts` of that short doc on
-the loaded model, which builds the gram index.
+one 1,000-sample `explain` of the first doc with at least 6 tokens,
+which includes the gram index of the space cut to that doc's characters
+that every `explain` call builds. `load_ms` and `index_ms` are the fixed
+cost a `predict` process pays before its first block: `load_model` of
+the saved model alone, then the first `score_texts` of that short doc
+on the loaded model, which builds the full gram index. An `explain`
+process pays `load_ms` and not `index_ms`.
 `parse_ms`, the fixed cost of every stage call before that, is the
 median over 100 times the repeats of `cli.build_parser` and
 `parse_args` on one `explain --text` argv for that doc.

@@ -15,11 +15,17 @@ So the unmasked sample is that string and score_full is the predict
 score bit for bit, and the gaps alone give score_empty. The gaps stay
 because char grams span them: tokens joined by single spaces would lose
 the punctuation and spacing grams that `predict` sees.
+
+Every text scored is spelled from the normalized text's characters, so
+explain scores on the space cut to them (`FeatureSpace.spelled_from`):
+the same bits through a gram index over a tenth to a quarter of the
+vocabulary, which each call builds, where a one-request process such as
+`anchorlex explain` would otherwise build the full one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +56,8 @@ def explain(text: str, model: LinearModel, n_samples: int = 1000, seed: int = 0)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     text = normalize(text)
+    # every text scored below is spelled from text's characters, so no other gram can hit
+    model = replace(model, space=model.space.spelled_from(text))
     parts = split_tokens(text)
     tokens, gaps = tuple(parts[1::2]), parts[2::2]
     m = len(tokens)

@@ -18,7 +18,11 @@ for the others). end is above every code: 0x110000 for code points, the
 token count for tokens. prefix_id is below the vocabulary size, so no
 key comes near 2**63, whatever the alphabet or n-gram range. Only c:
 and w: entries whose length is inside their kind's range go in; any
-other entry matches nothing.
+other entry matches nothing. `spelled_from(chars)` keeps only the
+entries spelled, past their prefix, from chars and the space, at the
+same columns: a text written in chars has no other gram (a word gram's
+tokens are cut from it, joined by spaces), so it scores the same bits
+through that smaller index, which `explain` builds on every call.
 
 Lookup (`_gram_keys`). A block's texts become one array of codes, each
 text followed by `end`; a token that no w: entry has is `end` too.
@@ -28,8 +32,13 @@ dies when its prefix is not in the trie, as it does when it would take
 in `end`. The hits come out in level order (char before word, n
 ascending, position), which within one row is the row's gram order, so
 a key's first appearance is its smallest hit index. `_counts` sorts the
-hits once, in np.unique, which gives that index with each distinct key,
-then argsorts the distinct (row, first) pairs. The counts, the
+values key * n_hits + hit index once: they are distinct, so any sort
+algorithm gives one order (numpy's value sort runs in SIMD, unlike the
+stable sort inside np.unique), in which a key's hits lie together in hit
+order. A group starts where the key changes; its first value holds the
+key's first appearance, and the gaps between starts are the counts.
+Where those values could pass 2**63 - 1, np.unique groups the hits.
+`_counts` then argsorts the distinct (row, first) pairs. The counts, the
 first-appearance order and every sum below are thus those of the
 per-gram strings, bit for bit.
 
@@ -66,7 +75,7 @@ differently, so none of them may be used along a row.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import itemgetter
@@ -131,6 +140,17 @@ def _trie(
     return _Trie(tuple(keys), tuple(level_cols), end, code)
 
 
+def _utf32(s: str) -> np.ndarray:
+    """The code points of s, lone surrogates included."""
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
+def _entries(grams: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries' code points back to back, padded so that each has two, and each entry's start and length."""
+    lens = np.fromiter(map(len, grams), np.int64, len(grams))
+    return _utf32("".join([*grams, "\0\0"])), np.cumsum(lens) - lens, lens
+
+
 @dataclass(frozen=True)
 class FeatureSpace:
     config: FeatureConfig
@@ -142,17 +162,26 @@ class FeatureSpace:
     def n_features(self) -> int:
         return len(self.vocabulary)
 
+    def spelled_from(self, chars: str) -> FeatureSpace:
+        """The space with only the entries whose characters past the 2-character prefix are in chars or a space.
+
+        Columns, idf, config and n_docs stay; a text written in chars
+        scores the same bits on both spaces (Gram index, module docstring).
+        """
+        flat, starts, lens = _entries(list(self.vocabulary))
+        # bad[k]: the code points outside chars and the space among the first k
+        bad = np.zeros(len(flat) + 1, np.int64)
+        np.cumsum(~np.isin(flat, _utf32(chars + " ")), out=bad[1:])
+        keep = bad[starts + lens] == bad[starts + np.minimum(lens, 2)]
+        return replace(self, vocabulary=dict(compress(self.vocabulary.items(), keep.tolist())))
+
     @cached_property
     def _tries(self) -> tuple[_Trie | None, _Trie | None]:
         """The char trie and the word trie (module docstring); None for a kind the mode leaves out."""
         (clo, chi), (wlo, whi) = self.config.char_range, self.config.word_range
         grams = list(self.vocabulary)
-        n = len(grams)
-        lens = np.fromiter(map(len, grams), np.int64, n)
-        cols = np.fromiter(self.vocabulary.values(), np.int64, n)
-        # every entry's code points back to back, padded so that each has two
-        flat = np.frombuffer("".join([*grams, "\0\0"]).encode("utf-32-le", "surrogatepass"), "<u4")
-        starts = np.cumsum(lens) - lens
+        flat, starts, lens = _entries(grams)
+        cols = np.fromiter(self.vocabulary.values(), np.int64, len(grams))
         colon = (lens >= 2) & (flat[starts + 1] == ord(":"))
         char = word = None
         if self.config.mode != "word":
@@ -178,8 +207,7 @@ def _codes(texts: Sequence[str], code: _Code | None, end: int) -> tuple[np.ndarr
     code None codes code points, else token t gets code(t, end).
     """
     if code is None:
-        joined = "\0".join([*texts, ""]).encode("utf-32-le", "surrogatepass")
-        codes = np.frombuffer(joined, "<u4").astype(np.int64)
+        codes = _utf32("\0".join([*texts, ""])).astype(np.int64)
         ends = np.cumsum([len(t) + 1 for t in texts], dtype=np.int64) - 1
         codes[ends] = end
         return codes, ends
@@ -256,10 +284,28 @@ def _counts(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.n
     """The texts' in-vocabulary gram counts as CSR (indptr, cols, tfs), each row in first-appearance order."""
     n, v = len(texts), len(space.idf)
     hits = _gram_keys(texts, space)
+    width = len(hits)
     # the index of a key's first hit is its first appearance, since a row's hits come in gram order
-    keys, first, tfs = np.unique(hits, return_index=True, return_counts=True)
-    # one int64 key per distinct (row, first) pair; np.lexsort where n * len(hits) would overflow it
-    rows, width = keys // v, len(hits)
+    if n * v * width <= _TOP:
+        # one value sort of key * width + hit index: the values are distinct, so each key's
+        # hits lie together in hit order, and the first of them is the key's first hit
+        hits *= width
+        hits += np.arange(width)
+        hits.sort()
+        key = hits // width
+        change = np.empty(width, bool)
+        change[:1] = True
+        np.not_equal(key[1:], key[:-1], out=change[1:])
+        starts = np.flatnonzero(change)
+        keys = key[starts]
+        del key
+        first = hits[starts] - keys * width
+        del hits
+        tfs = np.diff(starts, append=width)
+    else:
+        keys, first, tfs = np.unique(hits, return_index=True, return_counts=True)
+    # one int64 key per distinct (row, first) pair; np.lexsort where n * width would overflow it
+    rows = keys // v
     order = np.argsort(rows * width + first) if n * width <= _TOP else np.lexsort((first, rows))
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])

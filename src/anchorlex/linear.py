@@ -45,8 +45,10 @@ train_model does, and explain passes samples cut from normalized text.
 It scores each distinct text once, BLOCK_ROWS at a time:
 `features.transform` gives the block's tf-idf rows through the space's
 gram index, which the first block builds and the space keeps, so each
-`load_model` pays for it once; w.x is `features.ordered_row_sums` over
-the products w[col] * x, by the `features` summation-order rule.
+`load_model` pays for it once (explain scores on a space cut to its
+text's characters, whose smaller index each call builds); w.x is
+`features.ordered_row_sums` over the products w[col] * x, by the
+`features` summation-order rule.
 `features.fit_transform` counts the training rows through the same gram
 index and weighs them by the same `tfidf_l2`, so the vectors the trainer
 sees and the scores predict writes agree bit for bit, and w.x adds in
@@ -150,7 +152,12 @@ def fit_svm(
     # X by column: column k holds rows c_rows[c_ptr[k]:c_ptr[k+1]], ascending
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     k_diag = np.bincount(rows, weights=vals**2, minlength=n).tolist()
-    order = np.argsort(cols, kind="stable")
+    # the stable argsort of cols, as one value sort of column << 32 | position (nnz < 2**32)
+    order = cols.astype(np.int64)
+    order <<= 32
+    order |= np.arange(len(cols))
+    order.sort()
+    order &= 0xFFFFFFFF
     c_rows, c_vals = rows[order], vals[order]
     del rows, order
     c_ptr = np.zeros(n_features + 1, np.int64)

@@ -51,8 +51,11 @@ def ws(tmp_path_factory):
         split=str(root / "split.tsv"),
         model=str(root / "model.json"),
         preds=str(root / "preds.tsv"),
+        judgments=str(root / "judgments.tsv"),
     )
     write_corpus(paths.corpus, docs)
+    write_judgments(paths.judgments, [Judgment(d.id, a, "offensive", str(k % 2), TS)
+                                      for k, d in enumerate(docs) for a in ("a1", "a2", "a3")])
     write_labels(paths.labels, labels.values())
     assert cli.main(["split", "--labels", paths.labels, "--out", paths.split, "--seed", "1"]) == 0
     assert (
@@ -669,6 +672,8 @@ UTF8_READERS = {
         5,
         lambda ws, bad, out: ["match-violence", "--in", ws.corpus, "--rules", bad, "--out", out],
     ),
+    # a line past the first 8 KB, the size of a text decoder's chunk
+    "judgments tsv": ("judgments", 300, lambda ws, bad, out: ["kappa", "--judgments", bad, "--out", out]),
 }
 
 
@@ -677,6 +682,8 @@ def test_input_that_is_not_utf8_names_its_file_and_line(ws, tmp_path, capsys, re
     name, lineno, argv = UTF8_READERS[reader]
     good = Path(getattr(ws, name) if name else RULES_PATH)
     lines = good.read_bytes().splitlines(keepends=True)
+    if reader == "judgments tsv":  # the stray byte lies past the first 8 KB
+        assert sum(map(len, lines[: lineno - 1])) > 8192
     lines[lineno - 1] = lines[lineno - 1][:-1] + b"\xff\n"
     bad, out = tmp_path / "bad", tmp_path / "out"
     bad.write_bytes(b"".join(lines))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,6 +160,37 @@ def test_explain_score_full_is_the_predict_score_on_every_doc_of_a_corpus(tmp_pa
     texts = [d.text for d in load_corpus(str(tmp_path / "fresh.jsonl"))]
     want = [s.hex() for _, s in predict_texts(model, texts)]
     assert [explain(t, model, n_samples=1).score_full.hex() for t in texts] == want
+
+
+def _word_model(weights, bias=0.1):
+    """A word 1-2 gram model with hand-set weights per w: entry; idf all ones."""
+    space = FeatureSpace(
+        config=FeatureConfig(mode="word", word_range=(1, 2)),
+        vocabulary={g: i for i, g in enumerate(weights)},
+        idf=np.ones(len(weights)),
+        n_docs=2,
+    )
+    return replace(_toy_model([], []), space=space, weights=np.array(list(weights.values())), bias=bias)
+
+
+def test_explain_keeps_the_word_bigram_of_two_tokens_that_touch():
+    # no space in the text, yet its two tokens form the bigram, whose entry holds one
+    model = _word_model({"w:غبي": 0.5, "w:غبي \U0001F437": 2.0, "w:\U0001F437": 0.25})
+    text = "غبي\U0001F437"
+    ex = explain(text, model, n_samples=50, seed=2)
+    assert ex.tokens == ("غبي", "\U0001F437")
+    assert ex.score_full.hex() == predict_texts(model, [text])[0][1].hex()
+    assert ex.score_full != score_texts(_word_model({"w:غبي": 0.5, "w:\U0001F437": 0.25}), [text])[0]
+
+
+def test_explain_keeps_the_grams_that_normalize_brings_in():
+    # the raw text holds none of the letters of URL and USER; its normalized form does
+    model = _word_model({"w:USER": 1.0, "w:غبي": 0.5, "w:URL": -3.0, "w:USER غبي": 0.75})
+    raw = "@ali غبي http://x.co"
+    ex = explain(raw, model, n_samples=50, seed=2)
+    assert ex.tokens == ("USER", "غبي", "URL")
+    assert ex.score_full.hex() == predict_texts(model, [raw])[0][1].hex()
+    assert ex.score_full != score_texts(replace(model, space=model.space.spelled_from(raw)), [normalize(raw)])[0]
 
 
 def test_explain_ranks_marker_tokens_first():

@@ -158,22 +158,27 @@ BLOCK_TEXT = st.lists(st.sampled_from([*FIT_PIECES, "ab ab ab", "zz", "?"]), max
     mode=st.sampled_from(MODES),
     char_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
     word_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
-    lexsort=st.booleans(),
+    branch=st.sampled_from(["value sort", "packed key", "lexsort"]),
 )
-@example(train=["ab c"], block=[], repeats=0, mode="char+word", char_range=(1, 2), word_range=(1, 2), lexsort=False)
+@example(train=["ab c"], block=[], repeats=0, mode="char+word", char_range=(1, 2), word_range=(1, 2),
+         branch="value sort")
 @example(train=["ab c"], block=["zz", "?"], repeats=0, mode="char+word", char_range=(1, 2), word_range=(1, 1),
-         lexsort=False)  # no hits
+         branch="value sort")  # no hits
 @example(train=["ab ab ab c"], block=["ab ab ab"], repeats=0, mode="char+word", char_range=(1, 3),
-         word_range=(1, 2), lexsort=False)  # one row of repeated grams
+         word_range=(1, 2), branch="value sort")  # one row of repeated grams
+@example(train=["ab ab ab c"], block=["ab ab ab"], repeats=0, mode="char+word", char_range=(1, 3),
+         word_range=(1, 2), branch="packed key")
 @example(train=["ab c", "b"], block=["ab c", "c ab"], repeats=2, mode="word", char_range=(1, 1), word_range=(1, 2),
-         lexsort=True)  # repeated texts
-def test_counts_equal_the_three_sort_reference(train, block, repeats, mode, char_range, word_range, lexsort):
+         branch="lexsort")  # repeated texts
+def test_counts_equal_the_three_sort_reference(train, block, repeats, mode, char_range, word_range, branch):
     space = fit_features(train, FeatureConfig(mode=mode, char_range=char_range, word_range=word_range))
     block = block + block[:1] * repeats
     want = score_reference.counts(block, space)  # builds the gram index, which reads features._TOP
+    # the branches for blocks whose key * n_hits + hit index, or whose (row, first) key, would overflow int64
+    n_hits = len(features._gram_keys(block, space))
+    top = {"value sort": features._TOP, "packed key": len(block) * n_hits, "lexsort": -1}
     with pytest.MonkeyPatch.context() as mp:
-        if lexsort:  # take the branch for blocks whose (row, first) key would overflow int64
-            mp.setattr(features, "_TOP", -1)
+        mp.setattr(features, "_TOP", top[branch])
         got = features._counts(block, space)
     assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 

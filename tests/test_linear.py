@@ -2,23 +2,26 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
 import json
 import math
 import random
 import re
 import tracemalloc
 from datetime import datetime, timezone
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorlex import linear
+from anchorlex import features, linear
 from anchorlex.corpus import DatasetSplit, Document, LabelRecord, stratified_split
 from anchorlex.features import (
     MODES,
     FeatureConfig,
+    FeatureSpace,
     _gram_keys,
     fit_features,
     fit_transform,
@@ -689,6 +692,21 @@ def _edited_space(space, texts, rng):
     )
 
 
+def _random_model(space, rng):
+    """A model on space with normal random weights and bias."""
+    return LinearModel(
+        space=space,
+        weights=rng.normal(size=len(space.idf)),
+        bias=float(rng.normal()),
+        C=1.0,
+        seed=0,
+        target="offensive",
+        objective_trace=(0.0,),
+        duality_gap=0.0,
+        converged=True,
+    )
+
+
 @pytest.mark.parametrize("char_range, word_range", TRIE_RANGES)
 @pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=40, deadline=None)
@@ -702,23 +720,53 @@ def test_trie_scores_edited_vocabularies_like_the_reference(mode, char_range, wo
     cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
     texts = texts + train[:2] + [" ".join(train)]
     space = _edited_space(fit_features(train, cfg), texts, rng)
-    model = LinearModel(
-        space=space,
-        weights=rng.normal(size=len(space.idf)),
-        bias=float(rng.normal()),
-        C=1.0,
-        seed=0,
-        target="offensive",
-        objective_trace=(0.0,),
-        duality_gap=0.0,
-        converged=True,
-    )
+    model = _random_model(space, rng)
     for t in texts:
         got = vectorize(t, space)
         want = score_reference.vectorize(t, space)
         # the same columns in the same first-appearance order, each value to the bit
         assert [(c, v.hex()) for c, v in got.items()] == [(c, float(v).hex()) for c, v in want.items()]
     _assert_scores_match_reference(model, texts)
+
+
+@pytest.mark.parametrize("char_range, word_range", TRIE_RANGES)
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    pieces=st.lists(st.sampled_from(TRIE_CHARS) | st.characters(), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_space_spelled_from_an_alphabet_counts_and_scores_its_texts_alike(
+    mode, char_range, word_range, data, pieces, seed
+):
+    # texts written in the alphabet's characters; tokens touch wherever no
+    # space comes between them, and the alphabet may hold no space at all
+    spelled = st.lists(st.sampled_from(pieces), max_size=12).map("".join)
+    texts = data.draw(st.lists(spelled, min_size=1, max_size=5))
+    train = data.draw(st.lists(spelled | TRIE_TEXT, min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
+    space = _edited_space(fit_features(train, cfg), texts + [" ".join(train)], rng)
+    pruned = space.spelled_from("".join(pieces))
+    assert pruned.vocabulary.items() <= space.vocabulary.items()
+    assert pruned.idf is space.idf and (pruned.config, pruned.n_docs) == (space.config, space.n_docs)
+    got, want = features._counts(texts, pruned), features._counts(texts, space)
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+    model = _random_model(space, rng)
+    assert _bits(score_texts(dataclasses.replace(model, space=pruned), texts)) == _bits(score_texts(model, texts))
+
+
+def test_space_spelled_from_keeps_only_entries_of_its_characters_and_the_space():
+    vocab = ["c:ab", "c:a b", "c:ax", "c:", "c", "w:a \U0001F437", "w:a", "w: ", "x:ab", "xyab", "c:\0a", "c:\ud83da"]
+    space = FeatureSpace(FeatureConfig(), dict(zip(vocab, count(10))), np.arange(22.0), 3)
+    pruned = space.spelled_from("a\U0001F437b\ud83d")
+    # the 2-character prefix is any; past it a space passes though the characters hold none
+    assert list(pruned.vocabulary.items()) == [
+        ("c:ab", 10), ("c:a b", 11), ("c:", 13), ("c", 14), ("w:a \U0001F437", 15), ("w:a", 16), ("w: ", 17),
+        ("x:ab", 18), ("xyab", 19), ("c:\ud83da", 21),
+    ]
+    assert space.spelled_from("").vocabulary == {"c:": 13, "c": 14, "w: ": 17}
 
 
 def test_trie_reads_lone_surrogates_and_unknown_characters_as_code_points():
@@ -732,10 +780,16 @@ def test_trie_reads_lone_surrogates_and_unknown_characters_as_code_points():
     assert vectorize("\ud83d", space) != vectorize("\U0001F600", space)
 
 
-def _gram_stage_peak(texts, space):
+def _traced_peak(fn, texts, space):
+    """The tracemalloc peak of fn(texts, space), in bytes.
+
+    A full collection first empties the interpreter's free lists, whose
+    reuse would hide allocations from tracemalloc.
+    """
+    gc.collect()
     tracemalloc.start()
     try:
-        _gram_keys(texts, space)
+        fn(texts, space)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -749,9 +803,21 @@ def test_gram_stage_memory_follows_the_block_character_count(mode_model):
     _gram_keys(short[:2], model.space)  # builds the index, which the space keeps
     # a few arrays over the block's codes and hits
     for block in (short, long_block):
-        assert _gram_stage_peak(block, model.space) < 256 * sum(map(len, block)) + 65536
+        assert _traced_peak(_gram_keys, block, model.space) < 256 * sum(map(len, block)) + 65536
     # far below one rows x longest-text int64 array
     assert 256 * sum(map(len, long_block)) + 65536 < 8 * len(long_block) * len(long_text) / 4
+
+
+def test_counts_of_a_block_peak_no_higher_than_the_np_unique_reference(mode_model):
+    model, distinct = mode_model
+    # texts of four docs each, so that the arrays over the hits outweigh the Python objects
+    block = [" ".join(distinct[k : k + 4]) for k in range(linear.BLOCK_ROWS)]
+    for counts in (features._counts, score_reference.counts):
+        counts(block, model.space)  # builds the index, which the space keeps, and any first-call state
+    # the reference groups the hits with np.unique (a stable mergesort and its index arrays); the
+    # value sort, in place and with the hits freed once grouped, must hold no more
+    peak = _traced_peak(features._counts, block, model.space)
+    assert peak <= _traced_peak(score_reference.counts, block, model.space)
 
 
 # --- persistence -------------------------------------------------------------
