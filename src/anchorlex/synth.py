@@ -1,8 +1,7 @@
-"""Deterministic synthetic corpora for benchmarks, demos, and tests.
+"""The seeded emoji-anchored corpus that the pipeline script, perfbench and tests run on.
 
 Nothing here ships real user data; texts are assembled from small word
-pools with seeded RNGs so every generator is a pure function of its
-arguments.
+pools with a seeded RNG, so the corpus is a pure function of the arguments.
 """
 
 from __future__ import annotations
@@ -59,12 +58,11 @@ def make_anchored_corpus(
     unanchored collection would show).
     """
     rng = random.Random(seed)
-    plain_rate = base_offensive_rate
     docs: list[Document] = []
     labels: dict[str, LabelRecord] = {}
     for i in range(n_docs):
         has_emoji = rng.random() < emoji_rate
-        offensive = rng.random() < (p_offensive_given_emoji if has_emoji else plain_rate)
+        offensive = rng.random() < (p_offensive_given_emoji if has_emoji else base_offensive_rate)
         words = _sentence(rng, NEUTRAL_WORDS, rng.randint(4, 9))
         if offensive:
             words[rng.randrange(len(words))] = rng.choice(OFFENSIVE_WORDS)
@@ -77,23 +75,3 @@ def make_anchored_corpus(
         docs.append(doc)
         labels[doc.id] = LabelRecord(doc_id=doc.id, offensive=offensive)
     return docs, labels
-
-
-def make_separable_corpus(
-    n_docs: int = 200, seed: int = 0
-) -> tuple[list[Document], dict[str, LabelRecord]]:
-    """Linearly separable two-class corpus: marker words never cross classes."""
-    rng = random.Random(seed)
-    docs: list[Document] = []
-    labels: dict[str, LabelRecord] = {}
-    for i in range(n_docs):
-        offensive = i % 2 == 1
-        words = _sentence(rng, NEUTRAL_WORDS, rng.randint(3, 6))
-        markers = OFFENSIVE_WORDS if offensive else ("سلام", "محبة", "ورد")
-        words.extend(rng.choice(markers) for _ in range(2))
-        rng.shuffle(words)
-        doc = _doc(i, " ".join(words))
-        docs.append(doc)
-        labels[doc.id] = LabelRecord(doc_id=doc.id, offensive=offensive)
-    return docs, labels
-

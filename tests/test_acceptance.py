@@ -9,6 +9,7 @@ scipy's SLSQP where cvxpy is missing), hand-worked numbers elsewhere.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -22,16 +23,17 @@ import pytest
 
 from anchorlex import cli
 from anchorlex.annotation import cohen_kappa
-from anchorlex.corpus import Document, load_corpus, stratified_split, write_corpus
+from anchorlex.corpus import Document, dump_corpus, dump_labels, load_corpus, stratified_split, write_corpus
 from anchorlex.emoji import SEEDS_PATH, base_form, cluster_spans, filter_by_seeds, load_seed_inventory
 from anchorlex.features import FeatureConfig
 from anchorlex.lexicon import mine_class_lexicon, valence
 from anchorlex.linear import fit_svm, predict_texts, train_model
 from anchorlex.metrics import evaluate_predictions
-from anchorlex.synth import make_anchored_corpus, make_separable_corpus
+from anchorlex.synth import make_anchored_corpus
 from anchorlex.violence import CLASSES_PATH, RULES_PATH, compile_rules, load_classes, load_rules, match_violence_text
 
 from conftest import TS, make_label_set
+from separable_corpus import make_separable_corpus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASET_DIR = REPO_ROOT / "dataset"
@@ -321,6 +323,16 @@ def test_criterion_07_classifier_f1_and_objective_oracle():
         f"macro-F1 {report.macro_f1:.4f}, objective rel err {rel:.2e} "
         f"vs {'cvxpy' if have_cvxpy else 'scipy'}, "
         f"trace non-increasing={non_increasing(fit.objective_trace)}",
+    )
+
+
+def test_criterion_07_corpus_bytes_are_pinned():
+    docs, labels = make_separable_corpus(n_docs=200, seed=0)
+    assert hashlib.sha256(dump_corpus(docs).encode("utf-8")).hexdigest() == (
+        "8b25b31f8151280589fe75974b9091e63885577d13f5191f1f765768f7a16e4c"
+    )
+    assert hashlib.sha256(dump_labels(labels.values()).encode("utf-8")).hexdigest() == (
+        "8d12ad885a9578e0d97c19fa4c9613cfb56bd2ef280d93e96845160d6c5d0121"
     )
 
 

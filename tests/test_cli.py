@@ -26,9 +26,10 @@ from anchorlex.corpus import (
 )
 from anchorlex.emoji import SEEDS_PATH
 from anchorlex.linear import load_model
-from anchorlex.synth import make_separable_corpus
 from anchorlex.util import sha256_file
 from anchorlex.violence import CLASSES_PATH, RULES_PATH
+
+from separable_corpus import make_separable_corpus
 
 TS = "2021-05-01T12:00:00Z"
 

@@ -13,11 +13,11 @@ from anchorlex.corpus import DatasetSplit, load_corpus, load_labels, stratified_
 from anchorlex.explain import KERNEL_WIDTH, RIDGE_LAMBDA, TOP_K, dump_explanation, explain
 from anchorlex.features import FeatureConfig, FeatureSpace
 from anchorlex.linear import LinearModel, predict_texts, score_text, score_texts, train_model
-from anchorlex.synth import make_separable_corpus
 from anchorlex.textnorm import normalize, split_tokens, tokenize
 
 import score_reference
 from golden_corpus import load_gen
+from separable_corpus import make_separable_corpus
 
 # the package re-exports the function explain under the module's name
 explain_mod = importlib.import_module("anchorlex.explain")

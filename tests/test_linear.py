@@ -41,11 +41,12 @@ from anchorlex.linear import (
     train_model,
 )
 from anchorlex.metrics import evaluate
-from anchorlex.synth import make_anchored_corpus, make_separable_corpus
+from anchorlex.synth import make_anchored_corpus
 from anchorlex.textnorm import normalize
 
 import score_reference
 import svm_reference
+from separable_corpus import make_separable_corpus
 from svm_reference import csr
 
 

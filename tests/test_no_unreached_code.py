@@ -18,6 +18,10 @@ default that no caller overrides is a constant, not a setting.
 `cli` hands every flag on to the library, so a CLI option counts as
 passed only when some string constant in scripts/, perfbench/ or the
 golden-record generators tests/golden_*.py equals its option string.
+
+A script in scripts/ is run by hand, so nothing calls it: it counts as
+reached when README.md, or a .py or .md file in tests/, perfbench/ or
+scripts/ other than its own, names its file name.
 """
 
 from __future__ import annotations
@@ -239,3 +243,22 @@ def test_every_option_is_passed_outside_tests():
 
 def test_allowed_options_still_exist():
     assert set(ALLOWED_OPTIONS) <= {o for options in stage_options().values() for o in options}
+
+
+def orphan_scripts() -> list[str]:
+    readers = [ROOT / "README.md"] + [
+        path
+        for d in ("tests", "perfbench", "scripts")
+        for path in sorted((ROOT / d).glob("*"))
+        if path.suffix in (".py", ".md")
+    ]
+    texts = {path: path.read_text(encoding="utf-8") for path in readers}
+    return [
+        script.name
+        for script in sorted((ROOT / "scripts").glob("*.py"))
+        if not any(script.name in text for path, text in texts.items() if path != script)
+    ]
+
+
+def test_every_script_is_named_outside_itself():
+    assert orphan_scripts() == []
