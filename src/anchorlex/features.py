@@ -8,21 +8,31 @@ tf * idf and the L2 norm are computed: the training rows, `vectorize`
 and `linear.score_texts` all call it, BLOCK_ROWS rows at a time at most.
 
 Gram index. A FeatureSpace builds one trie per kind on first use
-(`FeatureSpace._tries`) and keeps it. A char gram is a string of code
-points; a word gram is a string of tokens, each coded by one dict over
-the tokens of the w: entries split on " ". Level n of a trie holds the
-sorted int64 keys prefix_id * (end + 1) + code of every length-n prefix
-of its grams, prefix_id being the length-(n-1) prefix's index in level
-n - 1 (0 at level 1), and the column of each prefix that is a gram (-1
-for the others). end is above every code: 0x110000 for code points, the
+(`FeatureSpace._tries`) and keeps it, unless `load_index` gave it one.
+A char gram is a string of code points; a word gram is a string of
+tokens, each coded by one dict over the tokens of the w: entries split
+on " ", in order of first appearance over those entries taken in
+column order. Level n of a trie, for n from 1 to the top of the kind's
+range, holds the sorted int64 keys prefix_id * (end + 1) + code of
+every length-n prefix of its grams, prefix_id being the length-(n-1)
+prefix's index in level n - 1 (0 at level 1), then the sentinel _TOP,
+and aligned int32 columns: the column of each prefix that is a gram, -1
+for the others. end is above every code: 0x110000 for code points, the
 token count for tokens. prefix_id is below the vocabulary size, so no
 key comes near 2**63, whatever the alphabet or n-gram range. Only c:
 and w: entries whose length is inside their kind's range go in; any
-other entry matches nothing. `spelled_from(chars)` keeps only the
-entries spelled, past their prefix, from chars and the space, at the
-same columns: a text written in chars has no other gram (a word gram's
-tokens are cut from it, joined by spaces), so it scores the same bits
-through that smaller index, which `explain` builds on every call.
+other entry matches nothing. So the index follows from the mode, the
+two ranges and the entry at each column alone.
+
+Stored index. `dump_index` gives the tries as JSON values: each level's
+keys and columns as base64 of their little-endian bytes, each trie's
+end, the word tokens in code order, and a sha256 of the mode, the ranges
+and the entries in column order. `load_index` takes such a value back
+only under that digest, so an edited vocabulary or range gets an index
+built from it; and only if `_gram_keys` can read it: every kind of the
+mode, one level per n of the range, keys strictly increasing up to
+_TOP, none of them a window that takes in end, columns in [-1, number
+of entries), char end 0x110000, and end distinct word tokens.
 
 Lookup (`_gram_keys`). A block's texts become one array of codes, each
 text followed by `end`; a token that no w: entry has is `end` too.
@@ -74,11 +84,13 @@ differently, so none of them may be used along a row.
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import itemgetter
+from itertools import count, repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -118,26 +130,37 @@ class _Trie:
     keys: tuple[np.ndarray, ...]  # level n: sorted prefix_id * (end + 1) + code, then _TOP
     cols: tuple[np.ndarray, ...]  # aligned to keys: the prefix's column if it is a gram, else -1
     end: int  # the code after each text, above every gram code
-    code: _Code | None  # word tries: (token, end) -> the token's code; char codes are code points
+    tokens: Mapping[str, int] | None  # word tries: token -> code, in code order; char codes are code points
+
+    @property
+    def code(self) -> _Code | None:
+        """(token, end) -> the token's code for a word trie; None for a char trie."""
+        return None if self.tokens is None else self.tokens.get
 
 
 def _trie(
-    codes: np.ndarray, starts: np.ndarray, lens: np.ndarray, cols: np.ndarray, end: int, code: _Code | None = None
+    codes: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    cols: np.ndarray,
+    end: int,
+    levels: int,
+    tokens: Mapping[str, int] | None,
 ) -> _Trie:
-    """The trie of the grams codes[starts[i] : starts[i] + lens[i]], gram i at column cols[i]."""
+    """The trie of the grams codes[starts[i] : starts[i] + lens[i]], gram i at column cols[i], lens[i] <= levels."""
     # longest first, so the grams at least n codes long are a prefix
     order = np.argsort(-lens, kind="stable")
     starts, lens, cols = starts[order], lens[order], cols[order]
     node = np.zeros(len(lens), np.int64)
     keys, level_cols = [], []
-    for n in range(1, int(lens[0]) + 1 if len(lens) else 1):
+    for n in range(1, levels + 1):
         k, longer = np.count_nonzero(lens >= n), np.count_nonzero(lens > n)
         level, node = np.unique(node[:k] * (end + 1) + codes[starts[:k] + n - 1], return_inverse=True)
         c = np.full(len(level) + 1, -1, np.int32)
         c[node[longer:]] = cols[longer:k]
         keys.append(np.append(level, _TOP))
         level_cols.append(c)
-    return _Trie(tuple(keys), tuple(level_cols), end, code)
+    return _Trie(tuple(keys), tuple(level_cols), end, tokens)
 
 
 def _utf32(s: str) -> np.ndarray:
@@ -162,19 +185,6 @@ class FeatureSpace:
     def n_features(self) -> int:
         return len(self.vocabulary)
 
-    def spelled_from(self, chars: str) -> FeatureSpace:
-        """The space with only the entries whose characters past the 2-character prefix are in chars or a space.
-
-        Columns, idf, config and n_docs stay; a text written in chars
-        scores the same bits on both spaces (Gram index, module docstring).
-        """
-        flat, starts, lens = _entries(list(self.vocabulary))
-        # bad[k]: the code points outside chars and the space among the first k
-        bad = np.zeros(len(flat) + 1, np.int64)
-        np.cumsum(~np.isin(flat, _utf32(chars + " ")), out=bad[1:])
-        keep = bad[starts + lens] == bad[starts + np.minimum(lens, 2)]
-        return replace(self, vocabulary=dict(compress(self.vocabulary.items(), keep.tolist())))
-
     @cached_property
     def _tries(self) -> tuple[_Trie | None, _Trie | None]:
         """The char trie and the word trie (module docstring); None for a kind the mode leaves out."""
@@ -186,19 +196,122 @@ class FeatureSpace:
         char = word = None
         if self.config.mode != "word":
             sel = colon & (flat[starts] == ord("c")) & (lens >= clo + 2) & (lens <= chi + 2)
-            char = _trie(flat, starts[sel] + 2, lens[sel] - 2, cols[sel], _CHAR_END)
+            char = _trie(flat, starts[sel] + 2, lens[sel] - 2, cols[sel], _CHAR_END, chi, None)
         if self.config.mode != "char":
             # a w: entry's token count: one more than the spaces after its prefix
             spaces = np.cumsum(flat == ord(" "), dtype=np.int32)
             n_tok = spaces[starts + lens - 1] - spaces[starts + 1] + 1
-            sel = colon & (flat[starts] == ord("w")) & (n_tok >= wlo) & (n_tok <= whi)
-            bodies = map(itemgetter(slice(2, None)), compress(grams, sel.tolist()))
-            all_tokens = " ".join(bodies).split(" ")
+            sel = np.flatnonzero(colon & (flat[starts] == ord("w")) & (n_tok >= wlo) & (n_tok <= whi))
+            # in column order, so the token codes, and the trie, follow from the columns' grams alone
+            sel = sel[np.argsort(cols[sel], kind="stable")]
+            all_tokens = " ".join([grams[i][2:] for i in sel.tolist()]).split(" ")
             tokens = dict(zip(dict.fromkeys(all_tokens), count()))
             codes = np.fromiter(map(tokens.__getitem__, all_tokens), np.int64, len(all_tokens))
             n_tok = n_tok[sel]
-            word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), tokens.get)
+            word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), whi, tokens)
         return char, word
+
+
+def b64(values: object, dtype: str) -> str:
+    """Base64 text of the values' bytes as dtype, a little-endian type code such as "<f8"."""
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def from_b64(name: str, text: object, dtype: str) -> np.ndarray:
+    """`b64` text as a read-only dtype array; text that is not strict base64 of whole values fails."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not base64 text") from None
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise ValueError(f"{name} is {len(raw)} bytes, not a whole number of {np.dtype(dtype).name} values")
+    return np.frombuffer(raw, dtype)
+
+
+def _index_digest(config: FeatureConfig, grams: Sequence[str]) -> str:
+    """sha256 of what the gram index is built from: the mode, both ranges and the entries in column order.
+
+    The bytes are a JSON head that ends with the entry count, each entry's
+    length as int64, then the entries' code points as UTF-32, so no two
+    inputs share them.
+    """
+    h = hashlib.sha256(json.dumps([config.mode, config.char_range, config.word_range, len(grams)]).encode())
+    h.update(np.fromiter(map(len, grams), "<i8", len(grams)).tobytes())
+    h.update("".join(grams).encode("utf-32-le", "surrogatepass"))
+    return h.hexdigest()
+
+
+def dump_index(space: FeatureSpace, grams: Sequence[str]) -> dict[str, object]:
+    """The space's gram index as JSON values, for `load_index`; grams are the entries in column order."""
+    index: dict[str, object] = {"digest": _index_digest(space.config, grams)}
+    for kind, trie in zip(("char", "word"), space._tries):
+        if trie is None:
+            continue
+        fields: dict[str, object] = {
+            "keys": [b64(k, "<i8") for k in trie.keys],
+            "cols": [b64(c, "<i4") for c in trie.cols],
+            "end": trie.end,
+        }
+        if trie.tokens is not None:
+            fields["tokens"] = list(trie.tokens)
+        index[kind] = fields
+    return index
+
+
+def _load_trie(kind: str, obj: object, levels: int, n_grams: int) -> _Trie:
+    """A `dump_index` trie, checked to be one `_gram_keys` can read over n_grams columns."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"index lacks the {kind} trie")
+    try:
+        keys, cols, end = obj["keys"], obj["cols"], obj["end"]
+        tokens = obj["tokens"] if kind == "word" else None
+    except KeyError as e:
+        raise ValueError(f"{kind} trie lacks {e.args[0]}") from None
+    by_token = None
+    if tokens is None:
+        if type(end) is not int or end != _CHAR_END:
+            raise ValueError(f"char trie end is not {_CHAR_END}: {end!r}")
+    else:
+        if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}):
+            raise ValueError("word trie tokens are not a list of strings")
+        by_token = dict(zip(tokens, count()))
+        if not (type(end) is int and len(by_token) == len(tokens) == end):
+            raise ValueError(f"word trie tokens are not {end!r} distinct strings")
+    if not (isinstance(keys, list) and isinstance(cols, list) and len(keys) == len(cols) == levels):
+        raise ValueError(f"{kind} trie does not hold {levels} levels of keys and columns")
+    key_levels, col_levels = [], []
+    for n, (k, c) in enumerate(zip(keys, cols), 1):
+        k, c = from_b64(f"{kind} trie keys {n}", k, "<i8"), from_b64(f"{kind} trie cols {n}", c, "<i4")
+        if not (len(k) == len(c) > 0 and k[-1] == _TOP and (k[1:] > k[:-1]).all()):
+            raise ValueError(f"{kind} trie keys {n} are not strictly increasing up to {_TOP}, one per column")
+        if (k[:-1] % (end + 1) == end).any():
+            # a window that took in the end code would run into the next text
+            raise ValueError(f"{kind} trie keys {n} take in the end code")
+        if not ((c >= -1) & (c < n_grams)).all():
+            raise ValueError(f"{kind} trie cols {n} are outside [-1, {n_grams})")
+        key_levels.append(k.astype(np.int64, copy=False))
+        col_levels.append(c.astype(np.int32, copy=False))
+    return _Trie(tuple(key_levels), tuple(col_levels), end, by_token)
+
+
+def load_index(space: FeatureSpace, grams: Sequence[str], index: object) -> None:
+    """Make a `dump_index` value the space's gram index, if its digest is that of the space's inputs.
+
+    grams are the space's entries in column order. Under another digest,
+    as after an edit of the vocabulary or a range, the space builds its
+    index from the vocabulary on first use. A malformed index fails.
+    """
+    if not isinstance(index, dict):
+        raise ValueError("index is not an object")
+    config = space.config
+    if index.get("digest") != _index_digest(config, grams):
+        return
+    tries = tuple(
+        None if config.mode == skip else _load_trie(kind, index.get(kind), hi, len(grams))
+        for kind, skip, (_, hi) in (("char", "word", config.char_range), ("word", "char", config.word_range))
+    )
+    # where functools.cached_property keeps its value, so _tries reads this index and builds none
+    vars(space)["_tries"] = tries
 
 
 def _codes(texts: Sequence[str], code: _Code | None, end: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,25 +44,32 @@ is given: predict_texts normalizes each distinct raw text first, as
 train_model does, and explain passes samples cut from normalized text.
 It scores each distinct text once, BLOCK_ROWS at a time:
 `features.transform` gives the block's tf-idf rows through the space's
-gram index, which the first block builds and the space keeps, so each
-`load_model` pays for it once (explain scores on a space cut to its
-text's characters, whose smaller index each call builds); w.x is
-`features.ordered_row_sums` over the products w[col] * x, by the
-`features` summation-order rule.
+gram index, which `load_model` reads from the file, so neither predict
+nor explain builds one (a space with no stored index, as after
+`fit_transform` or a load whose stored digest is stale, builds it on its
+first block and keeps it); w.x is `features.ordered_row_sums` over the
+products w[col] * x, by the `features` summation-order rule.
 `features.fit_transform` counts the training rows through the same gram
 index and weighs them by the same `tfidf_l2`, so the vectors the trainer
 sees and the scores predict writes agree bit for bit, and w.x adds in
 the same order as the built-in sum over numpy scalars of
 `decision_score` in tests/score_reference.py.
 
-Model format v2 stores idf, weights and objective_trace as base64 text of
+Model format 3 stores idf, weights and objective_trace as base64 text of
 their `<f8` bytes: exact, and no decimal to parse (load_model of a
-9,867-gram model: 5.2 ms, v1 13.1 ms). v1 is refused: retrain the model.
+9,867-gram model at format 2: 5.2 ms, v1 13.1 ms). Under `index` it
+stores the space's gram index (`features.dump_index`), which training
+already holds, with the sha256 of the mode, ranges and vocabulary it is
+built from. load_model takes the index only under that digest, so a
+file whose vocabulary or ranges were edited gets an index built from
+them, and refuses a malformed one. On a 13,077-gram model the index
+adds 210 KB to the file and 1.4 ms to load_model (6.6 to 8.0 ms, min of
+30, 2 vCPU), where building it takes 8 to 10 ms. v1 and v2 are refused:
+retrain the model.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass
@@ -71,11 +78,22 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
-from .features import BLOCK_ROWS, FeatureConfig, FeatureSpace, fit_transform, ordered_row_sums, transform
+from .features import (
+    BLOCK_ROWS,
+    FeatureConfig,
+    FeatureSpace,
+    b64,
+    dump_index,
+    fit_transform,
+    from_b64,
+    load_index,
+    ordered_row_sums,
+    transform,
+)
 from .textnorm import normalize
 from .util import atomic_write_text
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 _EPS = 1e-12
 
@@ -398,27 +416,23 @@ def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[tuple[int, f
     return [(1 if s > 0 else 0, s) for s in score_texts(model, [normalized[t] for t in texts])]
 
 
-def _b64(values: object) -> str:
-    """Base64 text of the values as little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
-
-
 def save_model(path: str, model: LinearModel) -> None:
-    vocab_items = sorted(model.space.vocabulary.items(), key=lambda kv: kv[1])
+    grams = sorted(model.space.vocabulary, key=model.space.vocabulary.__getitem__)
     obj = {
         "format_version": MODEL_FORMAT_VERSION,
         "mode": model.space.config.mode,
         "char_range": list(model.space.config.char_range),
         "word_range": list(model.space.config.word_range),
         "n_train_docs": model.space.n_docs,
-        "vocabulary": [g for g, _ in vocab_items],
-        "idf": _b64(model.space.idf),
-        "weights": _b64(model.weights),
+        "vocabulary": grams,
+        "index": dump_index(model.space, grams),
+        "idf": b64(model.space.idf, "<f8"),
+        "weights": b64(model.weights, "<f8"),
         "bias": model.bias,
         "C": model.C,
         "seed": model.seed,
         "target": model.target,
-        "objective_trace": _b64(model.objective_trace),
+        "objective_trace": b64(model.objective_trace, "<f8"),
         "duality_gap": model.duality_gap,
         "converged": model.converged,
     }
@@ -433,14 +447,8 @@ def _finite(name: str, value: object) -> float:
 
 
 def _floats(name: str, text: object) -> np.ndarray:
-    """`_b64` text as a writable float64 array; non-base64 text, partial values and non-finite values fail."""
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} is not base64 text") from None
-    if len(raw) % 8:
-        raise ValueError(f"{name} is {len(raw)} bytes, not a whole number of float64 values")
-    arr = np.frombuffer(raw, "<f8").astype(np.float64)
+    """`features.b64` float64 text as a writable array; non-base64 text, partial values and non-finite values fail."""
+    arr = from_b64(name, text, "<f8").astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} holds a value that is not finite")
     return arr
@@ -481,6 +489,7 @@ def load_model(path: str) -> LinearModel:
             idf=_floats("idf", obj["idf"]),
             n_docs=obj["n_train_docs"],
         )
+        load_index(space, grams, obj["index"])
         model = LinearModel(
             space=space,
             weights=_floats("weights", obj["weights"]),

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anchorlex import cli
+from anchorlex import cli, features
 from anchorlex.annotation import Judgment, load_gate_answers, load_judgments, load_overrides, write_judgments
 from anchorlex.corpus import (
     Document,
@@ -954,6 +954,31 @@ def _as_v1(blob):
     blob.update(format_version=1, normalized=True)
 
 
+def _as_v2(blob):
+    """The model as format v2 wrote it: no gram index."""
+    del blob["index"]
+    blob.update(format_version=2)
+
+
+def _edit_word_level(field, n, change):
+    """An edit that applies change to the array at level n of the word trie's keys or cols."""
+    dtype = "<i8" if field == "keys" else "<i4"
+
+    def edit(blob):
+        levels = blob["index"]["word"][field]
+        levels[n - 1] = features.b64(change(features.from_b64("", levels[n - 1], dtype).copy()), dtype)
+
+    return edit
+
+
+def _at(at, value):
+    def change(a):
+        a[at] = value
+        return a
+
+    return change
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -965,6 +990,52 @@ def _as_v1(blob):
         (lambda b: b["vocabulary"].__setitem__(0, 5), "bad model file: vocabulary is not a list of strings"),
         (lambda b: b.update(vocabulary="w:a"), "bad model file: vocabulary is not a list of strings"),
         (_as_v1, "unsupported model format version 1: retrain the model"),
+        (_as_v2, "unsupported model format version 2: retrain the model"),
+        (lambda b: b["index"].pop("word"), "bad model file: index lacks the word trie"),
+        (lambda b: b["index"].update(word=[]), "bad model file: index lacks the word trie"),
+        (lambda b: b["index"]["word"].pop("tokens"), "bad model file: word trie lacks tokens"),
+        (
+            lambda b: b["index"]["word"]["keys"].__setitem__(0, "AAAA!AAA"),
+            "bad model file: word trie keys 1 is not base64 text",
+        ),
+        (
+            lambda b: b["index"]["word"]["keys"].__setitem__(1, base64.b64encode(bytes(12)).decode()),
+            "bad model file: word trie keys 2 is 12 bytes, not a whole number of int64 values",
+        ),
+        (
+            _edit_word_level("keys", 1, lambda a: a[::-1].copy()),
+            "bad model file: word trie keys 1 are not strictly increasing up to 9223372036854775807, one per column",
+        ),
+        (
+            _edit_word_level("keys", 2, lambda a: np.append(a, a[-1])),
+            "bad model file: word trie keys 2 are not strictly increasing up to 9223372036854775807, one per column",
+        ),
+        (_edit_word_level("cols", 1, _at(0, 10**6)), "bad model file: word trie cols 1 are outside [-1, "),
+        (
+            lambda b: b["index"]["word"]["cols"].append(b["index"]["word"]["cols"][-1]),
+            "bad model file: word trie does not hold 2 levels of keys and columns",
+        ),
+        # the last key below the sentinel, as the end code: still increasing
+        (
+            lambda b: _edit_word_level("keys", 1, _at(-2, b["index"]["word"]["end"]))(b),
+            "bad model file: word trie keys 1 take in the end code",
+        ),
+        (
+            lambda b: b["index"]["word"]["tokens"].__setitem__(1, b["index"]["word"]["tokens"][0]),
+            "bad model file: word trie tokens are not ",
+        ),
+        (
+            lambda b: b["index"]["word"]["tokens"].append(7),
+            "bad model file: word trie tokens are not a list of strings",
+        ),
+        (
+            lambda b: b["index"]["word"].update(end=b["index"]["word"]["end"] + 1),
+            "bad model file: word trie tokens are not ",
+        ),
+        (
+            lambda b: b["index"]["word"].update(end=True),
+            "bad model file: word trie tokens are not True distinct strings",
+        ),
         (lambda b: b.update(word_range=[1, 2.0]), "bad model file: bad n-gram range (1, 2.0)"),
         (lambda b: b.update(char_range=[True, 5]), "bad model file: bad n-gram range (True, 5)"),
         (lambda b: b.update(weights=None), "bad model file: weights is not base64 text"),
@@ -1002,6 +1073,21 @@ def _as_v1(blob):
         "int_gram",
         "string_vocabulary",
         "v1_file",
+        "v2_file",
+        "no_word_trie",
+        "list_word_trie",
+        "no_tokens",
+        "bang_in_keys",
+        "keys_of_12_bytes",
+        "keys_reversed",
+        "sentinel_twice",
+        "col_past_the_grams",
+        "three_levels_of_cols",
+        "key_takes_in_end",
+        "repeated_token",
+        "int_token",
+        "end_past_the_tokens",
+        "bool_end",
         "float_bound",
         "bool_bound",
         "null_weight",
@@ -1032,13 +1118,36 @@ def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, mes
     preds = str(tmp_path / "preds.tsv")
     assert cli.main(["predict", "--model", model, "--in", ws.corpus, "--out", preds]) == 2
     out, err = capsys.readouterr()
-    assert f"{model}: {message}" in err and out == ""
-    assert not (tmp_path / "preds.tsv").exists()
+    assert f"{model}: {message}" in err and out == "" and "Traceback" not in err
+    assert not (tmp_path / "preds.tsv").exists() and not (tmp_path / "preds.tsv.manifest.json").exists()
     ex = str(tmp_path / "ex.txt")
     assert cli.main(["explain", "--model", model, "--text", "غبي", "--samples", "20", "--out", ex]) == 2
     out, err = capsys.readouterr()
-    assert f"{model}: {message}" in err and out == ""
-    assert not (tmp_path / "ex.txt").exists()
+    assert f"{model}: {message}" in err and out == "" and "Traceback" not in err
+    assert not (tmp_path / "ex.txt").exists() and not (tmp_path / "ex.txt.manifest.json").exists()
+
+
+def test_predict_and_explain_build_no_index_unless_the_file_was_edited(ws, tmp_path, monkeypatch):
+    build = features._trie
+    builds = []
+
+    def no_build(*args):
+        raise AssertionError("the gram index was built, not loaded")
+
+    monkeypatch.setattr(features, "_trie", no_build)
+    preds, ex = str(tmp_path / "preds.tsv"), str(tmp_path / "ex.txt")
+    explain = ["explain", "--text", "يا غبي جدا", "--samples", "50", "--out", ex]
+    assert cli.main(["predict", "--model", ws.model, "--in", ws.corpus, "--out", preds]) == 0
+    assert Path(preds).read_bytes() == Path(ws.preds).read_bytes()
+    assert cli.main([*explain, "--model", ws.model]) == 0
+    # an edited vocabulary leaves the stored digest stale: each stage builds the index once
+    # (the ws model is word-only, so one trie)
+    edited = _edited_model(ws, tmp_path, lambda b: b["vocabulary"].__setitem__(0, "w:edited"))
+    monkeypatch.setattr(features, "_trie", lambda *args: builds.append(args) or build(*args))
+    assert cli.main(["predict", "--model", edited, "--in", ws.corpus, "--out", preds]) == 0
+    assert len(builds) == 1
+    assert cli.main([*explain, "--model", edited]) == 0
+    assert len(builds) == 2
 
 
 # JSON the decoder refuses with no JSONDecodeError: Python's digit limit for int(),

@@ -9,7 +9,6 @@ import random
 import re
 import tracemalloc
 from datetime import datetime, timezone
-from itertools import count
 
 import numpy as np
 import pytest
@@ -663,7 +662,21 @@ def test_vocabulary_entries_outside_c_and_w_match_nothing(tmp_path):
     _assert_scores_match_reference(edited, [text, text[4:], "غبي", "w:غبي", "c:يا"])
 
 
-# --- the gram index (features.FeatureSpace._tries) --------------------------
+@pytest.mark.parametrize("char_range, word_range", [([2, 4], [1, 3]), ([2, 5], [2, 2]), ([1, 6], [1, 4])])
+def test_a_file_with_edited_ranges_builds_its_index_from_them(tmp_path, char_range, word_range):
+    model = _trained(seed=1)[3]
+    p = tmp_path / "model.json"
+    save_model(str(p), model)
+    obj = json.loads(p.read_text(encoding="utf-8"))
+    obj.update(char_range=char_range, word_range=word_range)
+    p.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    edited = load_model(str(p))
+    # the stored digest is stale, so the space holds no index until it scores
+    assert "_tries" not in vars(edited.space)
+    _assert_scores_match_reference(edited, ["يا غبي يا حقير", "ورد جميل جدا", "غبي"])
+
+
+# --- the gram index (features.FeatureSpace._tries, dump_index, load_index) -----
 
 # Arabic and Latin letters, an emoji with a tone and a ZWJ, a keycap, lone
 # surrogates and a NUL, so texts hold characters and tokens that no
@@ -730,6 +743,39 @@ def test_trie_scores_edited_vocabularies_like_the_reference(mode, char_range, wo
     _assert_scores_match_reference(model, texts)
 
 
+def _trie_bytes(tries):
+    """Each trie's end, tokens in code order and level arrays as (dtype, bytes)."""
+    return [
+        t and (t.end, t.tokens and list(t.tokens.items()), [(a.dtype, a.tobytes()) for a in t.keys + t.cols])
+        for t in tries
+    ]
+
+
+def _saved_and_loaded(model, path):
+    """load_model(save_model(model)).
+
+    UTF-8 cannot write a vocabulary with a lone surrogate, so save_model
+    refuses it; its index then goes through its JSON values in memory.
+    """
+    try:
+        save_model(str(path), model)
+    except UnicodeEncodeError:
+        grams = sorted(model.space.vocabulary, key=model.space.vocabulary.__getitem__)
+        index = json.loads(json.dumps(features.dump_index(model.space, grams), ensure_ascii=False))
+        space = dataclasses.replace(model.space)
+        features.load_index(space, grams, index)
+        return dataclasses.replace(model, space=space)
+    return load_model(str(path))
+
+
+def _assert_index_round_trip(model, texts, path):
+    loaded = _saved_and_loaded(model, path)
+    # the stored index, read before anything scores on the loaded model: a built one is not there yet
+    stored = _trie_bytes(vars(loaded.space)["_tries"])
+    assert stored == _trie_bytes(dataclasses.replace(loaded.space)._tries) == _trie_bytes(model.space._tries)
+    assert _bits(score_texts(loaded, texts)) == _bits(score_texts(model, texts))
+
+
 @pytest.mark.parametrize("char_range, word_range", TRIE_RANGES)
 @pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=30, deadline=None)
@@ -738,36 +784,27 @@ def test_trie_scores_edited_vocabularies_like_the_reference(mode, char_range, wo
     pieces=st.lists(st.sampled_from(TRIE_CHARS) | st.characters(), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_space_spelled_from_an_alphabet_counts_and_scores_its_texts_alike(
-    mode, char_range, word_range, data, pieces, seed
+def test_saved_index_loads_as_the_index_built_from_the_vocabulary(
+    tmp_path_factory, mode, char_range, word_range, data, pieces, seed
 ):
-    # texts written in the alphabet's characters; tokens touch wherever no
-    # space comes between them, and the alphabet may hold no space at all
+    # texts written in a few characters, so their grams repeat; tokens touch
+    # wherever no space comes between them, and the alphabet may hold no space at all
     spelled = st.lists(st.sampled_from(pieces), max_size=12).map("".join)
-    texts = data.draw(st.lists(spelled, min_size=1, max_size=5))
+    texts = data.draw(st.lists(spelled | TRIE_TEXT, min_size=1, max_size=5))
     train = data.draw(st.lists(spelled | TRIE_TEXT, min_size=1, max_size=5))
     rng = np.random.default_rng(seed)
     cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
     space = _edited_space(fit_features(train, cfg), texts + [" ".join(train)], rng)
-    pruned = space.spelled_from("".join(pieces))
-    assert pruned.vocabulary.items() <= space.vocabulary.items()
-    assert pruned.idf is space.idf and (pruned.config, pruned.n_docs) == (space.config, space.n_docs)
-    got, want = features._counts(texts, pruned), features._counts(texts, space)
-    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
-    model = _random_model(space, rng)
-    assert _bits(score_texts(dataclasses.replace(model, space=pruned), texts)) == _bits(score_texts(model, texts))
+    _assert_index_round_trip(_random_model(space, rng), texts + train, tmp_path_factory.mktemp("index") / "m.json")
 
 
-def test_space_spelled_from_keeps_only_entries_of_its_characters_and_the_space():
-    vocab = ["c:ab", "c:a b", "c:ax", "c:", "c", "w:a \U0001F437", "w:a", "w: ", "x:ab", "xyab", "c:\0a", "c:\ud83da"]
-    space = FeatureSpace(FeatureConfig(), dict(zip(vocab, count(10))), np.arange(22.0), 3)
-    pruned = space.spelled_from("a\U0001F437b\ud83d")
-    # the 2-character prefix is any; past it a space passes though the characters hold none
-    assert list(pruned.vocabulary.items()) == [
-        ("c:ab", 10), ("c:a b", 11), ("c:", 13), ("c", 14), ("w:a \U0001F437", 15), ("w:a", 16), ("w: ", 17),
-        ("x:ab", 18), ("xyab", 19), ("c:\ud83da", 21),
-    ]
-    assert space.spelled_from("").vocabulary == {"c:": 13, "c": 14, "w: ": 17}
+@pytest.mark.parametrize("mode", MODES)
+def test_saved_index_of_entries_outside_the_prefixes_and_ranges_loads_as_built(tmp_path, mode):
+    vocab = ["c:ab", "c:a b", "c:ax", "c:", "c", "w:a \U0001F437", "w:a", "w: ", "x:ab", "xyab", "c:\0a", "w:b  a"]
+    space = FeatureSpace(FeatureConfig(mode, (2, 3), (1, 2)), dict(zip(vocab, [3, 0, 11, 1, 5, 2, 4, 6, 9, 10, 7, 8])),
+                         np.linspace(1.0, 2.0, len(vocab)), 3)
+    texts = ["ab", "a b", "a\U0001F437", "a \U0001F437 b", "\0a", "b  a", "", " ", "x:ab", "c:ab"]
+    _assert_index_round_trip(_random_model(space, np.random.default_rng(5)), texts, tmp_path / "m.json")
 
 
 def test_trie_reads_lone_surrogates_and_unknown_characters_as_code_points():
@@ -882,11 +919,75 @@ def _set_value(key, at, value):
     return edit
 
 
+def _edit_level(kind, field, n, change):
+    """An edit that applies change to the array at level n of the kind's trie keys or cols."""
+    dtype = "<i8" if field == "keys" else "<i4"
+
+    def edit(blob):
+        levels = blob["index"][kind][field]
+        levels[n - 1] = features.b64(change(features.from_b64("", levels[n - 1], dtype).copy()), dtype)
+
+    return edit
+
+
+def _swap_first_two(a):
+    a[[0, 1]] = a[[1, 0]]
+    return a
+
+
+def _set_at(at, value):
+    def change(a):
+        a[at] = value
+        return a
+
+    return change
+
+
+NOT_INCREASING = "bad model file: {} are not strictly increasing up to 9223372036854775807, one per column"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda b: b.pop("idf"), "model file lacks idf"),
         (lambda b: b.pop("bias"), "model file lacks bias"),
+        (lambda b: b.pop("index"), "model file lacks index"),
+        (lambda b: b.update(index=None), "bad model file: index is not an object"),
+        (lambda b: b["index"].pop("char"), "bad model file: index lacks the char trie"),
+        (lambda b: b["index"]["char"].pop("cols"), "bad model file: char trie lacks cols"),
+        (
+            lambda b: b["index"]["char"].update(end=0x10FFFF),
+            "bad model file: char trie end is not 1114112: 1114111",
+        ),
+        (
+            lambda b: b["index"]["char"]["keys"].pop(),
+            "bad model file: char trie does not hold 5 levels of keys and columns",
+        ),
+        (
+            lambda b: b["index"]["char"]["keys"].__setitem__(1, 7),
+            "bad model file: char trie keys 2 is not base64 text",
+        ),
+        (
+            lambda b: b["index"]["char"]["cols"].__setitem__(0, base64.b64encode(bytes(6)).decode()),
+            "bad model file: char trie cols 1 is 6 bytes, not a whole number of int32 values",
+        ),
+        (_edit_level("char", "keys", 3, _swap_first_two), NOT_INCREASING.format("char trie keys 3")),
+        (_edit_level("char", "keys", 1, lambda a: a[:-1]), NOT_INCREASING.format("char trie keys 1")),
+        (_edit_level("char", "cols", 2, lambda a: a[:-1]), NOT_INCREASING.format("char trie keys 2")),
+        # the last key below the sentinel, as the end code: still increasing
+        (
+            _edit_level("char", "keys", 1, _set_at(-2, 0x110000)),
+            "bad model file: char trie keys 1 take in the end code",
+        ),
+        (_edit_level("char", "cols", 4, _set_at(0, -2)), "bad model file: char trie cols 4 are outside [-1, "),
+        (
+            lambda b: b["index"]["word"]["tokens"].append(b["index"]["word"]["tokens"][0]),
+            "bad model file: word trie tokens are not ",
+        ),
+        (
+            lambda b: b["index"]["word"]["tokens"].__setitem__(0, None),
+            "bad model file: word trie tokens are not a list of strings",
+        ),
         (lambda b: b.pop("converged"), "model file lacks converged"),
         (lambda b: b.update(weights=_b64(_floats(b["weights"])[:-50])), LENGTHS),
         (lambda b: b.update(idf=_b64(_floats(b["idf"])[:-1])), LENGTHS),
@@ -909,6 +1010,21 @@ def _set_value(key, at, value):
     ids=[
         "no_idf",
         "no_bias",
+        "no_index",
+        "null_index",
+        "no_char_trie",
+        "no_char_cols",
+        "char_end",
+        "char_levels",
+        "int_keys",
+        "cols_plus_6_bytes",
+        "keys_swapped",
+        "no_sentinel",
+        "cols_cut",
+        "key_takes_in_end",
+        "col_minus_2",
+        "repeated_token",
+        "null_token",
         "no_converged",
         "weights_cut",
         "idf_cut",
