@@ -18,10 +18,10 @@ a model trained on the corpus' first 2,000 docs: microseconds per doc of
 `score_texts`), and per sample of
 one 1,000-sample `explain` of the first doc with at least 6 tokens.
 `load_ms` is the fixed cost a `predict` or `explain` process pays before
-its first block: `load_model` of the saved model, which decodes the
-stored gram index and checks its digest. `index_ms` is building that
-index from the loaded vocabulary instead, which a fresh fit pays, and a
-load whose stored digest no longer matches the vocabulary or ranges.
+its first block: `load_model` of the saved model, which decodes and
+checks the stored gram index. `index_ms` is building that index from
+the fit's gram -> column dict (`features._index`), which `fit_transform`
+pays once, and `model_bytes` is the size of the saved model file.
 `parse_ms`, the fixed cost of every stage call before that, is the
 median over 100 times the repeats of `cli.build_parser` and
 `parse_args` on one `explain --text` argv for that doc.
@@ -38,12 +38,11 @@ import statistics
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from anchorlex import cli, textnorm
+from anchorlex import cli, features, textnorm
 from anchorlex.corpus import DatasetSplit, Document, load_corpus, write_corpus
 from anchorlex.emoji import cluster_spans, doc_bases
 from anchorlex.explain import explain
@@ -98,21 +97,16 @@ def normalize_passes(texts: list[str]) -> float:
     return calls / len(texts)
 
 
-def load_and_index_ms(model: LinearModel, repeats: int) -> tuple[float, float]:
-    """Median milliseconds of `load_model` on the saved model, and of building its gram index from the vocabulary."""
-    load, index = [], []
+def load_index_bytes(model: LinearModel, train_texts: list[str], repeats: int) -> tuple[float, float, int]:
+    """Median milliseconds of `load_model` on the saved model and of the fit's gram-index build, and the file's bytes."""
+    config = model.space.config
+    vocab = features._vocabulary(train_texts, config)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         save_model(path, model)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            loaded = load_model(path)
-            t1 = time.perf_counter()
-            # a copy of the space holds no index, so reading it builds one
-            replace(loaded.space)._tries
-            load.append(t1 - t0)
-            index.append(time.perf_counter() - t1)
-    return 1e3 * statistics.median(load), 1e3 * statistics.median(index)
+        load_ms = 1e3 * median_s(lambda: load_model(path), repeats)
+        size = os.path.getsize(path)
+    return load_ms, 1e3 * median_s(lambda: features._index(config, vocab), repeats), size
 
 
 def parse_ms(text: str, seed: int, repeats: int) -> float:
@@ -137,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         "n_docs\tload_us\tnormalize_us\tnormalize_passes\tcluster_spans_us\ttokenize_us\tdoc_bases_us"
-        "\tpredict_us\texplain_us_per_sample\tload_ms\tindex_ms\tparse_ms"
+        "\tpredict_us\texplain_us_per_sample\tload_ms\tindex_ms\tmodel_bytes\tparse_ms"
     )
     for size in sizes:
         docs, labels = make_anchored_corpus(n_docs=size, seed=args.seed)
@@ -157,10 +151,10 @@ def main(argv: list[str] | None = None) -> int:
             1e6
             * median_s(lambda: explain(request, model, n_samples=EXPLAIN_SAMPLES, seed=args.seed), args.repeats)
             / EXPLAIN_SAMPLES,
-            *load_and_index_ms(model, args.repeats),
+            *load_index_bytes(model, norm[:TRAIN_DOCS], args.repeats),
             parse_ms(request, args.seed, args.repeats),
         ]
-        print(f"{size}\t" + "\t".join(f"{c:.2f}" for c in cols), flush=True)
+        print(f"{size}\t" + "\t".join(f"{c:.2f}" if isinstance(c, float) else str(c) for c in cols), flush=True)
     return 0
 
 

@@ -18,8 +18,7 @@ the punctuation and spacing grams that `predict` sees.
 
 Every sample is scored on the model's own space, through the gram
 index that `linear.load_model` read from the file, so explain on a
-loaded model builds no index (a file with a stale index digest builds
-it once, on the first score).
+loaded model builds no index.
 """
 
 from __future__ import annotations

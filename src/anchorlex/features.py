@@ -7,8 +7,9 @@ each row's grams in first-appearance order. `tfidf_l2` is the one place
 tf * idf and the L2 norm are computed: the training rows, `vectorize`
 and `linear.score_texts` all call it, BLOCK_ROWS rows at a time at most.
 
-Gram index. A FeatureSpace builds one trie per kind on first use
-(`FeatureSpace._tries`) and keeps it, unless `load_index` gave it one.
+Gram index. A FeatureSpace holds one trie per kind (`FeatureSpace.tries`):
+`fit_transform` builds them once from its gram -> column dict (`_index`),
+`linear.load_model` reads them from the model file (`load_index`).
 A char gram is a string of code points; a word gram is a string of
 tokens, each coded by one dict over the tokens of the w: entries split
 on " ", in order of first appearance over those entries taken in
@@ -21,18 +22,20 @@ for the others. end is above every code: 0x110000 for code points, the
 token count for tokens. prefix_id is below the vocabulary size, so no
 key comes near 2**63, whatever the alphabet or n-gram range. Only c:
 and w: entries whose length is inside their kind's range go in; any
-other entry matches nothing. So the index follows from the mode, the
-two ranges and the entry at each column alone.
+other entry matches nothing. The tries are the only record of the
+columns: a key spells its prefix from its parent's and its code, and
+the word trie keeps its tokens in code order, so the index spells
+every gram.
 
 Stored index. `dump_index` gives the tries as JSON values: each level's
 keys and columns as base64 of their little-endian bytes, each trie's
-end, the word tokens in code order, and a sha256 of the mode, the ranges
-and the entries in column order. `load_index` takes such a value back
-only under that digest, so an edited vocabulary or range gets an index
-built from it; and only if `_gram_keys` can read it: every kind of the
-mode, one level per n of the range, keys strictly increasing up to
-_TOP, none of them a window that takes in end, columns in [-1, number
-of entries), char end 0x110000, and end distinct word tokens.
+end and the word tokens in code order. `load_index` takes such a value
+back only if `_gram_keys` can read it and it spells each column once:
+every kind of the mode, one level per n of the range, keys strictly
+increasing up to _TOP, none of them a window that takes in end or
+extends a prefix that the level below lacks, columns in [-1, number of
+columns), char end 0x110000, end distinct word tokens, and each column
+that of exactly one node.
 
 Lookup (`_gram_keys`). A block's texts become one array of codes, each
 text followed by `end`; a token that no w: entry has is `end` too.
@@ -57,8 +60,9 @@ way, words by a token dict in first-appearance order. Level by level,
 np.unique over prefix_id * (end + 1) + code gives each window that
 takes in no end an id; one position per distinct window of length
 lo..hi becomes a string. Each kind sorts as strings ("ab c" before
-"abc", unlike token codes). The space's tries then count the texts, so
-the training rows are `transform`'s, each row's columns sorted.
+"abc", unlike token codes). `_index` builds the tries from that dict,
+which goes once they hold it, and they count the texts, so the training
+rows are `transform`'s, each row's columns sorted.
 
 Per-block memory rule. Memory follows a block's code count, never its
 rows times its longest row: the gram stage keeps a few arrays per code
@@ -85,11 +89,8 @@ differently, so none of them may be used along a row.
 from __future__ import annotations
 
 import base64
-import hashlib
-import json
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count, repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -174,42 +175,45 @@ def _entries(grams: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _utf32("".join([*grams, "\0\0"])), np.cumsum(lens) - lens, lens
 
 
+_Tries = tuple[_Trie | None, _Trie | None]  # the char trie and the word trie; None for a kind the mode leaves out
+
+
 @dataclass(frozen=True)
 class FeatureSpace:
     config: FeatureConfig
-    vocabulary: Mapping[str, int]  # gram -> column
+    tries: _Tries  # the gram index (module docstring)
     idf: np.ndarray  # aligned to columns
     n_docs: int
 
     @property
     def n_features(self) -> int:
-        return len(self.vocabulary)
+        return len(self.idf)
 
-    @cached_property
-    def _tries(self) -> tuple[_Trie | None, _Trie | None]:
-        """The char trie and the word trie (module docstring); None for a kind the mode leaves out."""
-        (clo, chi), (wlo, whi) = self.config.char_range, self.config.word_range
-        grams = list(self.vocabulary)
-        flat, starts, lens = _entries(grams)
-        cols = np.fromiter(self.vocabulary.values(), np.int64, len(grams))
-        colon = (lens >= 2) & (flat[starts + 1] == ord(":"))
-        char = word = None
-        if self.config.mode != "word":
-            sel = colon & (flat[starts] == ord("c")) & (lens >= clo + 2) & (lens <= chi + 2)
-            char = _trie(flat, starts[sel] + 2, lens[sel] - 2, cols[sel], _CHAR_END, chi, None)
-        if self.config.mode != "char":
-            # a w: entry's token count: one more than the spaces after its prefix
-            spaces = np.cumsum(flat == ord(" "), dtype=np.int32)
-            n_tok = spaces[starts + lens - 1] - spaces[starts + 1] + 1
-            sel = np.flatnonzero(colon & (flat[starts] == ord("w")) & (n_tok >= wlo) & (n_tok <= whi))
-            # in column order, so the token codes, and the trie, follow from the columns' grams alone
-            sel = sel[np.argsort(cols[sel], kind="stable")]
-            all_tokens = " ".join([grams[i][2:] for i in sel.tolist()]).split(" ")
-            tokens = dict(zip(dict.fromkeys(all_tokens), count()))
-            codes = np.fromiter(map(tokens.__getitem__, all_tokens), np.int64, len(all_tokens))
-            n_tok = n_tok[sel]
-            word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), whi, tokens)
-        return char, word
+
+def _index(config: FeatureConfig, vocabulary: Mapping[str, int]) -> _Tries:
+    """The tries of the gram -> column entries (module docstring)."""
+    (clo, chi), (wlo, whi) = config.char_range, config.word_range
+    grams = list(vocabulary)
+    flat, starts, lens = _entries(grams)
+    cols = np.fromiter(vocabulary.values(), np.int64, len(grams))
+    colon = (lens >= 2) & (flat[starts + 1] == ord(":"))
+    char = word = None
+    if config.mode != "word":
+        sel = colon & (flat[starts] == ord("c")) & (lens >= clo + 2) & (lens <= chi + 2)
+        char = _trie(flat, starts[sel] + 2, lens[sel] - 2, cols[sel], _CHAR_END, chi, None)
+    if config.mode != "char":
+        # a w: entry's token count: one more than the spaces after its prefix
+        spaces = np.cumsum(flat == ord(" "), dtype=np.int32)
+        n_tok = spaces[starts + lens - 1] - spaces[starts + 1] + 1
+        sel = np.flatnonzero(colon & (flat[starts] == ord("w")) & (n_tok >= wlo) & (n_tok <= whi))
+        # in column order, so the token codes, and the trie, follow from the columns' grams alone
+        sel = sel[np.argsort(cols[sel], kind="stable")]
+        all_tokens = " ".join([grams[i][2:] for i in sel.tolist()]).split(" ")
+        tokens = dict(zip(dict.fromkeys(all_tokens), count()))
+        codes = np.fromiter(map(tokens.__getitem__, all_tokens), np.int64, len(all_tokens))
+        n_tok = n_tok[sel]
+        word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), whi, tokens)
+    return char, word
 
 
 def b64(values: object, dtype: str) -> str:
@@ -228,23 +232,10 @@ def from_b64(name: str, text: object, dtype: str) -> np.ndarray:
     return np.frombuffer(raw, dtype)
 
 
-def _index_digest(config: FeatureConfig, grams: Sequence[str]) -> str:
-    """sha256 of what the gram index is built from: the mode, both ranges and the entries in column order.
-
-    The bytes are a JSON head that ends with the entry count, each entry's
-    length as int64, then the entries' code points as UTF-32, so no two
-    inputs share them.
-    """
-    h = hashlib.sha256(json.dumps([config.mode, config.char_range, config.word_range, len(grams)]).encode())
-    h.update(np.fromiter(map(len, grams), "<i8", len(grams)).tobytes())
-    h.update("".join(grams).encode("utf-32-le", "surrogatepass"))
-    return h.hexdigest()
-
-
-def dump_index(space: FeatureSpace, grams: Sequence[str]) -> dict[str, object]:
-    """The space's gram index as JSON values, for `load_index`; grams are the entries in column order."""
-    index: dict[str, object] = {"digest": _index_digest(space.config, grams)}
-    for kind, trie in zip(("char", "word"), space._tries):
+def dump_index(space: FeatureSpace) -> dict[str, object]:
+    """The space's gram index as JSON values, for `load_index`."""
+    index: dict[str, object] = {}
+    for kind, trie in zip(("char", "word"), space.tries):
         if trie is None:
             continue
         fields: dict[str, object] = {
@@ -280,6 +271,7 @@ def _load_trie(kind: str, obj: object, levels: int, n_grams: int) -> _Trie:
     if not (isinstance(keys, list) and isinstance(cols, list) and len(keys) == len(cols) == levels):
         raise ValueError(f"{kind} trie does not hold {levels} levels of keys and columns")
     key_levels, col_levels = [], []
+    prefixes = 1  # the nodes of level n - 1: level 1 extends the empty prefix alone
     for n, (k, c) in enumerate(zip(keys, cols), 1):
         k, c = from_b64(f"{kind} trie keys {n}", k, "<i8"), from_b64(f"{kind} trie cols {n}", c, "<i4")
         if not (len(k) == len(c) > 0 and k[-1] == _TOP and (k[1:] > k[:-1]).all()):
@@ -287,6 +279,10 @@ def _load_trie(kind: str, obj: object, levels: int, n_grams: int) -> _Trie:
         if (k[:-1] % (end + 1) == end).any():
             # a window that took in the end code would run into the next text
             raise ValueError(f"{kind} trie keys {n} take in the end code")
+        if len(k) > 1 and not (k[0] >= 0 and k[-2] // (end + 1) < prefixes):
+            # a node no window can reach
+            raise ValueError(f"{kind} trie keys {n} extend a prefix that level {n - 1} lacks")
+        prefixes = len(k) - 1
         if not ((c >= -1) & (c < n_grams)).all():
             raise ValueError(f"{kind} trie cols {n} are outside [-1, {n_grams})")
         key_levels.append(k.astype(np.int64, copy=False))
@@ -294,24 +290,25 @@ def _load_trie(kind: str, obj: object, levels: int, n_grams: int) -> _Trie:
     return _Trie(tuple(key_levels), tuple(col_levels), end, by_token)
 
 
-def load_index(space: FeatureSpace, grams: Sequence[str], index: object) -> None:
-    """Make a `dump_index` value the space's gram index, if its digest is that of the space's inputs.
+def load_index(config: FeatureConfig, index: object, n_grams: int) -> _Tries:
+    """A `dump_index` value as the tries of a space of n_grams columns; a malformed index fails.
 
-    grams are the space's entries in column order. Under another digest,
-    as after an edit of the vocabulary or a range, the space builds its
-    index from the vocabulary on first use. A malformed index fails.
+    Each column must be that of exactly one trie node, so the index
+    spells every gram once.
     """
     if not isinstance(index, dict):
         raise ValueError("index is not an object")
-    config = space.config
-    if index.get("digest") != _index_digest(config, grams):
-        return
     tries = tuple(
-        None if config.mode == skip else _load_trie(kind, index.get(kind), hi, len(grams))
+        None if config.mode == skip else _load_trie(kind, index.get(kind), hi, n_grams)
         for kind, skip, (_, hi) in (("char", "word", config.char_range), ("word", "char", config.word_range))
     )
-    # where functools.cached_property keeps its value, so _tries reads this index and builds none
-    vars(space)["_tries"] = tries
+    # the sentinel is no node: no window reaches it
+    held = np.concatenate([c[:-1][c[:-1] >= 0] for t in tries if t is not None for c in t.cols])
+    held = np.bincount(held, minlength=n_grams)
+    if not (held == 1).all():
+        col = int(np.argmax(held != 1))
+        raise ValueError(f"column {col} is held by {held[col]} trie nodes, not 1")
+    return tries
 
 
 def _codes(texts: Sequence[str], code: _Code | None, end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +338,7 @@ def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
     """
     v = len(space.idf)
     keys = [np.zeros(0, np.int64)]
-    for trie in space._tries:
+    for trie in space.tries:
         if trie is None:
             continue
         codes, ends = _codes(texts, trie.code, trie.end)
@@ -485,7 +482,8 @@ def fit_transform(
     vocab = _vocabulary(texts, config)
     n, v = len(texts), len(vocab)
     idf = np.empty(v)  # filled once df is known; counting reads only its length
-    space = FeatureSpace(config=config, vocabulary=vocab, idf=idf, n_docs=n)
+    space = FeatureSpace(config=config, tries=_index(config, vocab), idf=idf, n_docs=n)
+    del vocab
     blocks = [_counts(texts[a : a + BLOCK_ROWS], space) for a in range(0, n, BLOCK_ROWS)]
     cols = np.concatenate([c for _, c, _ in blocks])
     # the scalar expression once per distinct df: numpy does not promise

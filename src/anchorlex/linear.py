@@ -45,9 +45,7 @@ train_model does, and explain passes samples cut from normalized text.
 It scores each distinct text once, BLOCK_ROWS at a time:
 `features.transform` gives the block's tf-idf rows through the space's
 gram index, which `load_model` reads from the file, so neither predict
-nor explain builds one (a space with no stored index, as after
-`fit_transform` or a load whose stored digest is stale, builds it on its
-first block and keeps it); w.x is `features.ordered_row_sums` over the
+nor explain builds one; w.x is `features.ordered_row_sums` over the
 products w[col] * x, by the `features` summation-order rule.
 `features.fit_transform` counts the training rows through the same gram
 index and weighs them by the same `tfidf_l2`, so the vectors the trainer
@@ -55,17 +53,17 @@ sees and the scores predict writes agree bit for bit, and w.x adds in
 the same order as the built-in sum over numpy scalars of
 `decision_score` in tests/score_reference.py.
 
-Model format 3 stores idf, weights and objective_trace as base64 text of
-their `<f8` bytes: exact, and no decimal to parse (load_model of a
-9,867-gram model at format 2: 5.2 ms, v1 13.1 ms). Under `index` it
+Model format 4 stores idf, weights and objective_trace as base64 text of
+their `<f8` bytes: exact, and no decimal to parse. Under `index` it
 stores the space's gram index (`features.dump_index`), which training
-already holds, with the sha256 of the mode, ranges and vocabulary it is
-built from. load_model takes the index only under that digest, so a
-file whose vocabulary or ranges were edited gets an index built from
-them, and refuses a malformed one. On a 13,077-gram model the index
-adds 210 KB to the file and 1.4 ms to load_model (6.6 to 8.0 ms, min of
-30, 2 vCPU), where building it takes 8 to 10 ms. v1 and v2 are refused:
-retrain the model.
+already holds and which spells every gram, so the file holds no
+vocabulary: the index is its only record of the columns. load_model
+refuses an index that is malformed or does not spell each of idf's
+columns once, and weights not aligned to idf. So a file holds exactly
+the state load_model gives, and save_model writes it back byte for byte.
+On the 9,867-gram model of the perfbench `score` workload the file is
+370 KB, not format 3's 604 KB, and load_model takes 2.0 ms, not 5.3 ms
+(min of 20, 2 vCPU). v1, v2 and v3 are refused: retrain the model.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ from .features import (
 from .textnorm import normalize
 from .util import atomic_write_text
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 _EPS = 1e-12
 
@@ -417,16 +415,15 @@ def predict_texts(model: LinearModel, texts: Sequence[str]) -> list[tuple[int, f
 
 
 def save_model(path: str, model: LinearModel) -> None:
-    grams = sorted(model.space.vocabulary, key=model.space.vocabulary.__getitem__)
+    space = model.space
     obj = {
         "format_version": MODEL_FORMAT_VERSION,
-        "mode": model.space.config.mode,
-        "char_range": list(model.space.config.char_range),
-        "word_range": list(model.space.config.word_range),
-        "n_train_docs": model.space.n_docs,
-        "vocabulary": grams,
-        "index": dump_index(model.space, grams),
-        "idf": b64(model.space.idf, "<f8"),
+        "mode": space.config.mode,
+        "char_range": list(space.config.char_range),
+        "word_range": list(space.config.word_range),
+        "n_train_docs": space.n_docs,
+        "index": dump_index(space),
+        "idf": b64(space.idf, "<f8"),
         "weights": b64(model.weights, "<f8"),
         "bias": model.bias,
         "C": model.C,
@@ -467,9 +464,6 @@ def load_model(path: str) -> LinearModel:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}: retrain the model")
     try:
-        grams = obj["vocabulary"]
-        if not (isinstance(grams, list) and set(map(type, grams)) <= {str}):
-            raise ValueError("vocabulary is not a list of strings")
         if type(obj["converged"]) is not bool:
             raise ValueError(f"converged is not true or false: {obj['converged']!r}")
         for key in ("seed", "n_train_docs"):
@@ -482,17 +476,12 @@ def load_model(path: str) -> LinearModel:
             char_range=tuple(obj["char_range"]),
             word_range=tuple(obj["word_range"]),
         )
-        vocab = dict(zip(grams, range(len(grams))))
-        space = FeatureSpace(
-            config=config,
-            vocabulary=vocab,
-            idf=_floats("idf", obj["idf"]),
-            n_docs=obj["n_train_docs"],
-        )
-        load_index(space, grams, obj["index"])
-        model = LinearModel(
-            space=space,
-            weights=_floats("weights", obj["weights"]),
+        idf, weights = _floats("idf", obj["idf"]), _floats("weights", obj["weights"])
+        if len(weights) != len(idf):
+            raise ValueError(f"idf and weights disagree in length ({len(idf)} idf values, {len(weights)} weights)")
+        return LinearModel(
+            space=FeatureSpace(config, load_index(config, obj["index"], len(idf)), idf, obj["n_train_docs"]),
+            weights=weights,
             bias=_finite("bias", obj["bias"]),
             C=_finite("C", obj["C"]),
             seed=obj["seed"],
@@ -505,14 +494,6 @@ def load_model(path: str) -> LinearModel:
         raise ValueError(f"{path}: model file lacks {e.args[0]}") from None
     except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: bad model file: {e}") from None
-    # a repeated gram leaves fewer columns than grams
-    n_grams = len(grams)
-    if not (len(vocab) == n_grams and space.idf.shape == model.weights.shape == (n_grams,)):
-        raise ValueError(
-            f"{path}: vocabulary, idf and weights disagree in length ({n_grams} grams, "
-            f"{len(vocab)} distinct, {space.idf.size} idf values, {model.weights.size} weights)"
-        )
-    return model
 
 
 # Whatever loads the model code loads explain with it, as perfbench/spans.py

@@ -15,6 +15,10 @@ The trainer grammed every training text twice: once in `fit_features`
 for df, once more in `vectorize_all` for a dict row per text, which the
 solver (`svm_reference.fit_svm_flat`) turned into CSR. `train_model`
 here is that path; `linear.train_model` must save the same model bytes.
+
+A space holds no vocabulary, only its gram index: `spelled` reads each
+column's gram back from the tries, and `build_space` builds a space from a
+gram -> column dict as `features.fit_transform` does from its own.
 """
 
 from __future__ import annotations
@@ -25,11 +29,39 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from anchorlex.corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
-from anchorlex.features import FeatureConfig, FeatureSpace, _codes
+from anchorlex.features import FeatureConfig, FeatureSpace, _codes, _index
 from anchorlex.linear import LinearModel
 from anchorlex.textnorm import normalize, tokenize
 
 import svm_reference
+
+
+def build_space(config: FeatureConfig, vocabulary: Mapping[str, int], idf: np.ndarray, n_docs: int) -> FeatureSpace:
+    """The space whose gram index is built from the gram -> column entries."""
+    return FeatureSpace(config=config, tries=_index(config, vocabulary), idf=idf, n_docs=n_docs)
+
+
+def spelled(space: FeatureSpace) -> dict[str, int]:
+    """gram -> column of every gram the space's tries hold, in column order, each gram spelled from its trie path.
+
+    A level-n key is prefix_id * (end + 1) + code: the gram of its
+    level n - 1 prefix, then the code's code point (char) or token
+    (word, joined by a space).
+    """
+    grams: dict[str, int] = {}
+    for kind, trie in zip("cw", space.tries):
+        if trie is None:
+            continue
+        spell = chr if trie.tokens is None else list(trie.tokens).__getitem__
+        sep = "" if trie.tokens is None else " "
+        prefixes = [""]
+        for n, (keys, cols) in enumerate(zip(trie.keys, trie.cols), 1):
+            ids, codes = np.divmod(keys[:-1], trie.end + 1)
+            prefixes = [
+                spell(c) if n == 1 else prefixes[i] + sep + spell(c) for i, c in zip(ids.tolist(), codes.tolist())
+            ]
+            grams.update((f"{kind}:{g}", c) for g, c in zip(prefixes, cols.tolist()) if c >= 0)
+    return dict(sorted(grams.items(), key=lambda item: item[1]))
 
 
 def word_ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> Counter:
@@ -66,11 +98,18 @@ def _grams(text: str, cfg: FeatureConfig) -> Mapping[str, int]:
     return out
 
 
+# the tries spelled last, and their spelling: a scorer calls vectorize on one space text after text
+_last_spelled: list = [None, {}]
+
+
 def vectorize(text: str, space: FeatureSpace) -> dict[int, float]:
-    """L2-normalized tf-idf vector as {column: value}; OOV grams vanish."""
+    """L2-normalized tf-idf vector as {column: value} over `spelled(space)`; OOV grams vanish."""
+    if _last_spelled[0] is not space.tries:
+        _last_spelled[:] = space.tries, spelled(space)
+    vocabulary = _last_spelled[1]
     vec: dict[int, float] = {}
     for g, tf in _grams(text, space.config).items():
-        col = space.vocabulary.get(g)
+        col = vocabulary.get(g)
         if col is not None:
             vec[col] = tf * space.idf[col]
     norm = np.sqrt(sum(v * v for v in vec.values()))
@@ -102,7 +141,7 @@ def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
     row_type = np.min_scalar_type(len(texts))
     rows = [np.zeros(0, row_type)]
     keys = [np.zeros(0, np.int64)]
-    for trie in space._tries:
+    for trie in space.tries:
         if trie is None:
             continue
         codes, ends = _codes(texts, trie.code, trie.end)
@@ -136,6 +175,20 @@ def counts(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.nd
     return indptr, keys % v, tfs
 
 
+def _df(texts: Sequence[str], config: FeatureConfig) -> dict[str, int]:
+    """gram -> the number of texts that hold it."""
+    df: dict[str, int] = {}
+    for t in texts:
+        for g in _grams(t, config):
+            df[g] = df.get(g, 0) + 1
+    return df
+
+
+def fit_vocabulary(texts: Sequence[str], config: FeatureConfig = FeatureConfig()) -> dict[str, int]:
+    """gram -> column over the training texts, columns sorted lexicographically."""
+    return {g: i for i, g in enumerate(sorted(_df(texts, config)))}
+
+
 def fit_features(texts: Sequence[str], config: FeatureConfig = FeatureConfig()) -> FeatureSpace:
     """Vocabulary + smoothed idf from training texts only.
 
@@ -144,16 +197,13 @@ def fit_features(texts: Sequence[str], config: FeatureConfig = FeatureConfig()) 
     """
     if not texts:
         raise ValueError("cannot fit features on an empty text list")
-    df: dict[str, int] = {}
-    for t in texts:
-        for g in _grams(t, config):
-            df[g] = df.get(g, 0) + 1
+    df = _df(texts, config)
     vocab = {g: i for i, g in enumerate(sorted(df))}
     n = len(texts)
     idf = np.empty(len(vocab))
     for g, i in vocab.items():
         idf[i] = np.log((1.0 + n) / (1.0 + df[g])) + 1.0
-    return FeatureSpace(config=config, vocabulary=vocab, idf=idf, n_docs=n)
+    return build_space(config, vocab, idf, n)
 
 
 def vectorize_all(texts: Iterable[str], space: FeatureSpace) -> list[dict[int, float]]:

@@ -960,6 +960,12 @@ def _as_v2(blob):
     blob.update(format_version=2)
 
 
+def _as_v3(blob):
+    """The model in the shape format v3 wrote: a vocabulary beside the gram index, tied to it by a digest."""
+    blob["index"]["digest"] = "0" * 64
+    blob.update(format_version=3, vocabulary=[])
+
+
 def _edit_word_level(field, n, change):
     """An edit that applies change to the array at level n of the word trie's keys or cols."""
     dtype = "<i8" if field == "keys" else "<i4"
@@ -985,12 +991,18 @@ def _at(at, value):
         (lambda b: b.pop("idf"), "model file lacks idf"),
         (
             lambda b: b.update(weights=_b64(_floats(b["weights"])[:-50])),
-            "vocabulary, idf and weights disagree in length",
+            "bad model file: idf and weights disagree in length",
         ),
-        (lambda b: b["vocabulary"].__setitem__(0, 5), "bad model file: vocabulary is not a list of strings"),
-        (lambda b: b.update(vocabulary="w:a"), "bad model file: vocabulary is not a list of strings"),
+        (
+            lambda b: b.update(weights=_b64(_floats(b["weights"])[:-1])),
+            "bad model file: idf and weights disagree in length ({1} idf values, {2} weights)",
+        ),
         (_as_v1, "unsupported model format version 1: retrain the model"),
         (_as_v2, "unsupported model format version 2: retrain the model"),
+        (_as_v3, "unsupported model format version 3: retrain the model"),
+        # word grams of 1 or 2 tokens: level-1 node 0 is the first token, whose unigram is column 0
+        (_edit_word_level("cols", 1, _at(0, -1)), "bad model file: column 0 is held by 0 trie nodes, not 1"),
+        (_edit_word_level("cols", 2, _at(0, 0)), "bad model file: column 0 is held by 2 trie nodes, not 1"),
         (lambda b: b["index"].pop("word"), "bad model file: index lacks the word trie"),
         (lambda b: b["index"].update(word=[]), "bad model file: index lacks the word trie"),
         (lambda b: b["index"]["word"].pop("tokens"), "bad model file: word trie lacks tokens"),
@@ -1070,10 +1082,12 @@ def _at(at, value):
     ids=[
         "no_idf",
         "weights_cut_by_50",
-        "int_gram",
-        "string_vocabulary",
+        "weights_one_short",
         "v1_file",
         "v2_file",
+        "v3_file",
+        "col_held_by_none",
+        "col_held_twice",
         "no_word_trie",
         "list_word_trie",
         "no_tokens",
@@ -1113,8 +1127,8 @@ def _at(at, value):
 )
 def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, message):
     model = _edited_model(ws, tmp_path, edit)
-    n_grams = len(json.loads(Path(ws.model).read_text(encoding="utf-8"))["vocabulary"])
-    message = message.format(8 * n_grams + 7)
+    n_grams = len(_floats(json.loads(Path(ws.model).read_text(encoding="utf-8"))["idf"]))
+    message = message.format(8 * n_grams + 7, n_grams, n_grams - 1)
     preds = str(tmp_path / "preds.tsv")
     assert cli.main(["predict", "--model", model, "--in", ws.corpus, "--out", preds]) == 2
     out, err = capsys.readouterr()
@@ -1127,27 +1141,16 @@ def test_predict_and_explain_reject_broken_model(ws, tmp_path, capsys, edit, mes
     assert not (tmp_path / "ex.txt").exists() and not (tmp_path / "ex.txt.manifest.json").exists()
 
 
-def test_predict_and_explain_build_no_index_unless_the_file_was_edited(ws, tmp_path, monkeypatch):
-    build = features._trie
-    builds = []
-
+def test_predict_and_explain_build_no_index(ws, tmp_path, monkeypatch):
     def no_build(*args):
         raise AssertionError("the gram index was built, not loaded")
 
     monkeypatch.setattr(features, "_trie", no_build)
     preds, ex = str(tmp_path / "preds.tsv"), str(tmp_path / "ex.txt")
-    explain = ["explain", "--text", "يا غبي جدا", "--samples", "50", "--out", ex]
     assert cli.main(["predict", "--model", ws.model, "--in", ws.corpus, "--out", preds]) == 0
     assert Path(preds).read_bytes() == Path(ws.preds).read_bytes()
-    assert cli.main([*explain, "--model", ws.model]) == 0
-    # an edited vocabulary leaves the stored digest stale: each stage builds the index once
-    # (the ws model is word-only, so one trie)
-    edited = _edited_model(ws, tmp_path, lambda b: b["vocabulary"].__setitem__(0, "w:edited"))
-    monkeypatch.setattr(features, "_trie", lambda *args: builds.append(args) or build(*args))
-    assert cli.main(["predict", "--model", edited, "--in", ws.corpus, "--out", preds]) == 0
-    assert len(builds) == 1
-    assert cli.main([*explain, "--model", edited]) == 0
-    assert len(builds) == 2
+    argv = ["explain", "--model", ws.model, "--text", "يا غبي جدا", "--samples", "50", "--out", ex]
+    assert cli.main(argv) == 0
 
 
 # JSON the decoder refuses with no JSONDecodeError: Python's digit limit for int(),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from anchorlex.corpus import DatasetSplit, load_corpus, load_labels, stratified_split
 from anchorlex.explain import KERNEL_WIDTH, RIDGE_LAMBDA, TOP_K, dump_explanation, explain
-from anchorlex.features import FeatureConfig, FeatureSpace
+from anchorlex.features import FeatureConfig
 from anchorlex.linear import LinearModel, predict_texts, score_text, score_texts, train_model
 from anchorlex.textnorm import normalize, split_tokens, tokenize
 
@@ -31,12 +31,11 @@ def _model(seed=0):
 
 def _toy_model(weights, vocab_words, bias=0.1):
     """Word-unigram model with hand-set weights; idf all ones."""
-    vocabulary = {f"w:{w}": i for i, w in enumerate(vocab_words)}
-    space = FeatureSpace(
-        config=FeatureConfig(mode="word", word_range=(1, 1)),
-        vocabulary=vocabulary,
-        idf=np.ones(len(vocab_words)),
-        n_docs=2,
+    space = score_reference.build_space(
+        FeatureConfig(mode="word", word_range=(1, 1)),
+        {f"w:{w}": i for i, w in enumerate(vocab_words)},
+        np.ones(len(vocab_words)),
+        2,
     )
     return LinearModel(
         space=space,
@@ -164,11 +163,8 @@ def test_explain_score_full_is_the_predict_score_on_every_doc_of_a_corpus(tmp_pa
 
 def _word_model(weights, bias=0.1):
     """A word 1-2 gram model with hand-set weights per w: entry; idf all ones."""
-    space = FeatureSpace(
-        config=FeatureConfig(mode="word", word_range=(1, 2)),
-        vocabulary={g: i for i, g in enumerate(weights)},
-        idf=np.ones(len(weights)),
-        n_docs=2,
+    space = score_reference.build_space(
+        FeatureConfig(mode="word", word_range=(1, 2)), {g: i for i, g in enumerate(weights)}, np.ones(len(weights)), 2
     )
     return replace(_toy_model([], []), space=space, weights=np.array(list(weights.values())), bias=bias)
 

@@ -33,19 +33,20 @@ def test_fit_rejects_empty_corpus():
 
 def test_vocabulary_sorted_and_namespaced():
     space = fit_features(["ab", "ba"], FeatureConfig(mode="char+word", char_range=(2, 2), word_range=(1, 1)))
-    grams = sorted(space.vocabulary, key=space.vocabulary.get)
+    grams = list(score_reference.spelled(space))
     assert grams == sorted(grams)
     assert any(g.startswith("c:") for g in grams)
     assert any(g.startswith("w:") for g in grams)
     # identical surface, distinct namespaces
-    assert "c:ab" in space.vocabulary and "w:ab" in space.vocabulary
+    assert "c:ab" in grams and "w:ab" in grams
 
 
 def test_idf_formula_hand_checked():
     # word unigrams over two docs: "a" in both, "b" in one
     space = fit_features(["a b", "a"], FeatureConfig(mode="word", word_range=(1, 1)))
-    idf_a = space.idf[space.vocabulary["w:a"]]
-    idf_b = space.idf[space.vocabulary["w:b"]]
+    vocab = score_reference.spelled(space)
+    idf_a = space.idf[vocab["w:a"]]
+    idf_b = space.idf[vocab["w:b"]]
     assert idf_a == pytest.approx(math.log(3 / 3) + 1.0, abs=1e-12)
     assert idf_b == pytest.approx(math.log(3 / 2) + 1.0, abs=1e-12)
 
@@ -53,7 +54,7 @@ def test_idf_formula_hand_checked():
 def test_df_counts_documents_not_occurrences():
     # "a" twice in one doc still has df=1
     space = fit_features(["a a", "b"], FeatureConfig(mode="word", word_range=(1, 1)))
-    assert space.idf[space.vocabulary["w:a"]] == pytest.approx(math.log(3 / 2) + 1.0, abs=1e-12)
+    assert space.idf[score_reference.spelled(space)["w:a"]] == pytest.approx(math.log(3 / 2) + 1.0, abs=1e-12)
 
 
 def test_vectorize_hand_example():
@@ -65,7 +66,7 @@ def test_vectorize_hand_example():
     idf_ab = math.log(3 / 2) + 1
     raw = {"w:a": 1 * idf_a, "w:b": 1 * idf_b, "w:a b": 1 * idf_ab}
     norm = math.sqrt(sum(v * v for v in raw.values()))
-    expected = {space.vocabulary[g]: v / norm for g, v in raw.items()}
+    expected = {score_reference.spelled(space)[g]: v / norm for g, v in raw.items()}
     assert set(vec) == set(expected)
     for k, v in expected.items():
         assert vec[k] == pytest.approx(v, abs=1e-12)
@@ -79,27 +80,29 @@ def test_vectorize_drops_oov_and_can_be_empty():
 def test_tf_weighting_uses_counts():
     space = fit_features(["a b", "c d"], FeatureConfig(mode="word", word_range=(1, 1)))
     vec = vectorize("a a b", space)
-    ia, ib = space.vocabulary["w:a"], space.vocabulary["w:b"]
+    vocab = score_reference.spelled(space)
+    ia, ib = vocab["w:a"], vocab["w:b"]
     # same idf; tf 2 vs 1 must carry through before normalization
     assert vec[ia] == pytest.approx(2 * vec[ib], abs=1e-12)
 
 
 def test_char_mode_spans_spaces():
     space = fit_features(["a b"], FeatureConfig(mode="char", char_range=(2, 2)))
-    assert "c:a " in space.vocabulary and "c: b" in space.vocabulary
+    assert {"c:a ", "c: b"} <= score_reference.spelled(space).keys()
 
 
 def test_modes_restrict_namespaces():
     char_only = fit_features(["ab"], FeatureConfig(mode="char", char_range=(2, 2)))
     word_only = fit_features(["ab"], FeatureConfig(mode="word", word_range=(1, 1)))
-    assert all(g.startswith("c:") for g in char_only.vocabulary)
-    assert all(g.startswith("w:") for g in word_only.vocabulary)
+    assert all(g.startswith("c:") for g in score_reference.spelled(char_only))
+    assert all(g.startswith("w:") for g in score_reference.spelled(word_only))
 
 
 def test_fit_transform_rows_align_with_texts():
     cfg = FeatureConfig(mode="word", word_range=(1, 1))
     space, (indptr, cols, vals) = fit_transform(["b a", "a"], cfg)
-    a, b = space.vocabulary["w:a"], space.vocabulary["w:b"]
+    vocab = score_reference.spelled(space)
+    a, b = vocab["w:a"], vocab["w:b"]
     assert (indptr.tolist(), cols.tolist()) == ([0, 2, 3], [a, b, a])
     assert vals[2] == 1.0
 
@@ -133,13 +136,14 @@ FIT_PIECES = [
 @example(texts=["ab!", "! !"], mode="char+word", char_range=(1, 2), word_range=(2, 3))  # no word gram
 @example(texts=["", "x"], mode="char+word", char_range=(2, 2), word_range=(2, 2))  # no gram at all
 def test_fit_transform_equals_two_pass_fit_and_vectorize(texts, mode, char_range, word_range):
-    # fit_transform gives the old two-pass space, vocabulary order
-    # included, and rows equal to vectorize's (and the old vectorize's)
-    # to the bit, columns ascending.
+    # fit_transform gives the old two-pass space, its index spelling the
+    # old vocabulary in column order, and rows equal to vectorize's (and
+    # the old vectorize's) to the bit, columns ascending.
     cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
     space, X = fit_transform(texts, cfg)
     old = score_reference.fit_features(texts, cfg)
-    assert list(space.vocabulary.items()) == list(old.vocabulary.items()) and space.n_docs == old.n_docs
+    vocab = score_reference.fit_vocabulary(texts, cfg)
+    assert list(score_reference.spelled(space).items()) == list(vocab.items()) and space.n_docs == old.n_docs
     assert space.idf.tobytes() == old.idf.tobytes()
     assert fit_features(texts, cfg).idf.tobytes() == old.idf.tobytes()
     indptr, cols, _ = X

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from anchorlex.corpus import load_corpus
+from anchorlex.linear import load_model, save_model
 from golden_model import BY_DOC_ID, RECORD, SEED, run_digests
 from golden_corpus import mismatch, run_stage
 
@@ -46,6 +47,13 @@ def test_explain_by_doc_id_writes_the_bytes_of_explain_by_text(run, tmp_path):
     run_stage(["explain", "--model", str(work / "model.json"), "--text", doc.text, "--seed", str(SEED),
                "--out", str(out)])
     assert out.read_bytes() == (work / BY_DOC_ID).read_bytes()
+
+
+def test_saving_the_loaded_model_writes_its_file_byte_for_byte(run, tmp_path):
+    # the file holds exactly the state load_model gives, and nothing derived from it
+    model, again = run[0] / "model.json", tmp_path / "again.json"
+    save_model(str(again), load_model(str(model)))
+    assert again.read_bytes() == model.read_bytes()
 
 
 def _dynamic_arch() -> bool:

@@ -437,13 +437,14 @@ def test_train_model_uses_train_split_only():
     # a gram unique to a non-train doc must not be in the vocabulary
     non_train = next(d for d in docs if d.id not in split.train)
     marker = "qzxjv"
-    assert "w:" + marker not in model.space.vocabulary
+    vocab = score_reference.spelled(model.space)
+    assert "w:" + marker not in vocab
     # sanity check that train-doc words are present
     train_doc = next(d for d in docs if d.id in split.train)
     first_word = train_doc.text.split()[0]
     from anchorlex.textnorm import normalize
 
-    assert "w:" + normalize(first_word) in model.space.vocabulary
+    assert "w:" + normalize(first_word) in vocab
 
 
 def test_train_model_requires_labels_for_split_docs():
@@ -645,38 +646,52 @@ def test_one_long_text_does_not_widen_the_block(mode_model):
     assert peak < 128 * len(cols) + 65536 < padded / 4
 
 
-def test_vocabulary_entries_outside_c_and_w_match_nothing(tmp_path):
+def test_vocabulary_entries_outside_c_and_w_match_nothing():
     model = _trained(seed=1)[3]
-    p = tmp_path / "model.json"
-    save_model(str(p), model)
-    obj = json.loads(p.read_text(encoding="utf-8"))
-    vocab = obj["vocabulary"]
+    vocab = list(score_reference.spelled(model.space))
     text = "يا غبي يا حقير"
     hits = sorted(vectorize(text, model.space))
     # unprefixed, other-prefixed and bare-prefix entries in place of grams the text has
     for col, edit in zip(hits, [lambda g: g[2:], lambda g: "x" + g[1:], lambda g: g[:2], lambda g: g[1:]]):
         vocab[col] = edit(vocab[col])
-    p.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
-    edited = load_model(str(p))
+    space = model.space
+    space = score_reference.build_space(space.config, dict(zip(vocab, range(len(vocab)))), space.idf, space.n_docs)
+    edited = dataclasses.replace(model, space=space)
+    # the index spells every entry but those four
+    assert list(score_reference.spelled(space).items()) == [(g, c) for c, g in enumerate(vocab) if c not in hits[:4]]
     assert len(vectorize(text, edited.space)) == len(hits) - 4
     _assert_scores_match_reference(edited, [text, text[4:], "غبي", "w:غبي", "c:يا"])
 
 
-@pytest.mark.parametrize("char_range, word_range", [([2, 4], [1, 3]), ([2, 5], [2, 2]), ([1, 6], [1, 4])])
-def test_a_file_with_edited_ranges_builds_its_index_from_them(tmp_path, char_range, word_range):
+@pytest.mark.parametrize(
+    "char_range, word_range, refusal",
+    [
+        ([2, 4], [1, 3], "char trie does not hold 4 levels"),
+        ([2, 5], [2, 2], "word trie does not hold 2 levels"),
+        ([1, 6], [1, 4], "char trie does not hold 6 levels"),
+        ([1, 5], [3, 3], None),
+    ],
+)
+def test_a_file_with_edited_ranges_scores_by_its_index_or_is_refused(tmp_path, char_range, word_range, refusal):
     model = _trained(seed=1)[3]
     p = tmp_path / "model.json"
     save_model(str(p), model)
     obj = json.loads(p.read_text(encoding="utf-8"))
     obj.update(char_range=char_range, word_range=word_range)
     p.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    if refusal is not None:
+        # a top bound is the level count of the kind's trie
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}: bad model file: {refusal} of keys and columns")):
+            load_model(str(p))
+        return
+    # the lower bounds only shape a fit: the index alone says which grams count
     edited = load_model(str(p))
-    # the stored digest is stale, so the space holds no index until it scores
-    assert "_tries" not in vars(edited.space)
-    _assert_scores_match_reference(edited, ["يا غبي يا حقير", "ورد جميل جدا", "غبي"])
+    texts = ["يا غبي يا حقير", "ورد جميل جدا", "غبي"]
+    assert _bits(score_texts(edited, texts)) == _bits(score_texts(model, texts))
+    assert _trie_bytes(edited.space.tries) == _trie_bytes(model.space.tries)
 
 
-# --- the gram index (features.FeatureSpace._tries, dump_index, load_index) -----
+# --- the gram index (features.FeatureSpace.tries, dump_index, load_index) ------
 
 # Arabic and Latin letters, an emoji with a tone and a ZWJ, a keycap, lone
 # surrogates and a NUL, so texts hold characters and tokens that no
@@ -690,7 +705,7 @@ def _edited_space(space, texts, rng):
     """space's vocabulary with grams dropped, entries no text gram can equal added, and columns shuffled."""
     (clo, chi), (wlo, whi) = space.config.char_range, space.config.word_range
     # dropping grams leaves longer grams whose prefixes are in the vocabulary but not they themselves
-    grams = [g for g in space.vocabulary if rng.random() < 0.7]
+    grams = [g for g in score_reference.spelled(space) if rng.random() < 0.7]
     for t in texts:
         for n in {1, clo - 1, chi + 1, chi + 2} - {0}:
             grams += ["c:" + t[i : i + n] for i in range(len(t) - n + 1)][:3]
@@ -701,8 +716,8 @@ def _edited_space(space, texts, rng):
     grams += ["c:", "w:", "w: ", "w:a  b", "w: a", "w:a ", "w:كلب  "]
     grams = list(dict.fromkeys(grams))
     cols = rng.permutation(len(grams)).tolist()
-    return dataclasses.replace(
-        space, vocabulary=dict(zip(grams, cols)), idf=rng.uniform(0.5, 3.0, len(grams))
+    return score_reference.build_space(
+        space.config, dict(zip(grams, cols)), rng.uniform(0.5, 3.0, len(grams)), space.n_docs
     )
 
 
@@ -754,25 +769,22 @@ def _trie_bytes(tries):
 def _saved_and_loaded(model, path):
     """load_model(save_model(model)).
 
-    UTF-8 cannot write a vocabulary with a lone surrogate, so save_model
+    UTF-8 cannot write a word token with a lone surrogate, so save_model
     refuses it; its index then goes through its JSON values in memory.
     """
     try:
         save_model(str(path), model)
     except UnicodeEncodeError:
-        grams = sorted(model.space.vocabulary, key=model.space.vocabulary.__getitem__)
-        index = json.loads(json.dumps(features.dump_index(model.space, grams), ensure_ascii=False))
-        space = dataclasses.replace(model.space)
-        features.load_index(space, grams, index)
-        return dataclasses.replace(model, space=space)
+        space = model.space
+        index = json.loads(json.dumps(features.dump_index(space), ensure_ascii=False))
+        tries = features.load_index(space.config, index, len(space.idf))
+        return dataclasses.replace(model, space=dataclasses.replace(space, tries=tries))
     return load_model(str(path))
 
 
 def _assert_index_round_trip(model, texts, path):
     loaded = _saved_and_loaded(model, path)
-    # the stored index, read before anything scores on the loaded model: a built one is not there yet
-    stored = _trie_bytes(vars(loaded.space)["_tries"])
-    assert stored == _trie_bytes(dataclasses.replace(loaded.space)._tries) == _trie_bytes(model.space._tries)
+    assert _trie_bytes(loaded.space.tries) == _trie_bytes(model.space.tries)
     assert _bits(score_texts(loaded, texts)) == _bits(score_texts(model, texts))
 
 
@@ -784,7 +796,7 @@ def _assert_index_round_trip(model, texts, path):
     pieces=st.lists(st.sampled_from(TRIE_CHARS) | st.characters(), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_saved_index_loads_as_the_index_built_from_the_vocabulary(
+def test_saved_index_spells_the_fit_vocabulary_and_loads_as_built(
     tmp_path_factory, mode, char_range, word_range, data, pieces, seed
 ):
     # texts written in a few characters, so their grams repeat; tokens touch
@@ -794,17 +806,40 @@ def test_saved_index_loads_as_the_index_built_from_the_vocabulary(
     train = data.draw(st.lists(spelled | TRIE_TEXT, min_size=1, max_size=5))
     rng = np.random.default_rng(seed)
     cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
-    space = _edited_space(fit_features(train, cfg), texts + [" ".join(train)], rng)
-    _assert_index_round_trip(_random_model(space, rng), texts + train, tmp_path_factory.mktemp("index") / "m.json")
+    space = fit_features(train, cfg)
+    # the index is the vocabulary: it spells each gram of the fit at its column
+    assert list(score_reference.spelled(space).items()) == list(score_reference.fit_vocabulary(train, cfg).items())
+    # an edited vocabulary, less the entries it cannot hold, its shuffled columns renumbered from 0
+    kept = score_reference.spelled(_edited_space(space, texts + [" ".join(train)], rng))
+    vocab = dict(zip(kept, range(len(kept))))
+    edited = score_reference.build_space(cfg, vocab, rng.uniform(0.5, 3.0, len(vocab)), space.n_docs)
+    assert score_reference.spelled(edited) == vocab
+    path = tmp_path_factory.mktemp("index")
+    for sp in (space, edited):
+        _assert_index_round_trip(_random_model(sp, rng), texts + train, path / "m.json")
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_saved_index_of_entries_outside_the_prefixes_and_ranges_loads_as_built(tmp_path, mode):
+def test_saved_index_of_entries_outside_the_prefixes_and_ranges_is_refused(tmp_path, mode):
     vocab = ["c:ab", "c:a b", "c:ax", "c:", "c", "w:a \U0001F437", "w:a", "w: ", "x:ab", "xyab", "c:\0a", "w:b  a"]
-    space = FeatureSpace(FeatureConfig(mode, (2, 3), (1, 2)), dict(zip(vocab, [3, 0, 11, 1, 5, 2, 4, 6, 9, 10, 7, 8])),
-                         np.linspace(1.0, 2.0, len(vocab)), 3)
+    cols = [3, 0, 11, 1, 5, 2, 4, 6, 9, 10, 7, 8]
+    space = score_reference.build_space(
+        FeatureConfig(mode, (2, 3), (1, 2)), dict(zip(vocab, cols)), np.linspace(1.0, 2.0, len(vocab)), 3
+    )
+    # c: entries of 2 or 3 characters and w: entries of 1 or 2 tokens, for the kinds of the mode
+    char = {"c:ab", "c:a b", "c:ax", "c:\0a"} if mode != "word" else set()
+    word = {"w:a \U0001F437", "w:a", "w: "} if mode != "char" else set()
+    want = [(g, c) for c, g in sorted(zip(cols, vocab)) if g in char | word]
+    assert list(score_reference.spelled(space).items()) == want
+    model = _random_model(space, np.random.default_rng(5))
     texts = ["ab", "a b", "a\U0001F437", "a \U0001F437 b", "\0a", "b  a", "", " ", "x:ab", "c:ab"]
-    _assert_index_round_trip(_random_model(space, np.random.default_rng(5)), texts, tmp_path / "m.json")
+    _assert_scores_match_reference(model, texts)
+    # the file holds no column that no gram holds, so its first such column is refused
+    p = tmp_path / "m.json"
+    save_model(str(p), model)
+    col = min(set(cols) - set(score_reference.spelled(space).values()))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}: bad model file: column {col} is held by 0 trie nodes")):
+        load_model(str(p))
 
 
 def test_trie_reads_lone_surrogates_and_unknown_characters_as_code_points():
@@ -838,7 +873,7 @@ def test_gram_stage_memory_follows_the_block_character_count(mode_model):
     long_text = (" ".join(distinct) * 64)[: 1 << 17]
     short = [f"{t} {k}" for k, t in enumerate(distinct[: linear.BLOCK_ROWS])]
     long_block = [long_text, *short[1:]]
-    _gram_keys(short[:2], model.space)  # builds the index, which the space keeps
+    _gram_keys(short[:2], model.space)  # any first-call state
     # a few arrays over the block's codes and hits
     for block in (short, long_block):
         assert _traced_peak(_gram_keys, block, model.space) < 256 * sum(map(len, block)) + 65536
@@ -851,7 +886,7 @@ def test_counts_of_a_block_peak_no_higher_than_the_np_unique_reference(mode_mode
     # texts of four docs each, so that the arrays over the hits outweigh the Python objects
     block = [" ".join(distinct[k : k + 4]) for k in range(linear.BLOCK_ROWS)]
     for counts in (features._counts, score_reference.counts):
-        counts(block, model.space)  # builds the index, which the space keeps, and any first-call state
+        counts(block, model.space)  # any first-call state
     # the reference groups the hits with np.unique (a stable mergesort and its index arrays); the
     # value sort, in place and with the hits freed once grouped, must hold no more
     peak = _traced_peak(features._counts, block, model.space)
@@ -870,7 +905,7 @@ def test_model_json_round_trip_exact(tmp_path):
     assert again.space.idf.tobytes() == model.space.idf.tobytes()
     assert again.weights.flags.writeable and again.space.idf.flags.writeable
     assert again.bias == model.bias
-    assert again.space.vocabulary == model.space.vocabulary
+    assert _trie_bytes(again.space.tries) == _trie_bytes(model.space.tries)
     assert again.C == model.C and again.seed == model.seed
     assert again.target == model.target
     assert again.objective_trace == model.objective_trace
@@ -878,6 +913,14 @@ def test_model_json_round_trip_exact(tmp_path):
     assert again.converged is model.converged
     for text in ("يا غبي", "ورد جميل", ""):
         assert score_text(again, text) == score_text(model, text)
+
+
+def test_saving_a_loaded_model_writes_its_file_byte_for_byte(tmp_path, mode_model):
+    # the file holds exactly the state load_model gives, and nothing derived from it
+    p, again = tmp_path / "model.json", tmp_path / "again.json"
+    save_model(str(p), mode_model[0])
+    save_model(str(again), load_model(str(p)))
+    assert again.read_bytes() == p.read_bytes()
 
 
 def test_model_format_version_checked(tmp_path):
@@ -891,13 +934,9 @@ def test_model_format_version_checked(tmp_path):
         load_model(str(p))
 
 
-LENGTHS = "vocabulary, idf and weights disagree in length"
+LENGTHS = "bad model file: idf and weights disagree in length"
 NOT_BASE64 = "bad model file: {} is not base64 text"
 NOT_FINITE = "bad model file: {} holds a value that is not finite"
-
-
-def _dup_first_gram(blob):
-    blob["vocabulary"][1] = blob["vocabulary"][0]
 
 
 def _floats(text):
@@ -991,7 +1030,17 @@ NOT_INCREASING = "bad model file: {} are not strictly increasing up to 922337203
         (lambda b: b.pop("converged"), "model file lacks converged"),
         (lambda b: b.update(weights=_b64(_floats(b["weights"])[:-50])), LENGTHS),
         (lambda b: b.update(idf=_b64(_floats(b["idf"])[:-1])), LENGTHS),
-        (_dup_first_gram, LENGTHS),
+        # char grams are 2 to 5 long: no level-1 node is a gram, and column 0 is the first level-2 node's
+        (_edit_level("char", "cols", 1, _set_at(0, 0)), "bad model file: column 0 is held by 2 trie nodes, not 1"),
+        (_edit_level("char", "cols", 2, _set_at(0, -1)), "bad model file: column 0 is held by 0 trie nodes, not 1"),
+        (
+            _edit_level("char", "keys", 1, _set_at(-2, 0x110001 + 5)),
+            "bad model file: char trie keys 1 extend a prefix that level 0 lacks",
+        ),
+        (
+            _edit_level("char", "keys", 2, _set_at(0, -2)),
+            "bad model file: char trie keys 2 extend a prefix that level 1 lacks",
+        ),
         (lambda b: b.update(char_range=5), "bad model file"),
         (lambda b: b.update(mode="bytes"), "bad model file"),
         (lambda b: b.update(idf=_floats(b["idf"]).tolist()), NOT_BASE64.format("idf")),
@@ -1028,7 +1077,10 @@ NOT_INCREASING = "bad model file: {} are not strictly increasing up to 922337203
         "no_converged",
         "weights_cut",
         "idf_cut",
-        "repeated_gram",
+        "col_held_twice",
+        "col_held_by_none",
+        "key_past_the_prefixes",
+        "negative_key",
         "range",
         "mode",
         "idf_list",
