@@ -19,9 +19,10 @@ a model trained on the corpus' first 2,000 docs: microseconds per doc of
 one 1,000-sample `explain` of the first doc with at least 6 tokens.
 `load_ms` is the fixed cost a `predict` or `explain` process pays before
 its first block: `load_model` of the saved model, which decodes and
-checks the stored gram index. `index_ms` is building that index from
-the fit's gram -> column dict (`features._index`), which `fit_transform`
-pays once, and `model_bytes` is the size of the saved model file.
+checks the stored gram index. `index_ms` is building that index from the
+training texts as `fit_transform` does (`features._fit_space`: coding
+the texts, finding and sorting their grams, building the tries), and
+`model_bytes` is the size of the saved model file.
 `parse_ms`, the fixed cost of every stage call before that, is the
 median over 100 times the repeats of `cli.build_parser` and
 `parse_args` on one `explain --text` argv for that doc.
@@ -99,14 +100,12 @@ def normalize_passes(texts: list[str]) -> float:
 
 def load_index_bytes(model: LinearModel, train_texts: list[str], repeats: int) -> tuple[float, float, int]:
     """Median milliseconds of `load_model` on the saved model and of the fit's gram-index build, and the file's bytes."""
-    config = model.space.config
-    vocab = features._vocabulary(train_texts, config)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         save_model(path, model)
         load_ms = 1e3 * median_s(lambda: load_model(path), repeats)
         size = os.path.getsize(path)
-    return load_ms, 1e3 * median_s(lambda: features._index(config, vocab), repeats), size
+    return load_ms, 1e3 * median_s(lambda: features._fit_space(train_texts, model.space.config), repeats), size
 
 
 def parse_ms(text: str, seed: int, repeats: int) -> float:

@@ -8,24 +8,22 @@ tf * idf and the L2 norm are computed: the training rows, `vectorize`
 and `linear.score_texts` all call it, BLOCK_ROWS rows at a time at most.
 
 Gram index. A FeatureSpace holds one trie per kind (`FeatureSpace.tries`):
-`fit_transform` builds them once from its gram -> column dict (`_index`),
+`fit_transform` builds them once from its texts' codes (`_fit_space`),
 `linear.load_model` reads them from the model file (`load_index`).
 A char gram is a string of code points; a word gram is a string of
-tokens, each coded by one dict over the tokens of the w: entries split
-on " ", in order of first appearance over those entries taken in
-column order. Level n of a trie, for n from 1 to the top of the kind's
-range, holds the sorted int64 keys prefix_id * (end + 1) + code of
-every length-n prefix of its grams, prefix_id being the length-(n-1)
-prefix's index in level n - 1 (0 at level 1), then the sentinel _TOP,
-and aligned int32 columns: the column of each prefix that is a gram, -1
-for the others. end is above every code: 0x110000 for code points, the
-token count for tokens. prefix_id is below the vocabulary size, so no
-key comes near 2**63, whatever the alphabet or n-gram range. Only c:
-and w: entries whose length is inside their kind's range go in; any
-other entry matches nothing. The tries are the only record of the
-columns: a key spells its prefix from its parent's and its code, and
-the word trie keeps its tokens in code order, so the index spells
-every gram.
+tokens, each coded in order of first appearance over the word grams
+taken in column order. Level n of a trie, for n from 1 to the top of
+the kind's range, holds the sorted int64 keys prefix_id * (end + 1) +
+code of every length-n prefix of its grams, prefix_id being the
+length-(n-1) prefix's index in level n - 1 (0 at level 1), then the
+sentinel _TOP, and aligned int32 columns: the column of each prefix
+that is a gram, -1 for the others. end is above every code: 0x110000
+for code points, the token count for tokens. prefix_id is below the
+vocabulary size, so no key comes near 2**63, whatever the alphabet or
+n-gram range. Only grams whose length is inside their kind's range go
+in. The tries are the only record of the columns: a key spells its
+prefix from its parent's and its code, and the word trie keeps its
+tokens in code order, so the index spells every gram.
 
 Stored index. `dump_index` gives the tries as JSON values: each level's
 keys and columns as base64 of their little-endian bytes, each trie's
@@ -37,10 +35,11 @@ extends a prefix that the level below lacks, columns in [-1, number of
 columns), char end 0x110000, end distinct word tokens, and each column
 that of exactly one node.
 
-Lookup (`_gram_keys`). A block's texts become one array of codes, each
-text followed by `end`; a token that no w: entry has is `end` too.
-Level 1 is one np.searchsorted over every position, and level n one
-over the windows still alive, each extended by the next code. A window
+Lookup (`_gram_keys`). A block's texts become one array of codes per
+kind (`_code`), each text followed by `end`; a token that no word gram
+has is `end` too. Level 1 is one np.searchsorted over every position,
+and level n one over the windows still alive, each extended by the
+next code. A window
 dies when its prefix is not in the trie, as it does when it would take
 in `end`. The hits come out in level order (char before word, n
 ascending, position), which within one row is the row's gram order, so
@@ -55,13 +54,21 @@ Where those values could pass 2**63 - 1, np.unique groups the hits.
 first-appearance order and every sum below are thus those of the
 per-gram strings, bit for bit.
 
-Vocabulary (`fit_transform`). The training texts are coded the same
-way, words by a token dict in first-appearance order. Level by level,
-np.unique over prefix_id * (end + 1) + code gives each window that
-takes in no end an id; one position per distinct window of length
-lo..hi becomes a string. Each kind sorts as strings ("ab c" before
-"abc", unlike token codes). `_index` builds the tries from that dict,
-which goes once they hold it, and they count the texts, so the training
+Vocabulary (`fit_transform`). The training texts are coded once per
+kind, words by first appearance. Level by level, np.unique over
+prefix_id * (end + 1) + code gives each window that takes in no end an
+id; one position per distinct window of length lo..hi gives its codes,
+padded with -1. One np.lexsort per kind puts them in c:/w: string
+order, -1 sorting a prefix first: char codes are code points, and a
+token's key is its rank among the token strings. That is the order of
+the " "-joined strings because no token holds a character at or below
+U+0020: where the first differing tokens differ inside both, that
+character decides; where one is a proper prefix of the other, its string
+goes on with " " or ends, the other's with a character above " ". The
+word tokens are recoded by first appearance over the word grams in
+column order (a token in no gram, and end, become the new end); `_trie`
+builds both tries from these codes, and the training blocks are counted
+from slices of them, so each text is tokenized once and the training
 rows are `transform`'s, each row's columns sorted.
 
 Per-block memory rule. Memory follows a block's code count, never its
@@ -69,8 +76,8 @@ rows times its longest row: the gram stage keeps a few arrays per code
 and per hit (int64 keys, positions and sort indices, int32 columns),
 all inside `_counts`, so they are freed before `tfidf_l2` runs, and
 tf-idf and the sums then hold a few arrays per distinct gram of each
-row. Only the vocabulary pass holds a few arrays per code of the whole
-training set.
+row. Only `fit_transform` holds arrays per code of the whole training
+set, until it has counted every block.
 
 Summation-order rule. A row's squared norm, and its w.x in
 `linear.score_texts`, is the float64 sum of its terms in the order the
@@ -92,7 +99,7 @@ import base64
 from array import array
 from dataclasses import dataclass
 from itertools import count, repeat
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -133,11 +140,6 @@ class _Trie:
     end: int  # the code after each text, above every gram code
     tokens: Mapping[str, int] | None  # word tries: token -> code, in code order; char codes are code points
 
-    @property
-    def code(self) -> _Code | None:
-        """(token, end) -> the token's code for a word trie; None for a char trie."""
-        return None if self.tokens is None else self.tokens.get
-
 
 def _trie(
     codes: np.ndarray,
@@ -164,17 +166,6 @@ def _trie(
     return _Trie(tuple(keys), tuple(level_cols), end, tokens)
 
 
-def _utf32(s: str) -> np.ndarray:
-    """The code points of s, lone surrogates included."""
-    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), "<u4")
-
-
-def _entries(grams: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries' code points back to back, padded so that each has two, and each entry's start and length."""
-    lens = np.fromiter(map(len, grams), np.int64, len(grams))
-    return _utf32("".join([*grams, "\0\0"])), np.cumsum(lens) - lens, lens
-
-
 _Tries = tuple[_Trie | None, _Trie | None]  # the char trie and the word trie; None for a kind the mode leaves out
 
 
@@ -188,32 +179,6 @@ class FeatureSpace:
     @property
     def n_features(self) -> int:
         return len(self.idf)
-
-
-def _index(config: FeatureConfig, vocabulary: Mapping[str, int]) -> _Tries:
-    """The tries of the gram -> column entries (module docstring)."""
-    (clo, chi), (wlo, whi) = config.char_range, config.word_range
-    grams = list(vocabulary)
-    flat, starts, lens = _entries(grams)
-    cols = np.fromiter(vocabulary.values(), np.int64, len(grams))
-    colon = (lens >= 2) & (flat[starts + 1] == ord(":"))
-    char = word = None
-    if config.mode != "word":
-        sel = colon & (flat[starts] == ord("c")) & (lens >= clo + 2) & (lens <= chi + 2)
-        char = _trie(flat, starts[sel] + 2, lens[sel] - 2, cols[sel], _CHAR_END, chi, None)
-    if config.mode != "char":
-        # a w: entry's token count: one more than the spaces after its prefix
-        spaces = np.cumsum(flat == ord(" "), dtype=np.int32)
-        n_tok = spaces[starts + lens - 1] - spaces[starts + 1] + 1
-        sel = np.flatnonzero(colon & (flat[starts] == ord("w")) & (n_tok >= wlo) & (n_tok <= whi))
-        # in column order, so the token codes, and the trie, follow from the columns' grams alone
-        sel = sel[np.argsort(cols[sel], kind="stable")]
-        all_tokens = " ".join([grams[i][2:] for i in sel.tolist()]).split(" ")
-        tokens = dict(zip(dict.fromkeys(all_tokens), count()))
-        codes = np.fromiter(map(tokens.__getitem__, all_tokens), np.int64, len(all_tokens))
-        n_tok = n_tok[sel]
-        word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), whi, tokens)
-    return char, word
 
 
 def b64(values: object, dtype: str) -> str:
@@ -314,10 +279,10 @@ def load_index(config: FeatureConfig, index: object, n_grams: int) -> _Tries:
 def _codes(texts: Sequence[str], code: _Code | None, end: int) -> tuple[np.ndarray, np.ndarray]:
     """The texts' codes back to back, each text followed by end, and where each end is.
 
-    code None codes code points, else token t gets code(t, end).
+    code None codes code points (lone surrogates too), else token t gets code(t, end).
     """
     if code is None:
-        codes = _utf32("\0".join([*texts, ""])).astype(np.int64)
+        codes = np.frombuffer("\0".join([*texts, ""]).encode("utf-32-le", "surrogatepass"), "<u4").astype(np.int64)
         ends = np.cumsum([len(t) + 1 for t in texts], dtype=np.int64) - 1
         codes[ends] = end
         return codes, ends
@@ -330,18 +295,23 @@ def _codes(texts: Sequence[str], code: _Code | None, end: int) -> tuple[np.ndarr
     return np.frombuffer(ids, np.int64), np.frombuffer(ends, np.int64)
 
 
-def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
-    """row * n_columns + column of every in-vocabulary gram of the texts, in level order.
+_Coded = Iterable[tuple[np.ndarray, np.ndarray]]  # `_codes` under each trie a space has
+
+
+def _code(texts: Sequence[str], space: FeatureSpace) -> _Coded:
+    """The texts' codes and ends under each trie the space has, each kind's made only when it is read."""
+    return (_codes(texts, None if t.tokens is None else t.tokens.get, t.end) for t in filter(None, space.tries))
+
+
+def _gram_keys(coded: _Coded, space: FeatureSpace) -> np.ndarray:
+    """row * n_columns + column of every in-vocabulary gram of the coded texts, in level order.
 
     That is char before word, then n ascending, then position, so each
     row's hits come in that row's gram order.
     """
     v = len(space.idf)
     keys = [np.zeros(0, np.int64)]
-    for trie in space.tries:
-        if trie is None:
-            continue
-        codes, ends = _codes(texts, trie.code, trie.end)
+    for trie, (codes, ends) in zip(filter(None, space.tries), coded):
         # the windows alive at level n: start positions and their prefix ids
         key, pos = codes, None
         for n, (level, level_cols) in enumerate(zip(trie.keys, trie.cols), 1):
@@ -390,10 +360,10 @@ def tfidf_l2(indptr: np.ndarray, cols: np.ndarray, tfs: np.ndarray, idf: np.ndar
     return np.divide(x, norm, out=x, where=norm > 0)
 
 
-def _counts(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The texts' in-vocabulary gram counts as CSR (indptr, cols, tfs), each row in first-appearance order."""
-    n, v = len(texts), len(space.idf)
-    hits = _gram_keys(texts, space)
+def _counts(n: int, coded: _Coded, space: FeatureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n coded texts' in-vocabulary gram counts as CSR (indptr, cols, tfs), each row in first-appearance order."""
+    v = len(space.idf)
+    hits = _gram_keys(coded, space)
     width = len(hits)
     # the index of a key's first hit is its first appearance, since a row's hits come in gram order
     if n * v * width <= _TOP:
@@ -429,42 +399,70 @@ def transform(texts: Sequence[str], space: FeatureSpace) -> tuple[np.ndarray, np
     grows with the texts' character count (the per-block memory rule in
     the module docstring): pass at most BLOCK_ROWS texts.
     """
-    indptr, cols, tfs = _counts(texts, space)
+    indptr, cols, tfs = _counts(len(texts), _code(texts, space), space)
     return indptr, cols, tfidf_l2(indptr, cols, tfs, space.idf)
 
 
-def _distinct_windows(codes: np.ndarray, end: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """n, and one start of each distinct window of n codes that takes in no end, for n in lo..hi."""
+def _distinct_windows(codes: np.ndarray, end: int, lo: int, hi: int) -> np.ndarray:
+    """Each distinct window of lo..hi codes that takes in no end: one row of its codes, padded with -1 to hi."""
     pos = np.flatnonzero(codes != end)
     key = codes[pos]
+    windows = []
     for n in range(1, hi + 1):
         level, node = np.unique(key, return_inverse=True)
         if n >= lo:
             starts = np.empty(len(level), np.int64)
             starts[node] = pos  # any position of a window serves
-            yield n, starts
+            windows.append(np.pad(codes[starts[:, None] + np.arange(n)], ((0, 0), (0, hi - n)), constant_values=-1))
         nxt = codes[pos + n]
         alive = nxt != end
         pos, key = pos[alive], node[alive] * (end + 1) + nxt[alive]
+    return np.concatenate(windows)
 
 
-def _vocabulary(texts: Sequence[str], config: FeatureConfig) -> dict[str, int]:
-    """gram -> column: the texts' distinct char grams, then word grams, each kind sorted as strings."""
-    grams: list[str] = []
+def _fit_space(texts: Sequence[str], config: FeatureConfig) -> tuple[FeatureSpace, list]:
+    """The space of the texts' grams, columns in c:/w: string order and idf unset, and the texts' `_code` under it."""
+    char = word = None
+    coded = []
+    v = 0
     if config.mode != "word":
-        codes, _ = _codes(texts, None, _CHAR_END)
-        joined = "\0".join(texts)
-        windows = _distinct_windows(codes, _CHAR_END, *config.char_range)
-        grams += ["c:" + g for g in sorted(joined[p : p + n] for n, pos in windows for p in pos.tolist())]
+        codes, ends = _codes(texts, None, _CHAR_END)
+        grams = _distinct_windows(codes, _CHAR_END, *config.char_range)
+        grams = grams[np.lexsort(grams.T[::-1])]
+        v, hi = grams.shape
+        lens = np.count_nonzero(grams >= 0, axis=1)
+        char = _trie(grams.ravel(), np.arange(v) * hi, lens, np.arange(v), _CHAR_END, hi, None)
+        coded.append((codes, ends))
     if config.mode != "char":
-        tokens: dict[str, int] = {}  # in first-appearance order
-        codes, ends = _codes(texts, lambda t, _: tokens.setdefault(t, len(tokens)), 0)
-        codes[ends] = end = len(tokens)
-        names = np.array(list(tokens), dtype=object)
-        windows = _distinct_windows(codes, end, *config.word_range)
-        grams += ["w:" + g for g in sorted(
-            " ".join(t) for n, pos in windows for t in names[codes[pos[:, None] + np.arange(n)]].tolist())]
-    return dict(zip(grams, count()))
+        first_seen: dict[str, int] = {}  # token -> code, in first-appearance order over the texts
+        codes, ends = _codes(texts, lambda t, _: first_seen.setdefault(t, len(first_seen)), 0)
+        codes[ends] = end = len(first_seen)
+        names = list(first_seen)
+        # each token's rank among the token strings; rank[-1], the padding's, is -1
+        rank = np.full(end + 1, -1, np.int64)
+        rank[sorted(range(end), key=names.__getitem__)] = np.arange(end)
+        grams = _distinct_windows(codes, end, *config.word_range)
+        grams = grams[np.lexsort(rank[grams].T[::-1])]
+        d, hi = grams.shape
+        lens = np.count_nonzero(grams >= 0, axis=1)
+        # trie codes by first appearance over the grams in column order; other tokens and end become the new end
+        held, first = np.unique(grams[grams >= 0], return_index=True)
+        held = held[np.argsort(first)]
+        recode = np.full(end + 1, len(held), np.int64)
+        recode[held] = np.arange(len(held))
+        tokens = dict(zip([names[t] for t in held.tolist()], count()))
+        word = _trie(recode[grams].ravel(), np.arange(d) * hi, lens, np.arange(v, v + d), len(held), hi, tokens)
+        coded.append((recode[codes], ends))
+        v += d
+    return FeatureSpace(config, (char, word), np.empty(v), len(texts)), coded
+
+
+def _rows(coded: _Coded, a: int, b: int) -> _Coded:
+    """Rows a..b - 1 of the coded texts, or a to the last: each kind's codes sliced, its ends counted from the slice."""
+    for codes, ends in coded:
+        lo = ends[a - 1] + 1 if a else 0
+        ends = ends[a:b] - lo
+        yield codes[lo : lo + ends[-1] + 1], ends
 
 
 def fit_transform(
@@ -479,12 +477,10 @@ def fit_transform(
     """
     if not texts:
         raise ValueError("cannot fit features on an empty text list")
-    vocab = _vocabulary(texts, config)
-    n, v = len(texts), len(vocab)
-    idf = np.empty(v)  # filled once df is known; counting reads only its length
-    space = FeatureSpace(config=config, tries=_index(config, vocab), idf=idf, n_docs=n)
-    del vocab
-    blocks = [_counts(texts[a : a + BLOCK_ROWS], space) for a in range(0, n, BLOCK_ROWS)]
+    space, coded = _fit_space(texts, config)
+    n, v, idf = len(texts), space.n_features, space.idf  # idf is filled once df is known; counting reads its length
+    blocks = [_counts(min(BLOCK_ROWS, n - a), _rows(coded, a, a + BLOCK_ROWS), space) for a in range(0, n, BLOCK_ROWS)]
+    del coded
     cols = np.concatenate([c for _, c, _ in blocks])
     # the scalar expression once per distinct df: numpy does not promise
     # that its array log rounds like its scalar log

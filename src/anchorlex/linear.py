@@ -24,10 +24,10 @@ The pair indices come from the two KKT index sets of Keerthi et al.
 ("Improvements to Platt's SMO", Neural Computation 2001): I_up holds
 the i with y_i = +1 and alpha_i < C or y_i = -1 and alpha_i > 0, I_low
 the mirror. A step changes only alpha_i and alpha_j, so the sets are
-kept with their sizes and updated at i and j alone. Each is stored as y
-with -inf (I_up) or +inf (I_low) outside the set: y_up - f is then the
-masked y - f whose argmax picks i, in one subtraction into a buffer
-that every step reuses, as is the f update.
+kept, and updated at i and j alone, where they change.
+Each is stored as y with -inf (I_up) or +inf (I_low) outside the set:
+y_up - f is then the masked y - f whose argmax picks i, in one
+subtraction into a buffer that every step reuses, as is the f update.
 
 A step leaves w alone. It records (row, y * d_alpha) for i and j, and
 the records are added to w in step order by one np.add.at at least
@@ -140,8 +140,11 @@ def fit_svm(
     Row i holds cols[indptr[i]:indptr[i + 1]], ascending, and their vals,
     as `features.fit_transform` returns them. I_up and I_low are kept
     across steps, not rebuilt, and w takes the steps' updates a block of
-    steps at a time (module docstring). The algorithm is deterministic:
-    ties in pair selection break by index.
+    steps at a time (module docstring). A step takes K_i from the kept
+    rows and computes it only when it is not kept; it writes the sets
+    and their masked y at i and at j only where that index enters or
+    leaves a set. The algorithm is deterministic: ties in pair
+    selection break by index.
     """
     indptr = np.asarray(X[0], np.int64)
     n = len(indptr) - 1
@@ -187,10 +190,8 @@ def fit_svm(
     n_kept = 0
 
     def kernel_row(i: int) -> np.ndarray:
+        """K_i, computed, and kept while the block has room; the caller reads kept[i] first."""
         nonlocal n_kept
-        row = kept[i]
-        if row is not None:
-            return row
         ri = slice(indptr[i], indptr[i + 1])
         starts = c_ptr[cols[ri]]
         lens = c_ptr[cols[ri] + 1] - starts
@@ -224,24 +225,21 @@ def fit_svm(
 
     c_hi = C - _EPS
 
-    def in_sets(k: int) -> tuple[bool, bool]:
-        """Whether k is in I_up and in I_low at the current alpha_k."""
-        below, above = alpha[k] < c_hi, alpha[k] > _EPS
-        return (below, above) if y_l[k] > 0 else (above, below)
-
     # I_up and I_low as y with -inf, and +inf, outside the set: y_up - f is
-    # y - f masked for argmax, y_low - f for argmin. A step updates both,
-    # and the sets' sizes, at i and j only.
-    up, low = (list(s) for s in zip(*map(in_sets, range(n))))
+    # y - f masked for argmax, y_low - f for argmin; an empty set masks all
+    # of it. A step updates both at i and j only, where membership changes.
+    # At alpha = 0, I_up holds the positives and I_low the negatives, while 0 < c_hi.
+    up = [y_k > 0 and 0.0 < c_hi for y_k in y_l]
+    low = [y_k < 0 and 0.0 < c_hi for y_k in y_l]
     y_up = np.where(up, yv, -np.inf)
     y_low = np.where(low, yv, np.inf)
-    n_up, n_low = sum(up), sum(low)
     m, mm, df_i, df_j = (np.empty(n) for _ in range(4))
 
     def bias_estimate() -> float:
         v = yv - f
-        hi = v[y_up != -np.inf].max() if n_up else 0.0
-        lo = v[y_low != np.inf].min() if n_low else 0.0
+        v_up, v_low = v[y_up != -np.inf], v[y_low != np.inf]
+        hi = v_up.max() if len(v_up) else 0.0
+        lo = v_low.min() if len(v_low) else 0.0
         return float((hi + lo) / 2.0)
 
     best_w = w.copy()
@@ -256,13 +254,11 @@ def fit_svm(
     for _ in range(MAX_EPOCHS):
         epochs_run += 1
         for _ in range(n):
-            if not n_up or not n_low:
-                converged = True
-                break
             np.subtract(y_up, f, out=m)
             np.subtract(y_low, f, out=mm)
             i = int(m.argmax())
             j = int(mm.argmin())
+            # an empty I_up or I_low makes this -inf
             if m.item(i) - mm.item(j) < KKT_TOL:
                 converged = True
                 break
@@ -274,8 +270,8 @@ def fit_svm(
             else:
                 L = max(0.0, alpha[i] + alpha[j] - C)
                 H = min(C, alpha[i] + alpha[j])
-            k_i = kernel_row(i)
-            k_j = kernel_row(j)
+            k_i = kernel_row(i) if kept[i] is None else kept[i]
+            k_j = kernel_row(j) if kept[j] is None else kept[j]
             eta = k_diag[i] + k_diag[j] - 2.0 * k_i.item(j)
             if eta < _EPS:
                 eta = _EPS
@@ -290,12 +286,14 @@ def fit_svm(
             alpha[i] += d_ai
             alpha[j] += d_aj
             for k in (i, j):
-                in_up, in_low = in_sets(k)
-                n_up += in_up - up[k]
-                n_low += in_low - low[k]
-                up[k], low[k] = in_up, in_low
-                y_up[k] = y_l[k] if in_up else -np.inf
-                y_low[k] = y_l[k] if in_low else np.inf
+                below, above = alpha[k] < c_hi, alpha[k] > _EPS
+                in_up, in_low = (below, above) if y_l[k] > 0 else (above, below)
+                if in_up != up[k]:
+                    up[k] = in_up
+                    y_up[k] = y_l[k] if in_up else -np.inf
+                if in_low != low[k]:
+                    low[k] = in_low
+                    y_low[k] = y_l[k] if in_low else np.inf
             c_i, c_j = y_i * d_ai, y_j * d_aj
             todo_rows += (i, j)
             todo_coefs += (c_i, c_j)

@@ -23,7 +23,7 @@ _STRIP_RE = re.compile("[\u064B-\u0652\u0670\u0640]+")  # tashkeel, superscript 
 _SQUASH_RE = re.compile(r"(.)\1{2,}")
 _URL_RE = re.compile(r"(?:https?://\S+|\bwww\.\S+)")
 _MENTION_RE = re.compile(r"(?<![\w@])@\w+")
-_TOKEN_RE = re.compile(r"(?:[^\W0-9\u2139]|[0-9](?!\ufe0f?\u20e3))+|" + CLUSTER_PATTERN)
+_TOKEN_RE = re.compile(r"(?:[^\W0-9\u2139]+|[0-9](?!\ufe0f?\u20e3))+|" + CLUSTER_PATTERN)
 _TOKEN_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
 
 

@@ -18,22 +18,70 @@ here is that path; `linear.train_model` must save the same model bytes.
 
 A space holds no vocabulary, only its gram index: `spelled` reads each
 column's gram back from the tries, and `build_space` builds a space from a
-gram -> column dict as `features.fit_transform` does from its own.
+gram -> column dict through `_index`, the builder `features.fit_transform`
+used before it built the tries from its texts' codes: it took one string
+per distinct gram, UTF-32 encoded them and split the w: entries back into
+tokens. `fit_transform`'s tries must equal `_index`'s of `fit_vocabulary`,
+array for array.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from anchorlex.corpus import LABEL_CLASSES, DatasetSplit, Document, LabelRecord
-from anchorlex.features import FeatureConfig, FeatureSpace, _codes, _index
+from anchorlex.features import _CHAR_END, FeatureConfig, FeatureSpace, _codes, _trie
 from anchorlex.linear import LinearModel
 from anchorlex.textnorm import normalize, tokenize
 
 import svm_reference
+
+
+def _utf32(s: str) -> np.ndarray:
+    """The code points of s, lone surrogates included."""
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
+def _entries(grams: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries' code points back to back, padded so that each has two, and each entry's start and length."""
+    lens = np.fromiter(map(len, grams), np.int64, len(grams))
+    return _utf32("".join([*grams, "\0\0"])), np.cumsum(lens) - lens, lens
+
+
+def _index(config: FeatureConfig, vocabulary: Mapping[str, int]) -> tuple:
+    """The tries of the gram -> column entries (the `features` module docstring).
+
+    Only c: and w: entries whose length is inside their kind's range go
+    in; any other entry matches nothing. A word kind with no such entry
+    has no token and end 0.
+    """
+    (clo, chi), (wlo, whi) = config.char_range, config.word_range
+    grams = list(vocabulary)
+    flat, starts, lens = _entries(grams)
+    cols = np.fromiter(vocabulary.values(), np.int64, len(grams))
+    colon = (lens >= 2) & (flat[starts + 1] == ord(":"))
+    char = word = None
+    if config.mode != "word":
+        sel = colon & (flat[starts] == ord("c")) & (lens >= clo + 2) & (lens <= chi + 2)
+        char = _trie(flat, starts[sel] + 2, lens[sel] - 2, cols[sel], _CHAR_END, chi, None)
+    if config.mode != "char":
+        # a w: entry's token count: one more than the spaces after its prefix
+        spaces = np.cumsum(flat == ord(" "), dtype=np.int32)
+        n_tok = spaces[starts + lens - 1] - spaces[starts + 1] + 1
+        sel = np.flatnonzero(colon & (flat[starts] == ord("w")) & (n_tok >= wlo) & (n_tok <= whi))
+        # in column order, so the token codes, and the trie, follow from the columns' grams alone
+        sel = sel[np.argsort(cols[sel], kind="stable")]
+        # no entry, no token: " ".join([]).split(" ") would be [""]
+        all_tokens = " ".join([grams[i][2:] for i in sel.tolist()]).split(" ") if len(sel) else []
+        tokens = dict(zip(dict.fromkeys(all_tokens), count()))
+        codes = np.fromiter(map(tokens.__getitem__, all_tokens), np.int64, len(all_tokens))
+        n_tok = n_tok[sel]
+        word = _trie(codes, np.cumsum(n_tok) - n_tok, n_tok, cols[sel], len(tokens), whi, tokens)
+    return char, word
 
 
 def build_space(config: FeatureConfig, vocabulary: Mapping[str, int], idf: np.ndarray, n_docs: int) -> FeatureSpace:
@@ -144,7 +192,7 @@ def _gram_keys(texts: Sequence[str], space: FeatureSpace) -> np.ndarray:
     for trie in space.tries:
         if trie is None:
             continue
-        codes, ends = _codes(texts, trie.code, trie.end)
+        codes, ends = _codes(texts, None if trie.tokens is None else trie.tokens.get, trie.end)
         # the windows alive at level n: start positions and their prefix ids
         key, pos = codes, None
         for n, (level, level_cols) in enumerate(zip(trie.keys, trie.cols), 1):

@@ -151,6 +151,48 @@ def test_fit_transform_equals_two_pass_fit_and_vectorize(texts, mode, char_range
     assert _rows(X) == [vectorize(t, space) for t in texts] == score_reference.vectorize_all(texts, old)
 
 
+def _trie_arrays(tries):
+    """Each trie's end, tokens in code order and level arrays as (dtype, bytes)."""
+    return [
+        t and (t.end, t.tokens and list(t.tokens.items()), [(a.dtype, a.tobytes()) for a in t.keys + t.cols])
+        for t in tries
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(FIT_PIECES), max_size=8).map("".join), min_size=1, max_size=8),
+    mode=st.sampled_from(MODES),
+    char_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
+    word_range=st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
+)
+@example(texts=["a", "\U0001F437", "ab"], mode="char", char_range=(3, 4), word_range=(1, 1))  # shorter than lo
+@example(texts=["ab", "\u2139 c", "abc"], mode="char+word", char_range=(2, 2), word_range=(2, 3))  # one token
+@example(texts=["ab", "c", "!"], mode="word", char_range=(1, 1), word_range=(2, 3))  # no word gram
+@example(texts=["ab c", "abc", "ab", "\ud83d \udcff"], mode="char+word", char_range=(1, 2), word_range=(1, 3))
+def test_fit_transform_tries_equal_those_of_the_string_vocabulary(texts, mode, char_range, word_range):
+    # the tries from the texts' codes are those the gram -> column strings
+    # give: the same arrays, dtypes and bytes, the same end and token order
+    cfg = FeatureConfig(mode=mode, char_range=char_range, word_range=word_range)
+    space, _ = fit_transform(texts, cfg)
+    want = score_reference.build_space(cfg, score_reference.fit_vocabulary(texts, cfg), space.idf, space.n_docs)
+    assert _trie_arrays(space.tries) == _trie_arrays(want.tries)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fit_transform_tokenizes_each_text_once(monkeypatch, mode):
+    texts = ["a b c", "b c", "\U0001F437 a", "", "a b c"]
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(features, "tokenize", counted)
+    fit_transform(texts, FeatureConfig(mode=mode))
+    assert calls == ([] if mode == "char" else texts)
+
+
 BLOCK_TEXT = st.lists(st.sampled_from([*FIT_PIECES, "ab ab ab", "zz", "?"]), max_size=10).map("".join)
 
 
@@ -179,11 +221,12 @@ def test_counts_equal_the_three_sort_reference(train, block, repeats, mode, char
     block = block + block[:1] * repeats
     want = score_reference.counts(block, space)  # builds the gram index, which reads features._TOP
     # the branches for blocks whose key * n_hits + hit index, or whose (row, first) key, would overflow int64
-    n_hits = len(features._gram_keys(block, space))
+    coded = list(features._code(block, space))
+    n_hits = len(features._gram_keys(coded, space))
     top = {"value sort": features._TOP, "packed key": len(block) * n_hits, "lexsort": -1}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(features, "_TOP", top[branch])
-        got = features._counts(block, space)
+        got = features._counts(len(block), coded, space)
     assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 
 

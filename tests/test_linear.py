@@ -21,6 +21,8 @@ from anchorlex.features import (
     MODES,
     FeatureConfig,
     FeatureSpace,
+    _code,
+    _counts,
     _gram_keys,
     fit_features,
     fit_transform,
@@ -612,6 +614,27 @@ def test_out_of_vocabulary_texts_score_exactly_the_bias(mode_model):
     _assert_scores_match_reference(model, oov + distinct[:300] + oov)
 
 
+@pytest.mark.parametrize(
+    "mode, train",
+    [("word", ["_a"]), ("word", ["", "!?"]), ("char+word", ["ab!", "! !"])],
+)
+def test_a_word_kind_with_no_gram_saves_no_token_and_scores_the_bias(tmp_path, mode, train):
+    # no text has two tokens side by side, so the word kind has no gram, hence no token and end 0
+    space = fit_features(train, FeatureConfig(mode=mode, char_range=(2, 2), word_range=(2, 2)))
+    model = _random_model(space, np.random.default_rng(7))
+    path = tmp_path / "model.json"
+    save_model(str(path), model)
+    assert json.loads(path.read_text(encoding="utf-8"))["index"]["word"]["tokens"] == []
+    loaded = load_model(str(path))
+    word = loaded.space.tries[1]
+    assert (word.end, dict(word.tokens)) == (0, {})
+    assert _trie_bytes(loaded.space.tries) == _trie_bytes(model.space.tries)
+    texts = ["_a", "a b", "", "_a _a", "ab! ab!"]
+    if mode == "word":
+        assert _bits(score_texts(loaded, texts)) == _bits([model.bias] * len(texts))
+    _assert_scores_match_reference(loaded, texts)
+
+
 @pytest.mark.parametrize("bias", [-0.0, 0.0])
 def test_dot_product_of_negative_zero_terms_keeps_the_reference_sign(mode_model, bias):
     model, distinct = mode_model
@@ -868,15 +891,25 @@ def _traced_peak(fn, texts, space):
         tracemalloc.stop()
 
 
+def _text_gram_keys(texts, space):
+    """`_gram_keys` of the texts, coded as `transform` codes them."""
+    return _gram_keys(_code(texts, space), space)
+
+
+def _text_counts(texts, space):
+    """`_counts` of the texts, coded as `transform` codes them."""
+    return _counts(len(texts), _code(texts, space), space)
+
+
 def test_gram_stage_memory_follows_the_block_character_count(mode_model):
     model, distinct = mode_model
     long_text = (" ".join(distinct) * 64)[: 1 << 17]
     short = [f"{t} {k}" for k, t in enumerate(distinct[: linear.BLOCK_ROWS])]
     long_block = [long_text, *short[1:]]
-    _gram_keys(short[:2], model.space)  # any first-call state
+    _text_gram_keys(short[:2], model.space)  # any first-call state
     # a few arrays over the block's codes and hits
     for block in (short, long_block):
-        assert _traced_peak(_gram_keys, block, model.space) < 256 * sum(map(len, block)) + 65536
+        assert _traced_peak(_text_gram_keys, block, model.space) < 256 * sum(map(len, block)) + 65536
     # far below one rows x longest-text int64 array
     assert 256 * sum(map(len, long_block)) + 65536 < 8 * len(long_block) * len(long_text) / 4
 
@@ -885,11 +918,11 @@ def test_counts_of_a_block_peak_no_higher_than_the_np_unique_reference(mode_mode
     model, distinct = mode_model
     # texts of four docs each, so that the arrays over the hits outweigh the Python objects
     block = [" ".join(distinct[k : k + 4]) for k in range(linear.BLOCK_ROWS)]
-    for counts in (features._counts, score_reference.counts):
+    for counts in (_text_counts, score_reference.counts):
         counts(block, model.space)  # any first-call state
     # the reference groups the hits with np.unique (a stable mergesort and its index arrays); the
     # value sort, in place and with the hits freed once grouped, must hold no more
-    peak = _traced_peak(features._counts, block, model.space)
+    peak = _traced_peak(_text_counts, block, model.space)
     assert peak <= _traced_peak(score_reference.counts, block, model.space)
 
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorlex import emoji_ranges as er
+from anchorlex import textnorm
+from anchorlex.emoji import CLUSTER_PATTERN
 from anchorlex.textnorm import (
     JACCARD_THRESHOLD,
     MIN_TOKENS,
@@ -179,6 +181,25 @@ TOKEN_PIECES = [
 @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join))
 def test_tokenize_matches_segment_then_split_reference(s):
     assert tokenize(s) == emoji_reference.tokenize(s)
+
+
+# the token pattern whose word branch took one character per step
+PER_CHAR_TOKEN_RE = re.compile(r"(?:[^\W0-9\u2139]|[0-9](?!\ufe0f?\u20e3))+|" + CLUSTER_PATTERN)
+PER_CHAR_SPLIT_RE = re.compile(f"({PER_CHAR_TOKEN_RE.pattern})")
+
+# Arabic letters, "_", digits, VS16, the keycap mark, U+2139, ZWJ, skin
+# tones, emoji, spaces and punctuation, one character each
+WORD_EDGE_CHARS = [
+    *"كلبحمار", "_", *"0179", "\u0663", "\ufe0f", "\u20e3", "\u2139", "\u200d", "\U0001F3FB", "\U0001F3FF",
+    "\U0001F437", "\U0001F468", "\U0001F1E6", "#", "*", " ", "\n", ".", "!", "a", "b",
+]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(WORD_EDGE_CHARS), max_size=16).map("".join))
+def test_token_pattern_finds_and_splits_as_the_per_character_word_pattern(s):
+    assert textnorm._TOKEN_RE.findall(s) == PER_CHAR_TOKEN_RE.findall(s)
+    assert textnorm._TOKEN_SPLIT_RE.split(s) == PER_CHAR_SPLIT_RE.split(s)
 
 
 @settings(max_examples=2000, deadline=None)
