@@ -6,9 +6,10 @@ Quality control: hidden test items with known answers gate annotators at
 an accuracy threshold; agreement is Cohen's kappa averaged over
 annotator pairs with enough shared items.
 
-A judgments file is read as `Judgments`, five aligned plain-list columns,
-and each stage walks only the columns it needs; a `Judgment` is one row,
-built where a caller writes judgments or a file must be read line by line.
+A judgments file is read as `Judgments`, four aligned plain-list columns
+(each timestamp is checked, but no stage reads one), and each stage walks
+only the columns it needs; a `Judgment` is one row, built where a caller
+writes judgments or a file must be read line by line.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ class Judgment:
 
 @dataclass(slots=True)
 class Judgments:
-    """A judgments file as five aligned columns, one entry per row; `len` is the row count."""
+    """A judgments file as four aligned columns, one entry per row; `len` is the row count."""
 
     doc_ids: list[str]
     annotator_ids: list[str]
     jobs: list[str]
     labels: list[str]
-    timestamps: list[str | None]
 
     @classmethod
     def of(cls, judgments: Iterable[Judgment]) -> Judgments:
@@ -55,7 +55,6 @@ class Judgments:
             [j.annotator_id for j in js],
             [j.job for j in js],
             [j.label for j in js],
-            [j.timestamp for j in js],
         )
 
     def __len__(self) -> int:
@@ -76,13 +75,14 @@ def load_judgments(path: str) -> Judgments:
     if clean is not None:
         return clean
     out: list[Judgment] = []
-    stamps: dict[str, str | None] = {"": None}
+    stamps = {""}
     checked: set[tuple[str, str]] = set()
     for lineno, (doc_id, annotator_id, job, label, ts) in read_tsv(path, _JUDGMENT_HEADER, 3):
         try:
             if ts not in stamps:
-                stamps[ts] = canonical_timestamp(ts)
-            out.append(Judgment(doc_id, annotator_id, job, label, stamps[ts]))
+                canonical_timestamp(ts)
+                stamps.add(ts)
+            out.append(Judgment(doc_id, annotator_id, job, label))
             if (job, label) not in checked:
                 _job_value(doc_id, job, label)
                 checked.add((job, label))
@@ -96,17 +96,17 @@ def _clean_columns(path: str) -> Judgments | None:
     cols = split_tsv(path, _JUDGMENT_HEADER, 3)
     if cols is None:
         return None
-    doc_ids, annotator_ids, jobs, labels, raw_stamps = cols
+    doc_ids, annotator_ids, jobs, labels, stamps = cols
     if "" in doc_ids or "" in annotator_ids:  # an empty label fits no job's rule
         return None
     try:
-        canonical = {ts: canonical_timestamp(ts) if ts else None for ts in set(raw_stamps)}
+        for ts in set(stamps) - {""}:
+            canonical_timestamp(ts)
         for job, label in set(zip(jobs, labels)):
             _job_value("", job, label)
     except ValueError:
         return None
-    stamps = list(map(canonical.__getitem__, raw_stamps))
-    return Judgments(doc_ids, _shared(annotator_ids), _shared(jobs), _shared(labels), stamps)
+    return Judgments(doc_ids, _shared(annotator_ids), _shared(jobs), _shared(labels))
 
 
 def _shared(column: list[str]) -> list[str]:
@@ -179,17 +179,12 @@ def dump_gate_results(results: Iterable[GateResult]) -> str:
 
 # --- aggregation ---------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class AggregatedLabel:
-    doc_id: str
-    job: str
-    label: str
-    agreement: str  # full | majority | tie
+# (doc_id, job) -> (label, agreement), in first-appearance order
+_Aggregated = dict[tuple[str, str], tuple[str, str]]
 
 
-def majority_vote(judgments: Judgments) -> list[AggregatedLabel]:
-    """Modal label per (doc, job), in first-appearance order.
+def majority_vote(judgments: Judgments) -> _Aggregated:
+    """(doc_id, job) -> (modal label, agreement), in first-appearance order.
 
     agreement: "full" when unanimous, "majority" for a strict mode,
     "tie" when several labels share the top count (the lexicographically
@@ -198,8 +193,8 @@ def majority_vote(judgments: Judgments) -> list[AggregatedLabel]:
     votes: dict[tuple[str, str], list[str]] = {}
     for key, label in zip(zip(judgments.doc_ids, judgments.jobs), judgments.labels):
         votes.setdefault(key, []).append(label)
-    out: list[AggregatedLabel] = []
-    for (doc_id, job), labels in votes.items():
+    out: _Aggregated = {}
+    for key, labels in votes.items():
         label = labels[0]
         if labels.count(label) == len(labels):
             agreement = "full"
@@ -209,29 +204,34 @@ def majority_vote(judgments: Judgments) -> list[AggregatedLabel]:
             modes = sorted(lbl for lbl, c in counts.items() if c == top)
             label = modes[0]
             agreement = "tie" if len(modes) > 1 else "majority"
-        out.append(AggregatedLabel(doc_id, job, label, agreement))
+        out[key] = (label, agreement)
     return out
 
 
-def adjudication_queue(aggregated: Iterable[AggregatedLabel]) -> list[AggregatedLabel]:
+def adjudication_queue(aggregated: _Aggregated) -> _Aggregated:
     """Everything short of unanimous, input order preserved; ties included."""
-    return [a for a in aggregated if a.agreement != "full"]
+    return {key: vote for key, vote in aggregated.items() if vote[1] != "full"}
 
 
 _ADJUDICATION_HEADER = ["doc_id", "job", "label", "agreement", "override"]
 
 
-def dump_adjudication(queue: Iterable[AggregatedLabel]) -> str:
-    return dump_tsv(_ADJUDICATION_HEADER, ((a.doc_id, a.job, a.label, a.agreement, "") for a in queue))
+def dump_adjudication(queue: _Aggregated) -> str:
+    return dump_tsv(_ADJUDICATION_HEADER, ((*key, *vote, "") for key, vote in queue.items()))
 
 
-def load_overrides(path: str) -> list[tuple[str, str, str]]:
-    """Rows of an adjudication file whose override column was filled in; one row per (doc, job)."""
-    return [
-        (doc_id, job, override)
-        for _, (doc_id, job, _label, _agreement, override) in read_tsv(path, _ADJUDICATION_HEADER, 2)
-        if override
-    ]
+def load_overrides(path: str) -> list[tuple[int, str, str, str]]:
+    """(line number, doc_id, job, override) of each adjudication row whose override
+    column was filled in, checked by the job's label rule; one row per (doc, job)."""
+    out: list[tuple[int, str, str, str]] = []
+    for lineno, (doc_id, job, _label, _agreement, override) in read_tsv(path, _ADJUDICATION_HEADER, 2):
+        if override:
+            try:
+                _job_value(doc_id, job, override)
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
+            out.append((lineno, doc_id, job, override))
+    return out
 
 
 def _job_value(doc_id: str, job: str, label: str) -> bool | frozenset[str]:
@@ -250,9 +250,7 @@ def _job_value(doc_id: str, job: str, label: str) -> bool | frozenset[str]:
     return label == "1"
 
 
-def aggregate_to_labels(
-    aggregated: Sequence[AggregatedLabel],
-) -> tuple[dict[str, LabelRecord], list[str]]:
+def aggregate_to_labels(aggregated: _Aggregated) -> tuple[dict[str, LabelRecord], list[str]]:
     """Fold per-job majorities into LabelRecords; also the ids of dropped docs.
 
     Subsidiary labels (hate/vulgar/violence) only stick when the doc's
@@ -263,11 +261,11 @@ def aggregate_to_labels(
     dropped: list[str] = []
     per_doc: dict[str, dict[str, bool | frozenset[str]]] = {}
     values: dict[tuple[str, str], bool | frozenset[str]] = {}  # (job, label) pairs that passed
-    for a in aggregated:
-        value = values.get((a.job, a.label))
+    for (doc_id, job), (label, _agreement) in aggregated.items():
+        value = values.get((job, label))
         if value is None:
-            value = values[a.job, a.label] = _job_value(a.doc_id, a.job, a.label)
-        per_doc.setdefault(a.doc_id, {})[a.job] = value
+            value = values[job, label] = _job_value(doc_id, job, label)
+        per_doc.setdefault(doc_id, {})[job] = value
     out: dict[str, LabelRecord] = {}
     for doc_id, jobs in per_doc.items():
         if "offensive" not in jobs:
@@ -284,18 +282,18 @@ def aggregate_to_labels(
 
 
 def apply_overrides(
-    labels: Mapping[str, LabelRecord], overrides: Iterable[tuple[str, str, str]]
+    labels: Mapping[str, LabelRecord], overrides: Iterable[tuple[int, str, str, str]]
 ) -> dict[str, LabelRecord]:
-    """Expert adjudication: per-(doc, job) label replacements.
+    """Expert adjudication: per-(doc, job) label replacements, each with its line.
 
     Monotonicity is preserved: setting a subsidiary label forces
     offensive on; clearing offensive clears every subsidiary label.
     """
     out = dict(labels)
-    for doc_id, job, label in overrides:
+    for lineno, doc_id, job, label in overrides:
         rec = out.get(doc_id)
         if rec is None:
-            raise ValueError(f"override for unknown doc {doc_id!r}")
+            raise ValueError(f"line {lineno}: override for unknown doc {doc_id!r}")
         value = _job_value(doc_id, job, label)
         if job == "offensive":
             out[doc_id] = replace(rec, offensive=True) if value else LabelRecord(doc_id, False)

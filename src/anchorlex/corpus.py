@@ -204,9 +204,9 @@ def write_corpus(path: str, docs: Iterable[Document]) -> None:
 _LABEL_HEADER = ["doc_id", "offensive", "hate_targets", "vulgar", "violence"]
 
 
-def _parse_bit(value: str, lineno: int, col: str) -> bool:
+def _parse_bit(value: str, col: str) -> bool:
     if value not in ("0", "1"):
-        raise ValueError(f"line {lineno}: column {col} must be 0 or 1, got {value!r}")
+        raise ValueError(f"column {col} must be 0 or 1, got {value!r}")
     return value == "1"
 
 
@@ -217,10 +217,10 @@ def load_labels(path: str) -> dict[str, LabelRecord]:
         try:
             rec = LabelRecord(
                 doc_id=doc_id,
-                offensive=_parse_bit(off, lineno, "offensive"),
+                offensive=_parse_bit(off, "offensive"),
                 hate_targets=frozenset(t for t in targets.split(",") if t),
-                vulgar=_parse_bit(vul, lineno, "vulgar"),
-                violence=_parse_bit(vio, lineno, "violence"),
+                vulgar=_parse_bit(vul, "vulgar"),
+                violence=_parse_bit(vio, "violence"),
             )
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None

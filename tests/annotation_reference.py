@@ -8,12 +8,13 @@ and each call scanned all judgments again. The only change from the
 shipped code is that `cohen_kappa` sums the expected agreement over the
 sorted categories, not over a set, so the float does not depend on
 `PYTHONHASHSEED`. `avg_pairwise_kappa` has since lost its `job` filter
-on both sides, and pools every job. `anchorlex.annotation` must give
-equal results.
+on both sides, and pools every job. `majority_vote` returns the shipped
+shape, (doc_id, job) -> (label, agreement) in first-appearance order.
+`anchorlex.annotation` must give equal results.
 
 `load_judgments` is the per-line loader from before judgments were read
 as columns: one `Judgment` a row. The column read must give the same
-rows, or raise the same message.
+rows less their timestamps, which no stage keeps, or raise the same message.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Iterable, Mapping, Sequence
 
 from anchorlex.annotation import (
     _JUDGMENT_HEADER,
-    AggregatedLabel,
     GateResult,
     Judgment,
     KappaReport,
@@ -53,7 +53,7 @@ def load_judgments(path: str) -> list[Judgment]:
     return out
 
 
-def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
+def majority_vote(judgments: Sequence[Judgment]) -> dict[tuple[str, str], tuple[str, str]]:
     order: list[tuple[str, str]] = []
     votes: dict[tuple[str, str], list[str]] = {}
     for j in judgments:
@@ -62,7 +62,7 @@ def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
             votes[key] = []
             order.append(key)
         votes[key].append(j.label)
-    out: list[AggregatedLabel] = []
+    out: dict[tuple[str, str], tuple[str, str]] = {}
     for key in order:
         labels = votes[key]
         counts = Counter(labels)
@@ -74,14 +74,7 @@ def majority_vote(judgments: Sequence[Judgment]) -> list[AggregatedLabel]:
             agreement = "full"
         else:
             agreement = "majority"
-        out.append(
-            AggregatedLabel(
-                doc_id=key[0],
-                job=key[1],
-                label=modes[0],
-                agreement=agreement,
-            )
-        )
+        out[key] = (modes[0], agreement)
     return out
 
 

@@ -14,7 +14,6 @@ import anchorlex
 from anchorlex import annotation
 from anchorlex.annotation import (
     MIN_SHARED,
-    AggregatedLabel,
     Judgment,
     Judgments,
     adjudication_queue,
@@ -32,7 +31,7 @@ from anchorlex.annotation import (
     majority_vote,
     write_judgments,
 )
-from anchorlex.corpus import LabelRecord
+from anchorlex.corpus import LabelRecord, canonical_timestamp
 
 import annotation_reference
 from conftest import TS
@@ -119,21 +118,21 @@ def test_majority_vote_full_majority_tie():
         J("d2", "a1", lab="1"), J("d2", "a2", lab="1"), J("d2", "a3", lab="0"),  # majority 1
         J("d3", "a1", lab="1"), J("d3", "a2", lab="0"),                   # tie
     ]
-    agg = {a.doc_id: a for a in majority_vote(Judgments.of(js))}
-    assert agg["d1"].label == "1" and agg["d1"].agreement == "full"
-    assert agg["d2"].label == "1" and agg["d2"].agreement == "majority"
-    assert agg["d3"].agreement == "tie" and agg["d3"].label == "0"  # smallest mode
+    agg = majority_vote(Judgments.of(js))
+    assert agg["d1", "offensive"] == ("1", "full")
+    assert agg["d2", "offensive"] == ("1", "majority")
+    assert agg["d3", "offensive"] == ("0", "tie")  # smallest mode
 
 
 def test_majority_vote_keeps_first_appearance_order():
     js = [J("z9", "a1"), J("a1", "a1"), J("m5", "a1")]
-    assert [a.doc_id for a in majority_vote(Judgments.of(js))] == ["z9", "a1", "m5"]
+    assert list(majority_vote(Judgments.of(js))) == [("z9", "offensive"), ("a1", "offensive"), ("m5", "offensive")]
 
 
 def test_majority_vote_separates_jobs():
     js = [J("d1", "a1", job="offensive", lab="1"), J("d1", "a1", job="vulgar", lab="0")]
     agg = majority_vote(Judgments.of(js))
-    assert {(a.doc_id, a.job, a.label) for a in agg} == {("d1", "offensive", "1"), ("d1", "vulgar", "0")}
+    assert agg == {("d1", "offensive"): ("1", "full"), ("d1", "vulgar"): ("0", "full")}
 
 
 def test_adjudication_queue_non_unanimous_in_order():
@@ -143,9 +142,11 @@ def test_adjudication_queue_non_unanimous_in_order():
         J("d3", "a1", lab="0"), J("d3", "a2", lab="1"), J("d3", "a3", lab="1"),
     ]
     queue = adjudication_queue(majority_vote(Judgments.of(js)))
-    assert [a.doc_id for a in queue] == ["d2", "d3"]
+    assert list(queue.items()) == [(("d2", "offensive"), ("0", "tie")), (("d3", "offensive"), ("1", "majority"))]
     text = dump_adjudication(queue)
-    assert text.splitlines()[0] == "doc_id\tjob\tlabel\tagreement\toverride"
+    assert text.splitlines() == [
+        "doc_id\tjob\tlabel\tagreement\toverride", "d2\toffensive\t0\ttie\t", "d3\toffensive\t1\tmajority\t"
+    ]
 
 
 # --- aggregation to label records -------------------------------------------
@@ -193,10 +194,10 @@ def test_apply_overrides_monotonicity():
         "d2": LabelRecord(doc_id="d2", offensive=True, vulgar=True),
     }
     # forcing a subsidiary on a clean doc must switch offensive on
-    out = apply_overrides(base, [("d1", "violence", "1")])
+    out = apply_overrides(base, [(2, "d1", "violence", "1")])
     assert out["d1"].offensive and out["d1"].violence
     # clearing offensive must clear subsidiaries
-    out = apply_overrides(base, [("d2", "offensive", "0")])
+    out = apply_overrides(base, [(2, "d2", "offensive", "0")])
     assert not out["d2"].offensive and not out["d2"].vulgar
 
 
@@ -213,11 +214,11 @@ def test_apply_overrides_monotonicity():
 )
 def test_votes_and_overrides_share_one_label_rule(job, label, error):
     votes = {"offensive": "1", job: label}
-    aggregated = [AggregatedLabel("d1", j, v, "full") for j, v in votes.items()]
+    aggregated = {("d1", j): (v, "full") for j, v in votes.items()}
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         aggregate_to_labels(aggregated)
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-        apply_overrides({"d1": LabelRecord("d1", True)}, [("d1", job, label)])
+        apply_overrides({"d1": LabelRecord("d1", True)}, [(2, "d1", job, label)])
 
 
 def test_hate_none_and_0_both_clear_the_targets():
@@ -225,12 +226,12 @@ def test_hate_none_and_0_both_clear_the_targets():
     for label in ("none", "0"):
         votes = _votes("d1", "offensive", ["1"]) + _votes("d1", "hate", [label])
         assert aggregate_to_labels(majority_vote(Judgments.of(votes)))[0]["d1"] == LabelRecord("d1", True)
-        assert apply_overrides({"d1": rec}, [("d1", "hate", label)])["d1"] == LabelRecord("d1", True)
+        assert apply_overrides({"d1": rec}, [(2, "d1", "hate", label)])["d1"] == LabelRecord("d1", True)
 
 
 def test_apply_overrides_unknown_doc_errors():
-    with pytest.raises(ValueError):
-        apply_overrides({}, [("ghost", "offensive", "1")])
+    with pytest.raises(ValueError, match="^line 4: override for unknown doc 'ghost'$"):
+        apply_overrides({}, [(4, "ghost", "offensive", "1")])
 
 
 # --- QC gate -----------------------------------------------------------------
@@ -358,7 +359,7 @@ def test_gate_answers_and_overrides_files(tmp_path):
         encoding="utf-8",
     )
     # blank override column means "no change" and is skipped
-    assert load_overrides(str(op)) == [("d1", "offensive", "0")]
+    assert load_overrides(str(op)) == [(2, "d1", "offensive", "0")]
 
 
 def test_overrides_take_exactly_the_queue_header_and_columns(tmp_path):
@@ -369,25 +370,35 @@ def test_overrides_take_exactly_the_queue_header_and_columns(tmp_path):
     op.write_text("doc_id\tjob\tlabel\tagreement\toverride\nd1\toffensive\t1\t0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: expected 5 columns, got 4"):
         load_overrides(str(op))
-    queue = [AggregatedLabel("d1", "offensive", "1", "majority")]
+    queue = {("d1", "offensive"): ("1", "majority")}
     op.write_text(dump_adjudication(queue), encoding="utf-8")
     assert load_overrides(str(op)) == []
 
 
-def test_load_judgments_parses_each_timestamp_once_and_shares_it(tmp_path):
+@pytest.mark.parametrize("blank", ["", "\n"], ids=["columns", "per-line"])
+def test_load_judgments_checks_each_timestamp_once(tmp_path, monkeypatch, blank):
     p = tmp_path / "j.tsv"
     p.write_text(
         "doc_id\tannotator_id\tjob\tlabel\ttimestamp\n"
         "d1\ta1\toffensive\t1\t2021-05-01T12:00:00Z\n"
         "d1\ta2\toffensive\t0\t2021-05-01 14:00:00+02:00\n"
+        f"{blank}"  # a blank line sends the file to the per-line loop
         "d2\ta1\toffensive\t1\t2021-05-01T12:00:00Z\n"
         "d2\ta2\toffensive\t1\t\n",
         encoding="utf-8",
     )
+    assert (annotation._clean_columns(str(p)) is None) == bool(blank)
+    calls: list[str] = []
+
+    def counted(ts: str) -> str:
+        calls.append(ts)
+        return canonical_timestamp(ts)
+
+    monkeypatch.setattr(annotation, "canonical_timestamp", counted)
     js = load_judgments(str(p))
     # fromisoformat formats other than the writer's still load
-    assert js.timestamps == [TS, TS, TS, None]
-    assert js.timestamps[0] is js.timestamps[2]
+    assert js == Judgments(["d1", "d1", "d2", "d2"], ["a1", "a2", "a1", "a2"], ["offensive"] * 4, ["1", "0", "1", "1"])
+    assert sorted(calls) == ["2021-05-01 14:00:00+02:00", "2021-05-01T12:00:00Z"]
 
 
 def test_load_judgments_bad_timestamp_names_its_first_line(tmp_path):
@@ -579,7 +590,8 @@ def _outcome(f, *args, **kwargs):
 @settings(max_examples=300, deadline=None)
 @given(js=judgment_sets())
 def test_majority_vote_matches_reference(js):
-    assert majority_vote(Judgments.of(js)) == annotation_reference.majority_vote(js)
+    # dict equality ignores order, so compare the items in order
+    assert list(majority_vote(Judgments.of(js)).items()) == list(annotation_reference.majority_vote(js).items())
 
 
 @settings(max_examples=300, deadline=None)

@@ -488,8 +488,34 @@ def test_rejected_override_names_its_file(tmp_path, capsys):
     out = tmp_path / "labels.tsv"
     argv = ["aggregate", "--judgments", jpath, "--out", str(out), "--overrides", str(overrides)]
     assert cli.main(argv) == 2
-    assert f"error: {overrides}: override for unknown doc 'zz'" in capsys.readouterr().err
+    assert f"error: {overrides}: line 2: override for unknown doc 'zz'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("d001\toffensive\t1\tmajority\tmaybe", "d001: offensive label must be 0/1, got 'maybe'"),
+        ("d001\tbogus\t1\tmajority\t1", "d001: unknown job 'bogus'"),
+        ("d001\thate\tnone\tmajority\t1", "d001: unknown hate target '1'"),
+        ("zz\toffensive\t0\ttie\t1", "override for unknown doc 'zz'"),
+    ],
+    ids=["value", "job", "hate target", "unknown doc"],
+)
+def test_bad_override_names_its_line(tmp_path, capsys, row, error):
+    jpath = str(tmp_path / "j.tsv")
+    _judgment_file(jpath)
+    overrides = tmp_path / "adj.tsv"
+    # a good override, a blank line, an unfilled row, then the bad one on line 5
+    overrides.write_text(
+        f"doc_id\tjob\tlabel\tagreement\toverride\nd000\toffensive\t0\ttie\t1\n\nd002\toffensive\t0\ttie\t\n{row}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "labels.tsv"
+    argv = ["aggregate", "--judgments", jpath, "--out", str(out), "--overrides", str(overrides)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"anchorlex aggregate: error: {overrides}: line 5: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adj.tsv", "j.tsv"]
 
 
 def test_header_only_gate_answers_name_their_file(tmp_path, capsys):
@@ -610,7 +636,7 @@ HEADER_READERS = {
         lambda bad, j, g, out: ["gate", "--judgments", j, "--answers", bad, "--out", out],
     ),
     "overrides": (
-        load_overrides,
+        lambda path: [row[1:] for row in load_overrides(path)],  # less each row's line, which a blank line moves
         "doc_id\tjob\tlabel\tagreement\toverride",
         "d000\toffensive\t0\tmajority\t1",
         lambda bad, j, g, out: ["aggregate", "--judgments", j, "--overrides", bad, "--out", out],

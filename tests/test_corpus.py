@@ -340,6 +340,21 @@ def test_labels_bad_header(tmp_path):
         load_labels(str(p))
 
 
+@pytest.mark.parametrize("column", ["offensive", "vulgar", "violence"])
+def test_labels_bad_bit_names_its_line_once(tmp_path, column):
+    p = tmp_path / "labels.tsv"
+    bits = {"offensive": "1", "vulgar": "0", "violence": "0", column: "2"}
+    p.write_text(
+        "doc_id\toffensive\thate_targets\tvulgar\tviolence\n"
+        "d1\t1\t\t0\t0\n"
+        f"d2\t{bits['offensive']}\t\t{bits['vulgar']}\t{bits['violence']}\n",
+        encoding="utf-8",
+    )
+    error = f"{p}: line 3: column {column} must be 0 or 1, got '2'"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        load_labels(str(p))
+
+
 # --- splits ----------------------------------------------------------------
 
 
